@@ -14,9 +14,6 @@ Scale knobs:
     The speedup assertion stays on: both paths run identical pinned
     iteration counts on the same problems, so the ratio is robust even
     on a noisy shared runner.
-``REPRO_BENCH_BACKEND``
-    Backend for an optional second measurement (e.g. ``torch``); the
-    acceptance assertions always bind to the numpy run.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.optim.backend import available_backends
 from repro.runtime.bench import batched_solve_benchmark
 from repro.runtime.checkpoint import atomic_write
 
@@ -56,23 +52,11 @@ def test_batched_solve_speedup():
         batch_sizes=BATCH_SIZES, repeats=repeats, max_iterations=iterations
     )
 
-    extra_backend = os.environ.get("REPRO_BENCH_BACKEND", "")
-    if extra_backend and extra_backend != "numpy":
-        if extra_backend in available_backends():
-            result["extra"] = batched_solve_benchmark(
-                backend=extra_backend,
-                batch_sizes=BATCH_SIZES,
-                repeats=repeats,
-                max_iterations=iterations,
-            )
-        else:
-            result["extra"] = {"backend": extra_backend, "skipped": "not installed"}
-
     path = _output_path()
     atomic_write(path, result)
     print(
         f"\n-- batched solve ({result['grid']['rows']}x{result['grid']['columns']}, "
-        f"{result['iterations']} iterations, backend {result['backend']}) --"
+        f"{result['iterations']} iterations) --"
     )
     for row in result["batches"]:
         print(
@@ -84,7 +68,7 @@ def test_batched_solve_speedup():
 
     worst_deviation = max(row["max_relative_deviation"] for row in result["batches"])
     assert worst_deviation <= PARITY_LIMIT, (
-        "batched float64 solutions drift beyond the parity budget: "
+        "batched solutions drift beyond the parity budget: "
         f"{worst_deviation:.2e} > {PARITY_LIMIT:.0e}"
     )
     largest = result["batches"][-1]

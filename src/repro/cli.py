@@ -515,9 +515,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.batched:
         with tracer.span("bench", benchmark="batched_solve") as span:
             result = batched_solve_benchmark(
-                backend=args.backend,
-                device=args.device,
-                dtype=args.dtype,
                 batch_sizes=tuple(args.batch_sizes),
                 snr_db=args.snr,
                 seed=args.seed,
@@ -532,8 +529,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             grid = result["grid"]
             emit(
                 f"batched solve ({grid['rows']}×{grid['columns']} dictionary, "
-                f"{result['iterations']} iterations, backend {result['backend']}"
-                f"[{result['dtype']}], best of {result['repeats']}):"
+                f"{result['iterations']} iterations, best of {result['repeats']}):"
             )
             for row in result["batches"]:
                 emit(
@@ -918,9 +914,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         angle_grid=AngleGrid(n_points=args.angle_points),
         delay_grid=DelayGrid(n_points=args.delay_points),
         max_iterations=args.iterations,
-        backend=args.backend,
-        device=args.device,
-        dtype=args.dtype,
     )
     if args.snapshot_dir:
         return _serve_supervised(args, workload, config, tracer)
@@ -1195,18 +1188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(writes BENCH_batched_solve.json unless --output is given)",
     )
     bench.add_argument(
-        "--backend", choices=("numpy", "torch", "cupy"), default="numpy",
-        help="array backend for the batched path (default numpy)",
-    )
-    bench.add_argument(
-        "--device", default=None, metavar="DEV",
-        help="device for the batched backend (e.g. cuda:0)",
-    )
-    bench.add_argument(
-        "--dtype", choices=("complex64", "complex128"), default=None,
-        help="precision for the batched path (default complex128)",
-    )
-    bench.add_argument(
         "--batch-sizes", type=int, nargs="+", default=[1, 8, 64], metavar="N",
         help="batch sizes to sweep with --batched (default 1 8 64)",
     )
@@ -1354,15 +1335,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--warm-out", default=None, metavar="PATH", help="save warm-start state to PATH"
-    )
-    serve.add_argument(
-        "--backend", choices=("numpy", "torch", "cupy"), default="numpy",
-        help="solver backend (default numpy)",
-    )
-    serve.add_argument("--device", default=None, metavar="DEV", help="backend device")
-    serve.add_argument(
-        "--dtype", choices=("complex64", "complex128"), default=None,
-        help="solver precision (default complex128)",
     )
     serve.add_argument(
         "--snapshot-dir", default=None, metavar="DIR",

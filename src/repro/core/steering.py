@@ -27,7 +27,6 @@ import numpy as np
 from repro.channel.array import UniformLinearArray
 from repro.channel.ofdm import SubcarrierLayout
 from repro.core.grids import AngleGrid, DelayGrid
-from repro.optim.backend import normalize_precision, resolve_backend
 from repro.optim.linalg import estimate_lipschitz
 from repro.optim.operators import KroneckerJointOperator
 
@@ -98,7 +97,6 @@ class SteeringCache:
         self._joint_dictionary: np.ndarray | None = None
         self._joint_operator: KroneckerJointOperator | None = None
         self._joint_lipschitz: float | None = None
-        self._backend_operators: dict[tuple, KroneckerJointOperator] = {}
         #: Seconds spent building each artifact, keyed by artifact name.
         #: Empty until the corresponding property is first accessed; the
         #: batch runtime reads this to report per-worker warmup cost.
@@ -166,36 +164,6 @@ class SteeringCache:
                 "joint_lipschitz", lambda: estimate_lipschitz(self.joint_operator)
             )
         return self._joint_lipschitz
-
-    def joint_operator_on(
-        self, backend, *, device: str | None = None, dtype=None
-    ) -> KroneckerJointOperator:
-        """The joint operator converted to another array backend.
-
-        Conversions are cached per ``(backend, device, precision)`` so a
-        batched sweep pays the host→device transfer once, and the
-        Lipschitz constant computed on the numpy reference rides along —
-        it is a property of the matrix, not of where it lives.
-
-        ``backend`` is a name (``"numpy"``/``"torch"``/``"cupy"``) or an
-        :class:`~repro.optim.backend.ArrayBackend` instance; ``dtype``
-        selects the precision (e.g. ``"complex64"`` for the
-        mixed-precision path).
-        """
-        target = resolve_backend(backend, device=device)
-        precision = normalize_precision(dtype) if dtype is not None else "double"
-        key = (target.name, target.device, precision)
-        cached = self._backend_operators.get(key)
-        if cached is None:
-            source = self.joint_operator
-            _ = self.joint_lipschitz  # computed once on numpy, carried over
-            source._lipschitz = self._joint_lipschitz
-            cached = self._timed(
-                f"joint_operator[{target.name}:{target.device}:{precision}]",
-                lambda: source.to_backend(target, dtype=dtype),
-            )
-            self._backend_operators[key] = cached
-        return cached
 
     def warmup(self) -> "SteeringCache":
         """Build every artifact now (one-time per-process warmup).

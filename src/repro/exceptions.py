@@ -18,16 +18,6 @@ class SolverError(ReproError):
     """A sparse-recovery solver received bad input or failed to make progress."""
 
 
-class BackendError(ReproError):
-    """An array backend is unknown, unavailable, or misused.
-
-    Raised by :mod:`repro.optim.backend` when a requested backend
-    (``"torch"``, ``"cupy"``) is not importable in this environment, or
-    when a backend name is not registered at all.  The numpy backend is
-    always available and never raises this.
-    """
-
-
 class GeometryError(ReproError):
     """A scene/geometry construction is degenerate (e.g. AP outside room)."""
 

@@ -13,10 +13,8 @@ front door:
   when omitted.
 * :func:`solve_batch` — the batched entry point:
   ``solve_batch(A, ys, method=...)`` stacks many measurements against
-  one dictionary into lockstep batched iterations on any registered
-  array backend (numpy always; torch/cupy when installed — see
-  :mod:`repro.optim.backend`), with a float64 parity gate against the
-  sequential numpy reference.
+  one dictionary into lockstep batched iterations, with a parity gate
+  against the sequential solvers.
 
 Dictionaries may be dense ndarrays or structured
 :class:`DictionaryOperator` instances — in particular
@@ -47,16 +45,7 @@ unnecessary here.
 """
 
 from repro.optim.admm import CachedAdmmFactors, solve_lasso_admm
-from repro.optim.backend import (
-    FLOAT32_TOLERANCES,
-    FLOAT64_PARITY_TOLERANCE,
-    ArrayBackend,
-    available_backends,
-    backend_names,
-    get_backend,
-    resolve_backend,
-)
-from repro.optim.batch import BatchSolverResult, solve_batch
+from repro.optim.batch import FLOAT64_PARITY_TOLERANCE, BatchSolverResult, solve_batch
 from repro.optim.facade import solve
 from repro.optim.fista import solve_lasso_fista
 from repro.optim.linalg import (
@@ -91,12 +80,10 @@ from repro.optim.tuning import mmv_residual_kappa, noise_scaled_kappa, residual_
 from repro.optim.warm import WarmStartState
 
 __all__ = [
-    "ArrayBackend",
     "BatchSolverResult",
     "CachedAdmmFactors",
     "DenseOperator",
     "DictionaryOperator",
-    "FLOAT32_TOLERANCES",
     "FLOAT64_PARITY_TOLERANCE",
     "GuardrailPolicy",
     "KroneckerJointOperator",
@@ -106,11 +93,7 @@ __all__ = [
     "SolverResult",
     "WarmStartState",
     "as_operator",
-    "available_backends",
-    "backend_names",
     "estimate_lipschitz",
-    "get_backend",
-    "resolve_backend",
     "mmv_residual_kappa",
     "noise_scaled_kappa",
     "residual_kappa",

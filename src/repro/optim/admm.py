@@ -12,9 +12,8 @@ multi-AP, multi-location sweeps of the evaluation harness.
 
 The solver normalizes the problem by κ internally (solve ``A, y/κ`` with
 unit sparsity weight, then un-scale the minimizer), so the cached
-factorization depends on ``(A, ρ)`` plus the backend/device/dtype that
-holds it — never on κ — and one :class:`CachedAdmmFactors` serves every
-κ on its backend.
+factorization depends on ``(A, ρ)`` only — never on κ — and one
+:class:`CachedAdmmFactors` serves every κ.
 """
 
 from __future__ import annotations
@@ -22,27 +21,22 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace, support_size
-from repro.optim.backend import resolve_backend
 from repro.optim.fista import lasso_objective
-from repro.optim.linalg import validate_system
-from repro.optim.operators import DenseOperator, DictionaryOperator, as_operator
+from repro.optim.linalg import soft_threshold, validate_system
+from repro.optim.operators import DenseOperator, as_operator
 from repro.optim.result import SolverResult
 
 
 class CachedAdmmFactors:
     """Pre-factorized normal equations for repeated ADMM solves.
 
-    The factorization depends on the dictionary, ρ, and the array
-    backend/device/dtype holding it — *not* on the right-hand side or on
-    κ — so one instance serves a whole sweep of measurements and
-    sparsity weights on one backend.  The backend/device/dtype triple is
-    part of the cache key (:attr:`key`): the same dictionary factored on
-    another backend — or recast to another precision — produces
-    numerically different factors and must never be reused across that
-    boundary.
+    The factorization depends on the dictionary and ρ — *not* on the
+    right-hand side or on κ — so one instance serves a whole sweep of
+    measurements and sparsity weights.
 
     For an ``(m, n)`` dictionary with ``m < n`` (always the case for the
     paper's overcomplete grids) we factor the *small* ``m × m`` system
@@ -51,60 +45,33 @@ class CachedAdmmFactors:
         (AᴴA + ρI)⁻¹ = (I − Aᴴ(ρI + AAᴴ)⁻¹A) / ρ
     """
 
-    def __init__(self, matrix, rho: float, *, backend=None, dtype=None) -> None:
+    def __init__(self, matrix, rho: float) -> None:
         if rho <= 0:
             raise SolverError(f"rho must be positive, got {rho}")
         # Keep the caller's handle for identity checks; structured
         # operators are materialized once here (ADMM's x-update needs
         # the factored Gram either way).
         self.source = matrix
-        operator = as_operator(matrix, backend=backend, dtype=dtype)
-        self.backend = operator.backend
-        self.matrix = operator.to_dense()
+        self.matrix = as_operator(matrix).to_dense()
         self.rho = rho
-        bk = self.backend
-        m, n = tuple(self.matrix.shape)
+        m, n = self.matrix.shape
         self.wide = m < n
-        # The ρI ridge is built in the gram's *real* dtype: a float64
-        # eye would promote a complex64 gram to complex128.
-        ridge_dtype = bk.real_dtype(operator.precision)
         if self.wide:
-            gram_small = self.matrix @ bk.conj_transpose(self.matrix)
-            ridge = bk.asarray(rho * bk.eye(m), dtype=ridge_dtype)
-            self._factor = bk.cholesky(gram_small + ridge)
+            gram_small = self.matrix @ self.matrix.conj().T
+            self._factor = scipy.linalg.cho_factor(gram_small + rho * np.eye(m))
         else:
-            gram = bk.conj_transpose(self.matrix) @ self.matrix
-            ridge = bk.asarray(rho * bk.eye(n), dtype=ridge_dtype)
-            self._factor = bk.cholesky(gram + ridge)
-
-    @property
-    def key(self) -> tuple:
-        """The full cache key: ``(backend, device, dtype, rho)``."""
-        return (
-            self.backend.name,
-            self.backend.device,
-            self.backend.dtype_name(self.matrix),
-            self.rho,
-        )
+            gram = self.matrix.conj().T @ self.matrix
+            self._factor = scipy.linalg.cho_factor(gram + rho * np.eye(n))
 
     def solve(self, q):
         """Return ``(AᴴA + ρI)⁻¹ q``."""
-        bk = self.backend
         if self.wide:
-            inner = bk.cholesky_solve(self._factor, self.matrix @ q)
-            return (q - bk.conj_transpose(self.matrix) @ inner) / self.rho
-        return bk.cholesky_solve(self._factor, q)
+            inner = scipy.linalg.cho_solve(self._factor, self.matrix @ q)
+            return (q - self.matrix.conj().T @ inner) / self.rho
+        return scipy.linalg.cho_solve(self._factor, q)
 
     def matches(self, matrix) -> bool:
-        """Whether these factors can serve ``matrix`` as-is.
-
-        Identity with the source (or the materialized dense form) is
-        necessary but no longer sufficient: the candidate must also live
-        on the same backend/device with the same dtype — factors built
-        with ``backend="torch"`` or ``dtype="complex64"`` never serve
-        the original numpy float64 dictionary, even though the *object*
-        is the same (the PR 2 keying collision).
-        """
+        """Whether these factors were built for ``matrix`` (by identity)."""
         # A DenseOperator is just a view over its array — factors built
         # from the array serve the wrapper and vice versa (solve_batch
         # wraps the caller's matrix before reaching the ADMM core).
@@ -113,19 +80,7 @@ class CachedAdmmFactors:
             handles.append(matrix.matrix)
         if isinstance(self.source, DenseOperator):
             handles.append(self.source.matrix)
-        if not any(h is self.source or h is self.matrix for h in handles):
-            return False
-        if isinstance(matrix, DictionaryOperator):
-            candidate = matrix.backend
-            candidate_dtype = matrix.dtype_name
-        else:
-            candidate = resolve_backend(None, array=matrix)
-            candidate_dtype = candidate.dtype_name(matrix)
-        return (
-            candidate.name == self.backend.name
-            and candidate.device == self.backend.device
-            and candidate_dtype == self.backend.dtype_name(self.matrix)
-        )
+        return any(h is self.source or h is self.matrix for h in handles)
 
 
 def solve_lasso_admm(
@@ -187,17 +142,12 @@ def solve_lasso_admm(
         factors = CachedAdmmFactors(matrix, rho)
     elif not factors.matches(matrix) or factors.rho != rho:
         raise SolverError(
-            "provided CachedAdmmFactors were built for a different "
-            "(matrix, rho, backend/device/dtype)"
+            "provided CachedAdmmFactors were built for a different (matrix, rho)"
         )
 
     dense = factors.matrix
-    bk = factors.backend
-    cdtype = bk.complex_dtype(bk.precision_of(dense))
-    n = tuple(dense.shape)[1]
-    # Cast to the factor precision so a complex64 dictionary keeps the
-    # whole iteration in complex64 (no-op for the default path).
-    rhs = bk.asarray(rhs, dtype=cdtype)
+    n = dense.shape[1]
+    rhs = np.asarray(rhs, dtype=complex)
 
     # κ-normalized problem: min ‖Ax̃ − ỹ‖² + ‖x̃‖₁ with ỹ = y/κ; the
     # 1/2-scaled textbook updates then threshold at (1/2)/ρ.
@@ -205,10 +155,10 @@ def solve_lasso_admm(
     scaled_rhs = rhs / scale_factor
     threshold = 0.5 / rho if kappa > 0 else 0.0
 
-    atb = bk.conj_transpose(dense) @ scaled_rhs
-    x = bk.zeros(n, cdtype)
-    z = bk.zeros(n, cdtype)
-    u = bk.zeros(n, cdtype)
+    atb = dense.conj().T @ scaled_rhs
+    x = np.zeros(n, dtype=complex)
+    z = np.zeros(n, dtype=complex)
+    u = np.zeros(n, dtype=complex)
 
     history: list[float] = []
     converged = False
@@ -216,17 +166,17 @@ def solve_lasso_admm(
     for iterations in range(1, max_iterations + 1):
         x = factors.solve(atb + rho * (z - u))
         z_prev = z
-        z = bk.soft_threshold(x + u, threshold)
+        z = soft_threshold(x + u, threshold)
         u = u + x - z
 
-        primal_residual = bk.norm(x - z)
-        dual_residual = rho * bk.norm(z - z_prev)
+        primal_residual = float(np.linalg.norm(x - z))
+        dual_residual = rho * float(np.linalg.norm(z - z_prev))
         if track_history:
             history.append(lasso_objective(dense, rhs, scale_factor * z, kappa))
         if telemetry is not None or callback is not None:
             iterate = scale_factor * z
-            residual_norm = bk.norm(dense @ iterate - rhs)
-            current = residual_norm**2 + kappa * bk.abs_sum(iterate)
+            residual_norm = float(np.linalg.norm(dense @ iterate - rhs))
+            current = residual_norm**2 + kappa * float(np.abs(iterate).sum())
             if telemetry is not None:
                 telemetry.record(
                     objective=current,
@@ -235,7 +185,7 @@ def solve_lasso_admm(
                 )
             if callback is not None:
                 callback(iterations, iterate, current)
-        scale = max(1.0, bk.norm(z))
+        scale = max(1.0, float(np.linalg.norm(z)))
         if primal_residual <= tolerance * scale and dual_residual <= tolerance * scale:
             converged = True
             break

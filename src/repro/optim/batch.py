@@ -12,17 +12,15 @@ column that has converged stops moving while its neighbours iterate on.
 
 Correctness contract:
 
-* ``B == 1`` delegates to the sequential solver outright — on the numpy
-  backend a singleton batch is **byte-identical** to the solo solve
-  (the golden-spectra suite pins this).
+* ``B == 1`` delegates to the sequential solver outright — a singleton
+  batch is **byte-identical** to the solo solve (the golden-spectra
+  suite pins this).
 * ``B > 1`` runs the same per-column iteration, but BLAS accumulates
   batched GEMM columns in a different order than per-vector GEMV, so
   results agree with the sequential loop to rounding, not bits.  The
-  float64 budget is :data:`~repro.optim.backend.FLOAT64_PARITY_TOLERANCE`
-  (1e-12 relative); the float32 ladder is
-  :data:`~repro.optim.backend.FLOAT32_TOLERANCES`.  Passing
-  ``parity_gate=True`` verifies the batch against a sequential numpy
-  float64 reference solve and raises on violation.
+  budget is :data:`FLOAT64_PARITY_TOLERANCE` (1e-12 relative).  Passing
+  ``parity_gate=True`` verifies the batch against a sequential reference
+  solve and raises on violation.
 * Warm starts carry across consecutive batches: pass the previous
   :class:`BatchSolverResult` (or a ``(B, n)`` array) as ``x0``.
 """
@@ -30,26 +28,24 @@ Correctness contract:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import SolverError
-from repro.optim.backend import (
-    FLOAT32_TOLERANCES,
-    FLOAT64_PARITY_TOLERANCE,
-    ArrayBackend,
-    get_backend,
-    resolve_backend,
-)
 from repro.optim.admm import CachedAdmmFactors, solve_lasso_admm
 from repro.optim.fista import solve_lasso_fista
 from repro.optim.mmv import solve_mmv_fista
 from repro.optim.omp import solve_omp
+from repro.optim.linalg import soft_threshold, validate_penalty_weights
 from repro.optim.operators import as_operator
 from repro.optim.result import SolverResult
 from repro.optim.tuning import mmv_residual_kappa, residual_kappa
+
+#: Parity budget: batched results must match the sequential solvers to
+#: this relative tolerance.
+FLOAT64_PARITY_TOLERANCE = 1e-12
 
 #: Methods solve_batch can run, with the options each accepts.
 _BATCH_METHODS = {
@@ -67,34 +63,77 @@ _BATCH_METHODS = {
 _BLOCK_COLUMNS = 16
 
 
+# -- fused lockstep kernels ---------------------------------------------
+# The batched engine's hot inner steps, done in place: the lockstep
+# iterate (n × B) no longer fits in cache, so every avoided pass over it
+# is a measurable win.
+
+
+def _prox_gradient_step(momentum, gradient, step2, thresholds):
+    """``soft_threshold(momentum − step2·gradient, thresholds)``.
+
+    ``gradient`` is ``Aᴴ(Ax − y)`` *without* the factor 2 — ``step2``
+    carries it (``2·step``; exact, a power-of-two scale).  ``gradient``
+    is clobbered (the caller owns and discards it); ``momentum`` is left
+    untouched.
+    """
+    point = np.multiply(gradient, -step2, out=gradient)
+    point += momentum
+    magnitude = np.abs(point)
+    thresholds = np.asarray(thresholds)
+    if np.all(thresholds > 0):
+        # max(1 − t/|z|, 0)·z: same shrinkage as the reference
+        # formula to rounding, one fewer real-array pass and no
+        # boolean mask; |z| = 0 gives −inf → clamped to 0.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = thresholds / magnitude
+            np.subtract(1.0, scale, out=scale)
+            np.maximum(scale, 0.0, out=scale)
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            shrunk = np.maximum(magnitude - thresholds, 0.0)
+            scale = np.where(
+                magnitude > 0, shrunk / np.where(magnitude > 0, magnitude, 1.0), 0.0
+            )
+    point *= scale
+    return point
+
+
+def _momentum_combine(candidate, previous, coefficient):
+    """``candidate + coefficient·(candidate − previous)``, clobbering ``previous``.
+
+    The engine only calls this once the previous iterate is dead.
+    """
+    combined = np.subtract(candidate, previous, out=previous)
+    combined *= coefficient
+    combined += candidate
+    return combined
+
+
 @dataclass
 class BatchSolverResult:
-    """Solutions of a whole batch, kept on the backend that computed them.
+    """Solutions of a whole batch.
 
-    ``x`` has shape ``(B, n)`` (``(B, n, p)`` for MMV) as a
-    backend-native array; :meth:`to_numpy` materializes it on the host
-    and :meth:`problem` slices one problem out as a standard
+    ``x`` has shape ``(B, n)`` (``(B, n, p)`` for MMV);
+    :meth:`problem` slices one problem out as a standard
     :class:`~repro.optim.result.SolverResult` (handy for feeding the
     next batch's warm start or the spectrum pipeline).
     """
 
-    x: Any
+    x: np.ndarray
     objectives: tuple[float, ...]
     iterations: tuple[int, ...]
     converged: tuple[bool, ...]
     method: str
-    backend_name: str
-    dtype_name: str
     kappas: tuple[float, ...] | None = None
     parity: dict | None = None
-    backend: ArrayBackend = field(default=None, repr=False)
 
     @property
     def n_problems(self) -> int:
         return len(self.objectives)
 
     def to_numpy(self) -> np.ndarray:
-        return self.backend.to_numpy(self.x)
+        return np.asarray(self.x)
 
     def problem(self, index: int) -> SolverResult:
         return SolverResult(
@@ -113,9 +152,6 @@ def solve_batch(
     *,
     kappa=None,
     kappa_fraction: float = 0.05,
-    backend=None,
-    device: str | None = None,
-    dtype=None,
     x0=None,
     warm_state=None,
     warm_keys: Sequence[str] | None = None,
@@ -129,8 +165,7 @@ def solve_batch(
     ----------
     matrix:
         Dictionary ``A`` — ndarray or
-        :class:`~repro.optim.operators.DictionaryOperator`; converted to
-        the requested backend/dtype once for the whole batch.
+        :class:`~repro.optim.operators.DictionaryOperator`.
     ys:
         Sequence of ``B`` measurements: 1-D vectors of length ``m``
         (``method`` in ``fista``/``admm``/``omp``) or 2-D ``(m, p)``
@@ -141,11 +176,6 @@ def solve_batch(
         ``None`` to derive each problem's κ via
         :func:`~repro.optim.tuning.residual_kappa` exactly as the
         sequential loop would.  Rejected for ``method="omp"``.
-    backend / device / dtype:
-        Where and how to compute: backend name or instance
-        (``"numpy"``/``"torch"``/``"cupy"``), optional device string
-        (e.g. ``"cuda:0"``), and optional precision
-        (``"complex64"`` for the mixed-precision path).
     x0:
         Warm start carried over from a previous batch: a
         :class:`BatchSolverResult` or an array of shape ``(B, n)``
@@ -161,12 +191,11 @@ def solve_batch(
         the caller stacking arrays.  Mutually exclusive with ``x0``;
         same method restriction.
     parity_gate:
-        Re-solve the batch sequentially on the numpy float64 reference
-        and raise :class:`~repro.exceptions.SolverError` if any
-        problem's relative ℓ∞ deviation exceeds ``parity_tolerance``
-        (default 1e-12 in double precision,
-        ``FLOAT32_TOLERANCES["parity_gate"]`` in single).  The report is
-        attached as ``result.parity`` either way.
+        Re-solve the batch with the sequential solvers and raise
+        :class:`~repro.exceptions.SolverError` if any problem's relative
+        ℓ∞ deviation exceeds ``parity_tolerance`` (default
+        :data:`FLOAT64_PARITY_TOLERANCE`).  The report is attached as
+        ``result.parity`` either way.
     **options:
         Per-method solver options (``max_iterations``, ``tolerance``,
         ``lipschitz``; ``rho``/``factors`` for ADMM; ``sparsity`` for
@@ -177,6 +206,9 @@ def solve_batch(
             f"solve_batch does not support method {method!r}; "
             f"batchable methods: {sorted(_BATCH_METHODS)}"
         )
+    stray = sorted(set(options) - set().union(*_BATCH_METHODS.values()))
+    if stray:
+        raise TypeError(f"solve_batch() got an unexpected keyword argument {stray[0]!r}")
     unknown = set(options) - _BATCH_METHODS[method]
     if unknown:
         raise SolverError(
@@ -201,12 +233,7 @@ def solve_batch(
             f"got shape {problem_shape}"
         )
 
-    operator = as_operator(matrix, backend=backend, dtype=dtype)
-    if device is not None and operator.backend.device != device:
-        operator = operator.to_backend(
-            resolve_backend(operator.backend.name, device=device), dtype=dtype
-        )
-    bk = operator.backend
+    operator = as_operator(matrix)
     if problem_shape[0] != operator.shape[0]:
         raise SolverError(
             f"dictionary and batch are incompatible: A is {operator.shape}, "
@@ -220,7 +247,7 @@ def solve_batch(
         )
     elif warm_keys is not None:
         raise SolverError("warm_keys requires warm_state")
-    warm = _resolve_warm_start(bk, x0, method, n_problems, operator.shape[1], problem_shape)
+    warm = _resolve_warm_start(x0, method, n_problems, operator.shape[1], problem_shape)
 
     if n_problems == 1:
         result = _solve_single(operator, ys[0], method, kappas, warm, options)
@@ -244,7 +271,7 @@ def solve_batch(
                     options,
                 )
             )
-        result = blocks[0] if len(blocks) == 1 else _merge_blocks(bk, blocks, kappas)
+        result = blocks[0] if len(blocks) == 1 else _merge_blocks(blocks, kappas)
 
     if warm_state is not None:
         solutions = result.to_numpy()
@@ -253,23 +280,19 @@ def solve_batch(
 
     if parity_gate:
         result.parity = _run_parity_gate(
-            matrix, operator, ys, method, kappas, options, result, parity_tolerance
+            operator, ys, method, kappas, options, result, parity_tolerance
         )
     return result
 
 
-def _merge_blocks(bk, blocks, kappas):
-    first = blocks[0]
+def _merge_blocks(blocks, kappas):
     return BatchSolverResult(
-        x=bk.concat([block.x for block in blocks], axis=0),
+        x=np.concatenate([block.x for block in blocks], axis=0),
         objectives=tuple(v for block in blocks for v in block.objectives),
         iterations=tuple(v for block in blocks for v in block.iterations),
         converged=tuple(v for block in blocks for v in block.converged),
-        method=first.method,
-        backend_name=first.backend_name,
-        dtype_name=first.dtype_name,
+        method=blocks[0].method,
         kappas=kappas,
-        backend=bk,
     )
 
 
@@ -280,10 +303,7 @@ def _resolve_kappas(operator, ys, method, kappa, kappa_fraction, n_problems):
         return None
     if kappa is None:
         derive = mmv_residual_kappa if method == "mmv" else residual_kappa
-        return tuple(
-            derive(operator, operator.backend.ensure(y), fraction=kappa_fraction)
-            for y in ys
-        )
+        return tuple(derive(operator, np.asarray(y), fraction=kappa_fraction) for y in ys)
     if np.ndim(kappa) == 0:
         return (float(kappa),) * n_problems
     kappas = tuple(float(k) for k in kappa)
@@ -321,57 +341,51 @@ def _warm_starts_from_state(warm_state, warm_keys, x0, method, n_problems, n, pr
     return starts
 
 
-def _resolve_warm_start(bk, x0, method, n_problems, n, problem_shape):
+def _resolve_warm_start(x0, method, n_problems, n, problem_shape):
     if x0 is None:
         return None
     if method not in ("fista", "mmv"):
         raise SolverError(f"method {method!r} does not accept a warm start (x0)")
     if isinstance(x0, BatchSolverResult):
-        x0 = x0.backend.to_numpy(x0.x) if x0.backend is not bk else x0.x
+        x0 = x0.x
     expected = (
         (n_problems, n, problem_shape[1]) if method == "mmv" else (n_problems, n)
     )
-    x0 = bk.asarray(x0)
-    if tuple(x0.shape) != expected:
-        raise SolverError(f"x0 has shape {tuple(x0.shape)}, expected {expected}")
+    x0 = np.asarray(x0)
+    if x0.shape != expected:
+        raise SolverError(f"x0 has shape {x0.shape}, expected {expected}")
     return x0
 
 
 def _solve_single(operator, y, method, kappas, warm, options):
-    """B == 1: run the sequential solver — byte-identical on numpy."""
-    bk = operator.backend
+    """B == 1: run the sequential solver — byte-identical."""
     opts = dict(options)
     if warm is not None:
         opts["x0"] = warm[0]
+    y = np.asarray(y)
     if method == "omp":
-        result = solve_omp(operator, bk.ensure(y), **opts)
+        result = solve_omp(operator, y, **opts)
     elif method == "fista":
-        result = solve_lasso_fista(operator, bk.ensure(y), kappas[0], **opts)
+        result = solve_lasso_fista(operator, y, kappas[0], **opts)
     elif method == "admm":
-        result = solve_lasso_admm(operator, bk.ensure(y), kappas[0], **opts)
+        result = solve_lasso_admm(operator, y, kappas[0], **opts)
     else:
-        result = solve_mmv_fista(operator, bk.ensure(y), kappas[0], **opts)
+        result = solve_mmv_fista(operator, y, kappas[0], **opts)
     return BatchSolverResult(
-        x=bk.stack([result.x], axis=0),
+        x=np.stack([result.x], axis=0),
         objectives=(result.objective,),
         iterations=(result.iterations,),
         converged=(result.converged,),
         method=method,
-        backend_name=bk.name,
-        dtype_name=bk.dtype_name(result.x),
         kappas=kappas,
-        backend=bk,
     )
 
 
 def _solve_stacked(operator, ys, method, kappas, warm, options):
-    bk = operator.backend
-    cdtype = bk.complex_dtype(operator.precision)
-    if method == "mmv":
-        stacked = bk.stack([bk.asarray(y, dtype=cdtype) for y in ys], axis=0)
-    else:
-        stacked = bk.stack([bk.asarray(y, dtype=cdtype) for y in ys], axis=1)
-    if not bk.isfinite_all(stacked):
+    stacked = np.stack(
+        [np.asarray(y, dtype=complex) for y in ys], axis=0 if method == "mmv" else 1
+    )
+    if not np.all(np.isfinite(stacked)):
         raise SolverError("batch contains non-finite measurements")
     if method == "fista":
         return _batched_fista(operator, stacked, kappas, warm, **options)
@@ -382,20 +396,15 @@ def _solve_stacked(operator, ys, method, kappas, warm, options):
     return _batched_mmv(operator, stacked, kappas, warm, **options)
 
 
-def _result(operator, X_cols, objectives, iterations, converged, method, kappas):
+def _result(X_cols, objectives, iterations, converged, method, kappas):
     """Assemble a BatchSolverResult from the internal (n, B) column layout."""
-    bk = operator.backend
-    x = bk.moveaxis(X_cols, 0, 1)
     return BatchSolverResult(
-        x=x,
+        x=np.moveaxis(X_cols, 0, 1),
         objectives=tuple(float(v) for v in objectives),
         iterations=tuple(int(v) for v in iterations),
         converged=tuple(bool(v) for v in converged),
         method=method,
-        backend_name=bk.name,
-        dtype_name=bk.dtype_name(x),
         kappas=kappas,
-        backend=bk,
     )
 
 
@@ -410,37 +419,32 @@ def _batched_fista(
     lipschitz: float | None = None,
     penalty_weights=None,
 ):
-    bk = operator.backend
-    cdtype = bk.complex_dtype(operator.precision)
-    rdtype = bk.real_dtype(operator.precision)
     n = operator.shape[1]
-    n_problems = tuple(Y.shape)[1]
+    n_problems = Y.shape[1]
     kap = np.asarray(kappas, dtype=np.float64)
     if np.any(kap < 0):
         raise SolverError(f"kappa must be non-negative, got {kappas}")
     if max_iterations < 1:
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
-    weights = _resolve_penalty_weights(bk, penalty_weights, n, rdtype)
+    weights = validate_penalty_weights(penalty_weights, n)
 
     lipschitz = 2.0 * (operator.lipschitz() if lipschitz is None else float(lipschitz))
     if lipschitz <= 0:
-        X = bk.zeros((n, n_problems), cdtype)
+        X = np.zeros((n, n_problems), dtype=complex)
         objectives, _ = _lasso_batch_objectives(operator, X, Y, kap, weights)
-        return _result(operator, X, objectives, [0] * n_problems, [True] * n_problems,
-                       "fista", kappas)
+        return _result(X, objectives, [0] * n_problems, [True] * n_problems, "fista", kappas)
     step = 1.0 / lipschitz
-    thresholds = bk.asarray((kap * step).reshape(1, n_problems), dtype=rdtype)
+    thresholds = (kap * step).reshape(1, n_problems)
     if weights is not None:
         # Per-coefficient weighted ℓ1: one threshold per (row, problem).
         thresholds = weights.reshape(n, 1) * thresholds
 
     X = (
-        bk.zeros((n, n_problems), cdtype)
+        np.zeros((n, n_problems), dtype=complex)
         if warm is None
-        else bk.moveaxis(bk.asarray(warm, dtype=cdtype), 0, 1)
+        else np.moveaxis(np.asarray(warm, dtype=complex), 0, 1).copy()
     )
-    X = bk.copy(X)
-    momentum = bk.copy(X)
+    momentum = X.copy()
     t = 1.0
 
     active = np.ones(n_problems, dtype=bool)
@@ -449,27 +453,24 @@ def _batched_fista(
     check = tolerance > 0
     for it in range(1, max_iterations + 1):
         raw_gradient = operator.rmatvec(operator.matvec(momentum) - Y)
-        candidate = bk.prox_gradient_step(momentum, raw_gradient, 2.0 * step, thresholds)
-        # math.sqrt keeps the momentum coefficient a python float — a
-        # np.float64 scalar would promote complex64 iterates to
-        # complex128 under NEP 50 on the (out-of-place) freeze path.
+        candidate = _prox_gradient_step(momentum, raw_gradient, 2.0 * step, thresholds)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         coefficient = (t - 1.0) / t_next
 
         if check:
-            delta = bk.to_numpy(bk.norms(candidate - X, axis=0))
-            scale = np.maximum(1.0, bk.to_numpy(bk.norms(X, axis=0)))
+            delta = np.linalg.norm(candidate - X, axis=0)
+            scale = np.maximum(1.0, np.linalg.norm(X, axis=0))
 
         if active.all():
-            momentum = bk.momentum_combine(candidate, X, coefficient)
+            momentum = _momentum_combine(candidate, X, coefficient)
             X = candidate
         else:
             # Freeze converged columns: their iterate (and momentum) stop
             # moving, preserving per-problem equivalence with solo solves.
             momentum_next = candidate + coefficient * (candidate - X)
-            mask = bk.asarray(active.reshape(1, n_problems))
-            X = bk.where(mask, candidate, X)
-            momentum = bk.where(mask, momentum_next, momentum)
+            mask = active.reshape(1, n_problems)
+            X = np.where(mask, candidate, X)
+            momentum = np.where(mask, momentum_next, momentum)
         t = t_next
 
         if check:
@@ -482,21 +483,7 @@ def _batched_fista(
                     break
 
     objectives, _ = _lasso_batch_objectives(operator, X, Y, kap, weights)
-    return _result(operator, X, objectives, iterations, converged, "fista", kappas)
-
-
-def _resolve_penalty_weights(bk, penalty_weights, n, rdtype):
-    """Validate and re-home per-coefficient ℓ1/ℓ2,1 weights (or None)."""
-    if penalty_weights is None:
-        return None
-    weights_host = np.asarray(penalty_weights, dtype=np.float64)
-    if weights_host.shape != (n,):
-        raise SolverError(
-            f"penalty_weights must have shape ({n},), got {weights_host.shape}"
-        )
-    if np.any(weights_host < 0) or not np.all(np.isfinite(weights_host)):
-        raise SolverError("penalty_weights must be finite and non-negative")
-    return bk.asarray(weights_host, dtype=rdtype)
+    return _result(X, objectives, iterations, converged, "fista", kappas)
 
 
 def _batched_admm(
@@ -509,9 +496,6 @@ def _batched_admm(
     tolerance: float = 1e-6,
     factors: CachedAdmmFactors | None = None,
 ):
-    bk = operator.backend
-    cdtype = bk.complex_dtype(operator.precision)
-    rdtype = bk.real_dtype(operator.precision)
     kap = np.asarray(kappas, dtype=np.float64)
     if np.any(kap < 0):
         raise SolverError(f"kappa must be non-negative, got {kappas}")
@@ -522,24 +506,20 @@ def _batched_admm(
         factors = CachedAdmmFactors(operator, rho)
     elif not factors.matches(operator) or factors.rho != rho:
         raise SolverError(
-            "provided CachedAdmmFactors were built for a different "
-            "(matrix, rho, backend/device/dtype)"
+            "provided CachedAdmmFactors were built for a different (matrix, rho)"
         )
     dense = factors.matrix
-    n = tuple(dense.shape)[1]
-    n_problems = tuple(Y.shape)[1]
+    n = dense.shape[1]
+    n_problems = Y.shape[1]
 
-    scale_row_np = np.where(kap > 0, kap, 1.0).reshape(1, n_problems)
-    scale_row = bk.asarray(scale_row_np, dtype=rdtype)
-    thresholds = bk.asarray(
-        np.where(kap > 0, 0.5 / rho, 0.0).reshape(1, n_problems), dtype=rdtype
-    )
+    scale_row = np.where(kap > 0, kap, 1.0).reshape(1, n_problems)
+    thresholds = np.where(kap > 0, 0.5 / rho, 0.0).reshape(1, n_problems)
     scaled_Y = Y / scale_row
-    atb = bk.conj_transpose(dense) @ scaled_Y
+    atb = dense.conj().T @ scaled_Y
 
-    X = bk.zeros((n, n_problems), cdtype)
-    Z = bk.zeros((n, n_problems), cdtype)
-    U = bk.zeros((n, n_problems), cdtype)
+    X = np.zeros((n, n_problems), dtype=complex)
+    Z = np.zeros((n, n_problems), dtype=complex)
+    U = np.zeros((n, n_problems), dtype=complex)
 
     active = np.ones(n_problems, dtype=bool)
     iterations = np.full(n_problems, max_iterations, dtype=int)
@@ -548,21 +528,21 @@ def _batched_admm(
     for it in range(1, max_iterations + 1):
         X_next = factors.solve(atb + rho * (Z - U))
         Z_prev = Z
-        Z_next = bk.soft_threshold(X_next + U, thresholds)
+        Z_next = soft_threshold(X_next + U, thresholds)
         U_next = U + X_next - Z_next
 
         if check:
-            primal = bk.to_numpy(bk.norms(X_next - Z_next, axis=0))
-            dual = rho * bk.to_numpy(bk.norms(Z_next - Z_prev, axis=0))
-            scale = np.maximum(1.0, bk.to_numpy(bk.norms(Z_next, axis=0)))
+            primal = np.linalg.norm(X_next - Z_next, axis=0)
+            dual = rho * np.linalg.norm(Z_next - Z_prev, axis=0)
+            scale = np.maximum(1.0, np.linalg.norm(Z_next, axis=0))
 
         if active.all():
             X, Z, U = X_next, Z_next, U_next
         else:
-            mask = bk.asarray(active.reshape(1, n_problems))
-            X = bk.where(mask, X_next, X)
-            Z = bk.where(mask, Z_next, Z)
-            U = bk.where(mask, U_next, U)
+            mask = active.reshape(1, n_problems)
+            X = np.where(mask, X_next, X)
+            Z = np.where(mask, Z_next, Z)
+            U = np.where(mask, U_next, U)
 
         if check:
             newly = active & (primal <= tolerance * scale) & (dual <= tolerance * scale)
@@ -575,14 +555,12 @@ def _batched_admm(
 
     X_out = scale_row * Z
     objectives, _ = _lasso_batch_objectives(operator, X_out, Y, kap)
-    return _result(operator, X_out, objectives, iterations, converged, "admm", kappas)
+    return _result(X_out, objectives, iterations, converged, "admm", kappas)
 
 
 def _batched_omp(operator, Y, *, sparsity: int, tolerance: float = 0.0):
-    bk = operator.backend
-    cdtype = bk.complex_dtype(operator.precision)
     m, n = operator.shape
-    n_problems = tuple(Y.shape)[1]
+    n_problems = Y.shape[1]
     if sparsity < 1:
         raise SolverError(f"sparsity must be >= 1, got {sparsity}")
     sparsity = min(sparsity, m, n)
@@ -591,46 +569,44 @@ def _batched_omp(operator, Y, *, sparsity: int, tolerance: float = 0.0):
     norms_col = column_norms.reshape(-1, 1)
     usable_col = norms_col > 0
 
-    residuals = bk.copy(Y)
+    residuals = Y.copy()
     supports: list[list[int]] = [[] for _ in range(n_problems)]
-    coefficients: list = [bk.zeros(0, cdtype) for _ in range(n_problems)]
+    coefficients: list = [np.zeros(0, dtype=complex) for _ in range(n_problems)]
     active = np.ones(n_problems, dtype=bool)
     iterations = np.zeros(n_problems, dtype=int)
 
     for step_index in range(1, sparsity + 1):
         # One batched adjoint GEMM scores every problem's atoms at once;
         # the greedy selection + least-squares refit stay per-problem.
-        correlations = bk.abs(operator.rmatvec(residuals))
-        with bk.errstate():
-            correlations = bk.where(
+        correlations = np.abs(operator.rmatvec(residuals))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            correlations = np.where(
                 usable_col,
-                correlations / bk.where(usable_col, norms_col, 1.0),
+                correlations / np.where(usable_col, norms_col, 1.0),
                 -1.0,
             )
         for b in np.nonzero(active)[0]:
             column = correlations[:, b]
             column[supports[b]] = -1.0
-            best = bk.argmax(column)
+            best = int(np.argmax(column))
             iterations[b] = step_index
             if float(column[best]) <= 0:
                 active[b] = False
                 continue
             supports[b].append(best)
             submatrix = operator.columns(supports[b])
-            coefficients[b] = bk.lstsq(submatrix, Y[:, b])
+            coefficients[b] = np.linalg.lstsq(submatrix, Y[:, b], rcond=None)[0]
             residuals[:, b] = Y[:, b] - submatrix @ coefficients[b]
-            if bk.norm(residuals[:, b]) <= tolerance:
+            if float(np.linalg.norm(residuals[:, b])) <= tolerance:
                 active[b] = False
         if not active.any():
             break
 
-    X = bk.zeros((n, n_problems), cdtype)
+    X = np.zeros((n, n_problems), dtype=complex)
     for b in range(n_problems):
         X[supports[b], b] = coefficients[b]
-    objectives = [bk.norm(residuals[:, b]) ** 2 for b in range(n_problems)]
-    return _result(
-        operator, X, objectives, iterations, [True] * n_problems, "omp", None
-    )
+    objectives = [float(np.linalg.norm(residuals[:, b])) ** 2 for b in range(n_problems)]
+    return _result(X, objectives, iterations, [True] * n_problems, "omp", None)
 
 
 def _batched_mmv(
@@ -644,39 +620,35 @@ def _batched_mmv(
     lipschitz: float | None = None,
     penalty_weights=None,
 ):
-    bk = operator.backend
-    cdtype = bk.complex_dtype(operator.precision)
-    rdtype = bk.real_dtype(operator.precision)
     n = operator.shape[1]
-    n_problems, _, n_snapshots = tuple(Ys.shape)
+    n_problems, _, n_snapshots = Ys.shape
     if n_snapshots == 0:
         raise SolverError("snapshot matrices have zero columns")
     kap = np.asarray(kappas, dtype=np.float64)
     if np.any(kap < 0):
         raise SolverError(f"kappa must be non-negative, got {kappas}")
-    weights = _resolve_penalty_weights(bk, penalty_weights, n, rdtype)
+    weights = validate_penalty_weights(penalty_weights, n)
 
     lipschitz = 2.0 * (operator.lipschitz() if lipschitz is None else float(lipschitz))
     if lipschitz <= 0:
-        X = bk.zeros((n_problems, n, n_snapshots), cdtype)
+        X = np.zeros((n_problems, n, n_snapshots), dtype=complex)
         objectives = _mmv_batch_objectives(operator, X, Ys, kap, weights)
         return BatchSolverResult(
             x=X, objectives=tuple(objectives), iterations=(0,) * n_problems,
-            converged=(True,) * n_problems, method="mmv", backend_name=bk.name,
-            dtype_name=bk.dtype_name(X), kappas=kappas, backend=bk,
+            converged=(True,) * n_problems, method="mmv", kappas=kappas,
         )
     step = 1.0 / lipschitz
-    thresholds = bk.asarray((kap * step).reshape(n_problems, 1, 1), dtype=rdtype)
+    thresholds = (kap * step).reshape(n_problems, 1, 1)
     if weights is not None:
         # Per-row weighted ℓ2,1: one threshold per (problem, row).
         thresholds = thresholds * weights.reshape(1, n, 1)
 
     X = (
-        bk.zeros((n_problems, n, n_snapshots), cdtype)
+        np.zeros((n_problems, n, n_snapshots), dtype=complex)
         if warm is None
-        else bk.copy(bk.asarray(warm, dtype=cdtype))
+        else np.asarray(warm, dtype=complex).copy()
     )
-    momentum = bk.copy(X)
+    momentum = X.copy()
     t = 1.0
 
     active = np.ones(n_problems, dtype=bool)
@@ -686,26 +658,26 @@ def _batched_mmv(
     for it in range(1, max_iterations + 1):
         gradient = 2.0 * operator.rmatmul_batch(operator.matmul_batch(momentum) - Ys)
         point = momentum - step * gradient
-        row_norms = bk.norms(point, axis=2, keepdims=True)
-        shrunk = bk.maximum(row_norms - thresholds, 0.0)
-        with bk.errstate():
-            factors = bk.where(
-                row_norms > 0, shrunk / bk.where(row_norms > 0, row_norms, 1.0), 0.0
+        row_norms = np.linalg.norm(point, axis=2, keepdims=True)
+        shrunk = np.maximum(row_norms - thresholds, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            factors = np.where(
+                row_norms > 0, shrunk / np.where(row_norms > 0, row_norms, 1.0), 0.0
             )
         candidate = point * factors
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum_next = candidate + ((t - 1.0) / t_next) * (candidate - X)
 
         if check:
-            delta = bk.to_numpy(bk.norms(candidate - X, axis=(1, 2)))
-            scale = np.maximum(1.0, bk.to_numpy(bk.norms(X, axis=(1, 2))))
+            delta = np.linalg.norm(candidate - X, axis=(1, 2))
+            scale = np.maximum(1.0, np.linalg.norm(X, axis=(1, 2)))
 
         if active.all():
             X, momentum = candidate, momentum_next
         else:
-            mask = bk.asarray(active.reshape(n_problems, 1, 1))
-            X = bk.where(mask, candidate, X)
-            momentum = bk.where(mask, momentum_next, momentum)
+            mask = active.reshape(n_problems, 1, 1)
+            X = np.where(mask, candidate, X)
+            momentum = np.where(mask, momentum_next, momentum)
         t = t_next
 
         if check:
@@ -724,68 +696,50 @@ def _batched_mmv(
         iterations=tuple(int(v) for v in iterations),
         converged=tuple(bool(v) for v in converged),
         method="mmv",
-        backend_name=bk.name,
-        dtype_name=bk.dtype_name(X),
         kappas=kappas,
-        backend=bk,
     )
 
 
 def _lasso_batch_objectives(operator, X_cols, Y, kap, penalty_weights=None):
-    bk = operator.backend
     residual = operator.matvec(X_cols) - Y
-    data = bk.to_numpy(bk.norms(residual, axis=0)).astype(np.float64) ** 2
-    magnitudes = bk.abs(X_cols)
+    data = np.linalg.norm(residual, axis=0) ** 2
+    magnitudes = np.abs(X_cols)
     if penalty_weights is not None:
-        magnitudes = penalty_weights.reshape(tuple(X_cols.shape)[0], 1) * magnitudes
-    l1 = bk.to_numpy(bk.sum(magnitudes, axis=0)).astype(np.float64)
+        magnitudes = penalty_weights.reshape(X_cols.shape[0], 1) * magnitudes
+    l1 = magnitudes.sum(axis=0)
     objectives = data + kap * l1
     return objectives, data
 
 
 def _mmv_batch_objectives(operator, X, Ys, kap, penalty_weights=None):
-    bk = operator.backend
     residual = operator.matmul_batch(X) - Ys
-    data = bk.to_numpy(bk.norms(residual, axis=(1, 2))).astype(np.float64) ** 2
-    row_norms = bk.norms(X, axis=2)
+    data = np.linalg.norm(residual, axis=(1, 2)) ** 2
+    row_norms = np.linalg.norm(X, axis=2)
     if penalty_weights is not None:
-        row_norms = penalty_weights.reshape(1, tuple(X.shape)[1]) * row_norms
-    row_sums = bk.to_numpy(bk.sum(row_norms, axis=1)).astype(np.float64)
+        row_norms = penalty_weights.reshape(1, X.shape[1]) * row_norms
+    row_sums = row_norms.sum(axis=1)
     return data + kap * row_sums
 
 
-def _run_parity_gate(
-    matrix, operator, ys, method, kappas, options, result, tolerance
-):
-    """Verify the batch against a sequential numpy float64 reference."""
-    precision = "single" if result.dtype_name in ("complex64", "float32") else "double"
+def _run_parity_gate(operator, ys, method, kappas, options, result, tolerance):
+    """Verify the batch against the sequential solvers, problem by problem."""
     if tolerance is None:
-        tolerance = (
-            FLOAT64_PARITY_TOLERANCE
-            if precision == "double"
-            else FLOAT32_TOLERANCES["parity_gate"]
-        )
-    numpy_backend = get_backend("numpy")
-    source = as_operator(matrix)
-    reference = source.to_backend(numpy_backend, dtype="complex128")
-
-    opts = {
-        key: value
-        for key, value in options.items()
-        if key not in ("factors",)  # factors are backend-bound; rebuild
-    }
+        tolerance = FLOAT64_PARITY_TOLERANCE
+    # The reference rebuilds its own ADMM factors: it shares no state
+    # with the batch it checks.
+    opts = {key: value for key, value in options.items() if key != "factors"}
     batch = result.to_numpy()
     worst = 0.0
     for index, y in enumerate(ys):
         y = np.asarray(y)
         if method == "omp":
-            ref = solve_omp(reference, y, **opts)
+            ref = solve_omp(operator, y, **opts)
         elif method == "fista":
-            ref = solve_lasso_fista(reference, y, kappas[index], **opts)
+            ref = solve_lasso_fista(operator, y, kappas[index], **opts)
         elif method == "admm":
-            ref = solve_lasso_admm(reference, y, kappas[index], **opts)
+            ref = solve_lasso_admm(operator, y, kappas[index], **opts)
         else:
-            ref = solve_mmv_fista(reference, y, kappas[index], **opts)
+            ref = solve_mmv_fista(operator, y, kappas[index], **opts)
         deviation = float(np.abs(batch[index] - ref.x).max())
         scale = max(1.0, float(np.abs(ref.x).max()))
         worst = max(worst, deviation / scale)
@@ -795,12 +749,12 @@ def _run_parity_gate(
         "tolerance": float(tolerance),
         "reference": "numpy/complex128 sequential",
         "n_problems": len(ys),
-        "precision": precision,
+        "precision": "double",
         "passed": worst <= tolerance,
     }
     if worst > tolerance:
         raise SolverError(
             f"solve_batch parity gate failed: max relative deviation {worst:.3e} "
-            f"exceeds tolerance {tolerance:.1e} against the numpy float64 reference"
+            f"exceeds tolerance {tolerance:.1e} against the sequential reference"
         )
     return report

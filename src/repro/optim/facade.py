@@ -17,7 +17,6 @@ from repro.optim.admm import solve_lasso_admm
 from repro.optim.fista import solve_lasso_fista
 from repro.optim.mmv import solve_mmv_fista
 from repro.optim.omp import solve_omp
-from repro.optim.operators import as_operator
 from repro.optim.result import SolverResult
 from repro.optim.reweighted import solve_reweighted_lasso
 from repro.optim.sbl import solve_sbl
@@ -42,8 +41,6 @@ def solve(
     *,
     kappa: float | None = None,
     kappa_fraction: float = 0.05,
-    backend=None,
-    dtype=None,
     **options,
 ) -> SolverResult:
     """Sparse recovery with the solver chosen by name.
@@ -65,12 +62,6 @@ def solve(
         (:func:`~repro.optim.tuning.residual_kappa`, or its MMV
         analogue for 2-D measurements).  Rejected by ``"omp"`` (which
         takes ``sparsity=``) and ``"sbl"`` (no weight to tune).
-    backend / dtype:
-        Array backend to solve on (``"numpy"``/``"torch"``/``"cupy"``,
-        a name or :class:`~repro.optim.backend.ArrayBackend` instance)
-        and optional precision override (e.g. ``"complex64"``).  When
-        both are omitted the dictionary is used as-is — the default
-        numpy path is bitwise-unchanged.
     **options:
         Forwarded verbatim to the underlying solver — e.g.
         ``max_iterations``, ``tolerance``, ``x0``, ``lipschitz``,
@@ -86,9 +77,6 @@ def solve(
         raise SolverError(
             f"unknown method {method!r}; expected one of {sorted(_METHODS)}"
         ) from None
-
-    if backend is not None or dtype is not None:
-        matrix = as_operator(matrix, backend=backend, dtype=dtype)
 
     if not takes_kappa:
         if kappa is not None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace, support_size
-from repro.optim.linalg import validate_system
+from repro.optim.linalg import soft_threshold, validate_penalty_weights, validate_system
 from repro.optim.operators import as_operator
 from repro.optim.result import SolverResult
 
@@ -35,16 +35,12 @@ def lasso_objective(
     ``κ·Σⱼ wⱼ|xⱼ|`` — the penalty of the outlier-augmented program in
     :mod:`repro.optim.robust`.
     """
-    operator = as_operator(matrix)
-    bk = operator.backend
-    product = operator.matvec(x)
-    residual = product - bk.ensure(rhs, like=product)
+    residual = as_operator(matrix).matvec(x) - np.asarray(rhs)
     if penalty_weights is None:
-        l1 = bk.abs_sum(x)
+        l1 = float(np.abs(x).sum())
     else:
-        weights = bk.asarray(penalty_weights, dtype=bk.real_dtype(operator.precision))
-        l1 = bk.sum_float(weights * bk.abs(x))
-    return bk.vdot_real(residual, residual) + kappa * l1
+        l1 = float((np.asarray(penalty_weights, dtype=float) * np.abs(x)).sum())
+    return float(np.vdot(residual, residual).real) + kappa * l1
 
 
 def solve_lasso_fista(
@@ -138,28 +134,16 @@ def solve_lasso_fista(
         raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
 
     operator = as_operator(matrix)
-    bk = operator.backend
-    cdtype = bk.complex_dtype(operator.precision)
-    # Cast to the operator's precision so a complex64 dictionary keeps
-    # the whole iteration in complex64 (no-op for the default path).
-    rhs = bk.asarray(rhs, dtype=cdtype)
+    rhs = np.asarray(rhs, dtype=complex)
     n = operator.shape[1]
-    if penalty_weights is not None:
-        weights_host = np.asarray(penalty_weights, dtype=np.float64)
-        if weights_host.shape != (n,):
-            raise SolverError(
-                f"penalty_weights must have shape ({n},), got {weights_host.shape}"
-            )
-        if np.any(weights_host < 0) or not np.all(np.isfinite(weights_host)):
-            raise SolverError("penalty_weights must be finite and non-negative")
-        penalty_weights = bk.asarray(weights_host, dtype=bk.real_dtype(operator.precision))
+    penalty_weights = validate_penalty_weights(penalty_weights, n)
     if lipschitz is None:
         lipschitz = 2.0 * operator.lipschitz()
     else:
         lipschitz = 2.0 * float(lipschitz)
     if lipschitz <= 0:
         # A zero dictionary: the minimizer is x = 0.
-        x = bk.zeros(n, cdtype)
+        x = np.zeros(n, dtype=complex)
         return SolverResult(
             x=x,
             objective=lasso_objective(
@@ -173,10 +157,10 @@ def solve_lasso_fista(
     step = 1.0 / lipschitz
     threshold = kappa * step if penalty_weights is None else (kappa * step) * penalty_weights
 
-    x = bk.zeros(n, cdtype) if x0 is None else bk.copy(bk.asarray(x0, dtype=cdtype))
-    if tuple(x.shape) != (n,):
-        raise SolverError(f"x0 has shape {tuple(x.shape)}, expected ({n},)")
-    momentum_point = bk.copy(x)
+    x = np.zeros(n, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
+    if x.shape != (n,):
+        raise SolverError(f"x0 has shape {x.shape}, expected ({n},)")
+    momentum_point = x.copy()
     t = 1.0
     objective = (
         lasso_objective(operator, rhs, x, kappa, penalty_weights=penalty_weights)
@@ -189,10 +173,8 @@ def solve_lasso_fista(
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         gradient = 2.0 * operator.rmatvec(operator.matvec(momentum_point) - rhs)
-        candidate = bk.soft_threshold(momentum_point - step * gradient, threshold)
+        candidate = soft_threshold(momentum_point - step * gradient, threshold)
 
-        # math.sqrt keeps t a python float — a np.float64 scalar would
-        # promote complex64 iterates to complex128 under NEP 50.
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         if monotone:
             # MFISTA: accept the candidate only if it does not increase
@@ -217,8 +199,8 @@ def solve_lasso_fista(
         # Convergence is judged on the proximal candidate: in monotone
         # mode a rejected candidate leaves x unchanged, which must not
         # read as a zero-length (converged) step.
-        delta = bk.norm(candidate - x)
-        scale = max(1.0, bk.norm(x))
+        delta = float(np.linalg.norm(candidate - x))
+        scale = max(1.0, float(np.linalg.norm(x)))
         x, t = x_next, t_next
 
         if track_history:
@@ -230,14 +212,14 @@ def solve_lasso_fista(
                 )
             )
         if telemetry is not None or callback is not None:
-            residual_norm = bk.norm(operator.matvec(x) - rhs)
+            residual_norm = float(np.linalg.norm(operator.matvec(x) - rhs))
             if monotone:
                 current = objective
             elif penalty_weights is None:
-                current = residual_norm**2 + kappa * bk.abs_sum(x)
+                current = residual_norm**2 + kappa * float(np.abs(x).sum())
             else:
-                current = residual_norm**2 + kappa * bk.sum_float(
-                    penalty_weights * bk.abs(x)
+                current = residual_norm**2 + kappa * float(
+                    (penalty_weights * np.abs(x)).sum()
                 )
             if telemetry is not None:
                 telemetry.record(

@@ -72,21 +72,6 @@ def estimate_lipschitz(matrix, iterations: int = 50, seed: int = 0) -> float:
     n = matrix.shape[1]
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    backend = getattr(matrix, "backend", None)
-    if backend is not None and backend.name != "numpy":
-        # Same iteration, same seeded start vector, run natively on the
-        # operator's backend (a torch/cupy operator cannot multiply a
-        # numpy vector).
-        v = backend.asarray(v)
-        eigenvalue = 0.0
-        for _ in range(iterations):
-            w = adjoint(forward(v))
-            norm = backend.norm(w)
-            if norm == 0.0:
-                return 0.0
-            eigenvalue = norm
-            v = w / norm
-        return 1.01 * eigenvalue
     eigenvalue = 0.0
     for _ in range(iterations):
         w = adjoint(forward(v))
@@ -96,6 +81,18 @@ def estimate_lipschitz(matrix, iterations: int = 50, seed: int = 0) -> float:
         eigenvalue = float(norm)
         v = w / norm
     return 1.01 * eigenvalue
+
+
+def validate_penalty_weights(penalty_weights, n: int) -> np.ndarray | None:
+    """Per-coefficient ℓ1/ℓ2,1 weights as a float64 ``(n,)`` array (or None)."""
+    if penalty_weights is None:
+        return None
+    weights = np.asarray(penalty_weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise SolverError(f"penalty_weights must have shape ({n},), got {weights.shape}")
+    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise SolverError("penalty_weights must be finite and non-negative")
+    return weights
 
 
 def validate_system(matrix, rhs: np.ndarray) -> None:
@@ -114,9 +111,5 @@ def validate_system(matrix, rhs: np.ndarray) -> None:
     # dense entry check only applies to materialized dictionaries.
     if not is_operator and not np.all(np.isfinite(matrix)):
         raise SolverError("dictionary contains non-finite entries")
-    backend = getattr(matrix, "backend", None)
-    if backend is not None:
-        if not backend.isfinite_all(backend.ensure(rhs)):
-            raise SolverError("measurement contains non-finite entries")
-    elif not np.all(np.isfinite(rhs)):
+    if not np.all(np.isfinite(rhs)):
         raise SolverError("measurement contains non-finite entries")

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace, support_size
-from repro.optim.linalg import validate_system
+from repro.optim.linalg import row_soft_threshold, validate_penalty_weights, validate_system
 from repro.optim.operators import as_operator
 from repro.optim.result import SolverResult
 
@@ -31,16 +31,12 @@ def mmv_objective(
     matrix, rhs: np.ndarray, x: np.ndarray, kappa: float, *, penalty_weights=None
 ) -> float:
     """``‖AX − Y‖_F² + κ·Σᵢ‖Xᵢ,:‖₂`` (``κ·Σᵢ wᵢ‖Xᵢ,:‖₂`` when weighted)."""
-    operator = as_operator(matrix)
-    bk = operator.backend
-    product = operator.matvec(x)
-    residual = product - bk.ensure(rhs, like=product)
-    data_term = bk.vdot_real(residual, residual)
-    row_norms = bk.norms(x, axis=1)
+    residual = as_operator(matrix).matvec(x) - np.asarray(rhs)
+    data_term = float(np.vdot(residual, residual).real)
+    row_norms = np.linalg.norm(x, axis=1)
     if penalty_weights is not None:
-        weights = bk.asarray(penalty_weights, dtype=bk.real_dtype(operator.precision))
-        row_norms = weights * row_norms
-    return data_term + kappa * bk.sum_float(row_norms)
+        row_norms = np.asarray(penalty_weights, dtype=float) * row_norms
+    return data_term + kappa * float(row_norms.sum())
 
 
 def solve_mmv_fista(
@@ -100,33 +96,20 @@ def solve_mmv_fista(
         raise SolverError(f"kappa must be non-negative, got {kappa}")
 
     operator = as_operator(matrix)
-    bk = operator.backend
-    cdtype = bk.complex_dtype(operator.precision)
-    # Cast to the operator's precision so a complex64 dictionary keeps
-    # the whole iteration in complex64 (no-op for the default path).
-    rhs = bk.asarray(rhs, dtype=cdtype)
+    rhs = np.asarray(rhs, dtype=complex)
     n = operator.shape[1]
     p = rhs.shape[1]
     if p == 0:
         raise SolverError("snapshot matrix has zero columns")
-    weight_column = None
-    if penalty_weights is not None:
-        weights_host = np.asarray(penalty_weights, dtype=np.float64)
-        if weights_host.shape != (n,):
-            raise SolverError(
-                f"penalty_weights must have shape ({n},), got {weights_host.shape}"
-            )
-        if np.any(weights_host < 0) or not np.all(np.isfinite(weights_host)):
-            raise SolverError("penalty_weights must be finite and non-negative")
-        penalty_weights = bk.asarray(weights_host, dtype=bk.real_dtype(operator.precision))
-        weight_column = penalty_weights.reshape(n, 1)
+    penalty_weights = validate_penalty_weights(penalty_weights, n)
+    weight_column = None if penalty_weights is None else penalty_weights.reshape(n, 1)
 
     if lipschitz is None:
         lipschitz = 2.0 * operator.lipschitz()
     else:
         lipschitz = 2.0 * float(lipschitz)
     if lipschitz <= 0:
-        x = bk.zeros((n, p), cdtype)
+        x = np.zeros((n, p), dtype=complex)
         return SolverResult(
             x=x,
             objective=mmv_objective(
@@ -140,10 +123,10 @@ def solve_mmv_fista(
     step = 1.0 / lipschitz
     threshold = kappa * step
 
-    x = bk.zeros((n, p), cdtype) if x0 is None else bk.copy(bk.asarray(x0, dtype=cdtype))
-    if tuple(x.shape) != (n, p):
-        raise SolverError(f"x0 has shape {tuple(x.shape)}, expected ({n}, {p})")
-    momentum_point = bk.copy(x)
+    x = np.zeros((n, p), dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
+    if x.shape != (n, p):
+        raise SolverError(f"x0 has shape {x.shape}, expected ({n}, {p})")
+    momentum_point = x.copy()
     t = 1.0
 
     history: list[float] = []
@@ -153,25 +136,23 @@ def solve_mmv_fista(
         gradient = 2.0 * operator.rmatvec(operator.matvec(momentum_point) - rhs)
         point = momentum_point - step * gradient
         if weight_column is None:
-            x_next = bk.row_soft_threshold(point, threshold)
+            x_next = row_soft_threshold(point, threshold)
         else:
             # Per-row thresholds (the weighted ℓ2,1 prox): same shrinkage
             # as row_soft_threshold with threshold·wᵢ on row i.
-            row_norms = bk.norms(point, axis=1, keepdims=True)
-            shrunk = bk.maximum(row_norms - threshold * weight_column, 0.0)
-            with bk.errstate():
-                factors = bk.where(
-                    row_norms > 0, shrunk / bk.where(row_norms > 0, row_norms, 1.0), 0.0
+            row_norms = np.linalg.norm(point, axis=1, keepdims=True)
+            shrunk = np.maximum(row_norms - threshold * weight_column, 0.0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                factors = np.where(
+                    row_norms > 0, shrunk / np.where(row_norms > 0, row_norms, 1.0), 0.0
                 )
             x_next = point * factors
 
-        # math.sqrt keeps t a python float — a np.float64 scalar would
-        # promote complex64 iterates to complex128 under NEP 50.
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         momentum_point = x_next + ((t - 1.0) / t_next) * (x_next - x)
 
-        delta = bk.norm(x_next - x)
-        scale = max(1.0, bk.norm(x))
+        delta = float(np.linalg.norm(x_next - x))
+        scale = max(1.0, float(np.linalg.norm(x)))
         x, t = x_next, t_next
 
         if track_history:
@@ -180,11 +161,11 @@ def solve_mmv_fista(
             )
         if telemetry is not None or callback is not None:
             residual = operator.matvec(x) - rhs
-            residual_norm = bk.norm(residual)
-            row_norms = bk.norms(x, axis=1)
+            residual_norm = float(np.linalg.norm(residual))
+            row_norms = np.linalg.norm(x, axis=1)
             if penalty_weights is not None:
                 row_norms = penalty_weights * row_norms
-            current = residual_norm**2 + kappa * bk.sum_float(row_norms)
+            current = residual_norm**2 + kappa * float(row_norms.sum())
             if telemetry is not None:
                 telemetry.record(
                     objective=current,

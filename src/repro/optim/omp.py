@@ -17,7 +17,6 @@ from repro.obs.convergence import ConvergenceTrace
 from repro.optim.linalg import validate_system
 from repro.optim.operators import as_operator
 from repro.optim.result import SolverResult
-from repro.optim.retired import reject_retired_kwargs
 
 
 def solve_omp(
@@ -28,7 +27,6 @@ def solve_omp(
     tolerance: float = 0.0,
     telemetry: ConvergenceTrace | None = None,
     callback: Callable[[int, np.ndarray, float], None] | None = None,
-    **retired,
 ) -> SolverResult:
     """Greedy recovery of at most ``sparsity`` atoms.
 
@@ -49,16 +47,12 @@ def solve_omp(
         exactly the sensitivity to model order that §III-A credits
         ROArray with avoiding.
     tolerance:
-        Stop early once ``‖residual‖₂ ≤ tolerance``.  (The pre-1.0
-        ``residual_tolerance`` alias is retired and raises ``TypeError``.)
+        Stop early once ``‖residual‖₂ ≤ tolerance``.
     telemetry / callback:
         Per-greedy-step hooks as in
         :func:`~repro.optim.fista.solve_lasso_fista`: objective is the
         squared residual norm, support size the atoms selected so far.
     """
-    if retired:
-        reject_retired_kwargs("solve_omp", retired, {"residual_tolerance": "tolerance"})
-
     validate_system(matrix, rhs)
     if rhs.ndim != 1:
         raise SolverError("solve_omp expects a 1-D measurement vector")
@@ -66,36 +60,34 @@ def solve_omp(
         raise SolverError(f"sparsity must be >= 1, got {sparsity}")
 
     operator = as_operator(matrix)
-    bk = operator.backend
-    cdtype = bk.complex_dtype(operator.precision)
     m, n = operator.shape
     sparsity = min(sparsity, m, n)
     column_norms = operator.column_norms()
     usable = column_norms > 0
 
-    rhs = bk.asarray(rhs, dtype=cdtype)
-    residual = bk.copy(rhs)
+    rhs = np.asarray(rhs, dtype=complex)
+    residual = rhs.copy()
     support: list[int] = []
-    coefficients = bk.zeros(0, cdtype)
+    coefficients = np.zeros(0, dtype=complex)
 
     iterations = 0
     for iterations in range(1, sparsity + 1):
-        correlations = bk.abs(operator.rmatvec(residual))
-        with bk.errstate():
-            correlations = bk.where(
-                usable, correlations / bk.where(usable, column_norms, 1.0), -1.0
+        correlations = np.abs(operator.rmatvec(residual))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            correlations = np.where(
+                usable, correlations / np.where(usable, column_norms, 1.0), -1.0
             )
         correlations[support] = -1.0
-        best = bk.argmax(correlations)
+        best = int(np.argmax(correlations))
         if float(correlations[best]) <= 0:
             break
         support.append(best)
 
         submatrix = operator.columns(support)
-        coefficients = bk.lstsq(submatrix, rhs)
+        coefficients = np.linalg.lstsq(submatrix, rhs, rcond=None)[0]
         residual = rhs - submatrix @ coefficients
         if telemetry is not None or callback is not None:
-            residual_norm = bk.norm(residual)
+            residual_norm = float(np.linalg.norm(residual))
             if telemetry is not None:
                 telemetry.record(
                     objective=residual_norm**2,
@@ -103,17 +95,17 @@ def solve_omp(
                     support_size=len(support),
                 )
             if callback is not None:
-                snapshot = bk.zeros(n, cdtype)
+                snapshot = np.zeros(n, dtype=complex)
                 snapshot[support] = coefficients
                 callback(iterations, snapshot, residual_norm**2)
-        if bk.norm(residual) <= tolerance:
+        if float(np.linalg.norm(residual)) <= tolerance:
             break
 
-    x = bk.zeros(n, cdtype)
+    x = np.zeros(n, dtype=complex)
     x[support] = coefficients
     return SolverResult(
         x=x,
-        objective=bk.norm(residual) ** 2,
+        objective=float(np.linalg.norm(residual)) ** 2,
         iterations=iterations,
         converged=True,
         convergence=telemetry,

@@ -16,12 +16,9 @@ multidimensional OMP (Palacios et al.) applied to the ℓ1/ℓ2,1 path —
 and its Lipschitz constant factorizes exactly as
 ``λmax(S̃ᴴS̃)·λmax(GᴴG)``.
 
-Operators are bound to an :class:`~repro.optim.backend.ArrayBackend`
-(numpy by default) and expose :meth:`~DictionaryOperator.to_backend` to
-re-home their factors on torch/cupy, plus batched products
-``matmul_batch``/``rmatmul_batch`` that apply the dictionary to a whole
-stack of problems in one backend GEMM — the seam
-:func:`repro.optim.solve_batch` is built on.
+Operators also expose batched products ``matmul_batch``/``rmatmul_batch``
+that apply the dictionary to a whole stack of problems in one GEMM — the
+seam :func:`repro.optim.solve_batch` is built on.
 
 :func:`as_operator` adapts plain arrays, so solver internals are written
 once against the operator interface and accept either form.
@@ -35,22 +32,19 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import SolverError
-from repro.optim.backend import ArrayBackend, normalize_precision, resolve_backend
 from repro.optim.linalg import estimate_lipschitz
 
 
 class DictionaryOperator(ABC):
     """Abstract dictionary: matvec / rmatvec / shape / Lipschitz / dense.
 
-    Subclasses must set ``shape = (m, n)``, bind ``backend`` (an
-    :class:`~repro.optim.backend.ArrayBackend`), and implement the
-    abstract methods below; ``matvec`` and ``rmatvec`` must accept both
-    a vector (1-D) and a snapshot matrix (2-D, one column per snapshot)
-    and return the matching shape.  ``A @ x`` is sugar for ``matvec``.
+    Subclasses must set ``shape = (m, n)`` and implement the abstract
+    methods below; ``matvec`` and ``rmatvec`` must accept both a vector
+    (1-D) and a snapshot matrix (2-D, one column per snapshot) and return
+    the matching shape.  ``A @ x`` is sugar for ``matvec``.
     """
 
     shape: tuple[int, int]
-    backend: ArrayBackend
 
     @abstractmethod
     def matvec(self, x):
@@ -68,28 +62,9 @@ class DictionaryOperator(ABC):
     def lipschitz(self) -> float:
         """``‖AᴴA‖₂``, the Lipschitz constant of ``x ↦ Aᴴ(Ax)``."""
 
-    @abstractmethod
-    def to_backend(self, backend, *, dtype=None) -> "DictionaryOperator":
-        """This dictionary re-homed on ``backend`` (optionally recast).
-
-        ``dtype`` accepts ``"complex64"``/``"complex128"`` (or the
-        ``"single"``/``"double"`` precision tokens); ``None`` keeps the
-        source precision.  Converting to the operator's own backend and
-        precision returns ``self`` unchanged.
-        """
-
-    @property
-    def precision(self) -> str:
-        """``"single"`` or ``"double"``, from the stored factors."""
-        return self.backend.precision_of(self.to_dense())
-
-    @property
-    def dtype_name(self) -> str:
-        return self.backend.dtype_name(self.to_dense())
-
     def column_norms(self):
         """Per-column ℓ2 norms (used by OMP and the κ heuristics)."""
-        return self.backend.norms(self.to_dense(), axis=0)
+        return np.linalg.norm(self.to_dense(), axis=0)
 
     def columns(self, indices: Sequence[int]):
         """Materialize the selected columns as a dense ``(m, k)`` block."""
@@ -103,26 +78,24 @@ class DictionaryOperator(ABC):
         2-D ``matvec`` path, so one GEMM (or one pair of factor GEMMs
         for the Kronecker operator) covers the whole batch.
         """
-        bk = self.backend
         if x.ndim == 2:
-            return bk.moveaxis(self.matvec(bk.moveaxis(x, 0, 1)), 0, 1)
+            return np.moveaxis(self.matvec(np.moveaxis(x, 0, 1)), 0, 1)
         if x.ndim == 3:
             batch, n, p = x.shape
-            folded = bk.moveaxis(x, 0, 1).reshape(n, batch * p)
+            folded = np.moveaxis(x, 0, 1).reshape(n, batch * p)
             product = self.matvec(folded)
-            return bk.moveaxis(product.reshape(self.shape[0], batch, p), 0, 1)
+            return np.moveaxis(product.reshape(self.shape[0], batch, p), 0, 1)
         raise SolverError(f"matmul_batch operand must be 2-D or 3-D, got ndim={x.ndim}")
 
     def rmatmul_batch(self, r):
         """Adjoint of :meth:`matmul_batch`: ``(B, m[, p]) → (B, n[, p])``."""
-        bk = self.backend
         if r.ndim == 2:
-            return bk.moveaxis(self.rmatvec(bk.moveaxis(r, 0, 1)), 0, 1)
+            return np.moveaxis(self.rmatvec(np.moveaxis(r, 0, 1)), 0, 1)
         if r.ndim == 3:
             batch, m, p = r.shape
-            folded = bk.moveaxis(r, 0, 1).reshape(m, batch * p)
+            folded = np.moveaxis(r, 0, 1).reshape(m, batch * p)
             product = self.rmatvec(folded)
-            return bk.moveaxis(product.reshape(self.shape[1], batch, p), 0, 1)
+            return np.moveaxis(product.reshape(self.shape[1], batch, p), 0, 1)
         raise SolverError(f"rmatmul_batch operand must be 2-D or 3-D, got ndim={r.ndim}")
 
     def __matmul__(self, x):
@@ -130,11 +103,10 @@ class DictionaryOperator(ABC):
 
 
 class DenseOperator(DictionaryOperator):
-    """Adapter giving a plain (numpy/torch/cupy) 2-D array the operator interface."""
+    """Adapter giving a plain 2-D array the operator interface."""
 
-    def __init__(self, matrix, *, lipschitz: float | None = None, backend=None) -> None:
-        self.backend = resolve_backend(backend, array=matrix)
-        matrix = self.backend.ensure(matrix) if backend is None else self.backend.asarray(matrix)
+    def __init__(self, matrix, *, lipschitz: float | None = None) -> None:
+        matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise SolverError(f"dictionary must be 2-D, got ndim={matrix.ndim}")
         self.matrix = matrix
@@ -142,46 +114,24 @@ class DenseOperator(DictionaryOperator):
         self._lipschitz = lipschitz
 
     def matvec(self, x):
-        return self.matrix @ self.backend.ensure(x, like=self.matrix)
+        return self.matrix @ np.asarray(x)
 
     def rmatvec(self, r):
-        return self.backend.conj_transpose(self.matrix) @ self.backend.ensure(
-            r, like=self.matrix
-        )
+        return self.matrix.conj().T @ np.asarray(r)
 
     def to_dense(self):
         return self.matrix
 
     def lipschitz(self) -> float:
         if self._lipschitz is None:
-            self._lipschitz = estimate_lipschitz(
-                self.matrix if self.backend.name == "numpy" else self
-            )
+            self._lipschitz = estimate_lipschitz(self.matrix)
         return self._lipschitz
 
     def column_norms(self):
-        return self.backend.norms(self.matrix, axis=0)
+        return np.linalg.norm(self.matrix, axis=0)
 
     def columns(self, indices: Sequence[int]):
         return self.matrix[:, list(indices)]
-
-    def to_backend(self, backend, *, dtype=None) -> "DenseOperator":
-        target = resolve_backend(backend)
-        precision = normalize_precision(dtype)
-        if target is self.backend and precision in (None, self.precision):
-            return self
-        if precision is None:
-            precision = self.precision
-        host = self.backend.to_numpy(self.matrix)
-        target_dtype = (
-            target.complex_dtype(precision)
-            if np.iscomplexobj(host)
-            else target.real_dtype(precision)
-        )
-        converted = target.asarray(host, dtype=target_dtype)
-        # ‖AᴴA‖₂ is a property of the values, not the backend; carry a
-        # computed constant over instead of re-estimating it.
-        return DenseOperator(converted, lipschitz=self._lipschitz, backend=target)
 
 
 class KroneckerJointOperator(DictionaryOperator):
@@ -195,9 +145,6 @@ class KroneckerJointOperator(DictionaryOperator):
     spatial:
         Angle steering matrix ``S̃`` of shape ``(M, Nθ)``
         (:func:`repro.core.steering.angle_steering_dictionary`).
-    backend:
-        Optional :class:`~repro.optim.backend.ArrayBackend` (or name) to
-        hold the factors; inferred from the factor arrays by default.
 
     The represented dictionary is ``kron(G, S̃)`` of shape
     ``(M·L, Nθ·Nτ)`` with rows ordered antenna-fastest (Eq. 15) and
@@ -209,27 +156,20 @@ class KroneckerJointOperator(DictionaryOperator):
     the same two factor GEMMs.
     """
 
-    def __init__(self, temporal, spatial, *, backend=None) -> None:
-        self.backend = resolve_backend(backend, array=temporal)
-        temporal = (
-            self.backend.ensure(temporal) if backend is None else self.backend.asarray(temporal)
-        )
-        spatial = (
-            self.backend.ensure(spatial) if backend is None else self.backend.asarray(spatial)
-        )
+    def __init__(self, temporal, spatial) -> None:
+        temporal = np.asarray(temporal)
+        spatial = np.asarray(spatial)
         if temporal.ndim != 2 or spatial.ndim != 2:
             raise SolverError("KroneckerJointOperator factors must be 2-D")
-        if not (
-            self.backend.isfinite_all(temporal) and self.backend.isfinite_all(spatial)
-        ):
+        if not (np.all(np.isfinite(temporal)) and np.all(np.isfinite(spatial))):
             raise SolverError("KroneckerJointOperator factors contain non-finite entries")
         self.temporal = temporal
         self.spatial = spatial
         # Adjoint factors, materialized once for the batched 2-D paths
         # (the 1-D paths conjugate per call, matching the reference
         # expressions bit for bit).
-        self._temporal_adjoint = self.backend.conj_transpose(temporal)
-        self._spatial_adjoint = self.backend.conj_transpose(spatial)
+        self._temporal_adjoint = temporal.conj().T
+        self._spatial_adjoint = spatial.conj().T
         self.n_subcarriers, self.n_delays = tuple(temporal.shape)
         self.n_antennas, self.n_angles = tuple(spatial.shape)
         self.shape = (
@@ -238,17 +178,8 @@ class KroneckerJointOperator(DictionaryOperator):
         )
         self._lipschitz: float | None = None
 
-    @property
-    def precision(self) -> str:
-        return self.backend.precision_of(self.temporal)
-
-    @property
-    def dtype_name(self) -> str:
-        return self.backend.dtype_name(self.temporal)
-
     def matvec(self, x):
-        bk = self.backend
-        x = bk.ensure(x, like=self.temporal)
+        x = np.asarray(x)
         if x.ndim == 1:
             # Delay-major coefficients → (Nτ, Nθ) grid; the product
             # S̃ Xᵀ Gᵀ is the (M, L) CSI matrix, re-vectorized
@@ -269,11 +200,10 @@ class KroneckerJointOperator(DictionaryOperator):
         raise SolverError(f"matvec operand must be 1-D or 2-D, got ndim={x.ndim}")
 
     def rmatvec(self, r):
-        bk = self.backend
-        r = bk.ensure(r, like=self.temporal)
+        r = np.asarray(r)
         if r.ndim == 1:
             csi = r.reshape(self.n_subcarriers, self.n_antennas).T  # (M, L)
-            grid = bk.conj_transpose(self.spatial) @ csi @ bk.conj(self.temporal)  # (Nθ, Nτ)
+            grid = self.spatial.conj().T @ csi @ np.conj(self.temporal)  # (Nθ, Nτ)
             return grid.T.reshape(-1)
         if r.ndim == 2:
             # Adjoint of the 2-D matvec, same axis-order reasoning:
@@ -288,21 +218,21 @@ class KroneckerJointOperator(DictionaryOperator):
         raise SolverError(f"rmatvec operand must be 1-D or 2-D, got ndim={r.ndim}")
 
     def to_dense(self):
-        return self.backend.kron(self.temporal, self.spatial)
+        return np.kron(self.temporal, self.spatial)
 
     def lipschitz(self) -> float:
         """Exact: ``‖AᴴA‖₂ = λmax(S̃ᴴS̃)·λmax(GᴴG)`` for Kronecker products."""
         if self._lipschitz is None:
-            bk = self.backend
-            spatial_top = bk.eigvalsh_max(bk.conj_transpose(self.spatial) @ self.spatial)
-            temporal_top = bk.eigvalsh_max(bk.conj_transpose(self.temporal) @ self.temporal)
+            spatial_top = float(np.linalg.eigvalsh(self.spatial.conj().T @ self.spatial)[-1])
+            temporal_top = float(
+                np.linalg.eigvalsh(self.temporal.conj().T @ self.temporal)[-1]
+            )
             self._lipschitz = spatial_top * temporal_top
         return self._lipschitz
 
     def column_norms(self):
-        bk = self.backend
-        spatial_norms = bk.norms(self.spatial, axis=0)
-        temporal_norms = bk.norms(self.temporal, axis=0)
+        spatial_norms = np.linalg.norm(self.spatial, axis=0)
+        temporal_norms = np.linalg.norm(self.temporal, axis=0)
         return (temporal_norms.reshape(-1, 1) * spatial_norms.reshape(1, -1)).reshape(-1)
 
     def columns(self, indices: Sequence[int]):
@@ -315,44 +245,15 @@ class KroneckerJointOperator(DictionaryOperator):
                     * self.spatial[:, angle].reshape(1, -1)
                 ).reshape(-1)
             )
-        return self.backend.stack(cols, axis=1)
-
-    def to_backend(self, backend, *, dtype=None) -> "KroneckerJointOperator":
-        target = resolve_backend(backend)
-        precision = normalize_precision(dtype)
-        if target is self.backend and precision in (None, self.precision):
-            return self
-        if precision is None:
-            precision = self.precision
-        target_dtype = target.complex_dtype(precision)
-        converted = KroneckerJointOperator(
-            target.asarray(self.backend.to_numpy(self.temporal), dtype=target_dtype),
-            target.asarray(self.backend.to_numpy(self.spatial), dtype=target_dtype),
-            backend=target,
-        )
-        converted._lipschitz = self._lipschitz
-        return converted
+        return np.stack(cols, axis=1)
 
 
-def as_operator(matrix, *, backend=None, dtype=None) -> DictionaryOperator:
+def as_operator(matrix) -> DictionaryOperator:
     """Adapt ``matrix`` (ndarray or operator) to the operator interface.
 
-    With ``backend``/``dtype`` given, the result is re-homed via
-    :meth:`DictionaryOperator.to_backend` (a no-op when it already
-    matches); without them, operators pass through untouched and arrays
-    are wrapped on their native backend.
+    Operators pass through untouched; arrays are wrapped in a
+    :class:`DenseOperator`.
     """
     if isinstance(matrix, DictionaryOperator):
-        if backend is None and dtype is None:
-            return matrix
-        return matrix.to_backend(
-            resolve_backend(backend) if backend is not None else matrix.backend,
-            dtype=dtype,
-        )
-    operator = DenseOperator(matrix)
-    if backend is None and dtype is None:
-        return operator
-    return operator.to_backend(
-        resolve_backend(backend) if backend is not None else operator.backend,
-        dtype=dtype,
-    )
+        return matrix
+    return DenseOperator(matrix)

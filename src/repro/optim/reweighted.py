@@ -25,7 +25,6 @@ from repro.optim.fista import lasso_objective, solve_lasso_fista
 from repro.optim.linalg import validate_system
 from repro.optim.operators import as_operator
 from repro.optim.result import SolverResult
-from repro.optim.retired import reject_retired_kwargs
 
 
 def solve_reweighted_lasso(
@@ -39,7 +38,6 @@ def solve_reweighted_lasso(
     tolerance: float = 1e-6,
     telemetry: ConvergenceTrace | None = None,
     callback: Callable[[int, np.ndarray, float], None] | None = None,
-    **retired,
 ) -> SolverResult:
     """Reweighted-ℓ1 sparse recovery.
 
@@ -59,8 +57,7 @@ def solve_reweighted_lasso(
         coefficients get a finite (not crushing) weight, small enough
         that strong atoms become nearly free.
     max_iterations / tolerance:
-        Passed to the inner FISTA solves (per pass).  (The pre-1.0
-        ``inner_iterations`` alias is retired and raises ``TypeError``.)
+        Passed to the inner FISTA solves (per pass).
     telemetry / callback:
         Per-*outer-pass* hooks as in
         :func:`~repro.optim.fista.solve_lasso_fista` (the unweighted
@@ -74,11 +71,6 @@ def solve_reweighted_lasso(
         all passes; ``history`` holds the objective after each outer
         pass (measured with the *unweighted* κ‖x‖₁ for comparability).
     """
-    if retired:
-        reject_retired_kwargs(
-            "solve_reweighted_lasso", retired, {"inner_iterations": "max_iterations"}
-        )
-
     validate_system(matrix, rhs)
     if rhs.ndim != 1:
         raise SolverError("solve_reweighted_lasso expects a 1-D measurement vector")

@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace
-from repro.optim.backend import normalize_precision, resolve_backend
 from repro.optim.fista import solve_lasso_fista
 from repro.optim.mmv import solve_mmv_fista
 from repro.optim.operators import DictionaryOperator, as_operator
@@ -71,9 +70,8 @@ class OutlierAugmentedOperator(DictionaryOperator):
         other scales remain available for the uniform-κ formulation.
     """
 
-    def __init__(self, base, *, outlier_scale: float = 1.0, backend=None) -> None:
-        self.base = as_operator(base, backend=backend)
-        self.backend = self.base.backend
+    def __init__(self, base, *, outlier_scale: float = 1.0) -> None:
+        self.base = as_operator(base)
         if not np.isfinite(outlier_scale) or outlier_scale <= 0:
             raise SolverError(f"outlier_scale must be positive, got {outlier_scale}")
         self.outlier_scale = float(outlier_scale)
@@ -85,14 +83,6 @@ class OutlierAugmentedOperator(DictionaryOperator):
         """Columns of the clean dictionary (the spectrum block)."""
         return self.base.shape[1]
 
-    @property
-    def precision(self) -> str:
-        return self.base.precision
-
-    @property
-    def dtype_name(self) -> str:
-        return self.base.dtype_name
-
     def split(self, z):
         """Split an augmented solution into ``(x, e)`` in original units.
 
@@ -103,37 +93,26 @@ class OutlierAugmentedOperator(DictionaryOperator):
         return z[:n], self.outlier_scale * z[n:]
 
     def matvec(self, x):
-        bk = self.backend
-        x = bk.ensure(x, like=None)
+        x = np.asarray(x)
         n = self.n_dictionary
         return self.base.matvec(x[:n]) + self.outlier_scale * x[n:]
 
     def rmatvec(self, r):
-        bk = self.backend
-        return bk.concat([self.base.rmatvec(r), self.outlier_scale * r], axis=0)
+        return np.concatenate([self.base.rmatvec(r), self.outlier_scale * r], axis=0)
 
     def to_dense(self):
-        bk = self.backend
-        m = self.shape[0]
-        identity = bk.asarray(
-            np.eye(m), dtype=bk.complex_dtype(self.precision)
-        )
-        return bk.concat([self.base.to_dense(), self.outlier_scale * identity], axis=1)
+        identity = np.eye(self.shape[0], dtype=complex)
+        return np.concatenate([self.base.to_dense(), self.outlier_scale * identity], axis=1)
 
     def lipschitz(self) -> float:
         # Exact: ‖MᴴM‖₂ = ‖MMᴴ‖₂ = ‖AAᴴ + c²I‖₂ = ‖AᴴA‖₂ + c².
         return self.base.lipschitz() + self.outlier_scale**2
 
     def column_norms(self):
-        bk = self.backend
-        identity_norms = bk.asarray(
-            np.full(self.shape[0], self.outlier_scale),
-            dtype=bk.real_dtype(self.precision),
-        )
-        return bk.concat([self.base.column_norms(), identity_norms], axis=0)
+        identity_norms = np.full(self.shape[0], self.outlier_scale)
+        return np.concatenate([self.base.column_norms(), identity_norms], axis=0)
 
     def columns(self, indices: Sequence[int]):
-        bk = self.backend
         n = self.n_dictionary
         cols = []
         for index in indices:
@@ -143,18 +122,8 @@ class OutlierAugmentedOperator(DictionaryOperator):
             else:
                 unit = np.zeros(self.shape[0], dtype=np.complex128)
                 unit[index - n] = self.outlier_scale
-                cols.append(bk.asarray(unit, dtype=bk.complex_dtype(self.precision)))
-        return bk.stack(cols, axis=1)
-
-    def to_backend(self, backend, *, dtype=None) -> "OutlierAugmentedOperator":
-        target = resolve_backend(backend)
-        precision = normalize_precision(dtype)
-        if target is self.backend and precision in (None, self.precision):
-            return self
-        return OutlierAugmentedOperator(
-            self.base.to_backend(target, dtype=dtype),
-            outlier_scale=self.outlier_scale,
-        )
+                cols.append(unit)
+        return np.stack(cols, axis=1)
 
 
 class RowWeightedOperator(DictionaryOperator):
@@ -167,24 +136,14 @@ class RowWeightedOperator(DictionaryOperator):
 
     def __init__(self, base, row_weights) -> None:
         self.base = as_operator(base)
-        self.backend = self.base.backend
-        bk = self.backend
-        weights = bk.asarray(row_weights, dtype=bk.real_dtype(self.base.precision))
-        if tuple(weights.shape) != (self.base.shape[0],):
+        weights = np.asarray(row_weights, dtype=float)
+        if weights.shape != (self.base.shape[0],):
             raise SolverError(
-                f"row_weights must have shape ({self.base.shape[0]},), got {tuple(weights.shape)}"
+                f"row_weights must have shape ({self.base.shape[0]},), got {weights.shape}"
             )
         self.row_weights = weights
         self.shape = self.base.shape
-        self._max_weight = float(bk.to_numpy(weights).max(initial=0.0))
-
-    @property
-    def precision(self) -> str:
-        return self.base.precision
-
-    @property
-    def dtype_name(self) -> str:
-        return self.base.dtype_name
+        self._max_weight = float(weights.max(initial=0.0))
 
     def _expand(self, like):
         return self.row_weights if like.ndim == 1 else self.row_weights[:, None]
@@ -203,17 +162,6 @@ class RowWeightedOperator(DictionaryOperator):
         # ‖WA‖₂² ≤ ‖W‖₂²·‖A‖₂² = max(w)²·‖AᴴA‖₂ — a valid (tight for
         # uniform weights) upper bound; FISTA only needs an upper bound.
         return self._max_weight**2 * self.base.lipschitz()
-
-    def to_backend(self, backend, *, dtype=None) -> "RowWeightedOperator":
-        target = resolve_backend(backend)
-        precision = normalize_precision(dtype)
-        if target is self.backend and precision in (None, self.precision):
-            return self
-        host = self.backend.to_numpy(self.row_weights)
-        return RowWeightedOperator(
-            self.base.to_backend(target, dtype=dtype),
-            target.asarray(host),
-        )
 
 
 @dataclass
@@ -267,17 +215,14 @@ def robust_lambda(rhs: np.ndarray, *, fraction: float = 0.5) -> float:
 
 def robust_objective(matrix, rhs, x, e, kappa: float, lambda_outlier: float) -> float:
     """``‖Ãx + e − y‖₂² + κ‖x‖₁ + λ‖e‖₁`` (ℓ2,1 row norms in MMV form)."""
-    operator = as_operator(matrix)
-    bk = operator.backend
-    product = operator.matvec(x) + bk.ensure(e, like=operator.matvec(x))
-    residual = product - bk.ensure(rhs, like=product)
-    data = bk.vdot_real(residual, residual)
-    if np.ndim(bk.to_numpy(x)) == 2:
-        sparse = bk.sum_float(bk.norms(x, axis=1))
-        outlier = bk.sum_float(bk.norms(e, axis=1))
+    residual = as_operator(matrix).matvec(x) + np.asarray(e) - np.asarray(rhs)
+    data = float(np.vdot(residual, residual).real)
+    if np.ndim(x) == 2:
+        sparse = float(np.linalg.norm(x, axis=1).sum())
+        outlier = float(np.linalg.norm(e, axis=1).sum())
     else:
-        sparse = bk.abs_sum(x)
-        outlier = bk.abs_sum(e)
+        sparse = float(np.abs(x).sum())
+        outlier = float(np.abs(e).sum())
     return data + kappa * sparse + lambda_outlier * outlier
 
 
@@ -299,16 +244,14 @@ def robust_penalty_weights(n: int, m: int, kappa: float, lambda_outlier: float) 
 def _augmented_warm_start(augmented, x0, e0, n, m, two_dim_p=None):
     if x0 is None and e0 is None:
         return None
-    bk = augmented.backend
-    cdtype = bk.complex_dtype(augmented.precision)
     shape = lambda rows: (rows,) if two_dim_p is None else (rows, two_dim_p)  # noqa: E731
-    x_part = bk.zeros(shape(n), cdtype) if x0 is None else bk.asarray(x0, dtype=cdtype)
+    x_part = np.zeros(shape(n), dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
     e_part = (
-        bk.zeros(shape(m), cdtype)
+        np.zeros(shape(m), dtype=complex)
         if e0 is None
-        else bk.asarray(e0, dtype=cdtype) / augmented.outlier_scale
+        else np.asarray(e0, dtype=complex) / augmented.outlier_scale
     )
-    return bk.concat([x_part, e_part], axis=0)
+    return np.concatenate([x_part, e_part], axis=0)
 
 
 def solve_robust_lasso(
@@ -371,9 +314,8 @@ def solve_robust_lasso(
         telemetry=telemetry,
     )
     x, e = augmented.split(result.x)
-    bk = augmented.backend
-    rhs_energy = float(np.sum(np.abs(np.asarray(bk.to_numpy(bk.ensure(rhs)))) ** 2))
-    e_energy = float(np.sum(np.abs(bk.to_numpy(e)) ** 2))
+    rhs_energy = float(np.sum(np.abs(np.asarray(rhs)) ** 2))
+    e_energy = float(np.sum(np.abs(e) ** 2))
     return RobustSolverResult(
         x=x,
         e=e,
@@ -410,7 +352,7 @@ def solve_robust_mmv(
     if kappa <= 0:
         raise SolverError(f"robust recovery needs kappa > 0, got {kappa}")
     operator = as_operator(matrix)
-    rhs_host = np.asarray(operator.backend.to_numpy(operator.backend.ensure(rhs)))
+    rhs_host = np.asarray(rhs)
     if rhs_host.ndim != 2:
         raise SolverError(f"solve_robust_mmv expects 2-D snapshots, got ndim={rhs_host.ndim}")
     if lambda_outlier is None:
@@ -436,9 +378,8 @@ def solve_robust_mmv(
         telemetry=telemetry,
     )
     x, e = augmented.split(result.x)
-    bk = augmented.backend
     rhs_energy = float(np.sum(np.abs(rhs_host) ** 2))
-    e_energy = float(np.sum(np.abs(bk.to_numpy(e)) ** 2))
+    e_energy = float(np.sum(np.abs(e) ** 2))
     return RobustSolverResult(
         x=x,
         e=e,
@@ -491,15 +432,13 @@ def solve_huber_irls(
     if irls_iterations < 1:
         raise SolverError(f"irls_iterations must be >= 1, got {irls_iterations}")
     operator = as_operator(matrix)
-    bk = operator.backend
-    cdtype = bk.complex_dtype(operator.precision)
-    rhs = bk.asarray(rhs, dtype=cdtype)
+    rhs = np.asarray(rhs, dtype=complex)
 
     x = None
     result = None
     weights_host = np.ones(operator.shape[0])
     for _ in range(irls_iterations):
-        sqrt_w = bk.asarray(np.sqrt(weights_host), dtype=bk.real_dtype(operator.precision))
+        sqrt_w = np.sqrt(weights_host)
         weighted = RowWeightedOperator(operator, sqrt_w)
         result = solve_lasso_fista(
             weighted,
@@ -511,8 +450,7 @@ def solve_huber_irls(
             telemetry=telemetry,
         )
         x = result.x
-        residual_host = bk.to_numpy(operator.matvec(x) - rhs)
-        magnitudes = np.abs(residual_host)
+        magnitudes = np.abs(operator.matvec(x) - rhs)
         corner = delta
         if corner is None:
             scale = 1.4826 * float(np.median(magnitudes))
@@ -523,13 +461,12 @@ def solve_huber_irls(
             break
         weights_host = np.minimum(1.0, corner / np.maximum(magnitudes, 1e-300))
 
-    residual_host = bk.to_numpy(rhs - operator.matvec(x))
-    e_host = (1.0 - weights_host) * residual_host
-    rhs_energy = float(np.sum(np.abs(bk.to_numpy(rhs)) ** 2))
-    e_energy = float(np.sum(np.abs(e_host) ** 2))
+    e = (1.0 - weights_host) * (rhs - operator.matvec(x))
+    rhs_energy = float(np.sum(np.abs(rhs) ** 2))
+    e_energy = float(np.sum(np.abs(e) ** 2))
     return RobustSolverResult(
         x=x,
-        e=bk.asarray(e_host, dtype=cdtype),
+        e=e,
         outlier_fraction=e_energy / rhs_energy if rhs_energy > 0 else 0.0,
         objective=result.objective,
         iterations=result.iterations,

@@ -38,7 +38,7 @@ def noise_scaled_kappa(matrix, noise_std: float, *, confidence: float = 1.0) -> 
     n = operator.shape[1]
     if n == 0:
         raise SolverError("dictionary has zero columns")
-    max_column_norm = operator.backend.max(operator.column_norms())
+    max_column_norm = float(operator.column_norms().max())
     return confidence * noise_std * np.sqrt(2.0 * np.log(max(n, 2))) * max_column_norm
 
 
@@ -53,10 +53,8 @@ def residual_kappa(matrix, rhs: np.ndarray, *, fraction: float = 0.05) -> float:
     """
     if not 0 < fraction < 1:
         raise SolverError(f"fraction must be in (0, 1), got {fraction}")
-    operator = as_operator(matrix)
-    bk = operator.backend
-    gradient_at_zero = 2.0 * bk.abs(operator.rmatvec(rhs))
-    peak = bk.max(gradient_at_zero, initial=0.0)
+    gradient_at_zero = 2.0 * np.abs(as_operator(matrix).rmatvec(rhs))
+    peak = float(gradient_at_zero.max(initial=0.0))
     if peak == 0.0:
         raise SolverError("measurement is orthogonal to every dictionary atom (all-zero gradient)")
     return fraction * peak
@@ -73,10 +71,8 @@ def mmv_residual_kappa(matrix, snapshots: np.ndarray, *, fraction: float = 0.05)
         raise SolverError(f"fraction must be in (0, 1), got {fraction}")
     if snapshots.ndim != 2:
         raise SolverError(f"snapshot matrix must be 2-D, got ndim={snapshots.ndim}")
-    operator = as_operator(matrix)
-    bk = operator.backend
-    gradient_rows = 2.0 * bk.norms(operator.rmatvec(snapshots), axis=1)
-    peak = bk.max(gradient_rows, initial=0.0)
+    gradient_rows = 2.0 * np.linalg.norm(as_operator(matrix).rmatvec(snapshots), axis=1)
+    peak = float(gradient_rows.max(initial=0.0))
     if peak == 0.0:
         raise SolverError("snapshots are orthogonal to every dictionary atom (all-zero gradient)")
     return fraction * peak

@@ -7,8 +7,7 @@ Three self-contained measurements:
   Eq. 18 FISTA solve (``BENCH_joint_solve.json``).
 * :func:`batched_solve_benchmark` — the per-problem sequential loop vs
   :func:`repro.optim.solve_batch` stacking many measurements into
-  lockstep batched iterations, on a selectable array backend
-  (``BENCH_batched_solve.json``).
+  lockstep batched iterations (``BENCH_batched_solve.json``).
 * :func:`robust_solve_benchmark` — the plain LASSO solve vs the
   outlier-augmented ``[Ã | I]`` robust solve on the same measurement
   (``BENCH_robust_solve.json``); the robustness tax must stay small
@@ -208,9 +207,6 @@ def robust_solve_benchmark(
 
 def batched_solve_benchmark(
     *,
-    backend: str = "numpy",
-    device: str | None = None,
-    dtype: str | None = None,
     batch_sizes: tuple[int, ...] = (1, 8, 64),
     snr_db: float = 12.0,
     seed: int = 2017,
@@ -222,8 +218,8 @@ def batched_solve_benchmark(
     Synthesizes ``max(batch_sizes)`` noisy packets of one evaluation
     scene, then for each batch size times (a) the sequential numpy
     reference — one pinned-iteration FISTA solve per packet — and (b)
-    one :func:`repro.optim.solve_batch` call on the requested
-    backend/dtype, with identical per-problem κ and iteration counts.
+    one :func:`repro.optim.solve_batch` call, with identical per-problem
+    κ and iteration counts.
     Every row also records the max relative ℓ∞ deviation of the batched
     solutions from the sequential reference.
 
@@ -236,12 +232,7 @@ def batched_solve_benchmark(
     from repro.core.pipeline import RoArrayEstimator
     from repro.core.steering import vectorize_csi_matrix
     from repro.experiments.runner import evaluation_roarray_config
-    from repro.optim import solve_batch, solve_lasso_fista
-    from repro.optim.backend import (
-        FLOAT32_TOLERANCES,
-        FLOAT64_PARITY_TOLERANCE,
-        normalize_precision,
-    )
+    from repro.optim import FLOAT64_PARITY_TOLERANCE, solve_batch, solve_lasso_fista
     from repro.optim.tuning import residual_kappa
 
     estimator = RoArrayEstimator(config=evaluation_roarray_config())
@@ -263,18 +254,11 @@ def batched_solve_benchmark(
     )
     ys = [vectorize_csi_matrix(trace.packet(i)) for i in range(trace.n_packets)]
 
-    reference = cache.joint_operator
+    operator = cache.joint_operator
     lipschitz = cache.joint_lipschitz
-    target = cache.joint_operator_on(backend, device=device, dtype=dtype)
     kappas = [
-        residual_kappa(reference, y, fraction=config.kappa_fraction) for y in ys
+        residual_kappa(operator, y, fraction=config.kappa_fraction) for y in ys
     ]
-    precision = normalize_precision(dtype) if dtype is not None else "double"
-    parity_tolerance = (
-        FLOAT64_PARITY_TOLERANCE
-        if precision == "double" and target.backend.name == "numpy"
-        else FLOAT32_TOLERANCES["parity_gate"]
-    )
 
     def best_time(run):
         best, outcome = float("inf"), None
@@ -292,7 +276,7 @@ def batched_solve_benchmark(
         loop_seconds, loop_results = best_time(
             lambda: [
                 solve_lasso_fista(
-                    reference, y, k,
+                    operator, y, k,
                     max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
                 )
                 for y, k in zip(batch_ys, batch_kappas)
@@ -300,7 +284,7 @@ def batched_solve_benchmark(
         )
         batched_seconds, batched = best_time(
             lambda: solve_batch(
-                target, batch_ys, method="fista", kappa=batch_kappas,
+                operator, batch_ys, method="fista", kappa=batch_kappas,
                 max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
             )
         )
@@ -324,20 +308,17 @@ def batched_solve_benchmark(
 
     return {
         "benchmark": "batched_solve",
-        "backend": target.backend.name,
-        "device": target.backend.device,
-        "dtype": target.dtype_name,
         "grid": {
             "n_angles": config.angle_grid.n_points,
             "n_delays": config.delay_grid.n_points,
-            "rows": reference.shape[0],
-            "columns": reference.shape[1],
+            "rows": operator.shape[0],
+            "columns": operator.shape[1],
         },
         "iterations": int(max_iterations),
         "repeats": int(repeats),
         "snr_db": float(snr_db),
         "seed": int(seed),
-        "parity_tolerance": float(parity_tolerance),
+        "parity_tolerance": FLOAT64_PARITY_TOLERANCE,
         "batches": rows,
         "max_batch_speedup": rows[-1]["speedup"],
     }

@@ -121,10 +121,6 @@ class ServeConfig:
     max_iterations: int = 150
     max_paths: int = 6
     peak_floor: float = 0.3
-    #: Array backend for the batched solves.
-    backend: str = "numpy"
-    device: str | None = None
-    dtype: str | None = None
 
     def __post_init__(self) -> None:
         if self.window_s <= 0 or self.observation_max_age_s <= 0:
@@ -422,16 +418,13 @@ class LocalizationService:
                     [request.snapshots for request in requests],
                     "mmv",
                     kappa_fraction=self.config.kappa_fraction,
-                    backend=self.config.backend,
-                    device=self.config.device,
-                    dtype=self.config.dtype,
                     warm_state=self.warm_state if warm else None,
                     warm_keys=[request.key for request in requests] if warm else None,
                     max_iterations=self.config.max_iterations,
                     lipschitz=self.cache.joint_lipschitz,
                 )
         except SolverError as error:
-            # The whole group failed (bad conditioning, backend fault):
+            # The whole group failed (bad conditioning, numerical fault):
             # taxonomize per AP and keep serving the other groups.
             self.metrics.counter("serve.solve_failures").inc(len(requests))
             for request in requests:

@@ -79,25 +79,6 @@ class TestCachedFactors:
             fista = solve_lasso_fista(a, y, kappa=kappa, max_iterations=3000, tolerance=1e-9)
             assert admm.objective == pytest.approx(fista.objective, rel=1e-3)
 
-    def test_dtype_recast_factors_never_serve_the_original(self, rng):
-        """Regression (ISSUE 6): the cache key must carry backend, device,
-        and dtype, not just ``(A, ρ)``.  Factors built over the *same*
-        matrix object but recast to complex64 are numerically different;
-        reusing them for the float64 dictionary silently degraded every
-        subsequent solve before the key was widened."""
-        a, y, *_ = make_sparse_system(rng)
-        single = CachedAdmmFactors(a, rho=1.0, dtype="complex64")
-        assert single.key[2] == "complex64"
-        assert not single.matches(a)
-        with pytest.raises(SolverError, match="different"):
-            solve_lasso_admm(a, y, kappa=0.05, rho=1.0, factors=single)
-
-    def test_key_exposes_backend_device_dtype_rho(self, rng):
-        a, *_ = make_sparse_system(rng)
-        factors = CachedAdmmFactors(a, rho=2.0)
-        assert factors.key == ("numpy", "cpu", "complex128", 2.0)
-        assert factors.matches(a)
-
     def test_dense_operator_wrapper_shares_factors_with_its_array(self, rng):
         """solve_batch wraps the caller's matrix in a DenseOperator; the
         wrapper and the raw array must be interchangeable for reuse."""

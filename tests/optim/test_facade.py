@@ -16,7 +16,6 @@ from repro.optim import (
     solve_reweighted_lasso,
     solve_sbl,
 )
-from repro.optim.reweighted import solve_reweighted_lasso as reweighted_direct
 
 from tests.optim.test_fista import make_sparse_system
 
@@ -88,11 +87,3 @@ class TestKappaHandling:
         a, y, *_ = make_sparse_system(rng)
         with pytest.raises(SolverError, match="does not take a kappa"):
             solve(a, y, method, kappa=0.5)
-
-
-class TestRetiredSpellings:
-    def test_reweighted_inner_iterations_raises(self, rng):
-        """The PR 2 shim is gone: the old kwarg fails with a pointer."""
-        a, y, *_ = make_sparse_system(rng)
-        with pytest.raises(TypeError, match="use 'max_iterations' instead"):
-            reweighted_direct(a, y, 0.5, inner_iterations=150)

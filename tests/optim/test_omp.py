@@ -26,12 +26,6 @@ class TestExactRecovery:
         result = solve_omp(a, y, sparsity=10, tolerance=1e-8)
         assert result.sparsity() <= 3
 
-    def test_retired_residual_tolerance_spelling_raises(self, rng):
-        """The PR 2 shim is gone: the old kwarg fails with a pointer."""
-        a, y, *_ = make_sparse_system(rng, k=2)
-        with pytest.raises(TypeError, match="use 'tolerance' instead"):
-            solve_omp(a, y, sparsity=10, residual_tolerance=1e-8)
-
     def test_unknown_kwarg_still_plain_type_error(self, rng):
         a, y, *_ = make_sparse_system(rng, k=2)
         with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):

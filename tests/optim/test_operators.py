@@ -183,70 +183,6 @@ class TestBatchedProducts:
             operator.rmatmul_batch(np.zeros((2, 2, 2, 2)))
 
 
-class TestCrossBackendOperatorParity:
-    """to_backend must be numerically invisible: every product computed
-    on a re-homed operator lands within 1e-10 of the numpy reference
-    (torch/cupy skip cleanly when not installed)."""
-
-    def test_kronecker_products_match_reference(self, backend, rng):
-        operator, _ = random_kronecker(7)
-        moved = operator.to_backend(backend)
-        assert moved.backend.name == backend.name
-        x = rng.normal(size=operator.shape[1]) + 1j * rng.normal(size=operator.shape[1])
-        r = rng.normal(size=operator.shape[0]) + 1j * rng.normal(size=operator.shape[0])
-        np.testing.assert_allclose(
-            backend.to_numpy(moved.matvec(backend.asarray(x))),
-            operator.matvec(x),
-            atol=1e-10,
-        )
-        np.testing.assert_allclose(
-            backend.to_numpy(moved.rmatvec(backend.asarray(r))),
-            operator.rmatvec(r),
-            atol=1e-10,
-        )
-        assert moved.lipschitz() == pytest.approx(operator.lipschitz(), rel=1e-9)
-
-    def test_batched_products_match_reference(self, backend, rng):
-        operator, _ = random_kronecker(11)
-        moved = operator.to_backend(backend)
-        stack = rng.normal(size=(7, operator.shape[1])) + 1j * rng.normal(
-            size=(7, operator.shape[1])
-        )
-        np.testing.assert_allclose(
-            backend.to_numpy(moved.matmul_batch(backend.asarray(stack))),
-            operator.matmul_batch(stack),
-            atol=1e-10,
-        )
-
-    def test_dense_operator_round_trip(self, backend, rng):
-        matrix = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
-        moved = as_operator(matrix, backend=backend)
-        assert isinstance(moved, DenseOperator)
-        np.testing.assert_allclose(
-            moved.backend.to_numpy(moved.to_dense()), matrix, atol=1e-14
-        )
-        x = rng.normal(size=9) + 1j * rng.normal(size=9)
-        np.testing.assert_allclose(
-            moved.backend.to_numpy(moved.matvec(moved.backend.asarray(x))),
-            matrix @ x,
-            atol=1e-10,
-        )
-
-    def test_single_precision_recast_stays_within_ladder(self, backend, rng):
-        from repro.optim import FLOAT32_TOLERANCES
-
-        operator, _ = random_kronecker(3)
-        recast = operator.to_backend(backend, dtype="complex64")
-        assert recast.precision == "single"
-        x = rng.normal(size=operator.shape[1]) + 1j * rng.normal(size=operator.shape[1])
-        reference = operator.matvec(x)
-        produced = backend.to_numpy(recast.matvec(backend.asarray(x, dtype="complex64")))
-        scale = max(1.0, float(np.abs(reference).max()))
-        assert float(np.abs(produced - reference).max()) <= FLOAT32_TOLERANCES[
-            "solution"
-        ] * scale
-
-
 class TestWarmStart:
     @given(seeds)
     @settings(max_examples=15, deadline=None)

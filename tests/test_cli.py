@@ -181,8 +181,6 @@ class TestBenchBatched:
         assert "speedup" in output
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "batched_solve"
-        assert payload["backend"] == "numpy"
-        assert payload["dtype"] == "complex128"
         assert [row["batch_size"] for row in payload["batches"]] == [1, 3]
         assert all(row["max_relative_deviation"] <= 1e-12 for row in payload["batches"])
 
@@ -200,8 +198,15 @@ class TestBenchBatched:
         assert out.exists()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--batched", "--backend", "mlx"])
+        """No array-backend, device or precision flag exists any more."""
+        for argv in (
+            ["bench", "--batched", "--backend", "mlx"],
+            ["bench", "--batched", "--backend", "numpy"],
+            ["bench", "--batched", "--dtype", "complex64"],
+            ["serve", "workload.npz", "--device", "cpu"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestFigures:
