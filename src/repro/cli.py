@@ -534,6 +534,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for row in result["batches"]:
                 emit(
                     f"  batch {row['batch_size']:>4}: loop {row['loop_seconds']:.3f} s | "
+                    f"kernel loop {row['kernel_loop_seconds']:.3f} s | "
                     f"batched {row['batched_seconds']:.3f} s | "
                     f"speedup {row['speedup']:.2f}× | "
                     f"deviation {row['max_relative_deviation']:.2e}"

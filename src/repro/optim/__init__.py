@@ -13,18 +13,20 @@ front door:
   when omitted.
 * :func:`solve_batch` — the batched entry point:
   ``solve_batch(A, ys, method=...)`` stacks many measurements against
-  one dictionary into lockstep batched iterations, with a parity gate
-  against the sequential solvers.
+  one dictionary into lockstep batched iterations.
 
 Dictionaries may be dense ndarrays or structured
 :class:`DictionaryOperator` instances — in particular
 :class:`KroneckerJointOperator`, which applies the paper's Eq. 16 joint
 dictionary as two small matmuls instead of one dense GEMM.
 
-The per-solver functions remain the stable low-level surface:
+The per-solver functions remain the stable low-level surface.  Each of
+FISTA, MMV, ADMM and OMP has exactly one iteration loop, a lockstep
+kernel over a stack of problems; the functions below are its ``B = 1``
+front doors and :func:`solve_batch` feeds it column blocks:
 
 * :func:`solve_lasso_fista` — accelerated proximal gradient (FISTA) with
-  backtracking; the workhorse used by :mod:`repro.core`.
+  the fixed step ``1/L``; the workhorse used by :mod:`repro.core`.
 * :func:`solve_lasso_admm` — ADMM with a cached normal-equation
   factorization; faster when the same dictionary is reused many times.
 * :func:`solve_omp` — greedy orthogonal matching pursuit, used as an

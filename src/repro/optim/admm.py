@@ -14,6 +14,9 @@ The solver normalizes the problem by κ internally (solve ``A, y/κ`` with
 unit sparsity weight, then un-scale the minimizer), so the cached
 factorization depends on ``(A, ρ)`` only — never on κ — and one
 :class:`CachedAdmmFactors` serves every κ.
+
+:func:`admm_lockstep` is the one ADMM loop, over ``B`` stacked problems;
+:func:`solve_lasso_admm` is its ``B = 1`` front door.
 """
 
 from __future__ import annotations
@@ -24,11 +27,17 @@ import numpy as np
 import scipy.linalg
 
 from repro.exceptions import SolverError
-from repro.obs.convergence import ConvergenceTrace, support_size
-from repro.optim.fista import lasso_objective
+from repro.obs.convergence import ConvergenceTrace
+from repro.optim.fista import lasso_batch_objectives
 from repro.optim.linalg import soft_threshold, validate_system
 from repro.optim.operators import DenseOperator, as_operator
-from repro.optim.result import SolverResult
+from repro.optim.result import (
+    BatchSolverResult,
+    LockstepProgress,
+    Observer,
+    SolverResult,
+    observation_hook,
+)
 
 
 class CachedAdmmFactors:
@@ -92,7 +101,6 @@ def solve_lasso_admm(
     max_iterations: int = 500,
     tolerance: float = 1e-6,
     factors: CachedAdmmFactors | None = None,
-    track_history: bool = False,
     telemetry: ConvergenceTrace | None = None,
     callback: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> SolverResult:
@@ -109,6 +117,9 @@ def solve_lasso_admm(
         run on the κ-normalized problem (see below), the effective
         shrinkage threshold is ``1/(2ρ)`` regardless of κ and the
         default needs no κ coupling.
+    max_iterations / tolerance:
+        Iteration cap (≥ 1) and the primal/dual residual tolerance;
+        ``tolerance=0`` pins the iteration count.
     factors:
         Optional pre-built :class:`CachedAdmmFactors` for ``(matrix,
         rho)``; build once and reuse across right-hand sides *and*
@@ -133,69 +144,95 @@ def solve_lasso_admm(
     validate_system(matrix, rhs)
     if rhs.ndim != 1:
         raise SolverError("solve_lasso_admm expects a 1-D measurement vector")
-    if kappa < 0:
-        raise SolverError(f"kappa must be non-negative, got {kappa}")
+    operator = as_operator(matrix)
+    rhs = np.asarray(rhs, dtype=complex)
+    return admm_lockstep(
+        operator,
+        rhs.reshape(-1, 1),
+        (kappa,),
+        rho=rho,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        factors=factors,
+        observe=observation_hook(
+            operator, rhs, lambda x: kappa * float(np.abs(x).sum()), telemetry, callback
+        ),
+    ).single(telemetry)
+
+
+def admm_lockstep(
+    operator,
+    Y: np.ndarray,
+    kappas,
+    *,
+    rho: float | None = None,
+    max_iterations: int = 500,
+    tolerance: float = 1e-6,
+    factors: CachedAdmmFactors | None = None,
+    observe: Observer | None = None,
+) -> BatchSolverResult:
+    """ADMM on ``B`` problems at once: the one ADMM iteration loop.
+
+    ``Y`` holds one measurement per column, ``(m, B)``.  Every problem
+    shares the factorization (it depends on ``(A, ρ)`` only); each
+    column runs the κ-normalized iteration with its own scale, and
+    converged columns are frozen while the rest iterate on.
+    """
+    n_problems = Y.shape[1]
+    progress = LockstepProgress(n_problems, max_iterations)
+    kap = np.asarray(kappas, dtype=np.float64)
+    if np.any(kap < 0):
+        raise SolverError(f"kappa must be non-negative, got {kappas}")
 
     if rho is None:
         rho = factors.rho if factors is not None else 1.0
     if factors is None:
-        factors = CachedAdmmFactors(matrix, rho)
-    elif not factors.matches(matrix) or factors.rho != rho:
+        factors = CachedAdmmFactors(operator, rho)
+    elif not factors.matches(operator) or factors.rho != rho:
         raise SolverError(
             "provided CachedAdmmFactors were built for a different (matrix, rho)"
         )
-
     dense = factors.matrix
     n = dense.shape[1]
-    rhs = np.asarray(rhs, dtype=complex)
 
-    # κ-normalized problem: min ‖Ax̃ − ỹ‖² + ‖x̃‖₁ with ỹ = y/κ; the
+    # κ-normalized problems: min ‖Ax̃ − ỹ‖² + ‖x̃‖₁ with ỹ = y/κ; the
     # 1/2-scaled textbook updates then threshold at (1/2)/ρ.
-    scale_factor = kappa if kappa > 0 else 1.0
-    scaled_rhs = rhs / scale_factor
-    threshold = 0.5 / rho if kappa > 0 else 0.0
+    scale_row = np.where(kap > 0, kap, 1.0).reshape(1, n_problems)
+    thresholds = np.where(kap > 0, 0.5 / rho, 0.0).reshape(1, n_problems)
+    atb = dense.conj().T @ (Y / scale_row)
 
-    atb = dense.conj().T @ scaled_rhs
-    x = np.zeros(n, dtype=complex)
-    z = np.zeros(n, dtype=complex)
-    u = np.zeros(n, dtype=complex)
+    X = np.zeros((n, n_problems), dtype=complex)
+    Z = np.zeros((n, n_problems), dtype=complex)
+    U = np.zeros((n, n_problems), dtype=complex)
 
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        x = factors.solve(atb + rho * (z - u))
-        z_prev = z
-        z = soft_threshold(x + u, threshold)
-        u = u + x - z
+    active = progress.active
+    check = tolerance > 0
+    for it in range(1, max_iterations + 1):
+        X_next = factors.solve(atb + rho * (Z - U))
+        Z_prev = Z
+        Z_next = soft_threshold(X_next + U, thresholds)
+        U_next = U + X_next - Z_next
 
-        primal_residual = float(np.linalg.norm(x - z))
-        dual_residual = rho * float(np.linalg.norm(z - z_prev))
-        if track_history:
-            history.append(lasso_objective(dense, rhs, scale_factor * z, kappa))
-        if telemetry is not None or callback is not None:
-            iterate = scale_factor * z
-            residual_norm = float(np.linalg.norm(dense @ iterate - rhs))
-            current = residual_norm**2 + kappa * float(np.abs(iterate).sum())
-            if telemetry is not None:
-                telemetry.record(
-                    objective=current,
-                    residual_norm=residual_norm,
-                    support_size=support_size(iterate),
-                )
-            if callback is not None:
-                callback(iterations, iterate, current)
-        scale = max(1.0, float(np.linalg.norm(z)))
-        if primal_residual <= tolerance * scale and dual_residual <= tolerance * scale:
-            converged = True
+        if check:
+            primal = np.linalg.norm(X_next - Z_next, axis=0)
+            dual = rho * np.linalg.norm(Z_next - Z_prev, axis=0)
+            scale = np.maximum(1.0, np.linalg.norm(Z_next, axis=0))
+
+        if progress.all_active:
+            X, Z, U = X_next, Z_next, U_next
+        else:
+            mask = active.reshape(1, n_problems)
+            X = np.where(mask, X_next, X)
+            Z = np.where(mask, Z_next, Z)
+            U = np.where(mask, U_next, U)
+
+        if observe is not None:
+            observe(it, np.moveaxis(scale_row * Z, 0, 1))
+        if check and progress.settle(
+            it, (primal <= tolerance * scale) & (dual <= tolerance * scale)
+        ):
             break
 
-    x_final = scale_factor * z
-    return SolverResult(
-        x=x_final,
-        objective=lasso_objective(dense, rhs, x_final, kappa),
-        iterations=iterations,
-        converged=converged,
-        history=history,
-        convergence=telemetry,
-    )
+    X_out = scale_row * Z
+    objectives = lasso_batch_objectives(operator, X_out, Y, kap)
+    return progress.result(np.moveaxis(X_out, 0, 1), objectives, "admm", kappas)

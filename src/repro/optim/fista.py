@@ -10,6 +10,11 @@ program with CVX second-order cone solvers; FISTA reaches the same
 minimizer because the objective is convex, and its per-iteration cost is
 one dictionary multiply each way, which matters for the 90 × (Nθ·Nτ)
 joint dictionaries of §III-B.
+
+:func:`fista_lockstep` is the one FISTA loop: it advances ``B`` stacked
+problems in lockstep, and :func:`solve_lasso_fista` is its ``B = 1``
+front door (:func:`~repro.optim.batch.solve_batch` feeds it column
+blocks).
 """
 
 from __future__ import annotations
@@ -20,10 +25,16 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import SolverError
-from repro.obs.convergence import ConvergenceTrace, support_size
-from repro.optim.linalg import soft_threshold, validate_penalty_weights, validate_system
+from repro.obs.convergence import ConvergenceTrace
+from repro.optim.linalg import validate_penalty_weights, validate_system
 from repro.optim.operators import as_operator
-from repro.optim.result import SolverResult
+from repro.optim.result import (
+    BatchSolverResult,
+    LockstepProgress,
+    Observer,
+    SolverResult,
+    observation_hook,
+)
 
 
 def lasso_objective(
@@ -53,8 +64,6 @@ def solve_lasso_fista(
     x0: np.ndarray | None = None,
     lipschitz: float | None = None,
     penalty_weights: np.ndarray | None = None,
-    track_history: bool = False,
-    monotone: bool = False,
     telemetry: ConvergenceTrace | None = None,
     callback: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> SolverResult:
@@ -74,12 +83,13 @@ def solve_lasso_fista(
         Sparsity weight κ ≥ 0.  See :mod:`repro.optim.tuning` for the
         noise-scaled heuristics used by the higher layers.
     max_iterations:
-        Iteration cap.  The iterates are feasible at every step, so a
-        small cap yields a coarse spectrum (paper Fig. 3) rather than
+        Iteration cap (≥ 1).  The iterates are feasible at every step, so
+        a small cap yields a coarse spectrum (paper Fig. 3) rather than
         garbage.
     tolerance:
         Relative change in the iterate below which we declare
         convergence: ``‖x_{t+1} − x_t‖ ≤ tolerance · max(1, ‖x_t‖)``.
+        ``0`` disables the test and pins the iteration count.
     x0:
         Optional warm start.  Seeding with a previous solution of a
         nearby problem (same dictionary, perturbed measurement or κ)
@@ -97,16 +107,6 @@ def solve_lasso_fista(
         ``κ·wⱼ/L`` per coordinate).  This is how the outlier-augmented
         program of :mod:`repro.optim.robust` prices its identity block
         at ``λ = κ·w`` without a second solver.
-    track_history:
-        Record the objective at every iteration (used by the Fig. 3
-        experiment and by tests that assert monotone-ish descent).
-    monotone:
-        Use the MFISTA variant of Beck & Teboulle: a proximal candidate
-        that would *increase* the objective is rejected (the previous
-        iterate is kept) while the momentum sequence still advances
-        through the candidate.  Guarantees a non-increasing objective at
-        the cost of one extra objective evaluation per iteration; plain
-        FISTA (the default) can overshoot transiently.
     telemetry:
         Optional :class:`~repro.obs.convergence.ConvergenceTrace` that
         receives per-iteration objective, residual norm and support
@@ -116,128 +116,188 @@ def solve_lasso_fista(
         does no telemetry work at all.
     callback:
         Optional per-iteration hook ``callback(iteration, x, objective)``
-        invoked after each accepted iterate (same cost note as
-        ``telemetry``).
+        invoked after each iterate (same cost note as ``telemetry``).
 
     Notes
     -----
     The gradient of the smooth part ``f(x) = ‖Ax − y‖₂²`` is
     ``∇f = 2 Aᴴ(Ax − y)``, hence its Lipschitz constant is
-    ``L = 2‖AᴴA‖₂`` and the proximal step threshold is ``κ / L``.
+    ``L = 2‖AᴴA‖₂`` and the step is the fixed ``1/L`` with proximal
+    threshold ``κ / L``.
     """
     validate_system(matrix, rhs)
     if rhs.ndim != 1:
         raise SolverError("solve_lasso_fista expects a 1-D measurement; use solve_mmv_fista for matrices")
-    if kappa < 0:
-        raise SolverError(f"kappa must be non-negative, got {kappa}")
-    if max_iterations < 1:
-        raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
-
     operator = as_operator(matrix)
     rhs = np.asarray(rhs, dtype=complex)
     n = operator.shape[1]
-    penalty_weights = validate_penalty_weights(penalty_weights, n)
-    if lipschitz is None:
-        lipschitz = 2.0 * operator.lipschitz()
-    else:
-        lipschitz = 2.0 * float(lipschitz)
+    warm = None
+    if x0 is not None:
+        warm = np.asarray(x0, dtype=complex)
+        if warm.shape != (n,):
+            raise SolverError(f"x0 has shape {warm.shape}, expected ({n},)")
+        warm = warm[None]
+    weights = validate_penalty_weights(penalty_weights, n)
+
+    def penalty(x):
+        magnitudes = np.abs(x) if weights is None else weights * np.abs(x)
+        return kappa * float(magnitudes.sum())
+
+    return fista_lockstep(
+        operator,
+        rhs.reshape(-1, 1),
+        (kappa,),
+        warm,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        lipschitz=lipschitz,
+        penalty_weights=weights,
+        observe=observation_hook(operator, rhs, penalty, telemetry, callback),
+    ).single(telemetry)
+
+
+def fista_lockstep(
+    operator,
+    Y: np.ndarray,
+    kappas,
+    warm: np.ndarray | None = None,
+    *,
+    max_iterations: int = 200,
+    tolerance: float = 1e-6,
+    lipschitz: float | None = None,
+    penalty_weights=None,
+    observe: Observer | None = None,
+) -> BatchSolverResult:
+    """FISTA on ``B`` problems at once: the one FISTA iteration loop.
+
+    ``Y`` holds one measurement per column, ``(m, B)``; ``kappas`` one
+    weight per problem; ``warm`` an optional ``(B, n)`` start.  Every
+    dictionary product is one batched matmul, the proximal step
+    broadcasts one threshold per column, and a column whose stop test
+    passes is frozen while the rest iterate on, so each problem follows
+    exactly its own ``B = 1`` trajectory up to GEMM rounding.
+    """
+    n = operator.shape[1]
+    n_problems = Y.shape[1]
+    progress = LockstepProgress(n_problems, max_iterations)
+    kap = np.asarray(kappas, dtype=np.float64)
+    if np.any(kap < 0):
+        raise SolverError(f"kappa must be non-negative, got {kappas}")
+    weights = validate_penalty_weights(penalty_weights, n)
+
+    lipschitz = 2.0 * (operator.lipschitz() if lipschitz is None else float(lipschitz))
     if lipschitz <= 0:
         # A zero dictionary: the minimizer is x = 0.
-        x = np.zeros(n, dtype=complex)
-        return SolverResult(
-            x=x,
-            objective=lasso_objective(
-                operator, rhs, x, kappa, penalty_weights=penalty_weights
-            ),
-            iterations=0,
-            converged=True,
-            convergence=telemetry,
-        )
-
+        X = np.zeros((n, n_problems), dtype=complex)
+        progress.settle(0, np.ones(n_problems, dtype=bool))
+        objectives = lasso_batch_objectives(operator, X, Y, kap, weights)
+        return progress.result(np.moveaxis(X, 0, 1), objectives, "fista", kappas)
     step = 1.0 / lipschitz
-    threshold = kappa * step if penalty_weights is None else (kappa * step) * penalty_weights
+    thresholds = (kap * step).reshape(1, n_problems)
+    if weights is not None:
+        # Per-coefficient weighted ℓ1: one threshold per (row, problem).
+        thresholds = weights.reshape(n, 1) * thresholds
+    positive = bool(np.all(thresholds > 0))
 
-    x = np.zeros(n, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
-    if x.shape != (n,):
-        raise SolverError(f"x0 has shape {x.shape}, expected ({n},)")
-    momentum_point = x.copy()
-    t = 1.0
-    objective = (
-        lasso_objective(operator, rhs, x, kappa, penalty_weights=penalty_weights)
-        if monotone
-        else None
+    X = (
+        np.zeros((n, n_problems), dtype=complex)
+        if warm is None
+        else np.moveaxis(np.asarray(warm, dtype=complex), 0, 1).copy()
     )
+    momentum = X.copy()
+    t = 1.0
 
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        gradient = 2.0 * operator.rmatvec(operator.matvec(momentum_point) - rhs)
-        candidate = soft_threshold(momentum_point - step * gradient, threshold)
-
+    active = progress.active
+    check = tolerance > 0
+    for it in range(1, max_iterations + 1):
+        raw_gradient = operator.rmatvec(operator.matvec(momentum) - Y)
+        candidate = _prox_gradient_step(
+            momentum, raw_gradient, 2.0 * step, thresholds, positive
+        )
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        if monotone:
-            # MFISTA: accept the candidate only if it does not increase
-            # the objective; the momentum point always moves through the
-            # candidate so acceleration is preserved.
-            candidate_objective = lasso_objective(
-                operator, rhs, candidate, kappa, penalty_weights=penalty_weights
-            )
-            if candidate_objective <= objective:
-                x_next, objective = candidate, candidate_objective
-            else:
-                x_next = x
-            momentum_point = (
-                x_next
-                + (t / t_next) * (candidate - x_next)
-                + ((t - 1.0) / t_next) * (x_next - x)
-            )
+        coefficient = (t - 1.0) / t_next
+
+        if check:
+            delta = np.linalg.norm(candidate - X, axis=0)
+            scale = np.maximum(1.0, np.linalg.norm(X, axis=0))
+
+        if progress.all_active:
+            momentum = _momentum_combine(candidate, X, coefficient)
+            X = candidate
         else:
-            x_next = candidate
-            momentum_point = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            # Freeze converged columns: their iterate (and momentum) stop
+            # moving, preserving per-problem equivalence with B = 1.
+            momentum_next = candidate + coefficient * (candidate - X)
+            mask = active.reshape(1, n_problems)
+            X = np.where(mask, candidate, X)
+            momentum = np.where(mask, momentum_next, momentum)
+        t = t_next
 
-        # Convergence is judged on the proximal candidate: in monotone
-        # mode a rejected candidate leaves x unchanged, which must not
-        # read as a zero-length (converged) step.
-        delta = float(np.linalg.norm(candidate - x))
-        scale = max(1.0, float(np.linalg.norm(x)))
-        x, t = x_next, t_next
-
-        if track_history:
-            history.append(
-                objective
-                if monotone
-                else lasso_objective(
-                    operator, rhs, x, kappa, penalty_weights=penalty_weights
-                )
-            )
-        if telemetry is not None or callback is not None:
-            residual_norm = float(np.linalg.norm(operator.matvec(x) - rhs))
-            if monotone:
-                current = objective
-            elif penalty_weights is None:
-                current = residual_norm**2 + kappa * float(np.abs(x).sum())
-            else:
-                current = residual_norm**2 + kappa * float(
-                    (penalty_weights * np.abs(x)).sum()
-                )
-            if telemetry is not None:
-                telemetry.record(
-                    objective=current,
-                    residual_norm=residual_norm,
-                    support_size=support_size(x),
-                )
-            if callback is not None:
-                callback(iterations, x, current)
-        if delta <= tolerance * scale:
-            converged = True
+        if observe is not None:
+            observe(it, np.moveaxis(X, 0, 1))
+        if check and progress.settle(it, delta <= tolerance * scale):
             break
 
-    return SolverResult(
-        x=x,
-        objective=lasso_objective(operator, rhs, x, kappa, penalty_weights=penalty_weights),
-        iterations=iterations,
-        converged=converged,
-        history=history,
-        convergence=telemetry,
-    )
+    objectives = lasso_batch_objectives(operator, X, Y, kap, weights)
+    return progress.result(np.moveaxis(X, 0, 1), objectives, "fista", kappas)
+
+
+def lasso_batch_objectives(operator, X_cols, Y, kap, penalty_weights=None):
+    """Per-column LASSO objectives of an ``(n, B)`` iterate stack."""
+    residual = operator.matvec(X_cols) - Y
+    data = np.linalg.norm(residual, axis=0) ** 2
+    magnitudes = np.abs(X_cols)
+    if penalty_weights is not None:
+        magnitudes = penalty_weights.reshape(X_cols.shape[0], 1) * magnitudes
+    return data + kap * magnitudes.sum(axis=0)
+
+
+# -- fused lockstep steps ------------------------------------------------
+# The kernel's hot inner steps, done in place: the lockstep iterate
+# (n × B) no longer fits in cache, so every avoided pass over it is a
+# measurable win.
+
+
+def _prox_gradient_step(momentum, gradient, step2, thresholds, positive=None):
+    """``soft_threshold(momentum − step2·gradient, thresholds)``.
+
+    ``gradient`` is ``Aᴴ(Ax − y)`` *without* the factor 2 — ``step2``
+    carries it (``2·step``; exact, a power-of-two scale).  ``gradient``
+    is clobbered (the caller owns and discards it); ``momentum`` is left
+    untouched.  ``positive`` says whether every threshold is > 0; the
+    kernel passes it once-computed, since the check costs as much as an
+    array op on small grids.
+    """
+    point = np.multiply(gradient, -step2, out=gradient)
+    point += momentum
+    magnitude = np.abs(point)
+    thresholds = np.asarray(thresholds)
+    if positive is None:
+        positive = bool(np.all(thresholds > 0))
+    if positive:
+        # max(1 − t/|z|, 0)·z: same shrinkage as the reference
+        # formula to rounding, one fewer real-array pass and no
+        # boolean mask; |z| = 0 gives −inf → clamped to 0.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = thresholds / magnitude
+            np.subtract(1.0, scale, out=scale)
+            np.maximum(scale, 0.0, out=scale)
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            shrunk = np.maximum(magnitude - thresholds, 0.0)
+            scale = np.where(
+                magnitude > 0, shrunk / np.where(magnitude > 0, magnitude, 1.0), 0.0
+            )
+    point *= scale
+    return point
+
+
+def _momentum_combine(candidate, previous, coefficient):
+    """``candidate + coefficient·(candidate − previous)``, clobbering ``previous``.
+
+    The kernel only calls this once the previous iterate is dead.
+    """
+    combined = np.subtract(candidate, previous, out=previous)
+    combined *= coefficient
+    combined += candidate
+    return combined

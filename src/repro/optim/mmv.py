@@ -11,6 +11,8 @@ this is the ℓ2,1 program
 solved here by FISTA with the row-wise group soft-threshold.  The SVD
 reduction that keeps the snapshot dimension small lives in
 :mod:`repro.core.fusion`; this module is the pure solver.
+:func:`mmv_lockstep` is its one iteration loop, over ``B`` stacked
+problems; :func:`solve_mmv_fista` is the ``B = 1`` front door.
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import SolverError
-from repro.obs.convergence import ConvergenceTrace, support_size
-from repro.optim.linalg import row_soft_threshold, validate_penalty_weights, validate_system
+from repro.obs.convergence import ConvergenceTrace
+from repro.optim.linalg import validate_penalty_weights, validate_system
 from repro.optim.operators import as_operator
-from repro.optim.result import SolverResult
+from repro.optim.result import (
+    BatchSolverResult,
+    LockstepProgress,
+    Observer,
+    SolverResult,
+    observation_hook,
+)
 
 
 def mmv_objective(
@@ -49,7 +57,6 @@ def solve_mmv_fista(
     x0: np.ndarray | None = None,
     lipschitz: float | None = None,
     penalty_weights: np.ndarray | None = None,
-    track_history: bool = False,
     telemetry: ConvergenceTrace | None = None,
     callback: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> SolverResult:
@@ -65,6 +72,8 @@ def solve_mmv_fista(
         (or per retained singular vector after SVD reduction).
     kappa:
         Row-sparsity weight.
+    max_iterations / tolerance:
+        As in :func:`~repro.optim.fista.solve_lasso_fista`.
     x0:
         Optional ``(n, p)`` warm start; a previous solution of a nearby
         problem reaches the shared minimizer in fewer iterations.
@@ -92,97 +101,145 @@ def solve_mmv_fista(
     validate_system(matrix, rhs)
     if rhs.ndim != 2:
         raise SolverError("solve_mmv_fista expects a 2-D snapshot matrix; use solve_lasso_fista for vectors")
-    if kappa < 0:
-        raise SolverError(f"kappa must be non-negative, got {kappa}")
-
     operator = as_operator(matrix)
     rhs = np.asarray(rhs, dtype=complex)
     n = operator.shape[1]
     p = rhs.shape[1]
-    if p == 0:
-        raise SolverError("snapshot matrix has zero columns")
-    penalty_weights = validate_penalty_weights(penalty_weights, n)
-    weight_column = None if penalty_weights is None else penalty_weights.reshape(n, 1)
+    warm = None
+    if x0 is not None:
+        warm = np.asarray(x0, dtype=complex)
+        if warm.shape != (n, p):
+            raise SolverError(f"x0 has shape {warm.shape}, expected ({n}, {p})")
+        warm = warm[None]
+    weights = validate_penalty_weights(penalty_weights, n)
 
-    if lipschitz is None:
-        lipschitz = 2.0 * operator.lipschitz()
-    else:
-        lipschitz = 2.0 * float(lipschitz)
+    def penalty(x):
+        row_norms = np.linalg.norm(x, axis=1)
+        if weights is not None:
+            row_norms = weights * row_norms
+        return kappa * float(row_norms.sum())
+
+    return mmv_lockstep(
+        operator,
+        rhs[None],
+        (kappa,),
+        warm,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        lipschitz=lipschitz,
+        penalty_weights=weights,
+        observe=observation_hook(operator, rhs, penalty, telemetry, callback),
+    ).single(telemetry)
+
+
+def mmv_lockstep(
+    operator,
+    Ys: np.ndarray,
+    kappas,
+    warm: np.ndarray | None = None,
+    *,
+    max_iterations: int = 200,
+    tolerance: float = 1e-6,
+    lipschitz: float | None = None,
+    penalty_weights=None,
+    observe: Observer | None = None,
+) -> BatchSolverResult:
+    """ℓ2,1 FISTA on ``B`` problems at once: the one MMV iteration loop.
+
+    ``Ys`` stacks the snapshot matrices, ``(B, m, p)``; ``kappas`` holds
+    one weight per problem and ``warm`` an optional ``(B, n, p)`` start.
+    The iterate lives as one ``(n, B, p)`` array whose ``(n, B·p)`` view
+    feeds the operator's 2-D products directly — one pair of factor
+    GEMMs for the whole stack, and at ``B = 1`` exactly the products of
+    a lone ``(n, p)`` solve.  Converged problems are frozen while the
+    rest iterate on.
+    """
+    m, n = operator.shape
+    n_problems, _, n_snapshots = Ys.shape
+    progress = LockstepProgress(n_problems, max_iterations)
+    if n_snapshots == 0:
+        raise SolverError("snapshot matrices have zero columns")
+    kap = np.asarray(kappas, dtype=np.float64)
+    if np.any(kap < 0):
+        raise SolverError(f"kappa must be non-negative, got {kappas}")
+    weights = validate_penalty_weights(penalty_weights, n)
+
+    lipschitz = 2.0 * (operator.lipschitz() if lipschitz is None else float(lipschitz))
     if lipschitz <= 0:
-        x = np.zeros((n, p), dtype=complex)
-        return SolverResult(
-            x=x,
-            objective=mmv_objective(
-                operator, rhs, x, kappa, penalty_weights=penalty_weights
-            ),
-            iterations=0,
-            converged=True,
-            convergence=telemetry,
-        )
-
+        X = np.zeros((n_problems, n, n_snapshots), dtype=complex)
+        progress.settle(0, np.ones(n_problems, dtype=bool))
+        objectives = mmv_batch_objectives(operator, X, Ys, kap, weights)
+        return progress.result(X, objectives, "mmv", kappas)
     step = 1.0 / lipschitz
-    threshold = kappa * step
+    thresholds = (kap * step).reshape(1, n_problems, 1)
+    if weights is not None:
+        # Per-row weighted ℓ2,1: one threshold per (row, problem).
+        thresholds = weights.reshape(n, 1, 1) * thresholds
 
-    x = np.zeros((n, p), dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
-    if x.shape != (n, p):
-        raise SolverError(f"x0 has shape {x.shape}, expected ({n}, {p})")
-    momentum_point = x.copy()
+    Y = np.moveaxis(Ys, 0, 1)
+    X = (
+        np.zeros((n, n_problems, n_snapshots), dtype=complex)
+        if warm is None
+        else np.moveaxis(np.asarray(warm, dtype=complex), 0, 1).copy()
+    )
+    momentum = X.copy()
     t = 1.0
+    folded = n_problems * n_snapshots
 
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        gradient = 2.0 * operator.rmatvec(operator.matvec(momentum_point) - rhs)
-        point = momentum_point - step * gradient
-        if weight_column is None:
-            x_next = row_soft_threshold(point, threshold)
-        else:
-            # Per-row thresholds (the weighted ℓ2,1 prox): same shrinkage
-            # as row_soft_threshold with threshold·wᵢ on row i.
-            row_norms = np.linalg.norm(point, axis=1, keepdims=True)
-            shrunk = np.maximum(row_norms - threshold * weight_column, 0.0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                factors = np.where(
-                    row_norms > 0, shrunk / np.where(row_norms > 0, row_norms, 1.0), 0.0
-                )
-            x_next = point * factors
-
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        momentum_point = x_next + ((t - 1.0) / t_next) * (x_next - x)
-
-        delta = float(np.linalg.norm(x_next - x))
-        scale = max(1.0, float(np.linalg.norm(x)))
-        x, t = x_next, t_next
-
-        if track_history:
-            history.append(
-                mmv_objective(operator, rhs, x, kappa, penalty_weights=penalty_weights)
+    active = progress.active
+    check = tolerance > 0
+    for it in range(1, max_iterations + 1):
+        residual = operator.matvec(momentum.reshape(n, folded)).reshape(Y.shape) - Y
+        # point = momentum − step·2Aᴴr, built in place in the fresh adjoint
+        # product; the exact factor 2 rides on the step.
+        point = operator.rmatvec(residual.reshape(m, folded)).reshape(X.shape)
+        point *= -2.0 * step
+        point += momentum
+        row_norms = np.linalg.norm(point, axis=2, keepdims=True)
+        shrunk = np.maximum(row_norms - thresholds, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            factors = np.where(
+                row_norms > 0, shrunk / np.where(row_norms > 0, row_norms, 1.0), 0.0
             )
-        if telemetry is not None or callback is not None:
-            residual = operator.matvec(x) - rhs
-            residual_norm = float(np.linalg.norm(residual))
-            row_norms = np.linalg.norm(x, axis=1)
-            if penalty_weights is not None:
-                row_norms = penalty_weights * row_norms
-            current = residual_norm**2 + kappa * float(row_norms.sum())
-            if telemetry is not None:
-                telemetry.record(
-                    objective=current,
-                    residual_norm=residual_norm,
-                    support_size=support_size(x),
-                )
-            if callback is not None:
-                callback(iterations, x, current)
-        if delta <= tolerance * scale:
-            converged = True
+        point *= factors
+        candidate = point
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        change = candidate - X
+
+        if check:
+            # One flat norm per problem: the BLAS-dot path, ~2.5x cheaper
+            # than an axis reduction (no conjugate copy) at B = 1.
+            delta = np.array([np.linalg.norm(change[:, b]) for b in range(n_problems)])
+            scale = np.maximum(1.0, [np.linalg.norm(X[:, b]) for b in range(n_problems)])
+
+        # candidate + ((t − 1)/t_next)·(candidate − X), in place on the change.
+        momentum_next = change
+        momentum_next *= (t - 1.0) / t_next
+        momentum_next += candidate
+
+        if progress.all_active:
+            X, momentum = candidate, momentum_next
+        else:
+            mask = active.reshape(1, n_problems, 1)
+            X = np.where(mask, candidate, X)
+            momentum = np.where(mask, momentum_next, momentum)
+        t = t_next
+
+        if observe is not None:
+            observe(it, np.moveaxis(X, 1, 0))
+        if check and progress.settle(it, delta <= tolerance * scale):
             break
 
-    return SolverResult(
-        x=x,
-        objective=mmv_objective(operator, rhs, x, kappa, penalty_weights=penalty_weights),
-        iterations=iterations,
-        converged=converged,
-        history=history,
-        convergence=telemetry,
-    )
+    X = np.ascontiguousarray(np.moveaxis(X, 1, 0))
+    objectives = mmv_batch_objectives(operator, X, Ys, kap, weights)
+    return progress.result(X, objectives, "mmv", kappas)
+
+
+def mmv_batch_objectives(operator, X, Ys, kap, penalty_weights=None):
+    """Per-problem ℓ2,1 objectives of a ``(B, n, p)`` iterate stack."""
+    residual = operator.matmul_batch(X) - Ys
+    data = np.linalg.norm(residual, axis=(1, 2)) ** 2
+    row_norms = np.linalg.norm(X, axis=2)
+    if penalty_weights is not None:
+        row_norms = penalty_weights.reshape(1, X.shape[1]) * row_norms
+    return data + kap * row_norms.sum(axis=1)

@@ -3,7 +3,9 @@
 A greedy baseline for the same sparse systems the ℓ1 solvers handle.
 The paper motivates ℓ1 over greedy/subspace methods by robustness at low
 SNR; we keep OMP around so the ablation benchmarks can show that
-trade-off on identical scenes.
+trade-off on identical scenes.  :func:`omp_lockstep` is the one greedy
+loop, over ``B`` stacked problems; :func:`solve_omp` is its ``B = 1``
+front door.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace
 from repro.optim.linalg import validate_system
 from repro.optim.operators import as_operator
-from repro.optim.result import SolverResult
+from repro.optim.result import (
+    BatchSolverResult,
+    LockstepProgress,
+    Observer,
+    SolverResult,
+    observation_hook,
+)
 
 
 def solve_omp(
@@ -56,57 +64,85 @@ def solve_omp(
     validate_system(matrix, rhs)
     if rhs.ndim != 1:
         raise SolverError("solve_omp expects a 1-D measurement vector")
+    operator = as_operator(matrix)
+    rhs = np.asarray(rhs, dtype=complex)
+    return omp_lockstep(
+        operator,
+        rhs.reshape(-1, 1),
+        sparsity=sparsity,
+        tolerance=tolerance,
+        observe=observation_hook(operator, rhs, lambda x: 0.0, telemetry, callback),
+    ).single(telemetry)
+
+
+def omp_lockstep(
+    operator,
+    Y: np.ndarray,
+    *,
+    sparsity: int,
+    tolerance: float = 0.0,
+    observe: Observer | None = None,
+) -> BatchSolverResult:
+    """OMP on ``B`` problems at once: the one greedy loop.
+
+    ``Y`` holds one measurement per column, ``(m, B)``.  One batched
+    adjoint product scores every problem's atoms per step; the greedy
+    pick and the least-squares refit stay per problem.  ``observe``
+    sees the iterate after every step that added an atom somewhere.
+    """
+    m, n = operator.shape
+    n_problems = Y.shape[1]
     if sparsity < 1:
         raise SolverError(f"sparsity must be >= 1, got {sparsity}")
-
-    operator = as_operator(matrix)
-    m, n = operator.shape
     sparsity = min(sparsity, m, n)
+    progress = LockstepProgress(n_problems, sparsity)
+
     column_norms = operator.column_norms()
-    usable = column_norms > 0
+    norms_col = column_norms.reshape(-1, 1)
+    usable_col = norms_col > 0
 
-    rhs = np.asarray(rhs, dtype=complex)
-    residual = rhs.copy()
-    support: list[int] = []
-    coefficients = np.zeros(0, dtype=complex)
+    residuals = Y.copy()
+    supports: list[list[int]] = [[] for _ in range(n_problems)]
+    coefficients: list = [np.zeros(0, dtype=complex) for _ in range(n_problems)]
+    active = progress.active
 
-    iterations = 0
-    for iterations in range(1, sparsity + 1):
-        correlations = np.abs(operator.rmatvec(residual))
+    for step_index in range(1, sparsity + 1):
+        correlations = np.abs(operator.rmatvec(residuals))
         with np.errstate(invalid="ignore", divide="ignore"):
             correlations = np.where(
-                usable, correlations / np.where(usable, column_norms, 1.0), -1.0
+                usable_col,
+                correlations / np.where(usable_col, norms_col, 1.0),
+                -1.0,
             )
-        correlations[support] = -1.0
-        best = int(np.argmax(correlations))
-        if float(correlations[best]) <= 0:
-            break
-        support.append(best)
-
-        submatrix = operator.columns(support)
-        coefficients = np.linalg.lstsq(submatrix, rhs, rcond=None)[0]
-        residual = rhs - submatrix @ coefficients
-        if telemetry is not None or callback is not None:
-            residual_norm = float(np.linalg.norm(residual))
-            if telemetry is not None:
-                telemetry.record(
-                    objective=residual_norm**2,
-                    residual_norm=residual_norm,
-                    support_size=len(support),
-                )
-            if callback is not None:
-                snapshot = np.zeros(n, dtype=complex)
-                snapshot[support] = coefficients
-                callback(iterations, snapshot, residual_norm**2)
-        if float(np.linalg.norm(residual)) <= tolerance:
+        done = np.zeros(n_problems, dtype=bool)
+        grew = False
+        for b in np.nonzero(active)[0]:
+            column = correlations[:, b]
+            column[supports[b]] = -1.0
+            best = int(np.argmax(column))
+            if float(column[best]) <= 0:
+                done[b] = True
+                continue
+            supports[b].append(best)
+            grew = True
+            submatrix = operator.columns(supports[b])
+            coefficients[b] = np.linalg.lstsq(submatrix, Y[:, b], rcond=None)[0]
+            residuals[:, b] = Y[:, b] - submatrix @ coefficients[b]
+            done[b] = float(np.linalg.norm(residuals[:, b])) <= tolerance
+        if observe is not None and grew:
+            observe(step_index, _scatter(n, supports, coefficients))
+        if progress.settle(step_index, done):
             break
 
-    x = np.zeros(n, dtype=complex)
-    x[support] = coefficients
-    return SolverResult(
-        x=x,
-        objective=float(np.linalg.norm(residual)) ** 2,
-        iterations=iterations,
-        converged=True,
-        convergence=telemetry,
-    )
+    # Greedy recovery always terminates with a usable iterate.
+    progress.converged[:] = True
+    objectives = [float(np.linalg.norm(residuals[:, b])) ** 2 for b in range(n_problems)]
+    return progress.result(_scatter(n, supports, coefficients), objectives, "omp", None)
+
+
+def _scatter(n, supports, coefficients) -> np.ndarray:
+    """The ``(B, n)`` iterate stack holding each problem's refit coefficients."""
+    X = np.zeros((len(supports), n), dtype=complex)
+    for b, (support, values) in enumerate(zip(supports, coefficients)):
+        X[b, support] = values
+    return X

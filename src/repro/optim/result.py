@@ -1,14 +1,21 @@
-"""Common result container for the sparse-recovery solvers."""
+"""Result containers and the shared lockstep bookkeeping of the solvers.
+
+Each algorithm (FISTA, MMV, ADMM, OMP) has exactly one iteration loop:
+a lockstep kernel over a stack of ``B`` problems that returns a
+:class:`BatchSolverResult`.  The sequential front doors
+(``solve_lasso_fista`` & co.) call it with ``B = 1``;
+:func:`~repro.optim.batch.solve_batch` calls it with column blocks.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import Callable
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.obs.convergence import ConvergenceTrace
+from repro.exceptions import SolverError
+from repro.obs.convergence import ConvergenceTrace, support_size
 
 
 @dataclass
@@ -32,7 +39,10 @@ class SolverResult:
         feasible at every step — which is what paper Fig. 3 exploits when
         it shows spectra after 3/6/9/14 iterations.
     history:
-        Per-iteration objective values (empty if tracking was disabled).
+        Per-outer-pass objective values of the multi-pass solvers
+        (:func:`~repro.optim.reweighted.solve_reweighted_lasso`,
+        :func:`~repro.optim.sbl.solve_sbl`); empty for the single-kernel
+        solvers, whose per-iteration objectives ``telemetry=`` records.
     convergence:
         The :class:`~repro.obs.convergence.ConvergenceTrace` the caller
         passed via the solver's ``telemetry=`` hook, filled with
@@ -76,3 +86,126 @@ class SolverResult:
         if peak == 0.0:
             return 0
         return int(np.count_nonzero(magnitude > rtol * peak))
+
+
+@dataclass
+class BatchSolverResult:
+    """Solutions of a whole batch.
+
+    ``x`` has shape ``(B, n)`` (``(B, n, p)`` for MMV);
+    :meth:`problem` slices one problem out as a standard
+    :class:`SolverResult` (handy for feeding the next batch's warm start
+    or the spectrum pipeline).
+    """
+
+    x: np.ndarray
+    objectives: tuple[float, ...]
+    iterations: tuple[int, ...]
+    converged: tuple[bool, ...]
+    method: str
+    kappas: tuple[float, ...] | None = None
+
+    @property
+    def n_problems(self) -> int:
+        return len(self.objectives)
+
+    def to_numpy(self) -> np.ndarray:
+        return np.asarray(self.x)
+
+    def problem(self, index: int) -> SolverResult:
+        return SolverResult(
+            x=self.to_numpy()[index],
+            objective=self.objectives[index],
+            iterations=self.iterations[index],
+            converged=self.converged[index],
+            solver=self.method,
+        )
+
+    def single(self, telemetry: ConvergenceTrace | None = None) -> SolverResult:
+        """The one problem of a ``B = 1`` kernel call, as a front door returns it."""
+        return SolverResult(
+            x=self.to_numpy()[0],
+            objective=self.objectives[0],
+            iterations=self.iterations[0],
+            converged=self.converged[0],
+            convergence=telemetry,
+        )
+
+
+class LockstepProgress:
+    """Per-problem stop bookkeeping shared by the iterative kernels.
+
+    Every problem starts active with ``iterations = max_iterations``;
+    :meth:`settle` freezes the problems whose stop test passed, so a
+    converged column stops moving while its neighbours iterate on.
+    """
+
+    def __init__(self, n_problems: int, max_iterations: int) -> None:
+        if max_iterations < 1:
+            raise SolverError(f"max_iterations must be >= 1, got {max_iterations}")
+        self.active = np.ones(n_problems, dtype=bool)
+        self.all_active = True
+        self.iterations = np.full(n_problems, max_iterations, dtype=int)
+        self.converged = np.zeros(n_problems, dtype=bool)
+
+    def settle(self, iteration: int, done: np.ndarray) -> bool:
+        """Freeze the active problems with ``done`` set; ``True`` once none is left."""
+        newly = self.active & done
+        if not newly.any():
+            return False
+        self.iterations[newly] = iteration
+        self.converged[newly] = True
+        self.active &= ~newly
+        self.all_active = False
+        return not self.active.any()
+
+    def result(self, x, objectives, method, kappas) -> BatchSolverResult:
+        return BatchSolverResult(
+            x=x,
+            objectives=tuple(float(v) for v in objectives),
+            iterations=tuple(int(v) for v in self.iterations),
+            converged=tuple(bool(v) for v in self.converged),
+            method=method,
+            kappas=kappas,
+        )
+
+
+#: A kernel's per-iteration hook: ``observe(iteration, x)`` with ``x``
+#: the current ``(B, n[, p])`` iterate stack (a view — do not keep it).
+Observer = Callable[[int, np.ndarray], None]
+
+
+def observation_hook(
+    operator,
+    rhs: np.ndarray,
+    penalty: Callable[[np.ndarray], float],
+    telemetry: ConvergenceTrace | None,
+    callback: Callable[[int, np.ndarray, float], None] | None,
+) -> Observer | None:
+    """A front door's ``telemetry=`` / ``callback=`` as one kernel hook.
+
+    Per iteration it measures the ``B = 1`` iterate ``x``: the residual
+    norm ``‖Ax − y‖``, the objective ``‖Ax − y‖² + penalty(x)`` and the
+    support size, then feeds ``telemetry.record`` and
+    ``callback(iteration, x, objective)``.  That costs one dictionary
+    multiply per iteration; with neither requested it returns ``None``
+    and the kernel does no observation work at all.
+    """
+    if telemetry is None and callback is None:
+        return None
+
+    def observe(iteration: int, stack: np.ndarray) -> None:
+        x = stack[0]
+        residual_norm = float(np.linalg.norm(operator.matvec(x) - rhs))
+        objective = residual_norm**2 + penalty(x)
+        if telemetry is not None:
+            telemetry.record(
+                objective=objective,
+                residual_norm=residual_norm,
+                support_size=support_size(x),
+            )
+        if callback is not None:
+            # The kernel reuses its buffers in place; the caller keeps a copy.
+            callback(iteration, x.copy(), objective)
+
+    return observe

@@ -43,7 +43,7 @@ mirror of the column reweighting in :mod:`repro.optim.reweighted`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -192,7 +192,6 @@ class RobustSolverResult:
     objective: float
     iterations: int
     converged: bool
-    history: list[float] = field(default_factory=list)
     convergence: ConvergenceTrace | None = None
 
 
@@ -265,7 +264,6 @@ def solve_robust_lasso(
     x0: np.ndarray | None = None,
     e0: np.ndarray | None = None,
     lipschitz: float | None = None,
-    track_history: bool = False,
     telemetry: ConvergenceTrace | None = None,
 ) -> RobustSolverResult:
     """Solve ``min ‖y − Ãx − e‖₂² + κ‖x‖₁ + λ‖e‖₁`` by FISTA.
@@ -310,7 +308,6 @@ def solve_robust_lasso(
         x0=z0,
         lipschitz=None if lipschitz is None else float(lipschitz) + 1.0,
         penalty_weights=robust_penalty_weights(n, m, kappa, lambda_outlier),
-        track_history=track_history,
         telemetry=telemetry,
     )
     x, e = augmented.split(result.x)
@@ -324,7 +321,6 @@ def solve_robust_lasso(
         objective=result.objective,
         iterations=result.iterations,
         converged=result.converged,
-        history=result.history,
         convergence=result.convergence,
     )
 
@@ -340,7 +336,6 @@ def solve_robust_mmv(
     x0: np.ndarray | None = None,
     e0: np.ndarray | None = None,
     lipschitz: float | None = None,
-    track_history: bool = False,
     telemetry: ConvergenceTrace | None = None,
 ) -> RobustSolverResult:
     """MMV (ℓ2,1) variant: joint-sparse spectrum, row-sparse corruption.
@@ -374,7 +369,6 @@ def solve_robust_mmv(
         x0=z0,
         lipschitz=None if lipschitz is None else float(lipschitz) + 1.0,
         penalty_weights=robust_penalty_weights(n, m, kappa, lambda_outlier),
-        track_history=track_history,
         telemetry=telemetry,
     )
     x, e = augmented.split(result.x)
@@ -387,7 +381,6 @@ def solve_robust_mmv(
         objective=result.objective,
         iterations=result.iterations,
         converged=result.converged,
-        history=result.history,
         convergence=result.convergence,
     )
 
@@ -471,6 +464,5 @@ def solve_huber_irls(
         objective=result.objective,
         iterations=result.iterations,
         converged=result.converged,
-        history=result.history,
         convergence=result.convergence,
     )

@@ -217,9 +217,13 @@ def batched_solve_benchmark(
 
     Synthesizes ``max(batch_sizes)`` noisy packets of one evaluation
     scene, then for each batch size times (a) the sequential numpy
-    reference — one pinned-iteration FISTA solve per packet — and (b)
-    one :func:`repro.optim.solve_batch` call, with identical per-problem
-    κ and iteration counts.
+    reference — one pinned-iteration
+    :func:`~repro.optim.reference.reference_lasso_fista` solve per
+    packet, the fixed yardstick — and (b) one
+    :func:`repro.optim.solve_batch` call, with identical per-problem κ
+    and iteration counts.  ``kernel_loop_seconds`` also times a loop of
+    the public ``B = 1`` :func:`repro.optim.solve_lasso_fista` solves,
+    i.e. the lockstep kernel one column at a time.
     Every row also records the max relative ℓ∞ deviation of the batched
     solutions from the sequential reference.
 
@@ -233,6 +237,7 @@ def batched_solve_benchmark(
     from repro.core.steering import vectorize_csi_matrix
     from repro.experiments.runner import evaluation_roarray_config
     from repro.optim import FLOAT64_PARITY_TOLERANCE, solve_batch, solve_lasso_fista
+    from repro.optim.reference import reference_lasso_fista
     from repro.optim.tuning import residual_kappa
 
     estimator = RoArrayEstimator(config=evaluation_roarray_config())
@@ -275,6 +280,15 @@ def batched_solve_benchmark(
 
         loop_seconds, loop_results = best_time(
             lambda: [
+                reference_lasso_fista(
+                    operator, y, k,
+                    max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
+                )
+                for y, k in zip(batch_ys, batch_kappas)
+            ]
+        )
+        kernel_loop_seconds, _ = best_time(
+            lambda: [
                 solve_lasso_fista(
                     operator, y, k,
                     max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
@@ -291,15 +305,16 @@ def batched_solve_benchmark(
 
         solutions = batched.to_numpy()
         deviation = 0.0
-        for index, result in enumerate(loop_results):
-            scale = max(1.0, float(np.abs(result.x).max()))
+        for index, reference in enumerate(loop_results):
+            scale = max(1.0, float(np.abs(reference).max()))
             deviation = max(
-                deviation, float(np.abs(solutions[index] - result.x).max()) / scale
+                deviation, float(np.abs(solutions[index] - reference).max()) / scale
             )
         rows.append(
             {
                 "batch_size": int(batch_size),
                 "loop_seconds": loop_seconds,
+                "kernel_loop_seconds": kernel_loop_seconds,
                 "batched_seconds": batched_seconds,
                 "speedup": loop_seconds / batched_seconds,
                 "max_relative_deviation": deviation,

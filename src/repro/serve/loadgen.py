@@ -323,7 +323,7 @@ def offline_reference(workload: Workload, *, config=None) -> list[PositionFix]:
 
     Replays the packets through a service configured with
     ``batch_size=1`` (a singleton :func:`~repro.optim.solve_batch` is
-    byte-identical to the sequential solver) and warm starts off, so
+    the sequential solver's own one-problem kernel call) and warm starts off, so
     every solve is exactly the offline pipeline's cold MMV solve.  The
     benchmark holds the streaming path's accuracy to this baseline.
     """

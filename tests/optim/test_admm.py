@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SolverError
+from repro.obs import ConvergenceTrace
 from repro.optim.admm import CachedAdmmFactors, solve_lasso_admm
 from repro.optim.fista import solve_lasso_fista
 
@@ -111,7 +112,8 @@ class TestValidation:
 
     def test_history_tracking(self, rng):
         a, y, *_ = make_sparse_system(rng)
-        result = solve_lasso_admm(a, y, kappa=0.1, max_iterations=50, tolerance=0.0,
-                                  track_history=True)
-        assert len(result.history) == 50
-        assert result.history[-1] <= result.history[0]
+        telemetry = ConvergenceTrace()
+        solve_lasso_admm(a, y, kappa=0.1, max_iterations=50, tolerance=0.0,
+                         telemetry=telemetry)
+        assert len(telemetry.objectives) == 50
+        assert telemetry.objectives[-1] <= telemetry.objectives[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SolverError
+from repro.obs import ConvergenceTrace
 from repro.optim.fista import lasso_objective, solve_lasso_fista
 
 
@@ -48,8 +49,9 @@ class TestRecovery:
 class TestConvergence:
     def test_objective_history_decreases_overall(self, rng):
         a, y, *_ = make_sparse_system(rng)
-        result = solve_lasso_fista(a, y, kappa=0.05, max_iterations=300, track_history=True)
-        history = np.array(result.history)
+        telemetry = ConvergenceTrace()
+        solve_lasso_fista(a, y, kappa=0.05, max_iterations=300, telemetry=telemetry)
+        history = np.array(telemetry.objectives)
         assert history[-1] <= history[0]
         # FISTA is not strictly monotone, but the tail must be below the head.
         assert history[-1] <= history[len(history) // 2] + 1e-9

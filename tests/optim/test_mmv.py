@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SolverError
+from repro.obs import ConvergenceTrace
 from repro.optim.mmv import mmv_objective, solve_mmv_fista
 
 from tests.optim.test_fista import make_sparse_system
@@ -67,10 +68,11 @@ class TestObjective:
 
     def test_history_tracking(self, rng):
         a, y, *_ = make_mmv_system(rng)
-        result = solve_mmv_fista(a, y, kappa=0.1, max_iterations=40, tolerance=0.0,
-                                 track_history=True)
-        assert len(result.history) == 40
-        assert result.history[-1] <= result.history[0]
+        telemetry = ConvergenceTrace()
+        solve_mmv_fista(a, y, kappa=0.1, max_iterations=40, tolerance=0.0,
+                        telemetry=telemetry)
+        assert len(telemetry.objectives) == 40
+        assert telemetry.objectives[-1] <= telemetry.objectives[0]
 
 
 class TestValidation:

@@ -2,15 +2,18 @@
 
 The contract under test (see ``repro/optim/batch.py``):
 
-* a singleton batch is **byte-identical** to the sequential solver;
-* any larger batch matches the per-problem sequential loop within the
+* the sequential solvers are ``B = 1`` calls of the lockstep kernels,
+  so a singleton batch is **byte-identical** to the sequential solver;
+* any larger batch matches the per-problem ``B = 1`` solves within the
   parity budget (1e-12 relative), for every method, at batch sizes that
   cross the internal column-block boundary;
-* κ derivation, warm starts, and the parity gate behave exactly like
-  their sequential counterparts;
-* malformed batches fail loudly, never silently truncate;
+* κ derivation and warm starts behave exactly like their sequential
+  counterparts;
+* malformed batches (and iteration caps below 1) fail loudly, never
+  silently truncate;
 * the fused in-place prox/momentum kernels equal their plain
-  definitions.
+  definitions, and the FISTA kernel matches the plain sequential
+  reference loop of ``repro/optim/reference.py``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from repro.optim import (
     solve_omp,
 )
 from repro.optim.admm import CachedAdmmFactors
-from repro.optim.batch import _momentum_combine, _prox_gradient_step
+from repro.optim.fista import _momentum_combine, _prox_gradient_step
 from repro.optim.linalg import soft_threshold
+from repro.optim.reference import reference_lasso_fista
 from repro.optim.tuning import mmv_residual_kappa, residual_kappa
 
 from tests.optim.test_fista import make_sparse_system
@@ -49,7 +53,7 @@ def make_batch(rng, n_problems, m=40, n=160, noise=0.05):
 
 
 class TestSingletonByteIdentity:
-    """B == 1 delegates to the sequential solver outright."""
+    """B == 1 through solve_batch and the front door run one kernel."""
 
     def test_fista(self, rng):
         a, ys = make_batch(rng, 1)
@@ -187,28 +191,6 @@ class TestWarmStart:
             solve_batch(a, ys, method="omp", sparsity=2, x0=np.zeros((3, a.shape[1])))
 
 
-class TestParityGate:
-    def test_gate_passes_and_attaches_report(self, rng):
-        a, ys = make_batch(rng, 7)
-        batch = solve_batch(
-            a, ys, method="fista", kappa=0.1, max_iterations=200, parity_gate=True
-        )
-        assert batch.parity["passed"]
-        assert batch.parity["precision"] == "double"
-        assert batch.parity["n_problems"] == 7
-        assert batch.parity["max_relative_deviation"] <= batch.parity["tolerance"]
-
-    def test_gate_raises_on_forced_violation(self, rng):
-        # tolerance 0 cannot absorb the batched-GEMM rounding difference,
-        # so the gate must trip — proving it actually compares solutions.
-        a, ys = make_batch(rng, 7)
-        with pytest.raises(SolverError, match="parity gate failed"):
-            solve_batch(
-                a, ys, method="fista", kappa=0.1, max_iterations=200,
-                parity_gate=True, parity_tolerance=0.0,
-            )
-
-
 class TestValidation:
     def test_empty_batch(self, rng):
         a, _ = make_batch(rng, 1)
@@ -260,6 +242,27 @@ class TestValidation:
             solve_batch(a, ys, method="fista", kappa=0.1, backend="numpy")
         with pytest.raises(TypeError, match="dtype"):
             ServeConfig(dtype="complex64")
+
+    @pytest.mark.parametrize("n_problems", (1, 2))
+    @pytest.mark.parametrize("method", ("fista", "admm", "mmv", "omp"))
+    def test_iteration_cap_below_one_rejected(self, rng, method, n_problems):
+        """A zero cap must raise, never return an unconverged zero
+        iterate — through solve_batch and through the front doors."""
+        a, ys = make_batch(rng, n_problems)
+        if method == "mmv":
+            ys = [np.stack([y, y], axis=1) for y in ys]
+        cap = {"sparsity": 0} if method == "omp" else {"max_iterations": 0}
+        kappa = {} if method == "omp" else {"kappa": 0.1}
+        with pytest.raises(SolverError, match=">= 1"):
+            solve_batch(a, ys, method=method, **kappa, **cap)
+        solo = {
+            "fista": solve_lasso_fista,
+            "admm": solve_lasso_admm,
+            "mmv": solve_mmv_fista,
+            "omp": solve_omp,
+        }[method]
+        with pytest.raises(SolverError, match=">= 1"):
+            solo(a, ys[0], **kappa, **cap)
 
     def test_non_finite_measurements(self, rng):
         a, ys = make_batch(rng, 2)
@@ -322,6 +325,26 @@ class TestFusedKernels:
         expected_momentum = candidate + 0.75 * (candidate - previous)
         combined = _momentum_combine(candidate, previous.copy(), 0.75)
         np.testing.assert_allclose(combined, expected_momentum, atol=1e-13)
+
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_fista_kernel_matches_the_plain_reference_loop(self, rng, weighted):
+        """The fused lockstep FISTA, at B = 1 and inside a batch, follows
+        the textbook unfused iteration to the parity budget."""
+        a, ys = make_batch(rng, 5)
+        weights = 0.5 + rng.random(a.shape[1]) if weighted else None
+        batch = solve_batch(
+            a, ys, method="fista", kappa=0.1, max_iterations=300, penalty_weights=weights
+        )
+        for index, y in enumerate(ys):
+            reference = reference_lasso_fista(
+                a, y, 0.1, max_iterations=300, penalty_weights=weights
+            )
+            solo = solve_lasso_fista(
+                a, y, 0.1, max_iterations=300, penalty_weights=weights
+            )
+            scale = max(1.0, float(np.abs(reference).max()))
+            assert float(np.abs(solo.x - reference).max()) <= 1e-12 * scale
+            assert float(np.abs(batch.to_numpy()[index] - reference).max()) <= 1e-12 * scale
 
     def test_prox_gradient_step_with_zero_thresholds(self, rng):
         """κ = 0 columns take the non-shrinking path; result is the bare

@@ -1,10 +1,9 @@
 """Hypothesis-driven solver properties (ISSUE 1 satellite).
 
-Three cross-solver invariants that example-based tests cannot pin:
+Two cross-solver invariants that example-based tests cannot pin:
 
 * FISTA and ADMM solve the *same* convex program, so on well-conditioned
   instances (unique minimizer) they must agree — solutions and objectives.
-* Monotone FISTA (MFISTA) guarantees a non-increasing objective.
 * OMP recovers exactly-sparse noiseless signals exactly.
 
 Instances are built from hypothesis-drawn seeds rather than raw drawn
@@ -75,31 +74,6 @@ class TestFistaAdmmAgreement:
         f_at_fista = lasso_objective(matrix, rhs, fista.x, kappa)
         f_at_admm = lasso_objective(matrix, rhs, admm.x, kappa)
         assert abs(f_at_fista - f_at_admm) <= 1e-6 * max(1.0, f_at_fista)
-
-
-class TestMonotoneFista:
-    @given(seeds)
-    @settings(max_examples=20, deadline=None)
-    def test_objective_is_non_increasing(self, seed):
-        matrix, rhs = well_conditioned_system(seed)
-        kappa = 0.1 * float(np.abs(2.0 * matrix.conj().T @ rhs).max())
-        result = solve_lasso_fista(
-            matrix, rhs, kappa, max_iterations=200, monotone=True, track_history=True
-        )
-        history = np.array(result.history)
-        assert history.size > 0
-        assert np.all(np.diff(history) <= 1e-12 * max(1.0, history[0]))
-
-    @given(seeds)
-    @settings(max_examples=10, deadline=None)
-    def test_monotone_reaches_the_same_minimum(self, seed):
-        matrix, rhs = well_conditioned_system(seed)
-        kappa = 0.1 * float(np.abs(2.0 * matrix.conj().T @ rhs).max())
-        plain = solve_lasso_fista(matrix, rhs, kappa, max_iterations=4000, tolerance=1e-10)
-        mono = solve_lasso_fista(
-            matrix, rhs, kappa, max_iterations=4000, tolerance=1e-10, monotone=True
-        )
-        assert mono.objective == pytest.approx(plain.objective, rel=1e-6)
 
 
 class TestOmpExactRecovery:
