@@ -11,7 +11,7 @@ Scale knobs:
 
 ``REPRO_SMOKE=1``
     Fewer timing repeats and a reduced iteration pin — what CI's
-    ``nlos-smoke`` job runs.  The ratio assertion stays on: both paths
+    ``drills`` job runs.  The ratio assertion stays on: both paths
     run identical iteration counts on the same problem, so the ratio is
     robust even on a noisy shared runner.
 """

@@ -26,7 +26,9 @@ The subcommands cover the workflows a user has before writing code:
 ``roarray chaos``
     Inject a fault scenario (AP outages, antenna dropout, NaN-corrupted
     packets) into a multi-AP world and run it through the hardened
-    runtime; prints the clean-vs-degraded localization table.
+    runtime; prints the clean-vs-degraded localization table.  With
+    ``--scenario NAME`` it runs scored drills from the one catalogue
+    in :mod:`repro.faults.drills` instead and prints their scorecard.
 ``roarray resume <dir>``
     Finish an interrupted ``--checkpoint`` run: reads the directory's
     manifest, reports percent-complete per journal, and re-dispatches
@@ -571,91 +573,57 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_serve(args: argparse.Namespace) -> int:
-    """``roarray chaos --serve``: the service-level resilience drills."""
-    from repro.experiments.reporting.console import emit, emit_json
-    from repro.serve import ServeChaosOptions, run_serve_chaos
+def _chaos_drills(args: argparse.Namespace) -> int:
+    """``roarray chaos --scenario NAME``: the scored drills of :mod:`repro.faults.drills`.
 
-    options = ServeChaosOptions(seed=args.seed)
-    result = run_serve_chaos(options, scenarios=args.scenario or None)
-    scorecard = result.scorecard()
-    if args.scorecard:
-        from repro.runtime.checkpoint import atomic_write
-
-        atomic_write(args.scorecard, scorecard)
-    if args.json:
-        emit_json(scorecard)
-        return 0 if result.passed else 1
-    emit(
-        f"serve chaos: {result.n_passed}/{len(result.outcomes)} scenario(s) passed"
-        + (f" | scorecard: {args.scorecard}" if args.scorecard else "")
-    )
-    for outcome in result.outcomes:
-        verdict = "PASS" if outcome.passed else "FAIL"
-        highlights = ", ".join(
-            f"{key}={value}"
-            for key, value in outcome.details.items()
-            if isinstance(value, (int, float, str, bool))
-        )
-        emit(f"  [{verdict}] {outcome.name}: {highlights}")
-    return 0 if result.passed else 1
-
-
-def _chaos_nlos(args: argparse.Namespace) -> int:
-    """``roarray chaos --scenario nlos_*``: the measurement-corruption drills.
-
-    Exits 0 iff every requested drill passes its acceptance criteria
-    (detection AND bounded consensus error).  The drills run at their
-    pinned working point (high SNR band, 18° bias floor) — that working
-    point is part of the scored contract, so ``--band`` is not
-    forwarded here.
+    Exits 0 iff every named drill passes, 1 if any fails, and 2 for a
+    name outside the catalogue.  The drills run at their pinned working
+    points, which are part of the scored contract, so ``--band`` and the
+    offline-experiment flags are not forwarded.
     """
     from repro.experiments.reporting.console import emit, emit_json
-    from repro.faults.nlos import NLOS_SCENARIOS, run_nlos_suite
+    from repro.faults.drills import DRILLS, run_drills
 
-    unknown = sorted(set(args.scenario) - set(NLOS_SCENARIOS))
+    unknown = [name for name in args.scenario if name not in DRILLS]
     if unknown:
-        emit(
-            f"unknown NLOS scenario(s) {unknown}; available: {list(NLOS_SCENARIOS)}",
-            stream=sys.stderr,
-        )
+        emit(f"unknown drill(s) {unknown}; available: {list(DRILLS)}", stream=sys.stderr)
         return 2
-    tracer = _tracer_of(args)
-    suite = run_nlos_suite(
-        scenarios=tuple(args.scenario),
+    if args.checkpoint:
+        from repro.runtime import write_manifest
+
+        write_manifest(args.checkpoint, getattr(args, "argv", []))
+    scorecard = run_drills(
+        args.scenario,
         seed=args.seed,
         workers=args.workers,
-        tracer=tracer,
         checkpoint_dir=args.checkpoint,
+        tracer=_tracer_of(args),
     )
-    scorecard = suite.scorecard()
     if args.scorecard:
         from repro.runtime.checkpoint import atomic_write
 
         atomic_write(args.scorecard, scorecard)
     if args.json:
         emit_json(scorecard)
-        return 0 if suite.passed else 1
-    emit(
-        f"nlos drills: {suite.n_passed}/{len(suite.drills)} passed"
-        + (f" | scorecard: {args.scorecard}" if args.scorecard else "")
-    )
-    for drill in suite.drills:
-        verdict = "PASS" if drill.passed else "FAIL"
-        highlights = ", ".join(
-            f"{key}={value:.2f}" if isinstance(value, float) else f"{key}={value}"
-            for key, value in drill.criteria.items()
-            if isinstance(value, (int, float))
+    else:
+        emit(
+            f"drills: {scorecard['n_passed']}/{scorecard['n_scenarios']} passed"
+            + (f" | scorecard: {args.scorecard}" if args.scorecard else "")
         )
-        emit(f"  [{verdict}] {drill.name}: {highlights}")
-    return 0 if suite.passed else 1
+        for outcome in scorecard["scenarios"]:
+            verdict = "PASS" if outcome["passed"] else "FAIL"
+            highlights = ", ".join(
+                f"{key}={value:.2f}" if isinstance(value, float) else f"{key}={value}"
+                for key, value in outcome["details"].items()
+                if isinstance(value, (int, float, str))
+            )
+            emit(f"  [{verdict}] {outcome['name']}: {highlights}")
+    return 0 if scorecard["passed"] else 1
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    if args.serve:
-        return _chaos_serve(args)
     if args.scenario:
-        return _chaos_nlos(args)
+        return _chaos_drills(args)
     from repro.experiments.reporting.console import emit, emit_json
     from repro.experiments.reporting.markdown import format_degradation_table
     from repro.faults import (
@@ -1230,25 +1198,19 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(
         "--checkpoint", default=None, metavar="DIR",
-        help="journal both chaos batches to DIR; an interrupted run exits "
-        "with status 75 and `roarray resume DIR` finishes it",
-    )
-    chaos.add_argument(
-        "--serve", action="store_true",
-        help="run the service-level resilience drills (AP blackout, queue "
-        "storm, corrupted packets, mid-stream crash recovery) instead of "
-        "the offline fault-injection experiment",
+        help="journal the chaos (or NLOS drill) batches to DIR; an interrupted "
+        "run exits with status 75 and `roarray resume DIR` finishes it",
     )
     chaos.add_argument(
         "--scenario", action="append", metavar="NAME",
-        help="run only the named scenario (repeatable): with --serve the "
-        "service resilience drills; otherwise the NLOS measurement-corruption "
-        "drills (nlos_single_ap, nlos_majority, ghost_multipath), exiting 0 "
-        "iff every drill passes",
+        help="run the named scored drill instead of the offline experiment "
+        "(repeatable): baseline, ap_blackout, queue_storm, corrupted_packets, "
+        "mid_stream_crash, nlos_single_ap, nlos_majority, ghost_multipath; "
+        "exits 0 iff every drill passes",
     )
     chaos.add_argument(
         "--scorecard", default=None, metavar="PATH",
-        help="with --serve or --scenario: write the scorecard JSON to PATH",
+        help="with --scenario: write the scorecard JSON to PATH",
     )
     chaos.add_argument("--json", action="store_true", help="machine-readable output")
     chaos.set_defaults(handler=cmd_chaos)

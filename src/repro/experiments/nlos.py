@@ -10,8 +10,8 @@ band), so the sweep anchors at a clean baseline row instead of
 sweeping sub-floor biases that no detector could separate.
 
 ``format_sweep_table`` renders the markdown table EXPERIMENTS.md
-embeds; ``roarray``'s CI ``nlos-smoke`` job regenerates it at reduced
-scale to catch drift.
+embeds.  No CI job regenerates that table; ``tests/experiments/
+test_nlos_sweep.py`` pins the sweep's shape at reduced scale.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def run_nlos_sweep(
     config=None,
     tracer=NULL_TRACER,
     checkpoint_dir=None,
-    **drill_options,
 ) -> NlosSweepResult:
     """Sweep single-AP NLOS bias and collect blind/consensus medians.
 
@@ -103,9 +102,8 @@ def run_nlos_sweep(
                 config=config,
                 tracer=tracer,
                 checkpoint_dir=checkpoint_dir,
-                **drill_options,
             )
-            criteria = drill.criteria
+            criteria = drill.details
             if not result.points:
                 # Baseline: no corruption — blind and consensus both see
                 # honest measurements, so both sit at the clean median.

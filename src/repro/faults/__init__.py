@@ -1,6 +1,6 @@
 """Fault injection, CSI validation, and chaos experiments (``repro.faults``).
 
-The robustness substrate, in three layers:
+The robustness substrate, in four layers:
 
 * :mod:`~repro.faults.injectors` — deterministic, seeded fault
   injectors at the CSI-trace level (antenna dropout, subcarrier
@@ -13,6 +13,11 @@ The robustness substrate, in three layers:
   injectors into seeded chaos scenarios and run them end-to-end through
   the hardened batch runtime and degraded-mode localization
   (``roarray chaos``).
+* :mod:`~repro.faults.drills` — the one catalogue of scored drills
+  (service resilience, then NLOS consensus from
+  :mod:`~repro.faults.nlos`) behind ``roarray chaos --scenario NAME``.
+  It drives :mod:`repro.serve`, so import it by module path; this
+  package does not load it.
 """
 
 from repro.faults.chaos import (
@@ -23,13 +28,9 @@ from repro.faults.chaos import (
 )
 from repro.faults.nlos import (
     NLOS_SCENARIOS,
-    NlosDrillResult,
-    NlosSuiteResult,
-    NlosTrialOutcome,
     nlos_scenario,
     robust_ap_evidence,
     run_nlos_drill,
-    run_nlos_suite,
 )
 from repro.faults.injectors import (
     INJECTORS,
@@ -64,9 +65,6 @@ __all__ = [
     "DEFECT_KINDS",
     "INJECTORS",
     "NLOS_SCENARIOS",
-    "NlosDrillResult",
-    "NlosSuiteResult",
-    "NlosTrialOutcome",
     "AntennaDropout",
     "ApFault",
     "ApOutage",
@@ -93,6 +91,5 @@ __all__ = [
     "robust_ap_evidence",
     "run_chaos_experiment",
     "run_nlos_drill",
-    "run_nlos_suite",
     "sanitize_trace",
 ]

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.channel.impairments import ImpairmentModel
+from repro.channel.trace import CsiTrace
 from repro.core.config import RoArrayConfig
 from repro.core.localization import ApObservation, DegradedResult, DroppedAp, localize_robust
 from repro.exceptions import ConfigurationError, QuorumError
@@ -131,6 +132,93 @@ def hardened_roarray_config(
     return replace(base, guardrails=guardrails if guardrails is not None else GuardrailPolicy())
 
 
+@dataclass(frozen=True)
+class SeededWorld:
+    """A seeded fault run's clean world, its injections and clean analyses.
+
+    ``clean[i]`` and ``injections[i]`` are location ``i``'s per-AP traces
+    before and after its scenario; ``clean_analyses`` is the clean batch,
+    flattened location-major (``i * n_aps + ap``).
+    """
+
+    scenes: list
+    clean: list[list[CsiTrace]]
+    injections: list[InjectionResult]
+    estimator: object
+    clean_analyses: list
+
+
+def seeded_world(
+    scenarios: list[ChaosScenario],
+    *,
+    n_aps: int,
+    n_packets: int,
+    band: str,
+    seed: int,
+    workers: int,
+    config: RoArrayConfig,
+    tracer=NULL_TRACER,
+    checkpoint_dir=None,
+    journal: str,
+    metrics: MetricsRegistry | None = None,
+) -> SeededWorld:
+    """Synthesize one random scene per scenario, inject it, analyze it clean.
+
+    Location ``i`` gets a fresh classroom scene and per-AP SNR draws from
+    one ``seed``-keyed generator, then ``scenarios[i].apply(..., salt=i)``.
+    The clean traces go through the batch runtime (worker-count
+    independent), journaled to ``<journal>_clean.jsonl`` with ``:``
+    spelled ``_`` when ``checkpoint_dir`` is given.  Everything is a pure
+    function of ``seed`` and the scenarios.
+    """
+    from repro.core.pipeline import RoArrayEstimator
+    from repro.experiments.runner import _batch_analyses, _journal_policy, _scene_traces
+    from repro.experiments.scenarios import SNR_BANDS, build_random_scene
+
+    if band not in SNR_BANDS:
+        raise ConfigurationError(f"band must be one of {sorted(SNR_BANDS)}, got {band!r}")
+    snr_band = SNR_BANDS[band]
+    rng = np.random.default_rng(seed)
+    scenes, clean = [], []
+    with tracer.span("synthesis", n_locations=len(scenarios), n_aps=n_aps):
+        for location in range(len(scenarios)):
+            scene = build_random_scene(rng, n_aps=n_aps)
+            snrs = [snr_band.draw(rng) for _ in range(n_aps)]
+            scenes.append(scene)
+            clean.append(
+                _scene_traces(
+                    scene,
+                    snr_db_per_ap=snrs,
+                    n_packets=n_packets,
+                    impairments=ImpairmentModel(),
+                    rng=rng,
+                    boot_seed=seed * 20_000 + location * 100,
+                )
+            )
+    with tracer.span("injection", scenario=scenarios[0].name):
+        injections = [
+            scenario.apply(clean[location], salt=location)
+            for location, scenario in enumerate(scenarios)
+        ]
+    estimator = RoArrayEstimator(config=config)
+    clean_flat = [trace for traces in clean for trace in traces]
+    with tracer.span("clean_batch", n_jobs=len(clean_flat)):
+        clean_analyses = _batch_analyses(
+            estimator,
+            clean_flat,
+            workers=workers,
+            base_seed=seed,
+            tracer=tracer,
+            checkpoint=_journal_policy(
+                checkpoint_dir,
+                f"{journal.replace(':', '_')}_clean",
+                f"{journal}:clean",
+                metrics,
+            ),
+        )
+    return SeededWorld(scenes, clean, injections, estimator, clean_analyses)
+
+
 def run_chaos_experiment(
     scenario: ChaosScenario | None = None,
     *,
@@ -185,79 +273,45 @@ def run_chaos_experiment(
         :class:`ChaosResult` (injection and localization are cheap,
         deterministic recomputations).
     """
-    from repro.core.pipeline import RoArrayEstimator
-    from repro.experiments.runner import _batch_analyses, _journal_policy, _scene_traces
-    from repro.experiments.scenarios import SNR_BANDS, build_random_scene
+    from repro.experiments.runner import _journal_policy
+    from repro.runtime.batch import BatchEvaluator
 
     if n_locations < 1:
         raise ConfigurationError(f"n_locations must be >= 1, got {n_locations}")
-    if band not in SNR_BANDS:
-        raise ConfigurationError(f"band must be one of {sorted(SNR_BANDS)}, got {band!r}")
     scenario = scenario if scenario is not None else demo_scenario(n_aps, seed=seed)
     policy = policy if policy is not None else ExecutionPolicy(validate=True)
     config = config if config is not None else hardened_roarray_config()
     metrics = metrics if metrics is not None else MetricsRegistry()
-    snr_band = SNR_BANDS[band]
-    rng = np.random.default_rng(seed)
 
     with tracer.span(
         "experiment", name="chaos", scenario=scenario.name, n_locations=n_locations
     ):
-        # --- Synthesis: the clean world, identical for any worker count. ----
-        scenes = []
-        clean_per_location = []
-        with tracer.span("synthesis", n_locations=n_locations, n_aps=n_aps):
-            for location in range(n_locations):
-                scene = build_random_scene(rng, n_aps=n_aps)
-                snrs = [snr_band.draw(rng) for _ in range(n_aps)]
-                scenes.append(scene)
-                clean_per_location.append(
-                    _scene_traces(
-                        scene,
-                        snr_db_per_ap=snrs,
-                        n_packets=n_packets,
-                        impairments=ImpairmentModel(),
-                        rng=rng,
-                        boot_seed=seed * 20_000 + location * 100,
-                    )
-                )
-
-        # --- Injection: corrupt every location's world deterministically. ---
-        injections: list[InjectionResult] = []
-        with tracer.span("injection", scenario=scenario.name):
-            for location in range(n_locations):
-                injection = scenario.apply(clean_per_location[location], salt=location)
-                injections.append(injection)
-                metrics.counter("chaos.faults_injected").inc(len(injection.injected))
-                metrics.counter("chaos.aps_killed").inc(len(injection.dead))
-
-        estimator = RoArrayEstimator(config=config)
-
-        # --- Clean reference: the same scenes without faults. ---------------
-        with tracer.span("clean_batch"):
-            clean_flat = [t for traces in clean_per_location for t in traces]
-            clean_analyses = _batch_analyses(
-                estimator,
-                clean_flat,
-                workers=workers,
-                base_seed=seed,
-                tracer=tracer,
-                checkpoint=_journal_policy(
-                    checkpoint_dir, "chaos_clean", "chaos:clean", metrics
-                ),
-            )
+        world = seeded_world(
+            [scenario] * n_locations,
+            n_aps=n_aps,
+            n_packets=n_packets,
+            band=band,
+            seed=seed,
+            workers=workers,
+            config=config,
+            tracer=tracer,
+            checkpoint_dir=checkpoint_dir,
+            journal="chaos",
+            metrics=metrics,
+        )
+        for injection in world.injections:
+            metrics.counter("chaos.faults_injected").inc(len(injection.injected))
+            metrics.counter("chaos.aps_killed").inc(len(injection.dead))
 
         # --- Faulted batch through the hardened runtime. ---------------------
-        from repro.runtime.batch import BatchEvaluator
-
         keys: list[tuple[int, int]] = []  # flat index -> (location, ap)
         faulted_flat = []
-        for location, injection in enumerate(injections):
+        for location, injection in enumerate(world.injections):
             for ap in injection.surviving:
                 keys.append((location, ap))
                 faulted_flat.append(injection.traces[ap])
         evaluator = BatchEvaluator(
-            estimator, workers=workers, base_seed=seed, policy=policy, tracer=tracer
+            world.estimator, workers=workers, base_seed=seed, policy=policy, tracer=tracer
         )
         with tracer.span("faulted_batch", n_jobs=len(faulted_flat)):
             batch = evaluator.evaluate(
@@ -278,13 +332,13 @@ def run_chaos_experiment(
         outcome_by_key = {key: batch.outcomes[i] for i, key in enumerate(keys)}
         locations: list[LocationOutcome] = []
         for location in range(n_locations):
-            scene = scenes[location]
-            injection = injections[location]
+            scene = world.scenes[location]
+            injection = world.injections[location]
             clean_obs = [
                 ApObservation(
                     access_point=scene.access_points[ap],
-                    aoa_deg=clean_analyses[location * n_aps + ap].direct.aoa_deg,
-                    rssi_dbm=clean_per_location[location][ap].rssi_dbm,
+                    aoa_deg=world.clean_analyses[location * n_aps + ap].direct.aoa_deg,
+                    rssi_dbm=world.clean[location][ap].rssi_dbm,
                 )
                 for ap in range(n_aps)
             ]

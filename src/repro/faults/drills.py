@@ -1,10 +1,13 @@
-"""Service-level chaos: scripted failure drills with a scorecard.
+"""The drill catalogue: scripted failures, scored into one scorecard.
 
-:mod:`repro.faults` injects faults into *offline* experiment inputs;
-this module aims the same philosophy at the live service.  Each
-scenario scripts one production failure mode against a small
-deterministic workload and asserts the resilience machinery actually
-engaged:
+Every drill is a seeded function ``drill(seed=, workers=, checkpoint_dir=,
+tracer=) → DrillOutcome(name, passed, details)``; :data:`DRILLS` lists
+them in catalogue order and :func:`run_drills` runs any subset into the
+scorecard ``roarray chaos --scenario NAME`` prints and CI archives.
+
+The first five drills aim at the live service.  Each scripts one
+production failure mode against a small deterministic workload and
+asserts the resilience machinery actually engaged:
 
 * ``baseline`` — the clean path through the supervisor: snapshots
   written, every client fixed, zero restarts.
@@ -20,60 +23,53 @@ engaged:
   supervisor's restore-and-replay must deliver a fix journal
   *byte-identical* to an uninterrupted run (exactly-once recovery).
 
-:func:`run_serve_chaos` executes the scenarios and returns a
-:class:`ServeChaosResult` whose :meth:`~ServeChaosResult.scorecard` is
-the JSON artifact ``roarray chaos --serve`` emits and CI archives.
+Service drills always run in a fresh temporary directory and ignore
+``workers`` and ``checkpoint_dir``: a drill that restored an earlier
+run's snapshot would replay nothing and fail.  The last three drills
+(``nlos_single_ap``, ``nlos_majority``, ``ghost_multipath``) corrupt
+the measurements themselves; see :mod:`repro.faults.nlos`.  They
+journal their batches to ``checkpoint_dir`` and are worker-count
+independent.
 """
 
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.grids import AngleGrid, DelayGrid
 from repro.exceptions import ConfigurationError
-from repro.obs import MetricsRegistry
+from repro.faults.nlos import NLOS_SCENARIOS, run_nlos_drill
+from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.serve.loadgen import LoadGenerator, Workload
 from repro.serve.packets import REJECT_REASONS, CsiPacket
 from repro.serve.resilience import ServiceSupervisor, SnapshotPolicy
 from repro.serve.service import LocalizationService, ServeConfig
 
 #: Scorecard format version.
-SCORECARD_VERSION = 1
+SCORECARD_VERSION = 2
 
-#: Scenario registry order — also the execution order.
-SERVE_CHAOS_SCENARIOS = (
-    "baseline",
-    "ap_blackout",
-    "queue_storm",
-    "corrupted_packets",
-    "mid_stream_crash",
+#: The service drills' workload (before the seed): 3 clients, 3 APs.
+SERVE_WORKLOAD = dict(
+    n_clients=3,
+    duration_s=1.0,
+    sample_interval_s=0.5,
+    stationary_fraction=0.34,
+    n_aps=3,
+    band="high",
 )
+#: Supervisor snapshot cadence and restart budget of the service drills.
+SNAPSHOT_EVERY = 8
+MAX_RESTARTS = 4
 
 
 @dataclass(frozen=True)
-class ServeChaosOptions:
-    """Knobs of the drill: workload scale, seed, snapshot cadence."""
-
-    n_clients: int = 3
-    duration_s: float = 1.0
-    sample_interval_s: float = 0.5
-    n_aps: int = 3
-    band: str = "high"
-    seed: int = 7
-    snapshot_every: int = 8
-    max_restarts: int = 4
-    #: Working directory for snapshot/journal files; a temporary
-    #: directory is used (and cleaned up) when ``None``.
-    workdir: str | Path | None = None
-
-
-@dataclass(frozen=True)
-class ScenarioOutcome:
-    """One scenario's verdict plus the evidence behind it."""
+class DrillOutcome:
+    """One drill's verdict plus the evidence behind it."""
 
     name: str
     passed: bool
@@ -83,41 +79,8 @@ class ScenarioOutcome:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-@dataclass
-class ServeChaosResult:
-    """All scenario outcomes; renders the resilience scorecard."""
-
-    options: ServeChaosOptions
-    outcomes: list[ScenarioOutcome] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(outcome.passed for outcome in self.outcomes)
-
-    @property
-    def n_passed(self) -> int:
-        return sum(1 for outcome in self.outcomes if outcome.passed)
-
-    def scorecard(self) -> dict:
-        return {
-            "version": SCORECARD_VERSION,
-            "passed": self.passed,
-            "n_scenarios": len(self.outcomes),
-            "n_passed": self.n_passed,
-            "options": {
-                "n_clients": self.options.n_clients,
-                "duration_s": self.options.duration_s,
-                "n_aps": self.options.n_aps,
-                "band": self.options.band,
-                "seed": self.options.seed,
-                "snapshot_every": self.options.snapshot_every,
-            },
-            "scenarios": [outcome.to_dict() for outcome in self.outcomes],
-        }
-
-
 def _chaos_config(**overrides) -> ServeConfig:
-    """The drills' solver working point: small grids, tier-1 speed."""
+    """The service drills' solver working point: small grids, tier-1 speed."""
     defaults = dict(
         batch_size=4,
         max_delay_s=0.01,
@@ -132,18 +95,8 @@ def _chaos_config(**overrides) -> ServeConfig:
     return ServeConfig(**defaults)
 
 
-def _workload(options: ServeChaosOptions, **overrides) -> Workload:
-    params = dict(
-        n_clients=options.n_clients,
-        duration_s=options.duration_s,
-        sample_interval_s=options.sample_interval_s,
-        stationary_fraction=0.34,
-        n_aps=options.n_aps,
-        band=options.band,
-        seed=options.seed,
-    )
-    params.update(overrides)
-    return LoadGenerator(**params).generate()
+def _workload(seed: int, **overrides) -> Workload:
+    return LoadGenerator(**{**SERVE_WORKLOAD, "seed": seed, **overrides}).generate()
 
 
 def _factory(workload: Workload, config: ServeConfig):
@@ -162,16 +115,11 @@ def _factory(workload: Workload, config: ServeConfig):
 
 
 def _supervised_run(
-    workload: Workload,
-    config: ServeConfig,
-    workdir: Path,
-    options: ServeChaosOptions,
-    *,
-    fault_hook=None,
+    workload: Workload, config: ServeConfig, workdir: Path, *, fault_hook=None
 ):
-    policy = SnapshotPolicy(directory=workdir, every_packets=options.snapshot_every)
+    policy = SnapshotPolicy(directory=workdir, every_packets=SNAPSHOT_EVERY)
     with ServiceSupervisor(
-        _factory(workload, config), policy, max_restarts=options.max_restarts
+        _factory(workload, config), policy, max_restarts=MAX_RESTARTS
     ) as supervisor:
         result = supervisor.run(workload.packets, fault_hook=fault_hook)
         service = supervisor.service
@@ -188,13 +136,13 @@ def _reject_counts(service: LocalizationService) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios
+# Service drills: ``(seed, workdir) → DrillOutcome``
 # ---------------------------------------------------------------------------
 
 
-def _scenario_baseline(options: ServeChaosOptions, workdir: Path) -> ScenarioOutcome:
-    workload = _workload(options)
-    result, service, _ = _supervised_run(workload, _chaos_config(), workdir, options)
+def _baseline(seed: int, workdir: Path) -> DrillOutcome:
+    workload = _workload(seed)
+    result, service, _ = _supervised_run(workload, _chaos_config(), workdir)
     fixed = {fix.client for fix in result.fixes}
     details = {
         "n_packets": len(workload.packets),
@@ -209,20 +157,20 @@ def _scenario_baseline(options: ServeChaosOptions, workdir: Path) -> ScenarioOut
         and result.n_snapshots >= 1
         and result.n_restarts == 0
     )
-    return ScenarioOutcome("baseline", passed, details)
+    return DrillOutcome("baseline", passed, details)
 
 
-def _scenario_ap_blackout(options: ServeChaosOptions, workdir: Path) -> ScenarioOutcome:
+def _ap_blackout(seed: int, workdir: Path) -> DrillOutcome:
     # The blackout AP simply stops transmitting for the middle of the
     # stream; the service must keep fixing from the survivors and its
     # health monitor must notice the silence.
-    probe = _workload(options)
+    probe = _workload(seed)
     dark = probe.access_points[0].name
-    start = options.duration_s * 0.3
-    end = options.duration_s * 1.5
-    workload = _workload(options, outages={dark: (start, end)})
-    config = _chaos_config(outage_after_s=options.sample_interval_s)
-    result, service, _ = _supervised_run(workload, config, workdir, options)
+    start = SERVE_WORKLOAD["duration_s"] * 0.3
+    end = SERVE_WORKLOAD["duration_s"] * 1.5
+    workload = _workload(seed, outages={dark: (start, end)})
+    config = _chaos_config(outage_after_s=SERVE_WORKLOAD["sample_interval_s"])
+    result, service, _ = _supervised_run(workload, config, workdir)
     health = service.health.to_dict(service.latest_packet_time_s)
     details = {
         "dark_ap": dark,
@@ -238,14 +186,14 @@ def _scenario_ap_blackout(options: ServeChaosOptions, workdir: Path) -> Scenario
         and health[dark]["status"] == "outage"
         and result.n_restarts == 0
     )
-    return ScenarioOutcome("ap_blackout", passed, details)
+    return DrillOutcome("ap_blackout", passed, details)
 
 
-def _scenario_queue_storm(options: ServeChaosOptions, workdir: Path) -> ScenarioOutcome:
+def _queue_storm(seed: int, workdir: Path) -> DrillOutcome:
     # Admission outruns solving: a tiny pending bound and a storm of
     # submissions with no processing in between.  The ladder must
     # escalate and the overflow must become taxonomized rejects.
-    workload = _workload(options)
+    workload = _workload(seed)
     distinct_keys = len({(p.client, p.ap) for p in workload.packets})
     max_pending = max(2, distinct_keys - 1)
     config = _chaos_config(
@@ -277,17 +225,15 @@ def _scenario_queue_storm(options: ServeChaosOptions, workdir: Path) -> Scenario
         and all(reason in REJECT_REASONS for reason in reasons)
         and len(fixes) > 0
     )
-    return ScenarioOutcome("queue_storm", passed, details)
+    return DrillOutcome("queue_storm", passed, details)
 
 
-def _scenario_corrupted_packets(
-    options: ServeChaosOptions, workdir: Path
-) -> ScenarioOutcome:
+def _corrupted_packets(seed: int, workdir: Path) -> DrillOutcome:
     # One AP floods garbage: every one of its packets arrives NaN-
     # poisoned.  Validation must reject them all, the breaker must trip
     # so the flood stops being inspected at all, and the surviving APs
     # must keep the fix stream alive.
-    workload = _workload(options)
+    workload = _workload(seed)
     bad_ap = workload.access_points[0].name
     packets = []
     for packet in workload.packets:
@@ -303,7 +249,7 @@ def _scenario_corrupted_packets(
         packets.append(packet)
     config = _chaos_config(breaker_failure_threshold=3, breaker_open_for_s=60.0)
     workload = replace(workload, packets=packets)
-    result, service, _ = _supervised_run(workload, config, workdir, options)
+    result, service, _ = _supervised_run(workload, config, workdir)
     counts = _reject_counts(service)
     trips = int(service.metrics.counter("serve.breaker.trips").value)
     details = {
@@ -321,23 +267,21 @@ def _scenario_corrupted_packets(
         and len(result.fixes) > 0
         and result.n_restarts == 0
     )
-    return ScenarioOutcome("corrupted_packets", passed, details)
+    return DrillOutcome("corrupted_packets", passed, details)
 
 
-def _scenario_mid_stream_crash(
-    options: ServeChaosOptions, workdir: Path
-) -> ScenarioOutcome:
+def _mid_stream_crash(seed: int, workdir: Path) -> DrillOutcome:
     # The exactly-once drill: crash the service twice mid-stream and
     # demand the recovered fix journal match an uninterrupted run's
     # journal byte for byte.
-    workload = _workload(options)
+    workload = _workload(seed)
     config = _chaos_config()
     steady_dir = workdir / "steady"
     crashy_dir = workdir / "crashy"
     steady_dir.mkdir(parents=True, exist_ok=True)
     crashy_dir.mkdir(parents=True, exist_ok=True)
 
-    steady, _, steady_policy = _supervised_run(workload, config, steady_dir, options)
+    steady, _, steady_policy = _supervised_run(workload, config, steady_dir)
 
     n = len(workload.packets)
     crash_points = {max(1, n // 3), max(2, (2 * n) // 3)}
@@ -349,7 +293,7 @@ def _scenario_mid_stream_crash(
             raise RuntimeError(f"chaos: injected crash before packet {index}")
 
     crashy, _, crashy_policy = _supervised_run(
-        workload, config, crashy_dir, options, fault_hook=crash_hook
+        workload, config, crashy_dir, fault_hook=crash_hook
     )
 
     steady_bytes = steady_policy.fixes_path.read_bytes()
@@ -368,43 +312,52 @@ def _scenario_mid_stream_crash(
         and len(steady_bytes) > 0
         and crashy.n_restarts == len(crash_points)
     )
-    return ScenarioOutcome("mid_stream_crash", passed, details)
+    return DrillOutcome("mid_stream_crash", passed, details)
 
 
-_SCENARIOS = {
-    "baseline": _scenario_baseline,
-    "ap_blackout": _scenario_ap_blackout,
-    "queue_storm": _scenario_queue_storm,
-    "corrupted_packets": _scenario_corrupted_packets,
-    "mid_stream_crash": _scenario_mid_stream_crash,
+def _in_fresh_dir(scenario):
+    """A service drill with the catalogue signature, in a new temp dir."""
+
+    def drill(*, seed, workers, checkpoint_dir, tracer) -> DrillOutcome:
+        with tempfile.TemporaryDirectory(prefix="serve-drill-") as tmp:
+            return scenario(seed, Path(tmp))
+
+    return drill
+
+
+#: The catalogue, in order: five service drills, then three NLOS drills.
+DRILLS = {
+    "baseline": _in_fresh_dir(_baseline),
+    "ap_blackout": _in_fresh_dir(_ap_blackout),
+    "queue_storm": _in_fresh_dir(_queue_storm),
+    "corrupted_packets": _in_fresh_dir(_corrupted_packets),
+    "mid_stream_crash": _in_fresh_dir(_mid_stream_crash),
+    **{name: partial(run_nlos_drill, name) for name in NLOS_SCENARIOS},
 }
 
 
-def run_serve_chaos(
-    options: ServeChaosOptions | None = None,
+def run_drills(
+    names=None,
     *,
-    scenarios: list[str] | None = None,
-) -> ServeChaosResult:
-    """Run the service chaos drills and collect the scorecard."""
-    options = options if options is not None else ServeChaosOptions()
-    names = list(scenarios) if scenarios is not None else list(SERVE_CHAOS_SCENARIOS)
-    unknown = sorted(set(names) - set(_SCENARIOS))
+    seed: int = 0,
+    workers: int = 0,
+    checkpoint_dir=None,
+    tracer=NULL_TRACER,
+) -> dict:
+    """Run the named drills (default: the whole catalogue) into a scorecard."""
+    names = list(DRILLS) if names is None else list(names)
+    unknown = [name for name in names if name not in DRILLS]
     if unknown:
-        raise ConfigurationError(
-            f"unknown serve chaos scenario(s) {unknown}; "
-            f"available: {list(SERVE_CHAOS_SCENARIOS)}"
-        )
-    result = ServeChaosResult(options=options)
-
-    def execute(base: Path) -> None:
-        for name in names:
-            scenario_dir = base / name
-            scenario_dir.mkdir(parents=True, exist_ok=True)
-            result.outcomes.append(_SCENARIOS[name](options, scenario_dir))
-
-    if options.workdir is not None:
-        execute(Path(options.workdir))
-    else:
-        with tempfile.TemporaryDirectory(prefix="serve-chaos-") as tmp:
-            execute(Path(tmp))
-    return result
+        raise ConfigurationError(f"unknown drill(s) {unknown}; available: {list(DRILLS)}")
+    outcomes = [
+        DRILLS[name](seed=seed, workers=workers, checkpoint_dir=checkpoint_dir, tracer=tracer)
+        for name in names
+    ]
+    return {
+        "version": SCORECARD_VERSION,
+        "passed": all(outcome.passed for outcome in outcomes),
+        "n_scenarios": len(outcomes),
+        "n_passed": sum(outcome.passed for outcome in outcomes),
+        "seed": seed,
+        "scenarios": [outcome.to_dict() for outcome in outcomes],
+    }

@@ -17,7 +17,8 @@ for corruption evidence, and localize with
 *detection* (the corrupted AP's trust collapses) and *bounded error*
 (the consensus fix stays close to the clean-world fix).
 
-Drills:
+Drills (the last three entries of the :mod:`repro.faults.drills`
+catalogue):
 
 * ``nlos_single_ap`` — one of four APs reports an AoA biased by ≥ 15°;
   the victim rotates across trials.  Pass: the victim is flagged
@@ -39,11 +40,10 @@ byte-identical scorecard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.channel.impairments import ImpairmentModel
 from repro.channel.trace import CsiTrace
 from repro.core.config import RoArrayConfig
 from repro.core.localization import (
@@ -56,17 +56,25 @@ from repro.core.localization import (
 )
 from repro.core.steering import SteeringCache, vectorize_csi_matrix
 from repro.exceptions import ConfigurationError, QuorumError
+from repro.faults.chaos import hardened_roarray_config, seeded_world
 from repro.faults.injectors import GhostPath, NlosBias
 from repro.faults.scenario import ApFault, ChaosScenario
-from repro.obs import NULL_TRACER, MetricsRegistry
+from repro.obs import NULL_TRACER
 from repro.optim.robust import solve_robust_lasso
 from repro.optim.tuning import residual_kappa
 
-SCORECARD_VERSION = 1
+if TYPE_CHECKING:
+    from repro.faults.drills import DrillOutcome
 
 #: Drill names, in catalogue order (``roarray chaos --scenario`` accepts these).
 NLOS_SCENARIOS = ("nlos_single_ap", "nlos_majority", "ghost_multipath")
 
+#: The drills' pinned working point, part of the scored contract: four
+#: APs, four packets per trace, the high SNR band and a 10 cm fix grid.
+N_APS = 4
+N_PACKETS = 4
+BAND = "high"
+RESOLUTION_M = 0.1
 
 def robust_ap_evidence(
     cache: SteeringCache,
@@ -132,123 +140,39 @@ def nlos_scenario(
     return ChaosScenario(name=name, faults=faults, seed=seed)
 
 
-@dataclass(frozen=True)
-class NlosTrialOutcome:
-    """One trial's clean/blind/consensus comparison."""
-
-    trial: int
-    victims: tuple[str, ...]
-    clean_error_m: float
-    blind_error_m: float
-    consensus_error_m: float | None
-    detected: bool
-    false_flags: tuple[str, ...]
-    contaminated: bool
-    quorum_failure: str | None
-    trust: dict[str, float]
-    evidence: dict[str, dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "victims": list(self.victims),
-            "clean_error_m": self.clean_error_m,
-            "blind_error_m": self.blind_error_m,
-            "consensus_error_m": self.consensus_error_m,
-            "detected": self.detected,
-            "false_flags": list(self.false_flags),
-            "contaminated": self.contaminated,
-            "quorum_failure": self.quorum_failure,
-            "trust": dict(self.trust),
-            "evidence": dict(self.evidence),
-        }
-
-
-@dataclass
-class NlosDrillResult:
-    """One drill's verdict plus the evidence behind it."""
-
-    name: str
-    passed: bool
-    criteria: dict
-    trials: tuple[NlosTrialOutcome, ...]
-    seed: int
-    workers: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "criteria": self.criteria,
-            "seed": self.seed,
-            "workers": self.workers,
-            "trials": [trial.to_dict() for trial in self.trials],
-        }
-
-
-@dataclass
-class NlosSuiteResult:
-    """All drill results; renders the NLOS robustness scorecard."""
-
-    drills: list[NlosDrillResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(drill.passed for drill in self.drills)
-
-    @property
-    def n_passed(self) -> int:
-        return sum(1 for drill in self.drills if drill.passed)
-
-    def scorecard(self) -> dict:
-        return {
-            "version": SCORECARD_VERSION,
-            "passed": self.passed,
-            "n_scenarios": len(self.drills),
-            "n_passed": self.n_passed,
-            "scenarios": [drill.to_dict() for drill in self.drills],
-        }
-
-
-def _drill_victims(name: str, trial: int, n_aps: int) -> tuple[int, ...]:
+def _drill_victims(name: str, trial: int) -> tuple[int, ...]:
     """Which APs a trial corrupts; the victim set rotates with the trial."""
     if name == "nlos_majority":
-        honest = trial % n_aps
-        return tuple(ap for ap in range(n_aps) if ap != honest)
-    return (trial % n_aps,)
+        honest = trial % N_APS
+        return tuple(ap for ap in range(N_APS) if ap != honest)
+    return (trial % N_APS,)
 
 
 def run_nlos_drill(
     name: str,
     *,
     n_trials: int = 10,
-    n_aps: int = 4,
-    n_packets: int = 4,
     bias_deg: float = 18.0,
-    band: str = "high",
     seed: int = 0,
     workers: int = 0,
-    resolution_m: float = 0.1,
     config: RoArrayConfig | None = None,
     tracer=NULL_TRACER,
-    metrics: MetricsRegistry | None = None,
     checkpoint_dir=None,
-) -> NlosDrillResult:
-    """Run one NLOS drill end-to-end and score it.
+) -> DrillOutcome:
+    """Run one NLOS drill end-to-end and score it into a ``DrillOutcome``.
 
-    Mirrors :func:`repro.faults.chaos.run_chaos_experiment`'s
-    determinism contract: synthesis and injection are pure functions of
-    ``seed``; the clean and faulted analyses run through the batch
-    runtime (worker-count independent, checkpointable to
-    ``nlos_<name>_clean.jsonl`` / ``nlos_<name>_faulted.jsonl``); the
+    The outcome's ``details`` hold the pass criteria (medians, rates and
+    the named ``checks``) plus one record per trial under ``trials``.
+    The seeded world comes from :func:`repro.faults.chaos.seeded_world`,
+    the same synthesis/injection/clean-batch path the offline chaos
+    experiment uses; the faulted batch checkpoints to
+    ``nlos_<name>_faulted.jsonl`` next to its ``_clean`` journal.  The
     evidence probes and consensus localization are deterministic
-    post-processing.  A rerun at any worker count — or resumed from its
-    journals — yields a byte-identical result.
+    post-processing, so a rerun at any worker count — or resumed from
+    its journals — yields a byte-identical outcome.
     """
-    from repro.core.pipeline import RoArrayEstimator
-    from repro.experiments.runner import _batch_analyses, _journal_policy, _scene_traces
-    from repro.experiments.scenarios import SNR_BANDS, build_random_scene
-    from repro.faults.chaos import hardened_roarray_config
+    from repro.experiments.runner import _batch_analyses, _journal_policy
+    from repro.faults.drills import DrillOutcome
 
     if name not in NLOS_SCENARIOS:
         raise ConfigurationError(
@@ -256,114 +180,82 @@ def run_nlos_drill(
         )
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
-    if band not in SNR_BANDS:
-        raise ConfigurationError(f"band must be one of {sorted(SNR_BANDS)}, got {band!r}")
     if bias_deg < 15.0:
         raise ConfigurationError(
             f"bias_deg must be >= 15 (the drill's detectability floor), got {bias_deg}"
         )
     config = config if config is not None else hardened_roarray_config()
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    snr_band = SNR_BANDS[band]
-    rng = np.random.default_rng(seed)
 
     with tracer.span("experiment", name=f"nlos:{name}", n_trials=n_trials):
-        # --- Synthesis + injection: pure functions of the seed. -------------
-        scenes, clean_per_trial, injections = [], [], []
-        with tracer.span("synthesis", n_trials=n_trials, n_aps=n_aps):
-            for trial in range(n_trials):
-                scene = build_random_scene(rng, n_aps=n_aps)
-                snrs = [snr_band.draw(rng) for _ in range(n_aps)]
-                scenes.append(scene)
-                clean_per_trial.append(
-                    _scene_traces(
-                        scene,
-                        snr_db_per_ap=snrs,
-                        n_packets=n_packets,
-                        impairments=ImpairmentModel(),
-                        rng=rng,
-                        boot_seed=seed * 20_000 + trial * 100,
-                    )
-                )
-        with tracer.span("injection", scenario=name):
-            for trial in range(n_trials):
-                scenario = nlos_scenario(
+        world = seeded_world(
+            [
+                nlos_scenario(
                     name,
-                    n_aps=n_aps,
-                    victims=_drill_victims(name, trial, n_aps),
+                    n_aps=N_APS,
+                    victims=_drill_victims(name, trial),
                     bias_deg=bias_deg,
                     seed=seed,
                 )
-                injections.append(scenario.apply(clean_per_trial[trial], salt=trial))
-                metrics.counter("nlos.faults_injected").inc(
-                    len(injections[-1].injected)
-                )
-
-        # --- Analysis through the batch runtime (workers-parity safe). ------
-        estimator = RoArrayEstimator(config=config)
-        clean_flat = [t for traces in clean_per_trial for t in traces]
+                for trial in range(n_trials)
+            ],
+            n_aps=N_APS,
+            n_packets=N_PACKETS,
+            band=BAND,
+            seed=seed,
+            workers=workers,
+            config=config,
+            tracer=tracer,
+            checkpoint_dir=checkpoint_dir,
+            journal=f"nlos:{name}",
+        )
         faulted_flat = [
-            injection.traces[ap]
-            for injection in injections
-            for ap in range(n_aps)
+            injection.traces[ap] for injection in world.injections for ap in range(N_APS)
         ]
-        with tracer.span("clean_batch", n_jobs=len(clean_flat)):
-            clean_analyses = _batch_analyses(
-                estimator,
-                clean_flat,
-                workers=workers,
-                base_seed=seed,
-                tracer=tracer,
-                checkpoint=_journal_policy(
-                    checkpoint_dir, f"nlos_{name}_clean", f"nlos:{name}:clean", metrics
-                ),
-            )
         with tracer.span("faulted_batch", n_jobs=len(faulted_flat)):
             faulted_analyses = _batch_analyses(
-                estimator,
+                world.estimator,
                 faulted_flat,
                 workers=workers,
                 base_seed=seed,
                 tracer=tracer,
                 checkpoint=_journal_policy(
-                    checkpoint_dir, f"nlos_{name}_faulted", f"nlos:{name}:faulted", metrics
+                    checkpoint_dir, f"nlos_{name}_faulted", f"nlos:{name}:faulted"
                 ),
             )
 
         # --- Evidence probes + consensus localization per trial. -------------
-        trials: list[NlosTrialOutcome] = []
+        trials = []
         for trial in range(n_trials):
-            scene = scenes[trial]
-            injection = injections[trial]
-            victim_names = tuple(
-                scene.access_points[ap].name
-                for ap in _drill_victims(name, trial, n_aps)
-            )
+            scene = world.scenes[trial]
+            injection = world.injections[trial]
+            victim_names = [
+                scene.access_points[ap].name for ap in _drill_victims(name, trial)
+            ]
             clean_obs = [
                 ApObservation(
                     access_point=scene.access_points[ap],
-                    aoa_deg=clean_analyses[trial * n_aps + ap].direct.aoa_deg,
-                    rssi_dbm=clean_per_trial[trial][ap].rssi_dbm,
+                    aoa_deg=world.clean_analyses[trial * N_APS + ap].direct.aoa_deg,
+                    rssi_dbm=world.clean[trial][ap].rssi_dbm,
                 )
-                for ap in range(n_aps)
+                for ap in range(N_APS)
             ]
             faulted_obs = [
                 ApObservation(
                     access_point=scene.access_points[ap],
-                    aoa_deg=faulted_analyses[trial * n_aps + ap].direct.aoa_deg,
+                    aoa_deg=faulted_analyses[trial * N_APS + ap].direct.aoa_deg,
                     rssi_dbm=injection.traces[ap].rssi_dbm,
                 )
-                for ap in range(n_aps)
+                for ap in range(N_APS)
             ]
             evidence = {
                 scene.access_points[ap].name: robust_ap_evidence(
-                    estimator.cache, injection.traces[ap]
+                    world.estimator.cache, injection.traces[ap]
                 )
-                for ap in range(n_aps)
+                for ap in range(N_APS)
             }
 
-            clean_fix = localize_robust(clean_obs, scene.room, resolution_m=resolution_m)
-            blind_fix = localize_robust(faulted_obs, scene.room, resolution_m=resolution_m)
+            clean_fix = localize_robust(clean_obs, scene.room, resolution_m=RESOLUTION_M)
+            blind_fix = localize_robust(faulted_obs, scene.room, resolution_m=RESOLUTION_M)
 
             fix: ConsensusResult | None
             quorum_failure: str | None = None
@@ -372,66 +264,52 @@ def run_nlos_drill(
                     faulted_obs,
                     scene.room,
                     evidence=evidence,
-                    resolution_m=resolution_m,
+                    resolution_m=RESOLUTION_M,
                 )
             except QuorumError as error:
                 fix, quorum_failure = None, str(error)
 
             scores = {} if fix is None else {s.name: s for s in fix.trust_scores}
-            trust = {name: score.trust for name, score in scores.items()}
-            detected = fix is not None and all(
-                not scores[name].trusted for name in victim_names
-            )
-            false_flags = tuple(
-                s.name
-                for s in scores.values()
-                if not s.trusted and s.name not in victim_names
-            )
-            metrics.counter("nlos.trials").inc()
-            if detected:
-                metrics.counter("nlos.victims_flagged").inc()
             trials.append(
-                NlosTrialOutcome(
-                    trial=trial,
-                    victims=victim_names,
-                    clean_error_m=clean_fix.error_to(scene.client),
-                    blind_error_m=blind_fix.error_to(scene.client),
-                    consensus_error_m=(
+                {
+                    "trial": trial,
+                    "victims": victim_names,
+                    "clean_error_m": clean_fix.error_to(scene.client),
+                    "blind_error_m": blind_fix.error_to(scene.client),
+                    "consensus_error_m": (
                         None if fix is None else fix.error_to(scene.client)
                     ),
-                    detected=detected,
-                    false_flags=false_flags,
-                    contaminated=fix.contaminated if fix is not None else True,
-                    quorum_failure=quorum_failure,
-                    trust={k: float(v) for k, v in trust.items()},
-                    evidence={k: v.to_dict() for k, v in evidence.items()},
-                )
+                    "detected": fix is not None
+                    and all(not scores[victim].trusted for victim in victim_names),
+                    "false_flags": [
+                        s.name
+                        for s in scores.values()
+                        if not s.trusted and s.name not in victim_names
+                    ],
+                    "contaminated": fix.contaminated if fix is not None else True,
+                    "quorum_failure": quorum_failure,
+                    "trust": {k: float(s.trust) for k, s in scores.items()},
+                    "evidence": {k: v.to_dict() for k, v in evidence.items()},
+                }
             )
 
     passed, criteria = _score_drill(name, trials)
-    return NlosDrillResult(
-        name=name,
-        passed=passed,
-        criteria=criteria,
-        trials=tuple(trials),
-        seed=seed,
-        workers=workers,
-    )
+    return DrillOutcome(name, passed, {**criteria, "trials": trials})
 
 
-def _score_drill(name: str, trials: list[NlosTrialOutcome]) -> tuple[bool, dict]:
+def _score_drill(name: str, trials: list[dict]) -> tuple[bool, dict]:
     """The drill's pass criteria: detection AND bounded error."""
-    clean_median = float(np.median([t.clean_error_m for t in trials]))
+    clean_median = float(np.median([t["clean_error_m"] for t in trials]))
     consensus_errors = [
-        t.consensus_error_m for t in trials if t.consensus_error_m is not None
+        t["consensus_error_m"] for t in trials if t["consensus_error_m"] is not None
     ]
     consensus_median = (
         float(np.median(consensus_errors)) if consensus_errors else float("inf")
     )
-    blind_median = float(np.median([t.blind_error_m for t in trials]))
-    detection_rate = float(np.mean([t.detected for t in trials]))
-    contamination_rate = float(np.mean([t.contaminated for t in trials]))
-    false_flag_rate = float(np.mean([len(t.false_flags) > 0 for t in trials]))
+    blind_median = float(np.median([t["blind_error_m"] for t in trials]))
+    detection_rate = float(np.mean([t["detected"] for t in trials]))
+    contamination_rate = float(np.mean([t["contaminated"] for t in trials]))
+    false_flag_rate = float(np.mean([len(t["false_flags"]) > 0 for t in trials]))
 
     # An absolute floor keeps the ratio criterion meaningful when the
     # clean world localizes to within a grid cell or two.
@@ -462,36 +340,3 @@ def _score_drill(name: str, trials: list[NlosTrialOutcome]) -> tuple[bool, dict]
         "checks": checks,
     }
     return all(checks.values()), criteria
-
-
-def run_nlos_suite(
-    *,
-    scenarios=None,
-    n_trials: int = 10,
-    seed: int = 0,
-    workers: int = 0,
-    tracer=NULL_TRACER,
-    checkpoint_dir=None,
-    **drill_options,
-) -> NlosSuiteResult:
-    """Run the requested drills (default: all) into one scorecard."""
-    names = list(scenarios) if scenarios is not None else list(NLOS_SCENARIOS)
-    unknown = sorted(set(names) - set(NLOS_SCENARIOS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown NLOS scenario(s) {unknown}; available: {list(NLOS_SCENARIOS)}"
-        )
-    result = NlosSuiteResult()
-    for name in names:
-        result.drills.append(
-            run_nlos_drill(
-                name,
-                n_trials=n_trials,
-                seed=seed,
-                workers=workers,
-                tracer=tracer,
-                checkpoint_dir=checkpoint_dir,
-                **drill_options,
-            )
-        )
-    return result

@@ -17,12 +17,6 @@ them.
 from repro.serve.backpressure import BackpressureController, BackpressurePolicy
 from repro.serve.batcher import MicroBatch, MicroBatcher, SolveRequest
 from repro.serve.breaker import BREAKER_STATES, BreakerBoard, CircuitBreaker
-from repro.serve.chaos import (
-    SERVE_CHAOS_SCENARIOS,
-    ServeChaosOptions,
-    ServeChaosResult,
-    run_serve_chaos,
-)
 from repro.serve.health import HEALTH_FAILURE_KINDS, ApHealth, ApHealthMonitor
 from repro.serve.loadgen import (
     LoadGenerator,
@@ -61,9 +55,6 @@ __all__ = [
     "PositionFix",
     "REJECT_REASONS",
     "RejectedPacket",
-    "SERVE_CHAOS_SCENARIOS",
-    "ServeChaosOptions",
-    "ServeChaosResult",
     "ServeConfig",
     "ServeResult",
     "ServiceSupervisor",
@@ -71,7 +62,6 @@ __all__ = [
     "SolveRequest",
     "SupervisorResult",
     "Workload",
-    "run_serve_chaos",
     "median_fix_error_m",
     "offline_reference",
     "replay",

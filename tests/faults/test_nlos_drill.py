@@ -1,6 +1,6 @@
 """End-to-end NLOS drill harness tests.
 
-The full 10-trial drills run in CI's ``nlos-smoke`` job (and via
+The full 10-trial drills run in CI's ``drills`` job (and via
 ``roarray chaos --scenario nlos_*``); here we pin the harness contract
 on a reduced working point: validation, scorecard shape, and the same
 determinism guarantees the chaos runner makes — identical results at
@@ -16,21 +16,15 @@ import pytest
 from repro.core.config import RoArrayConfig
 from repro.core.grids import AngleGrid, DelayGrid
 from repro.exceptions import ConfigurationError
-from repro.faults.nlos import (
-    NLOS_SCENARIOS,
-    NlosSuiteResult,
-    nlos_scenario,
-    run_nlos_drill,
-)
+from repro.faults.drills import DrillOutcome
+from repro.faults.nlos import NLOS_SCENARIOS, nlos_scenario, run_nlos_drill
 
-pytestmark = pytest.mark.nlos
+pytestmark = pytest.mark.chaos
 
 
 def _kwargs() -> dict:
     return dict(
         n_trials=2,
-        n_aps=4,
-        n_packets=4,
         seed=5,
         config=RoArrayConfig(
             angle_grid=AngleGrid(n_points=61),
@@ -68,27 +62,28 @@ class TestDrillValidation:
 class TestDrillHarness:
     def test_drill_shape_and_scorecard(self):
         result = run_nlos_drill("nlos_single_ap", **_kwargs())
+        assert isinstance(result, DrillOutcome)
         assert result.name == "nlos_single_ap"
-        assert len(result.trials) == 2
-        for trial in result.trials:
-            assert len(trial.victims) == 1
-            assert set(trial.trust) <= set(trial.evidence)
-            assert trial.clean_error_m >= 0.0
-        suite = NlosSuiteResult(drills=[result])
-        scorecard = suite.scorecard()
-        assert scorecard["n_scenarios"] == 1
-        assert scorecard["scenarios"][0]["name"] == "nlos_single_ap"
-        json.dumps(scorecard)  # must be JSON-serializable as-is
+        trials = result.details["trials"]
+        assert len(trials) == 2
+        for trial in trials:
+            assert len(trial["victims"]) == 1
+            assert set(trial["trust"]) <= set(trial["evidence"])
+            assert trial["clean_error_m"] >= 0.0
+        assert result.passed == all(result.details["checks"].values())
+        entry = result.to_dict()
+        assert set(entry) == {"name", "passed", "details"}
+        json.dumps(entry)  # must be JSON-serializable as-is
 
     def test_majority_drill_rotates_honest_ap(self):
         result = run_nlos_drill("nlos_majority", **_kwargs())
-        for trial in result.trials:
-            assert len(trial.victims) == 3
+        for trial in result.details["trials"]:
+            assert len(trial["victims"]) == 3
 
     def test_workers_parity(self):
         serial = run_nlos_drill("ghost_multipath", **_kwargs(), workers=0)
         parallel = run_nlos_drill("ghost_multipath", **_kwargs(), workers=2)
-        assert serial.to_dict()["trials"] == parallel.to_dict()["trials"]
+        assert _drill_json(serial) == _drill_json(parallel)
 
     def test_checkpoint_resume_is_byte_identical(self, tmp_path):
         reference = run_nlos_drill("nlos_single_ap", **_kwargs())

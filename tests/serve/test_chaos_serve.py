@@ -1,73 +1,99 @@
-"""Service-level chaos drills and the resilience scorecard."""
+"""Service-level drills from the one catalogue, and the scorecard."""
 
 import json
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.serve import (
-    SERVE_CHAOS_SCENARIOS,
-    ServeChaosOptions,
-    run_serve_chaos,
-)
+from repro.faults.drills import DRILLS, SCORECARD_VERSION, run_drills
 
 pytestmark = pytest.mark.chaos
 
+SERVE_DRILLS = (
+    "baseline",
+    "ap_blackout",
+    "queue_storm",
+    "corrupted_packets",
+    "mid_stream_crash",
+)
+
 
 @pytest.fixture(scope="module")
-def drills(tmp_path_factory):
-    """One full pass over every scenario (the expensive part, run once)."""
-    options = ServeChaosOptions(workdir=tmp_path_factory.mktemp("serve-chaos"))
-    return run_serve_chaos(options)
+def scorecard():
+    """One full pass over every service drill (the expensive part, run once)."""
+    return run_drills(SERVE_DRILLS, seed=7)
+
+
+def _outcome(scorecard, name):
+    return {s["name"]: s for s in scorecard["scenarios"]}[name]
 
 
 class TestScenarios:
-    def test_every_scenario_passes(self, drills):
-        verdicts = {outcome.name: outcome.passed for outcome in drills.outcomes}
-        assert verdicts == {name: True for name in SERVE_CHAOS_SCENARIOS}
-        assert drills.passed and drills.n_passed == len(SERVE_CHAOS_SCENARIOS)
+    def test_every_scenario_passes(self, scorecard):
+        verdicts = {s["name"]: s["passed"] for s in scorecard["scenarios"]}
+        assert verdicts == {name: True for name in SERVE_DRILLS}
+        assert scorecard["passed"] and scorecard["n_passed"] == len(SERVE_DRILLS)
 
-    def test_blackout_detected_and_survived(self, drills):
-        outcome = {o.name: o for o in drills.outcomes}["ap_blackout"]
-        assert outcome.details["dark_ap_status"] == "outage"
-        assert outcome.details["n_fixes"] > 0
+    def test_blackout_detected_and_survived(self, scorecard):
+        details = _outcome(scorecard, "ap_blackout")["details"]
+        assert details["dark_ap_status"] == "outage"
+        assert details["n_fixes"] > 0
 
-    def test_storm_is_taxonomized_not_thrown(self, drills):
-        outcome = {o.name: o for o in drills.outcomes}["queue_storm"]
-        assert outcome.details["reject_counts"].get("queue_full", 0) > 0
-        assert outcome.details["backpressure_escalations"] >= 1
+    def test_storm_is_taxonomized_not_thrown(self, scorecard):
+        details = _outcome(scorecard, "queue_storm")["details"]
+        assert details["reject_counts"].get("queue_full", 0) > 0
+        assert details["backpressure_escalations"] >= 1
 
-    def test_breaker_trips_on_corruption(self, drills):
-        outcome = {o.name: o for o in drills.outcomes}["corrupted_packets"]
-        assert outcome.details["breaker_trips"] >= 1
-        assert outcome.details["breaker_state"] == "open"
+    def test_breaker_trips_on_corruption(self, scorecard):
+        details = _outcome(scorecard, "corrupted_packets")["details"]
+        assert details["breaker_trips"] >= 1
+        assert details["breaker_state"] == "open"
 
-    def test_crash_recovery_journals_identical(self, drills):
-        outcome = {o.name: o for o in drills.outcomes}["mid_stream_crash"]
-        assert outcome.details["journals_identical"]
-        assert outcome.details["n_restarts"] == len(outcome.details["crash_points"])
+    def test_crash_recovery_journals_identical(self, scorecard):
+        details = _outcome(scorecard, "mid_stream_crash")["details"]
+        assert details["journals_identical"]
+        assert details["n_restarts"] == len(details["crash_points"])
 
 
 class TestScorecard:
-    def test_scorecard_shape(self, drills):
-        scorecard = drills.scorecard()
-        assert scorecard["version"] == 1
+    def test_scorecard_shape(self, scorecard):
+        assert scorecard["version"] == SCORECARD_VERSION == 2
         assert scorecard["passed"] is True
-        assert scorecard["n_scenarios"] == len(SERVE_CHAOS_SCENARIOS)
-        assert [s["name"] for s in scorecard["scenarios"]] == list(
-            SERVE_CHAOS_SCENARIOS
-        )
+        assert scorecard["seed"] == 7
+        assert scorecard["n_scenarios"] == len(SERVE_DRILLS)
+        assert [s["name"] for s in scorecard["scenarios"]] == list(SERVE_DRILLS)
+        for entry in scorecard["scenarios"]:
+            assert set(entry) == {"name", "passed", "details"}
         # The scorecard is the CI artifact: it must be JSON-serializable.
         json.dumps(scorecard)
+
+    def test_catalogue_order(self):
+        assert list(DRILLS) == [
+            *SERVE_DRILLS,
+            "nlos_single_ap",
+            "nlos_majority",
+            "ghost_multipath",
+        ]
 
 
 class TestSelection:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError, match="power_cut"):
-            run_serve_chaos(scenarios=["power_cut"])
+            run_drills(["power_cut"])
 
-    def test_subset_runs_only_named(self, tmp_path):
-        options = ServeChaosOptions(workdir=tmp_path)
-        result = run_serve_chaos(options, scenarios=["queue_storm"])
-        assert [outcome.name for outcome in result.outcomes] == ["queue_storm"]
-        assert result.passed
+    def test_subset_runs_only_named(self):
+        result = run_drills(["queue_storm"])
+        assert [s["name"] for s in result["scenarios"]] == ["queue_storm"]
+        assert result["passed"]
+
+    def test_serve_drills_ignore_checkpoint_dir(self, tmp_path):
+        # A service drill never restores from (or writes to) a checkpoint
+        # directory: a rerun against the same directory replays nothing
+        # and delivers every fix again.
+        runs = [
+            run_drills(["baseline"], checkpoint_dir=tmp_path)["scenarios"][0]
+            for _ in range(2)
+        ]
+        assert all(run["passed"] for run in runs)
+        assert runs[1]["details"]["n_fixes"] == runs[0]["details"]["n_fixes"] > 0
+        assert list(tmp_path.iterdir()) == []

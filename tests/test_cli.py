@@ -216,3 +216,50 @@ class TestFigures:
         for key in FIGURES:
             assert key in output
         assert "fig6" in output
+
+
+class TestChaosDrills:
+    def test_passing_drill_exits_zero_and_writes_scorecard(self, tmp_path, capsys):
+        path = tmp_path / "scorecard.json"
+        code = main(["chaos", "--scenario", "queue_storm", "--scorecard", str(path)])
+        assert code == 0
+        assert "[PASS] queue_storm" in capsys.readouterr().out
+        scorecard = json.loads(path.read_text())
+        assert scorecard["passed"] is True
+        assert [s["name"] for s in scorecard["scenarios"]] == ["queue_storm"]
+
+    def test_json_prints_the_scorecard(self, tmp_path, capsys):
+        path = tmp_path / "scorecard.json"
+        argv = ["chaos", "--scenario", "queue_storm", "--scorecard", str(path), "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--scenario", "power_cut"],
+            ["chaos", "--scenario", "queue_storm", "--scenario", "nlos_everything"],
+        ],
+    )
+    def test_unknown_drill_exits_two_and_lists_the_catalogue(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "unknown drill" in captured.err
+        for name in ("baseline", "queue_storm", "nlos_single_ap", "ghost_multipath"):
+            assert name in captured.err
+
+    def test_serve_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos", "--serve"])
+
+    def test_checkpoint_writes_a_resumable_manifest(self, tmp_path, capsys):
+        from repro.runtime.checkpoint import read_manifest
+
+        argv = ["chaos", "--scenario", "queue_storm", "--checkpoint", str(tmp_path), "--json"]
+        assert main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert read_manifest(tmp_path) == argv
+        assert main(["resume", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out) == first
