@@ -62,7 +62,7 @@ def test_journal_append_overhead_within_two_percent(tmp_path):
             path=tmp_path / f"bench_{attempt}.jsonl", experiment="bench"
         )
         with CheckpointJournal(policy) as journal:
-            journal.open(experiment="bench", config_digest="bench", n_jobs=n)
+            journal.open(config_digest="bench", n_jobs=n)
             start = time.perf_counter()
             for index in range(n):
                 journal.append(job_key("bench", index, index), payload, index=index)

@@ -30,9 +30,10 @@ The subcommands cover the workflows a user has before writing code:
     ``--scenario NAME`` it runs scored drills from the one catalogue
     in :mod:`repro.faults.drills` instead and prints their scorecard.
 ``roarray resume <dir>``
-    Finish an interrupted ``--checkpoint`` run: reads the directory's
-    manifest, reports percent-complete per journal, and re-dispatches
-    the original command — journaled jobs replay, missing ones compute.
+    Finish an interrupted ``--checkpoint`` or ``serve --snapshot-dir``
+    run: reads the directory's manifest, reports percent-complete per
+    journal, and re-dispatches the original command — journaled work
+    replays, missing work computes.
 ``roarray loadgen``
     Generate a streaming workload — many mobile clients walking a
     classroom, one CSI packet per AP per trajectory sample — and save
@@ -789,13 +790,14 @@ def _serve_supervised(args: argparse.Namespace, workload, config, tracer) -> int
     that snapshots periodically and journals every delivered fix to
     ``<snapshot-dir>/fixes.jsonl``.  SIGTERM / SIGINT request a
     graceful stop — the in-flight step finishes, a final snapshot is
-    written and the process exits 75 (resumable); re-running the same
-    command resumes the stream and produces a byte-identical journal.
+    written and the process exits 75 (resumable); ``roarray resume
+    <snapshot-dir>`` (or re-running the same command) resumes the stream
+    and produces a byte-identical journal.
     """
     import signal
 
     from repro.experiments.reporting.console import emit, emit_json
-    from repro.runtime.checkpoint import EXIT_RESUMABLE
+    from repro.runtime.checkpoint import EXIT_RESUMABLE, write_manifest
     from repro.serve import LocalizationService, ServiceSupervisor, SnapshotPolicy
 
     stop_requested = False
@@ -820,6 +822,7 @@ def _serve_supervised(args: argparse.Namespace, workload, config, tracer) -> int
         every_packets=args.snapshot_every,
         max_duty=args.snapshot_duty,
     )
+    write_manifest(args.snapshot_dir, getattr(args, "argv", []))
     previous_term = signal.signal(signal.SIGTERM, _request_stop)
     previous_int = signal.signal(signal.SIGINT, _request_stop)
     try:
@@ -1216,9 +1219,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.set_defaults(handler=cmd_chaos)
 
     resume = subparsers.add_parser(
-        "resume", help="finish an interrupted --checkpoint run from its journals"
+        "resume", help="finish an interrupted --checkpoint/--snapshot-dir run"
     )
-    resume.add_argument("checkpoint", metavar="DIR", help="checkpoint directory")
+    resume.add_argument("checkpoint", metavar="DIR", help="checkpoint or snapshot directory")
     resume.add_argument(
         "--json", action="store_true",
         help="machine-readable progress to stderr (stdout stays with the "

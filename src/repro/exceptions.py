@@ -124,8 +124,8 @@ class ResumableInterrupt(ReproError):
     """A checkpointed batch was interrupted but can be resumed.
 
     Raised by :meth:`repro.runtime.BatchEvaluator.evaluate` after a
-    graceful SIGINT/SIGTERM drain: completed jobs are journaled and
-    flushed, in-flight futures cancelled, and rerunning the same
+    graceful SIGINT/SIGTERM drain: completed jobs are journaled (each
+    append is fsync'd), in-flight futures cancelled, and rerunning the same
     evaluation with the same checkpoint finishes the run.  Carries the
     drain state so callers (the ``roarray`` CLI exits with the distinct
     resumable status :data:`repro.runtime.checkpoint.EXIT_RESUMABLE`)

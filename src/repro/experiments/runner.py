@@ -670,9 +670,7 @@ def run_fusion_experiment(
         journal = CheckpointJournal(
             _journal_policy(checkpoint_dir, "fusion", "fusion")
         )
-        payloads = journal.open(
-            experiment="fusion", config_digest=digest, n_jobs=n_singles + 1
-        ).payloads
+        payloads = journal.open(config_digest=digest, n_jobs=n_singles + 1).payloads
 
     def _spectrum(index: int, packet: int | None) -> JointSpectrum:
         if journal is not None:

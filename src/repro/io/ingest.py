@@ -231,9 +231,7 @@ def ingest_sources(
                 metrics=metrics,
             )
         )
-        payloads = journal.open(
-            experiment="ingest", config_digest=digest, n_jobs=len(source_list)
-        ).payloads
+        payloads = journal.open(config_digest=digest, n_jobs=len(source_list)).payloads
 
     records: list[IngestRecord] = []
     n_replayed = 0

@@ -506,10 +506,11 @@ class BatchEvaluator:
         are *replayed* instead of recomputed, so a killed sweep resumes
         where it stopped and the final result is byte-identical to an
         uninterrupted run at any worker count.  While a checkpointed
-        batch runs, the first SIGINT/SIGTERM drains gracefully — the
-        journal is flushed and :class:`~repro.exceptions.ResumableInterrupt`
-        is raised; without a checkpoint the interrupt propagates as
-        usual (``KeyboardInterrupt``).
+        batch runs, the first SIGINT/SIGTERM drains gracefully — every
+        finished job is already durable in the journal — and
+        :class:`~repro.exceptions.ResumableInterrupt` is raised; without
+        a checkpoint the interrupt propagates as usual
+        (``KeyboardInterrupt``).
         """
         jobs = [
             EvalJob(index=index, trace=trace, seed=self.base_seed + index)
@@ -531,11 +532,7 @@ class BatchEvaluator:
                 for job in jobs
             }
             journal = CheckpointJournal(checkpoint)
-            state = journal.open(
-                experiment=checkpoint.experiment,
-                config_digest=digest,
-                n_jobs=len(jobs),
-            )
+            state = journal.open(config_digest=digest, n_jobs=len(jobs))
             for job in jobs:
                 record = state.payloads.get(keys[job.index])
                 if record is not None:
@@ -597,7 +594,6 @@ class BatchEvaluator:
             # No checkpoint — nothing was saved, so behave like a plain
             # interrupt and let the caller's cleanup run.
             raise KeyboardInterrupt
-        journal.flush()
         raise ResumableInterrupt(
             f"interrupted after {completed} of {total} jobs; completed work "
             f"is journaled in {journal.path} — rerun the same command to resume",

@@ -8,16 +8,20 @@ This module provides the storage layer:
   trace, benchmark result) reaches disk: tmp file in the destination
   directory, ``fsync``, then ``os.replace``.  A crash leaves either the
   old file or the new file, never a torn hybrid.
-* :class:`CheckpointJournal` — an append-only, fsync'd JSONL journal of
-  per-job outcomes.  The first record is a versioned header carrying the
-  experiment id, the config digest and the expected job count; every
-  subsequent record is one job outcome keyed by a content hash of
-  (config digest, job index, per-job seed, trace fingerprint).
-  Compaction rewrites the journal atomically (tmp-write + rename),
-  deduplicating records and dropping any torn tail.
+* :class:`JsonlLog` — the one journal format: an append-only, fsync'd
+  JSON-lines file with one torn-tail rule (below).  The checkpoint
+  journal and the serve ack journal (``fixes.jsonl``,
+  :mod:`repro.serve.resilience`) both write through it.
+* :class:`CheckpointJournal` — per-job outcomes on a :class:`JsonlLog`.
+  The first record is a versioned header carrying the experiment id,
+  the config digest and the expected job count; every subsequent record
+  is one job outcome keyed by a content hash of (config digest, job
+  index, per-job seed, trace fingerprint).  :meth:`~CheckpointJournal.finalize`
+  rewrites the finished journal atomically, one record per key.
 * :class:`CheckpointPolicy` — what callers hand to
-  :meth:`repro.runtime.BatchEvaluator.evaluate`: the journal path plus
-  the ``flush_every`` / ``compact_every`` durability knobs.
+  :meth:`repro.runtime.BatchEvaluator.evaluate`: the journal path, the
+  experiment label and an optional metrics registry.  Every append is
+  fsync'd; there is nothing to tune.
 * :func:`config_digest` / :func:`job_key` — stable content hashes.  The
   digest pins *what experiment this journal belongs to* (estimator
   spec, execution policy, base seed, job count); resuming against a
@@ -27,14 +31,17 @@ This module provides the storage layer:
   changed input reruns rather than wrongly replaying.
 * :func:`checkpoint_status` / manifest helpers — what ``roarray
   resume`` uses to report percent-complete and re-dispatch the original
-  command.
+  command.  ``checkpoint_status`` only reads; it never heals a journal.
 
-Torn-write recovery: a crash can leave a partial last line in the
-journal.  The loader skips any record that does not parse or lacks its
-required fields, counts it on the ``checkpoint.validation_warnings``
-metric (and emits a Python warning), and compacts the file so the next
-append starts on a clean boundary.  The skipped job is simply
-recomputed — never half-trusted.
+Torn-write recovery: a record is one JSON object on one
+``\\n``-terminated line.  Opening a log keeps the longest prefix of such
+lines and truncates whatever follows in place (a last line missing only
+its ``\\n`` gets it back).  This means an unparseable line in the
+*middle* of a checkpoint journal drops every record after it too; those
+jobs are recomputed, never half-trusted.  The checkpoint journal counts
+a torn tail, and every schema-invalid object inside the kept prefix, on
+the ``checkpoint.validation_warnings`` metric and emits a
+``RuntimeWarning``; invalid objects are skipped.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import CheckpointError
 
 #: Journal format version; bumped on incompatible record-layout changes.
 JOURNAL_VERSION = 1
@@ -132,6 +139,89 @@ def _fsync_directory(directory: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The JSONL log
+# ---------------------------------------------------------------------------
+
+
+def _scan_jsonl(path: Path) -> tuple[list[dict], int, int]:
+    """Apply the framing rule to a JSONL file without touching it.
+
+    Returns ``(records, kept, size)``: the records of the valid prefix,
+    its byte length (``size + 1`` when only the final ``\\n`` is
+    missing) and the file's byte length.
+    """
+    data = path.read_bytes() if path.exists() else b""
+    records: list[dict] = []
+    kept = 0
+    for line in data.split(b"\n"):
+        if line.strip():
+            try:
+                record = json.loads(line)
+            except ValueError:
+                break
+            if not isinstance(record, dict):
+                break
+            records.append(record)
+        elif kept + len(line) == len(data):
+            break  # an unterminated blank tail
+        kept += len(line) + 1
+    return records, kept, len(data)
+
+
+class JsonlLog:
+    """An append-only, fsync'd JSON-lines file: the one journal format.
+
+    The framing rule: a record is one JSON object on one
+    ``\\n``-terminated line, and blank lines are ignored.  The log is the
+    longest prefix of such lines; whatever follows — a write torn
+    mid-line, a line that does not parse, a line that is not an object —
+    is truncated in place and the file fsync'd, so the next append
+    starts on a record boundary.  A last line that is a complete object
+    missing only its ``\\n`` is kept and gets the ``\\n``.  The file is
+    never rewritten by rename.
+
+    Constructing it creates the file at once, reads the records and
+    heals it; :meth:`append` makes one write, one flush and one
+    ``fsync`` per call, so a batch of records is durable together.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        path = Path(path)
+        self._handle = open(path, "ab")
+        try:
+            #: The records found on disk, in file order.
+            self.records, kept, size = _scan_jsonl(path)
+            #: Torn bytes cut from the tail.
+            self.torn_bytes = max(size - kept, 0)
+            if kept != size:
+                self._handle.truncate(min(kept, size))
+                if kept > size:
+                    self._handle.write(b"\n")
+                self._handle.flush()
+                os.fsync(self._handle.fileno())
+        except BaseException:
+            self._handle.close()
+            raise
+
+    def append(self, records: Iterable[dict]) -> None:
+        """Write ``records`` with one flush and one ``fsync``."""
+        self._handle.write(
+            "".join(json.dumps(record) + "\n" for record in records).encode("utf-8")
+        )
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def close(self) -> None:
+        self._handle.close()
+
+    def __enter__(self) -> "JsonlLog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+# ---------------------------------------------------------------------------
 # Content hashing
 # ---------------------------------------------------------------------------
 
@@ -198,27 +288,18 @@ def job_key(config_digest_hex: str, index: int, seed: int, content_hash: str = "
 
 
 # ---------------------------------------------------------------------------
-# The journal
+# The checkpoint journal
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class CheckpointPolicy:
-    """Where and how eagerly a batch journals its outcomes.
+    """Where a batch journals its outcomes.
 
     Attributes
     ----------
     path:
         Journal file (JSONL).  Parent directories are created on demand.
-    flush_every:
-        ``fsync`` after this many appended records.  ``1`` (default)
-        makes every completed job durable immediately; larger values
-        amortize the fsync cost on fast jobs at the price of losing up
-        to ``flush_every - 1`` outcomes to a hard kill.
-    compact_every:
-        Rewrite the journal atomically after this many appends (``0``
-        disables periodic compaction; the journal is always compacted
-        once the batch completes).
     experiment:
         Human-readable label stored in the journal header (shown by
         ``roarray resume``); defaults to ``"batch"``.
@@ -228,18 +309,8 @@ class CheckpointPolicy:
     """
 
     path: str | Path
-    flush_every: int = 1
-    compact_every: int = 0
     experiment: str = "batch"
     metrics: object | None = None
-
-    def __post_init__(self) -> None:
-        if self.flush_every < 1:
-            raise ConfigurationError(f"flush_every must be >= 1, got {self.flush_every}")
-        if self.compact_every < 0:
-            raise ConfigurationError(
-                f"compact_every must be >= 0, got {self.compact_every}"
-            )
 
 
 @dataclass
@@ -248,7 +319,6 @@ class JournalState:
 
     header: dict
     payloads: dict[str, dict] = field(default_factory=dict)
-    n_torn: int = 0
 
     @property
     def n_recorded(self) -> int:
@@ -256,7 +326,7 @@ class JournalState:
 
 
 class CheckpointJournal:
-    """An append-only, fsync'd JSONL journal of per-job outcomes.
+    """Per-job outcomes on a :class:`JsonlLog`, keyed and versioned.
 
     Record layout (one JSON object per line)::
 
@@ -264,26 +334,23 @@ class CheckpointJournal:
          "config_digest": .., "n_jobs": ..}
         {"record": "job", "key": "<hex>", "index": 3, "payload": {...}}
 
-    The header is written and fsync'd at creation, before any job
+    The header is written atomically at creation, before any job
     record, so a journal either identifies its experiment or is treated
-    as empty.  Appends go through :meth:`append`; durability follows the
-    policy's ``flush_every``.  :meth:`compact` (and :meth:`finalize`)
-    rewrite the journal atomically, deduplicating by key (last record
-    wins) and dropping torn bytes.
+    as empty.  Every :meth:`append` is fsync'd before it returns.
+    :meth:`finalize` rewrites the journal atomically, one record per key
+    (last record wins), sorted by job index.
     """
 
     def __init__(self, policy: CheckpointPolicy):
         self.policy = policy
         self.path = Path(policy.path)
-        self._handle = None
-        self._since_flush = 0
-        self._since_compact = 0
+        self._log: JsonlLog | None = None
         self._records: dict[str, dict] = {}
         self._header: dict | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
-    def open(self, *, experiment: str, config_digest: str, n_jobs: int) -> JournalState:
+    def open(self, *, config_digest: str, n_jobs: int) -> JournalState:
         """Create the journal or load it for resumption.
 
         Returns the recovered :class:`JournalState` (empty for a fresh
@@ -291,58 +358,56 @@ class CheckpointJournal:
         when the existing header belongs to a different experiment
         configuration — a resumed run must never mix results.
         """
+        experiment = self.policy.experiment
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh_header = {
-            "record": "header",
-            "version": JOURNAL_VERSION,
-            "experiment": experiment,
-            "config_digest": config_digest,
-            "n_jobs": int(n_jobs),
-        }
-        loaded = None
-        if self.path.exists() and self.path.stat().st_size > 0:
-            loaded = _load_journal(self.path, metrics=self.policy.metrics)
-        if loaded is not None:
-            header = loaded.header
-            if header.get("version") != JOURNAL_VERSION:
-                raise CheckpointError(
-                    f"{self.path}: journal version {header.get('version')!r} "
-                    f"is not supported (expected {JOURNAL_VERSION})"
-                )
-            if header.get("config_digest") != config_digest:
-                raise CheckpointError(
-                    f"{self.path}: journal belongs to a different experiment "
-                    f"configuration (digest {header.get('config_digest')!r} != "
-                    f"{config_digest!r} for {experiment!r}); refusing to mix "
-                    "results — point the run at a fresh checkpoint or delete "
-                    "the stale journal"
-                )
-            state = loaded
-        else:
-            state = JournalState(header=fresh_header)
-        self._header = state.header
+        self._log = JsonlLog(self.path)
+        state = _load_journal(
+            self.path, self._log.records, self._log.torn_bytes, metrics=self.policy.metrics
+        )
+        fresh = state is None
+        if fresh:
+            state = JournalState(
+                header={
+                    "record": "header",
+                    "version": JOURNAL_VERSION,
+                    "experiment": experiment,
+                    "config_digest": config_digest,
+                    "n_jobs": int(n_jobs),
+                }
+            )
+        header = state.header
+        problem = None
+        if header.get("version") != JOURNAL_VERSION:
+            problem = (
+                f"journal version {header.get('version')!r} "
+                f"is not supported (expected {JOURNAL_VERSION})"
+            )
+        elif header.get("config_digest") != config_digest:
+            problem = (
+                "journal belongs to a different experiment "
+                f"configuration (digest {header.get('config_digest')!r} != "
+                f"{config_digest!r} for {experiment!r}); refusing to mix "
+                "results — point the run at a fresh checkpoint or delete "
+                "the stale journal"
+            )
+        if problem is not None:
+            self.close()
+            raise CheckpointError(f"{self.path}: {problem}")
+        self._header = header
         self._records = dict(state.payloads)
-        # Rewrite when the journal is new/headerless or has torn bytes,
-        # so the next append starts on a clean record boundary (a torn
-        # tail would otherwise corrupt the record appended after it).
-        if loaded is None or state.n_torn > 0:
+        if fresh:
+            # New or headerless: start over from a lone header.
             self._rewrite()
-        self._ensure_handle()
+            self._log = JsonlLog(self.path)
         counter = self._counter("checkpoint.records_replayed")
         if counter is not None:
             counter.inc(state.n_recorded)
         return state
 
-    def _ensure_handle(self) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            self._handle = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "CheckpointJournal":
         return self
@@ -353,54 +418,27 @@ class CheckpointJournal:
     # -- appends -----------------------------------------------------------
 
     def append(self, key: str, payload: dict, *, index: int | None = None) -> None:
-        """Journal one outcome; durability follows ``policy.flush_every``."""
-        self._ensure_handle()
+        """Journal one outcome; it is durable when this returns."""
         record = {"record": "job", "key": key, "index": index, "payload": payload}
-        self._handle.write(json.dumps(record) + "\n")
+        self._log.append([record])
         self._records[key] = record
-        self._since_flush += 1
-        self._since_compact += 1
         counter = self._counter("checkpoint.records_appended")
-        if counter is not None:
-            counter.inc()
-        if self._since_flush >= self.policy.flush_every:
-            self.flush()
-        if self.policy.compact_every and self._since_compact >= self.policy.compact_every:
-            self.compact()
-
-    def flush(self) -> None:
-        """Push appended records to durable storage (``fsync``)."""
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        self._since_flush = 0
-
-    def compact(self) -> None:
-        """Atomically rewrite the journal: header + one record per key."""
-        self._rewrite()
-        counter = self._counter("checkpoint.compactions")
         if counter is not None:
             counter.inc()
 
     def finalize(self) -> None:
-        """Flush, compact and close — the batch completed."""
-        self.flush()
+        """Rewrite the journal sorted and deduplicated, then close it."""
         self._rewrite()
-        self.close()
 
     def _rewrite(self) -> None:
-        was_open = self._handle is not None
         self.close()
-        lines = [json.dumps(self._header)]
-        for record in sorted(
+        records = sorted(
             self._records.values(),
             key=lambda r: (r.get("index") is None, r.get("index"), r.get("key")),
-        ):
-            lines.append(json.dumps(record))
-        atomic_write(self.path, "\n".join(lines) + "\n")
-        self._since_compact = 0
-        if was_open:
-            self._ensure_handle()
+        )
+        atomic_write(
+            self.path, "".join(json.dumps(r) + "\n" for r in [self._header, *records])
+        )
 
     def _counter(self, name: str):
         metrics = self.policy.metrics
@@ -409,43 +447,31 @@ class CheckpointJournal:
         return metrics.counter(name)
 
 
-def _load_journal(path: Path, *, metrics=None) -> JournalState | None:
-    """Parse a journal, skipping torn or malformed records.
+def _load_journal(
+    path: Path, records: list[dict], torn_bytes: int, *, metrics=None
+) -> JournalState | None:
+    """Header and job records from a log's records, without touching the file.
 
-    Returns ``None`` when the file has no usable header (a crash before
-    the header fsync) — the caller recreates the journal from scratch.
-    Every skipped record increments ``checkpoint.validation_warnings``
-    and emits a Python warning; the affected jobs are recomputed.
+    Returns ``None`` when there is no usable header (a crash before the
+    header landed) — the caller recreates the journal from scratch.
+    A torn tail and every schema-invalid record increment
+    ``checkpoint.validation_warnings`` and emit a Python warning; the
+    affected jobs are recomputed.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+    if not records or records[0].get("record") != "header":
+        if records or torn_bytes:
+            _warn_torn(path, "unreadable header — recreating the journal", metrics)
         return None
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict) or header.get("record") != "header":
-        _warn_torn(path, "unreadable header — recreating the journal", metrics)
-        return None
-    state = JournalState(header=header)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            state.n_torn += 1
-            _warn_torn(path, f"torn record at line {lineno} skipped", metrics)
-            continue
+    if torn_bytes:
+        _warn_torn(path, f"torn record of {torn_bytes} bytes at the tail dropped", metrics)
+    state = JournalState(header=records[0])
+    for number, record in enumerate(records[1:], start=1):
         if (
-            not isinstance(record, dict)
-            or record.get("record") != "job"
+            record.get("record") != "job"
             or not isinstance(record.get("key"), str)
             or not isinstance(record.get("payload"), dict)
         ):
-            state.n_torn += 1
-            _warn_torn(path, f"malformed record at line {lineno} skipped", metrics)
+            _warn_torn(path, f"malformed record {number} skipped", metrics)
             continue
         state.payloads[record["key"]] = record
     return state
@@ -483,13 +509,18 @@ class JournalStatus:
 
 
 def checkpoint_status(directory: str | Path) -> list[JournalStatus]:
-    """Scan a checkpoint directory's journals and report their progress."""
+    """Report the progress of a checkpoint directory's journals.
+
+    Read-only: a torn journal is reported as found and left for the
+    next run's :meth:`CheckpointJournal.open` to heal.
+    """
     directory = Path(directory)
     statuses = []
     for path in sorted(directory.glob("*.jsonl")):
+        records, kept, size = _scan_jsonl(path)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            state = _load_journal(path)
+            state = _load_journal(path, records, max(size - kept, 0))
         if state is None:
             continue
         statuses.append(
@@ -519,7 +550,8 @@ def read_manifest(directory: str | Path) -> list[str]:
     if not path.exists():
         raise CheckpointError(
             f"{path} not found — was this checkpoint created with "
-            "`roarray batch --checkpoint` / `roarray chaos --checkpoint`?"
+            "`roarray batch --checkpoint`, `roarray chaos --checkpoint` or "
+            "`roarray serve --snapshot-dir`?"
         )
     try:
         with open(path, "r", encoding="utf-8") as handle:

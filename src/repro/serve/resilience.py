@@ -12,9 +12,11 @@ things:
   micro-batch backlog), written atomically via
   :func:`~repro.runtime.checkpoint.atomic_write` together with the
   stream cursor ``n_consumed`` and the delivery cursor ``n_fixes``;
-* an **ack journal** (``fixes.jsonl``) — one fsync'd JSON line per fix
-  *as it is delivered*, so the supervisor always knows exactly which
-  fixes the downstream consumer has already seen.
+* an **ack journal** (``fixes.jsonl``) — one JSON line per fix, fsync'd
+  *before* it counts as delivered, so the supervisor always knows
+  exactly which fixes the downstream consumer has already seen.  It is
+  a :class:`~repro.runtime.checkpoint.JsonlLog`, the journal format the
+  batch checkpoints use, so both share one torn-tail rule.
 
 Recovery is replay with suppression: restore the latest snapshot,
 re-feed the packets after its ``n_consumed`` cursor, and swallow the
@@ -37,7 +39,6 @@ restores from disk and continues the stream where it died).
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.exceptions import ConfigurationError, ServiceError, SupervisorError
 from repro.obs import MetricsRegistry
-from repro.runtime.checkpoint import atomic_write
+from repro.runtime.checkpoint import JsonlLog, atomic_write
 from repro.serve.packets import CsiPacket, PositionFix
 from repro.serve.service import LocalizationService
 
@@ -156,9 +157,8 @@ def load_snapshot(path: str | Path) -> dict:
     """Read a snapshot payload; raises :class:`ServiceError` if unusable."""
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
+        payload = json.loads(path.read_bytes())
+    except (OSError, ValueError) as error:
         raise ServiceError(f"{path}: unreadable service snapshot ({error})") from error
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != SNAPSHOT_FILE_VERSION:
@@ -172,44 +172,14 @@ def load_snapshot(path: str | Path) -> dict:
 def count_journaled_fixes(path: str | Path) -> int:
     """Complete fix records in an ack journal, healing any torn tail.
 
-    A hard kill can leave a partial final line.  The count includes
-    only lines that parse as JSON objects; if trailing torn bytes
-    exist, the file is truncated back to the last complete record so
-    the next append starts on a clean boundary.  A fix whose line was
-    torn was *not* delivered (the write never completed), so it is
-    correctly regenerated on replay.
+    Opening the journal applies :class:`~repro.runtime.checkpoint.JsonlLog`'s
+    framing rule: a hard kill's partial final line is truncated so the
+    next append starts on a record boundary.  A fix whose line was torn
+    was *not* delivered (its fsync never returned), so it is correctly
+    regenerated on replay.  Creates an empty journal if none exists.
     """
-    path = Path(path)
-    if not path.exists():
-        return 0
-    with open(path, "rb") as handle:
-        data = handle.read()
-    count = 0
-    good_end = 0
-    cursor = 0
-    while True:
-        newline = data.find(b"\n", cursor)
-        if newline < 0:
-            break
-        line = data[cursor:newline]
-        cursor = newline + 1
-        if not line.strip():
-            good_end = cursor
-            continue
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            break
-        if not isinstance(record, dict):
-            break
-        count += 1
-        good_end = cursor
-    if good_end < len(data):
-        with open(path, "r+b") as handle:
-            handle.truncate(good_end)
-            handle.flush()
-            os.fsync(handle.fileno())
-    return count
+    with JsonlLog(path) as journal:
+        return len(journal.records)
 
 
 @dataclass
@@ -303,7 +273,7 @@ class ServiceSupervisor:
         #: snapshots (perf_counter basis).
         self._snapshot_allowed_at = 0.0
         self._resumed = False
-        self._fixes_handle = None
+        self._journal: JsonlLog | None = None
         self._boot()
 
     # -- lifecycle -----------------------------------------------------------
@@ -335,24 +305,17 @@ class ServiceSupervisor:
             # already journaled must be suppressed.
             self._suppress = self.n_delivered
             self._resumed = self._resumed or self.n_delivered > 0
-        self._reopen_journal()
+        self._journal = JsonlLog(self.policy.fixes_path)
 
     @property
     def resumed(self) -> bool:
         """True when this supervisor restored earlier on-disk state."""
         return self._resumed
 
-    def _reopen_journal(self) -> None:
-        if self._fixes_handle is not None:
-            self._fixes_handle.close()
-        self._fixes_handle = open(self.policy.fixes_path, "a", encoding="utf-8")
-
     def close(self) -> None:
-        if self._fixes_handle is not None:
-            self._fixes_handle.flush()
-            os.fsync(self._fixes_handle.fileno())
-            self._fixes_handle.close()
-            self._fixes_handle = None
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     def __enter__(self) -> "ServiceSupervisor":
         return self
@@ -459,11 +422,7 @@ class ServiceSupervisor:
         # crash mid-batch regenerates the whole batch (torn tail healed
         # by count_journaled_fixes) instead of double-delivering.
         started = time.perf_counter()
-        self._fixes_handle.write(
-            "".join(json.dumps(fix.to_dict()) + "\n" for fix in delivered)
-        )
-        self._fixes_handle.flush()
-        os.fsync(self._fixes_handle.fileno())
+        self._journal.append(fix.to_dict() for fix in delivered)
         self.journal_seconds += time.perf_counter() - started
         for fix in delivered:
             self.n_delivered += 1

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import CheckpointError
 from repro.obs import MetricsRegistry
 from repro.runtime.checkpoint import (
     EXIT_RESUMABLE,
     CheckpointJournal,
     CheckpointPolicy,
     JournalStatus,
+    JsonlLog,
     atomic_write,
     checkpoint_status,
     config_digest,
@@ -114,21 +117,22 @@ def _payload(index: int) -> dict:
 
 class TestJournal:
     def test_policy_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            CheckpointPolicy(path=tmp_path / "j.jsonl", flush_every=0)
-        with pytest.raises(ConfigurationError):
-            CheckpointPolicy(path=tmp_path / "j.jsonl", compact_every=-1)
+        # Every append is fsync'd: the policy has no durability knobs.
+        fields = [f.name for f in dataclasses.fields(CheckpointPolicy)]
+        assert fields == ["path", "experiment", "metrics"]
+        with pytest.raises(TypeError):
+            CheckpointPolicy(path=tmp_path / "j.jsonl", flush_every=1)
 
     def test_append_and_reload(self, tmp_path):
         policy = CheckpointPolicy(path=tmp_path / "j.jsonl")
         with CheckpointJournal(policy) as journal:
-            state = journal.open(experiment="t", config_digest="d", n_jobs=3)
+            state = journal.open(config_digest="d", n_jobs=3)
             assert state.n_recorded == 0
             journal.append(job_key("d", 0, 0), _payload(0), index=0)
             journal.append(job_key("d", 1, 1), _payload(1), index=1)
 
         with CheckpointJournal(policy) as journal:
-            state = journal.open(experiment="t", config_digest="d", n_jobs=3)
+            state = journal.open(config_digest="d", n_jobs=3)
         assert state.n_recorded == 2
         record = state.payloads[job_key("d", 0, 0)]
         assert JobOutcome.from_dict(record["payload"]).failure.error_type == "E"
@@ -136,10 +140,10 @@ class TestJournal:
     def test_digest_mismatch_refuses(self, tmp_path):
         policy = CheckpointPolicy(path=tmp_path / "j.jsonl")
         with CheckpointJournal(policy) as journal:
-            journal.open(experiment="t", config_digest="d", n_jobs=1)
+            journal.open(config_digest="d", n_jobs=1)
         with CheckpointJournal(policy) as journal:
             with pytest.raises(CheckpointError, match="different experiment"):
-                journal.open(experiment="t", config_digest="OTHER", n_jobs=1)
+                journal.open(config_digest="OTHER", n_jobs=1)
 
     def test_version_mismatch_refuses(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -152,13 +156,13 @@ class TestJournal:
         )
         with CheckpointJournal(CheckpointPolicy(path=path)) as journal:
             with pytest.raises(CheckpointError, match="version"):
-                journal.open(experiment="t", config_digest="d", n_jobs=1)
+                journal.open(config_digest="d", n_jobs=1)
 
     def test_torn_tail_skipped_and_counted(self, tmp_path):
         path = tmp_path / "j.jsonl"
         policy = CheckpointPolicy(path=path)
         with CheckpointJournal(policy) as journal:
-            journal.open(experiment="t", config_digest="d", n_jobs=3)
+            journal.open(config_digest="d", n_jobs=3)
             journal.append(job_key("d", 0, 0), _payload(0), index=0)
             journal.append(job_key("d", 1, 1), _payload(1), index=1)
         # Simulate a crash mid-append: truncate the last record mid-line.
@@ -169,10 +173,10 @@ class TestJournal:
         reopened = CheckpointPolicy(path=path, metrics=metrics)
         with CheckpointJournal(reopened) as journal:
             with pytest.warns(RuntimeWarning, match="torn record"):
-                state = journal.open(experiment="t", config_digest="d", n_jobs=3)
+                state = journal.open(config_digest="d", n_jobs=3)
         assert state.n_recorded == 1  # the torn record is dropped, not half-read
         assert metrics.to_dict()["checkpoint.validation_warnings"]["value"] == 1
-        # The reopen compacted the file: every line now parses cleanly.
+        # The reopen healed the file: every line now parses cleanly.
         for line in path.read_text().splitlines():
             json.loads(line)
 
@@ -181,7 +185,7 @@ class TestJournal:
         path.write_text('{"truncated...')
         with CheckpointJournal(CheckpointPolicy(path=path)) as journal:
             with pytest.warns(RuntimeWarning, match="unreadable header"):
-                state = journal.open(experiment="t", config_digest="d", n_jobs=2)
+                state = journal.open(config_digest="d", n_jobs=2)
         assert state.n_recorded == 0
         header = json.loads(path.read_text().splitlines()[0])
         assert header["record"] == "header"
@@ -192,22 +196,32 @@ class TestJournal:
         policy = CheckpointPolicy(path=path)
         key = job_key("d", 0, 0)
         with CheckpointJournal(policy) as journal:
-            journal.open(experiment="t", config_digest="d", n_jobs=1)
+            journal.open(config_digest="d", n_jobs=1)
             journal.append(key, _payload(0), index=0)
             journal.append(key, _payload(7), index=0)  # re-run of the same job
-            journal.compact()
+            journal.finalize()
         lines = path.read_text().splitlines()
         assert len(lines) == 2  # header + one deduped record
         assert json.loads(lines[1])["payload"]["index"] == 7
 
-    def test_periodic_compaction(self, tmp_path):
+    def test_newline_less_tail_survives_the_next_append(self, tmp_path):
+        # A crash that lands a record but not its newline must not glue
+        # the next append onto the same line.
         path = tmp_path / "j.jsonl"
-        policy = CheckpointPolicy(path=path, compact_every=2)
+        policy = CheckpointPolicy(path=path)
         with CheckpointJournal(policy) as journal:
-            journal.open(experiment="t", config_digest="d", n_jobs=4)
-            for index in range(4):
-                journal.append(job_key("d", index, index), _payload(index), index=index)
-        assert len(path.read_text().splitlines()) == 5  # header + 4, no dupes
+            journal.open(config_digest="d", n_jobs=3)
+            journal.append(job_key("d", 0, 0), _payload(0), index=0)
+            journal.append(job_key("d", 1, 1), _payload(1), index=1)
+        path.write_bytes(path.read_bytes()[:-1])
+        with CheckpointJournal(policy) as journal:
+            journal.open(config_digest="d", n_jobs=3)
+            journal.append(job_key("d", 2, 2), _payload(2), index=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with CheckpointJournal(policy) as journal:
+                state = journal.open(config_digest="d", n_jobs=3)
+        assert state.n_recorded == 3
 
     def test_outcome_round_trip_is_exact(self, small_estimator, workload):
         from repro.runtime.batch import BatchEvaluator
@@ -222,6 +236,36 @@ class TestJournal:
 
 
 # ---------------------------------------------------------------------------
+# The framing rule
+# ---------------------------------------------------------------------------
+
+A = b'{"n": 1}\n'
+B = b'{"n": 2}\n'
+
+
+@pytest.mark.parametrize(
+    "on_disk, kept, healed",
+    [
+        pytest.param(None, [], b"", id="missing-file"),
+        pytest.param(A + b"\n" + B, [1, 2], A + b"\n" + B, id="blank-line"),
+        pytest.param(A + B[:4], [1], A, id="torn-mid-line"),
+        pytest.param(A + B[:-1], [1, 2], A + B, id="missing-only-newline"),
+        pytest.param(A + b"[1, 2]\n" + B, [1], A, id="non-object-line"),
+    ],
+)
+def test_framing_rule(tmp_path, on_disk, kept, healed):
+    path = tmp_path / "log.jsonl"
+    if on_disk is not None:
+        path.write_bytes(on_disk)
+    with JsonlLog(path) as log:
+        assert [record["n"] for record in log.records] == kept
+    assert path.read_bytes() == healed
+    with JsonlLog(path) as log:
+        log.append([{"n": 3}])
+    assert path.read_bytes() == healed + b'{"n": 3}\n'
+
+
+# ---------------------------------------------------------------------------
 # Status + manifest
 # ---------------------------------------------------------------------------
 
@@ -230,7 +274,7 @@ class TestStatusAndManifest:
     def test_checkpoint_status(self, tmp_path):
         policy = CheckpointPolicy(path=tmp_path / "sweep.jsonl", experiment="sweep")
         with CheckpointJournal(policy) as journal:
-            journal.open(experiment="sweep", config_digest="d", n_jobs=4)
+            journal.open(config_digest="d", n_jobs=4)
             journal.append(job_key("d", 0, 0), _payload(0), index=0)
         statuses = checkpoint_status(tmp_path)
         assert len(statuses) == 1
@@ -239,6 +283,18 @@ class TestStatusAndManifest:
         assert status.n_recorded == 1 and status.n_jobs == 4
         assert status.percent_complete == pytest.approx(25.0)
         assert not status.complete
+
+    def test_checkpoint_status_never_heals(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        with CheckpointJournal(CheckpointPolicy(path=path)) as journal:
+            journal.open(config_digest="d", n_jobs=4)
+            journal.append(job_key("d", 0, 0), _payload(0), index=0)
+            journal.append(job_key("d", 1, 1), _payload(1), index=1)
+        torn = path.read_bytes()[:-25]
+        path.write_bytes(torn)
+        (status,) = checkpoint_status(tmp_path)
+        assert status.n_recorded == 1
+        assert path.read_bytes() == torn
 
     def test_status_percent_edge_cases(self):
         assert JournalStatus("p", "e", 0, 0).percent_complete == 0.0

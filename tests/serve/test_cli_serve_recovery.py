@@ -2,8 +2,9 @@
 
 The subprocess test runs the supervised serve CLI, sends SIGTERM once
 the first fixes are journaled, asserts the resumable exit status (75),
-re-runs the identical command, and demands the interrupted-then-resumed
-ack journal be byte-identical to an uninterrupted run's.
+finishes the run with ``roarray resume <snapshot-dir>``, and demands the
+interrupted-then-resumed ack journal be byte-identical to an
+uninterrupted run's.
 """
 
 import json
@@ -35,7 +36,7 @@ SERVE_FLAGS = [
 ]
 
 
-def _spawn(workload_path: Path, snapshot_dir: Path) -> subprocess.Popen:
+def _spawn(*cli_args: str) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src")]
@@ -45,14 +46,16 @@ def _spawn(workload_path: Path, snapshot_dir: Path) -> subprocess.Popen:
         sys.executable,
         "-c",
         "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
-        "serve",
-        str(workload_path),
-        "--snapshot-dir",
-        str(snapshot_dir),
-        *SERVE_FLAGS,
+        *cli_args,
     ]
     return subprocess.Popen(
         command, env=env, cwd=REPO_ROOT, stdout=subprocess.PIPE, text=True
+    )
+
+
+def _serve(workload_path: Path, snapshot_dir: Path) -> subprocess.Popen:
+    return _spawn(
+        "serve", str(workload_path), "--snapshot-dir", str(snapshot_dir), *SERVE_FLAGS
     )
 
 
@@ -83,7 +86,7 @@ def test_sigterm_exits_resumable_and_resume_is_byte_identical(tmp_path):
 
     # Uninterrupted reference run.
     steady_dir = tmp_path / "steady"
-    steady = _spawn(workload_path, steady_dir)
+    steady = _serve(workload_path, steady_dir)
     stdout, _ = steady.communicate(timeout=300)
     assert steady.returncode == 0, stdout
     reference = json.loads(stdout)
@@ -91,7 +94,7 @@ def test_sigterm_exits_resumable_and_resume_is_byte_identical(tmp_path):
 
     # Interrupted run: SIGTERM once the journal shows delivered fixes.
     crashy_dir = tmp_path / "crashy"
-    interrupted = _spawn(workload_path, crashy_dir)
+    interrupted = _serve(workload_path, crashy_dir)
     _wait_for_first_fix(crashy_dir / "fixes.jsonl")
     interrupted.send_signal(signal.SIGTERM)
     stdout, _ = interrupted.communicate(timeout=300)
@@ -101,8 +104,9 @@ def test_sigterm_exits_resumable_and_resume_is_byte_identical(tmp_path):
     assert partial["n_consumed"] < reference["n_consumed"]
     assert (crashy_dir / "service.json").exists()
 
-    # Re-running the identical command resumes and finishes the stream.
-    resumed = _spawn(workload_path, crashy_dir)
+    # `roarray resume` re-dispatches the recorded command and finishes
+    # the stream.
+    resumed = _spawn("resume", str(crashy_dir))
     stdout, _ = resumed.communicate(timeout=300)
     assert resumed.returncode == 0, stdout
     final = json.loads(stdout)
