@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.core.grids import AngleGrid, DelayGrid
 from repro.exceptions import ConfigurationError
-from repro.optim.guard import GuardrailPolicy
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,9 @@ class RoArrayConfig:
         order, so the batch runtime resets it per job to preserve
         worker-count-independent determinism; sequential sweeps opt in
         for the iteration savings.
-    guardrails:
-        Optional :class:`~repro.optim.guard.GuardrailPolicy`.  When set,
-        every sparse solve runs through
-        :func:`~repro.optim.guard.solve_guarded` — divergence detection
-        plus the FISTA→ADMM→OMP fallback chain — and any fallback usage
-        is surfaced on the estimator (see
-        :meth:`~repro.core.pipeline.RoArrayEstimator.drain_fallback_events`).
-        ``None`` (the default) calls the primary solvers directly; a
-        healthy guarded solve is byte-identical to an unguarded one, so
-        enabling guardrails never changes a clean result.
+
+    Every sparse solve the estimator makes is checked for divergence
+    (:func:`~repro.optim.result.check_divergence`) under any config.
     """
 
     angle_grid: AngleGrid = field(default_factory=lambda: AngleGrid(n_points=91))
@@ -70,7 +62,6 @@ class RoArrayConfig:
     peak_floor: float = 0.3
     refine_off_grid: bool = False
     warm_start: bool = False
-    guardrails: GuardrailPolicy | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.kappa_fraction < 1:

@@ -29,8 +29,7 @@ from repro.core.steering import SteeringCache, vectorize_csi_matrix
 from repro.exceptions import SolverError
 from repro.obs import NULL_TRACER, ConvergenceTrace
 from repro.optim import solve_mmv_fista
-from repro.optim.guard import GuardrailPolicy, solve_guarded
-from repro.optim.result import SolverResult
+from repro.optim.result import SolverResult, check_divergence
 from repro.optim.tuning import mmv_residual_kappa
 from repro.spectral.spectrum import JointSpectrum
 
@@ -128,7 +127,6 @@ def fuse_packets(
     x0: np.ndarray | None = None,
     tracer=NULL_TRACER,
     telemetry: ConvergenceTrace | None = None,
-    guard: GuardrailPolicy | None = None,
 ) -> tuple[JointSpectrum, SolverResult]:
     """Coherent multi-packet joint (AoA, ToA) spectrum (paper Fig. 4c).
 
@@ -151,13 +149,6 @@ def fuse_packets(
         delay alignment, SVD reduction and ℓ2,1 solve each get a span,
         and the solve records a per-iteration
         :class:`~repro.obs.ConvergenceTrace` when tracing is enabled.
-    guard:
-        Optional :class:`~repro.optim.guard.GuardrailPolicy`; the ℓ2,1
-        solve then runs through
-        :func:`~repro.optim.guard.solve_guarded` with the policy's MMV
-        chain (single-measurement fallbacks see the principal singular
-        column).  A healthy solve is byte-identical to the unguarded
-        path.
 
     Returns
     -------
@@ -165,6 +156,12 @@ def fuse_packets(
         The fused spectrum on the cache's grids.  Its ToA axis carries
         the first packet's (unknown, common) detection delay — harmless
         for direct-path identification, which only ranks delays.
+
+    Raises
+    ------
+    SolverDivergenceError
+        When the ℓ2,1 solve's objective is non-finite or worse than the
+        zero solution's (:func:`~repro.optim.result.check_divergence`).
     """
     csi = np.asarray(csi, dtype=complex)
     if csi.ndim == 2:
@@ -195,33 +192,19 @@ def fuse_packets(
     if telemetry is None and tracer.enabled:
         telemetry = ConvergenceTrace(solver="mmv_fista")
     with tracer.span("solver", solver="mmv_fista", stage="fusion") as span:
-        if guard is not None:
-            result = solve_guarded(
-                dictionary,
-                snapshots,
-                kappa=kappa,
-                kappa_fraction=kappa_fraction,
-                policy=guard,
-                max_iterations=max_iterations,
-                lipschitz=cache.joint_lipschitz,
-                x0=x0,
-                telemetry=telemetry,
-            )
-            if result.solver != guard.mmv_chain[0] or result.fallbacks:
-                span.annotate(solver=result.solver, fallbacks=list(result.fallbacks))
-        else:
-            result = solve_mmv_fista(
-                dictionary,
-                snapshots,
-                kappa,
-                max_iterations=max_iterations,
-                lipschitz=cache.joint_lipschitz,
-                x0=x0,
-                telemetry=telemetry,
-            )
+        result = solve_mmv_fista(
+            dictionary,
+            snapshots,
+            kappa,
+            max_iterations=max_iterations,
+            lipschitz=cache.joint_lipschitz,
+            x0=x0,
+            telemetry=telemetry,
+        )
         span.annotate(iterations=result.iterations, converged=result.converged)
         if telemetry is not None:
             span.annotate(convergence=telemetry.to_dict())
+        check_divergence(result, snapshots)
 
     power = coefficients_to_joint_power(
         result.x, cache.angle_grid.n_points, cache.delay_grid.n_points

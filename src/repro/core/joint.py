@@ -19,8 +19,7 @@ from repro.core.steering import SteeringCache, vectorize_csi_matrix
 from repro.exceptions import SolverError
 from repro.obs import NULL_TRACER, ConvergenceTrace
 from repro.optim import solve_lasso_fista
-from repro.optim.guard import GuardrailPolicy, solve_guarded
-from repro.optim.result import SolverResult
+from repro.optim.result import SolverResult, check_divergence
 from repro.optim.tuning import residual_kappa
 from repro.spectral.spectrum import JointSpectrum
 
@@ -53,7 +52,6 @@ def estimate_joint_spectrum(
     x0: np.ndarray | None = None,
     tracer=NULL_TRACER,
     telemetry: ConvergenceTrace | None = None,
-    guard: GuardrailPolicy | None = None,
 ) -> tuple[JointSpectrum, SolverResult]:
     """Single-packet joint (AoA, ToA) spectrum (paper Eq. 18).
 
@@ -82,16 +80,16 @@ def estimate_joint_spectrum(
         Optional :class:`~repro.obs.ConvergenceTrace` forwarded to the
         solver and attached to the returned
         :class:`~repro.optim.result.SolverResult`.
-    guard:
-        Optional :class:`~repro.optim.guard.GuardrailPolicy`.  When set
-        the solve runs through
-        :func:`~repro.optim.guard.solve_guarded` (divergence detection
-        + fallback chain); a healthy solve is byte-identical to the
-        unguarded path.
 
     Returns
     -------
     (JointSpectrum, SolverResult)
+
+    Raises
+    ------
+    SolverDivergenceError
+        When the solve's objective is non-finite or worse than the zero
+        solution's (:func:`~repro.optim.result.check_divergence`).
     """
     csi_matrix = np.asarray(csi_matrix, dtype=complex)
     expected = (cache.array.n_antennas, cache.layout.n_subcarriers)
@@ -105,33 +103,19 @@ def estimate_joint_spectrum(
     if telemetry is None and tracer.enabled:
         telemetry = ConvergenceTrace(solver="fista")
     with tracer.span("solver", solver="fista", stage="joint_spectrum") as span:
-        if guard is not None:
-            result = solve_guarded(
-                dictionary,
-                y,
-                kappa=kappa,
-                kappa_fraction=kappa_fraction,
-                policy=guard,
-                max_iterations=max_iterations,
-                lipschitz=cache.joint_lipschitz,
-                x0=x0,
-                telemetry=telemetry,
-            )
-            if result.solver != guard.fallback_chain[0] or result.fallbacks:
-                span.annotate(solver=result.solver, fallbacks=list(result.fallbacks))
-        else:
-            result = solve_lasso_fista(
-                dictionary,
-                y,
-                kappa,
-                max_iterations=max_iterations,
-                lipschitz=cache.joint_lipschitz,
-                x0=x0,
-                telemetry=telemetry,
-            )
+        result = solve_lasso_fista(
+            dictionary,
+            y,
+            kappa,
+            max_iterations=max_iterations,
+            lipschitz=cache.joint_lipschitz,
+            x0=x0,
+            telemetry=telemetry,
+        )
         span.annotate(iterations=result.iterations, converged=result.converged)
         if telemetry is not None:
             span.annotate(convergence=telemetry.to_dict())
+        check_divergence(result, y)
 
     power = coefficients_to_joint_power(
         result.x, cache.angle_grid.n_points, cache.delay_grid.n_points

@@ -84,10 +84,6 @@ class RoArrayEstimator:
         #: every job warms from the same state — a pure function of
         #: (trace, seed) at any worker count.
         self.warm_seed: WarmStartState | None = None
-        # Guardrail fallback usage since the last drain (see
-        # drain_fallback_events); empty unless config.guardrails is set
-        # and a solve actually fell back.
-        self._fallback_events: list[dict] = []
 
     def reset_warm_state(self) -> None:
         """Restore the warm state to its seed (or drop it entirely).
@@ -107,28 +103,6 @@ class RoArrayEstimator:
         """Install (or remove) the frozen seed and reset to it."""
         self.warm_seed = seed.copy() if seed is not None else None
         self.reset_warm_state()
-
-    def drain_fallback_events(self) -> list[dict]:
-        """Return and clear the guardrail fallback events recorded so far.
-
-        Each event is ``{"stage", "solver", "fallbacks"}`` — which solve
-        fell back, which solver finally produced the answer, and which
-        were rejected first.  The batch runtime drains this per job so
-        fallback usage lands on the job's
-        :class:`~repro.runtime.jobs.JobOutcome`.
-        """
-        events, self._fallback_events = self._fallback_events, []
-        return events
-
-    def _record_fallbacks(self, stage: str, result) -> None:
-        if getattr(result, "fallbacks", ()):
-            self._fallback_events.append(
-                {
-                    "stage": stage,
-                    "solver": result.solver,
-                    "fallbacks": list(result.fallbacks),
-                }
-            )
 
     def warm_cache(self) -> None:
         """Build the steering-cache artifacts inside a traced span.
@@ -194,9 +168,7 @@ class RoArrayEstimator:
                     max_iterations=self.config.max_iterations,
                     x0=self.warm_state.get("single") if self.warm_start else None,
                     tracer=self.tracer,
-                    guard=self.config.guardrails,
                 )
-            self._record_fallbacks("joint_spectrum", result)
             if self.warm_start:
                 self.warm_state.put("single", result.x)
             return spectrum
@@ -209,9 +181,7 @@ class RoArrayEstimator:
                 svd_rank=self.config.svd_rank,
                 x0=self.warm_state.get("fused") if self.warm_start else None,
                 tracer=self.tracer,
-                guard=self.config.guardrails,
             )
-        self._record_fallbacks("fusion", result)
         if self.warm_start:
             self.warm_state.put("fused", result.x)
         return spectrum

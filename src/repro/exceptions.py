@@ -140,7 +140,11 @@ class ResumableInterrupt(ReproError):
 
 
 class SolverDivergenceError(SolverError):
-    """Every solver in a guardrail fallback chain diverged or failed."""
+    """A solve's objective was non-finite or worse than the zero solution's.
+
+    Raised by :func:`repro.optim.result.check_divergence`, which the
+    pipeline runs after every spectrum and fusion solve.
+    """
 
 
 class ServiceError(ReproError):

@@ -23,7 +23,6 @@ The robustness substrate, in four layers:
 from repro.faults.chaos import (
     ChaosResult,
     LocationOutcome,
-    hardened_roarray_config,
     run_chaos_experiment,
 )
 from repro.faults.nlos import (
@@ -86,7 +85,6 @@ __all__ = [
     "ValueCorruption",
     "classify_defects",
     "demo_scenario",
-    "hardened_roarray_config",
     "nlos_scenario",
     "robust_ap_evidence",
     "run_chaos_experiment",

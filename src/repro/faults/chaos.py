@@ -4,8 +4,8 @@
 robustness substrate.  It synthesizes the standard classroom evaluation
 world, applies a :class:`~repro.faults.scenario.ChaosScenario` to every
 location's per-AP traces, pushes the corrupted traces through the
-hardened batch runtime (validation gate on, solver guardrails on), and
-localizes each location in degraded mode — producing a
+hardened batch runtime (validation gate on), and localizes each
+location in degraded mode — producing a
 :class:`~repro.core.localization.DegradedResult` per location instead
 of an exception, alongside the clean-world reference fix for the same
 scenes.
@@ -17,7 +17,7 @@ seed), so a rerun — at *any* worker count — is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.core.localization import ApObservation, DegradedResult, DroppedAp, lo
 from repro.exceptions import ConfigurationError, QuorumError
 from repro.faults.scenario import ChaosScenario, InjectionResult, demo_scenario
 from repro.obs import NULL_TRACER, MetricsRegistry
-from repro.optim.guard import GuardrailPolicy
 from repro.runtime.jobs import ExecutionPolicy
 from repro.runtime.report import RuntimeReport
 
@@ -120,16 +119,6 @@ class ChaosResult:
             "report": self.report.to_dict(),
             "metrics": self.metrics,
         }
-
-
-def hardened_roarray_config(
-    base: RoArrayConfig | None = None, *, guardrails: GuardrailPolicy | None = None
-) -> RoArrayConfig:
-    """The evaluation config with solver guardrails switched on."""
-    from repro.experiments.runner import evaluation_roarray_config
-
-    base = base if base is not None else evaluation_roarray_config()
-    return replace(base, guardrails=guardrails if guardrails is not None else GuardrailPolicy())
 
 
 @dataclass(frozen=True)
@@ -259,8 +248,7 @@ def run_chaos_experiment(
         fusion solve instead of being quarantined.
     config:
         Estimator configuration; defaults to the evaluation working
-        point with solver guardrails enabled
-        (:func:`hardened_roarray_config`).
+        point (:func:`~repro.experiments.runner.evaluation_roarray_config`).
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; chaos counters
         (injected / detected / dropped / located) are recorded there and
@@ -273,14 +261,14 @@ def run_chaos_experiment(
         :class:`ChaosResult` (injection and localization are cheap,
         deterministic recomputations).
     """
-    from repro.experiments.runner import _journal_policy
+    from repro.experiments.runner import _journal_policy, evaluation_roarray_config
     from repro.runtime.batch import BatchEvaluator
 
     if n_locations < 1:
         raise ConfigurationError(f"n_locations must be >= 1, got {n_locations}")
     scenario = scenario if scenario is not None else demo_scenario(n_aps, seed=seed)
     policy = policy if policy is not None else ExecutionPolicy(validate=True)
-    config = config if config is not None else hardened_roarray_config()
+    config = config if config is not None else evaluation_roarray_config()
     metrics = metrics if metrics is not None else MetricsRegistry()
 
     with tracer.span(
@@ -326,7 +314,6 @@ def run_chaos_experiment(
         metrics.counter("chaos.packets_quarantined").inc(
             batch.report.n_quarantined_packets
         )
-        metrics.counter("chaos.solver_fallbacks").inc(batch.report.n_fallbacks)
 
         # --- Degraded-mode localization per location. ------------------------
         outcome_by_key = {key: batch.outcomes[i] for i, key in enumerate(keys)}

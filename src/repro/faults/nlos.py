@@ -56,7 +56,7 @@ from repro.core.localization import (
 )
 from repro.core.steering import SteeringCache, vectorize_csi_matrix
 from repro.exceptions import ConfigurationError, QuorumError
-from repro.faults.chaos import hardened_roarray_config, seeded_world
+from repro.faults.chaos import seeded_world
 from repro.faults.injectors import GhostPath, NlosBias
 from repro.faults.scenario import ApFault, ChaosScenario
 from repro.obs import NULL_TRACER
@@ -171,7 +171,11 @@ def run_nlos_drill(
     post-processing, so a rerun at any worker count — or resumed from
     its journals — yields a byte-identical outcome.
     """
-    from repro.experiments.runner import _batch_analyses, _journal_policy
+    from repro.experiments.runner import (
+        _batch_analyses,
+        _journal_policy,
+        evaluation_roarray_config,
+    )
     from repro.faults.drills import DrillOutcome
 
     if name not in NLOS_SCENARIOS:
@@ -184,7 +188,7 @@ def run_nlos_drill(
         raise ConfigurationError(
             f"bias_deg must be >= 15 (the drill's detectability floor), got {bias_deg}"
         )
-    config = config if config is not None else hardened_roarray_config()
+    config = config if config is not None else evaluation_roarray_config()
 
     with tracer.span("experiment", name=f"nlos:{name}", n_trials=n_trials):
         world = seeded_world(

@@ -63,17 +63,14 @@ from repro.optim.operators import (
     KroneckerJointOperator,
     as_operator,
 )
-from repro.optim.guard import GuardrailPolicy, solve_guarded
 from repro.optim.result import SolverResult
 from repro.optim.reweighted import solve_reweighted_lasso
 from repro.optim.robust import (
     OutlierAugmentedOperator,
     RobustSolverResult,
-    RowWeightedOperator,
     robust_lambda,
     robust_objective,
     robust_penalty_weights,
-    solve_huber_irls,
     solve_robust_lasso,
     solve_robust_mmv,
 )
@@ -87,11 +84,9 @@ __all__ = [
     "DenseOperator",
     "DictionaryOperator",
     "FLOAT64_PARITY_TOLERANCE",
-    "GuardrailPolicy",
     "KroneckerJointOperator",
     "OutlierAugmentedOperator",
     "RobustSolverResult",
-    "RowWeightedOperator",
     "SolverResult",
     "WarmStartState",
     "as_operator",
@@ -106,8 +101,6 @@ __all__ = [
     "soft_threshold",
     "solve",
     "solve_batch",
-    "solve_guarded",
-    "solve_huber_irls",
     "solve_lasso_admm",
     "solve_lasso_fista",
     "solve_mmv_fista",

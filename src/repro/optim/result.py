@@ -5,6 +5,8 @@ a lockstep kernel over a stack of ``B`` problems that returns a
 :class:`BatchSolverResult`.  The sequential front doors
 (``solve_lasso_fista`` & co.) call it with ``B = 1``;
 :func:`~repro.optim.batch.solve_batch` calls it with column blocks.
+:func:`check_divergence` is the O(1) sanity check the pipeline runs on
+every solve it makes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.exceptions import SolverError
+from repro.exceptions import SolverDivergenceError, SolverError
 from repro.obs.convergence import ConvergenceTrace, support_size
 
 
@@ -49,13 +51,8 @@ class SolverResult:
         per-iteration objective / residual / support telemetry; ``None``
         when telemetry was not requested.
     solver:
-        Name of the solver that produced ``x`` when the solve ran
-        through :func:`~repro.optim.guard.solve_guarded`; empty for a
-        direct solver call.
-    fallbacks:
-        Solvers the guardrail chain tried and rejected (diverged or
-        raised) before ``solver`` succeeded; empty when the primary
-        solver's result was accepted.
+        Name of the batched method when the result was sliced out of a
+        :class:`BatchSolverResult`; empty for a direct solver call.
     """
 
     x: np.ndarray
@@ -65,7 +62,6 @@ class SolverResult:
     history: list[float] = field(default_factory=list)
     convergence: "ConvergenceTrace | None" = None
     solver: str = ""
-    fallbacks: tuple[str, ...] = ()
 
     @property
     def support(self) -> np.ndarray:
@@ -86,6 +82,28 @@ class SolverResult:
         if peak == 0.0:
             return 0
         return int(np.count_nonzero(magnitude > rtol * peak))
+
+
+def check_divergence(result: SolverResult, rhs: np.ndarray) -> None:
+    """Reject a result that did worse than the zero solution.
+
+    ``x = 0`` has objective ``‖y‖²``, and every healthy solve of
+    Eq. 11/18 beats it, so an objective that is non-finite or above
+    ``‖y‖²`` (plus a rounding allowance) means the iteration diverged.
+    The check is O(1) on the final result.
+
+    Raises
+    ------
+    SolverDivergenceError
+        When the objective is non-finite or exceeds the bound.
+    """
+    baseline = float(np.sum(np.abs(np.asarray(rhs)) ** 2))
+    bound = baseline + 1e-12 * max(baseline, 1.0)
+    if not np.isfinite(result.objective) or result.objective > bound:
+        raise SolverDivergenceError(
+            f"solve diverged: objective {result.objective:.3g} exceeds the "
+            f"zero-solution bound {bound:.3g}"
+        )
 
 
 @dataclass

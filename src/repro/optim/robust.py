@@ -27,18 +27,13 @@ uniform κ — is mathematically identical but numerically poor: for
 block.  Unit-scale columns plus per-coordinate thresholds keep the
 augmented system as well conditioned as the original.)
 
-:class:`OutlierAugmentedOperator` implements ``[Ã | c·I]`` as a thin
+:class:`OutlierAugmentedOperator` implements ``[Ã | I]`` as a thin
 wrapper over any :class:`~repro.optim.operators.DictionaryOperator`:
 the identity block costs ``O(m)`` per product, so a structured base
 (e.g. :class:`~repro.optim.operators.KroneckerJointOperator`) keeps its
 fast two-GEMM path, its batched ``matmul_batch`` folding, and an *exact*
-Lipschitz constant ``‖AᴴA‖₂ + c²`` (because ``MMᴴ = AAᴴ + c²I`` shares
+Lipschitz constant ``‖AᴴA‖₂ + 1`` (because ``MMᴴ = AAᴴ + I`` shares
 eigenvectors with ``AAᴴ``).
-
-:func:`solve_huber_irls` is the smooth-loss alternative: iteratively
-reweighted least squares on the *residual* with Huber weights, each pass
-an ordinary LASSO over a row-weighted operator — the measurement-side
-mirror of the column reweighting in :mod:`repro.optim.reweighted`.
 """
 
 from __future__ import annotations
@@ -56,25 +51,16 @@ from repro.optim.operators import DictionaryOperator, as_operator
 
 
 class OutlierAugmentedOperator(DictionaryOperator):
-    """The augmented dictionary ``[Ã | c·I]`` over any base operator.
+    """The augmented dictionary ``[Ã | I]`` over any base operator.
 
-    Parameters
-    ----------
-    base:
-        The clean dictionary ``Ã`` of shape ``(m, n)`` — dense array or
-        any :class:`~repro.optim.operators.DictionaryOperator`.
-    outlier_scale:
-        The identity-column scale ``c > 0``.  The robust solvers use the
-        default ``c = 1`` and price the error block through
-        ``penalty_weights`` instead (see the module docstring for why);
-        other scales remain available for the uniform-κ formulation.
+    ``base`` is the clean dictionary ``Ã`` of shape ``(m, n)`` — dense
+    array or any :class:`~repro.optim.operators.DictionaryOperator`.
+    The identity block has unit-scale columns; the robust solvers price
+    it through ``penalty_weights`` (see the module docstring for why).
     """
 
-    def __init__(self, base, *, outlier_scale: float = 1.0) -> None:
+    def __init__(self, base) -> None:
         self.base = as_operator(base)
-        if not np.isfinite(outlier_scale) or outlier_scale <= 0:
-            raise SolverError(f"outlier_scale must be positive, got {outlier_scale}")
-        self.outlier_scale = float(outlier_scale)
         m, n = self.base.shape
         self.shape = (m, n + m)
 
@@ -84,33 +70,28 @@ class OutlierAugmentedOperator(DictionaryOperator):
         return self.base.shape[1]
 
     def split(self, z):
-        """Split an augmented solution into ``(x, e)`` in original units.
-
-        ``z`` is the raw solver iterate over ``[Ã | c·I]``; the error
-        block is rescaled by ``c`` so ``Ã x + e ≈ y``.
-        """
+        """Split an augmented solution ``z = [x; e]`` into ``(x, e)``."""
         n = self.n_dictionary
-        return z[:n], self.outlier_scale * z[n:]
+        return z[:n], z[n:]
 
     def matvec(self, x):
         x = np.asarray(x)
         n = self.n_dictionary
-        return self.base.matvec(x[:n]) + self.outlier_scale * x[n:]
+        return self.base.matvec(x[:n]) + x[n:]
 
     def rmatvec(self, r):
-        return np.concatenate([self.base.rmatvec(r), self.outlier_scale * r], axis=0)
+        return np.concatenate([self.base.rmatvec(r), r], axis=0)
 
     def to_dense(self):
         identity = np.eye(self.shape[0], dtype=complex)
-        return np.concatenate([self.base.to_dense(), self.outlier_scale * identity], axis=1)
+        return np.concatenate([self.base.to_dense(), identity], axis=1)
 
     def lipschitz(self) -> float:
-        # Exact: ‖MᴴM‖₂ = ‖MMᴴ‖₂ = ‖AAᴴ + c²I‖₂ = ‖AᴴA‖₂ + c².
-        return self.base.lipschitz() + self.outlier_scale**2
+        # Exact: ‖MᴴM‖₂ = ‖MMᴴ‖₂ = ‖AAᴴ + I‖₂ = ‖AᴴA‖₂ + 1.
+        return self.base.lipschitz() + 1.0
 
     def column_norms(self):
-        identity_norms = np.full(self.shape[0], self.outlier_scale)
-        return np.concatenate([self.base.column_norms(), identity_norms], axis=0)
+        return np.concatenate([self.base.column_norms(), np.ones(self.shape[0])], axis=0)
 
     def columns(self, indices: Sequence[int]):
         n = self.n_dictionary
@@ -121,47 +102,9 @@ class OutlierAugmentedOperator(DictionaryOperator):
                 cols.append(self.base.columns([index])[:, 0])
             else:
                 unit = np.zeros(self.shape[0], dtype=np.complex128)
-                unit[index - n] = self.outlier_scale
+                unit[index - n] = 1.0
                 cols.append(unit)
         return np.stack(cols, axis=1)
-
-
-class RowWeightedOperator(DictionaryOperator):
-    """``diag(w)·Ã`` — a measurement-row reweighting of a base operator.
-
-    Used by :func:`solve_huber_irls`: down-weighting a measurement row is
-    a diagonal multiply on the *output* side, so the base operator's
-    structure (and fast paths) survive untouched.
-    """
-
-    def __init__(self, base, row_weights) -> None:
-        self.base = as_operator(base)
-        weights = np.asarray(row_weights, dtype=float)
-        if weights.shape != (self.base.shape[0],):
-            raise SolverError(
-                f"row_weights must have shape ({self.base.shape[0]},), got {weights.shape}"
-            )
-        self.row_weights = weights
-        self.shape = self.base.shape
-        self._max_weight = float(weights.max(initial=0.0))
-
-    def _expand(self, like):
-        return self.row_weights if like.ndim == 1 else self.row_weights[:, None]
-
-    def matvec(self, x):
-        product = self.base.matvec(x)
-        return self._expand(product) * product
-
-    def rmatvec(self, r):
-        return self.base.rmatvec(self._expand(r) * r)
-
-    def to_dense(self):
-        return self.row_weights[:, None] * self.base.to_dense()
-
-    def lipschitz(self) -> float:
-        # ‖WA‖₂² ≤ ‖W‖₂²·‖A‖₂² = max(w)²·‖AᴴA‖₂ — a valid (tight for
-        # uniform weights) upper bound; FISTA only needs an upper bound.
-        return self._max_weight**2 * self.base.lipschitz()
 
 
 @dataclass
@@ -240,16 +183,12 @@ def robust_penalty_weights(n: int, m: int, kappa: float, lambda_outlier: float) 
     return np.concatenate([np.ones(n), np.full(m, lambda_outlier / kappa)])
 
 
-def _augmented_warm_start(augmented, x0, e0, n, m, two_dim_p=None):
+def _augmented_warm_start(x0, e0, n, m, two_dim_p=None):
     if x0 is None and e0 is None:
         return None
     shape = lambda rows: (rows,) if two_dim_p is None else (rows, two_dim_p)  # noqa: E731
     x_part = np.zeros(shape(n), dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
-    e_part = (
-        np.zeros(shape(m), dtype=complex)
-        if e0 is None
-        else np.asarray(e0, dtype=complex) / augmented.outlier_scale
-    )
+    e_part = np.zeros(shape(m), dtype=complex) if e0 is None else np.asarray(e0, dtype=complex)
     return np.concatenate([x_part, e_part], axis=0)
 
 
@@ -287,7 +226,7 @@ def solve_robust_lasso(
         Optional precomputed ``‖ÃᴴÃ‖₂`` of the *base* dictionary; the
         augmented constant is exactly ``‖ÃᴴÃ‖₂ + 1``.
     x0 / e0:
-        Optional warm starts for the two blocks, in original units.
+        Optional warm starts for the two blocks.
     """
     if kappa <= 0:
         raise SolverError(f"robust recovery needs kappa > 0, got {kappa}")
@@ -298,7 +237,7 @@ def solve_robust_lasso(
         raise SolverError(f"lambda_outlier must be positive, got {lambda_outlier}")
     augmented = OutlierAugmentedOperator(operator)
     m, n = operator.shape
-    z0 = _augmented_warm_start(augmented, x0, e0, n, m)
+    z0 = _augmented_warm_start(x0, e0, n, m)
     result = solve_lasso_fista(
         augmented,
         rhs,
@@ -359,7 +298,7 @@ def solve_robust_mmv(
         raise SolverError(f"lambda_outlier must be positive, got {lambda_outlier}")
     augmented = OutlierAugmentedOperator(operator)
     m, n = operator.shape
-    z0 = _augmented_warm_start(augmented, x0, e0, n, m, two_dim_p=rhs_host.shape[1])
+    z0 = _augmented_warm_start(x0, e0, n, m, two_dim_p=rhs_host.shape[1])
     result = solve_mmv_fista(
         augmented,
         rhs,
@@ -384,85 +323,3 @@ def solve_robust_mmv(
         convergence=result.convergence,
     )
 
-
-def solve_huber_irls(
-    matrix,
-    rhs: np.ndarray,
-    kappa: float,
-    *,
-    delta: float | None = None,
-    irls_iterations: int = 3,
-    max_iterations: int = 200,
-    tolerance: float = 1e-6,
-    telemetry: ConvergenceTrace | None = None,
-) -> RobustSolverResult:
-    """Huber-loss sparse recovery by IRLS over the measurement rows.
-
-    Each pass solves an ordinary LASSO over ``diag(√w)·Ã`` with
-    ``√w``-scaled measurements, then recomputes the Huber weights
-    ``wᵢ = min(1, δ/|rᵢ|)`` from the residual ``r = Ãx − y`` — the
-    residual-side mirror of the coefficient reweighting in
-    :func:`~repro.optim.reweighted.solve_reweighted_lasso` (same outer
-    pass / inner FISTA structure, warm-started between passes).
-
-    Parameters
-    ----------
-    delta:
-        The Huber corner: residual entries beyond δ are treated as
-        outliers and down-weighted.  Defaults per pass to
-        ``1.345 · 1.4826 · median|r|`` (the 95%-efficient normal-MAD
-        rule), so no noise estimate is needed.
-    irls_iterations:
-        Outer reweighting passes (the first pass is unweighted).
-
-    The returned ``e = (1 − w)·(y − Ãx)`` is the residual mass the Huber
-    loss linearized away — zero wherever ``|r| ≤ δ``, approaching the
-    full residual on gross outliers — oriented so ``Ãx + e ≈ y`` and
-    ``outlier_fraction`` are comparable with :func:`solve_robust_lasso`.
-    """
-    if kappa <= 0:
-        raise SolverError(f"robust recovery needs kappa > 0, got {kappa}")
-    if irls_iterations < 1:
-        raise SolverError(f"irls_iterations must be >= 1, got {irls_iterations}")
-    operator = as_operator(matrix)
-    rhs = np.asarray(rhs, dtype=complex)
-
-    x = None
-    result = None
-    weights_host = np.ones(operator.shape[0])
-    for _ in range(irls_iterations):
-        sqrt_w = np.sqrt(weights_host)
-        weighted = RowWeightedOperator(operator, sqrt_w)
-        result = solve_lasso_fista(
-            weighted,
-            sqrt_w * rhs,
-            kappa,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-            x0=x,
-            telemetry=telemetry,
-        )
-        x = result.x
-        magnitudes = np.abs(operator.matvec(x) - rhs)
-        corner = delta
-        if corner is None:
-            scale = 1.4826 * float(np.median(magnitudes))
-            corner = 1.345 * scale
-        if corner <= 0:
-            # Residual already (numerically) zero everywhere: done.
-            weights_host = np.ones(operator.shape[0])
-            break
-        weights_host = np.minimum(1.0, corner / np.maximum(magnitudes, 1e-300))
-
-    e = (1.0 - weights_host) * (rhs - operator.matvec(x))
-    rhs_energy = float(np.sum(np.abs(rhs) ** 2))
-    e_energy = float(np.sum(np.abs(e) ** 2))
-    return RobustSolverResult(
-        x=x,
-        e=e,
-        outlier_fraction=e_energy / rhs_energy if rhs_energy > 0 else 0.0,
-        objective=result.objective,
-        iterations=result.iterations,
-        converged=result.converged,
-        convergence=result.convergence,
-    )

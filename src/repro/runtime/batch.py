@@ -26,7 +26,7 @@ jobs out over a ``concurrent.futures.ProcessPoolExecutor``:
   are never lost.
 * **Instrumentation** — workers time the dictionary / solve / peak
   stages per job; the totals, plus the failure taxonomy and
-  retry/timeout/fallback counts, come back in a
+  retry/timeout/quarantine counts, come back in a
   :class:`~repro.runtime.report.RuntimeReport`.
 """
 
@@ -216,11 +216,6 @@ def _expected_shape(system) -> tuple[int, int] | None:
     return (array.n_antennas, layout.n_subcarriers)
 
 
-def _format_fallback_event(event: dict) -> str:
-    chain = "->".join([*event.get("fallbacks", []), event.get("solver", "?")])
-    return f"{event.get('stage', '?')}:{chain}"
-
-
 def _evaluate_job(
     system,
     job: EvalJob,
@@ -277,9 +272,6 @@ def _attempt_job(
     reset = getattr(system, "reset_warm_state", None)
     if reset is not None:
         reset()
-    drain_fallbacks = getattr(system, "drain_fallback_events", None)
-    if drain_fallbacks is not None:
-        drain_fallbacks()  # discard events a previous (failed) attempt left behind
     job_tracer = Tracer() if capture_spans else NULL_TRACER
     previous_tracer = getattr(system, "tracer", None)
     if capture_spans and previous_tracer is not None:
@@ -316,9 +308,6 @@ def _attempt_job(
     finally:
         if capture_spans and previous_tracer is not None:
             system.tracer = previous_tracer
-    fallbacks = ()
-    if drain_fallbacks is not None:
-        fallbacks = tuple(_format_fallback_event(event) for event in drain_fallbacks())
     return JobOutcome(
         index=job.index,
         analysis=analysis,
@@ -326,7 +315,6 @@ def _attempt_job(
         stage_seconds=stage_seconds,
         spans=_drain_spans(job_tracer, stage_seconds, capture_spans),
         quarantined_packets=quarantined,
-        fallbacks=fallbacks,
     )
 
 

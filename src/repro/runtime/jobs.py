@@ -265,10 +265,8 @@ class JobOutcome:
     re-homes them via :meth:`repro.obs.Tracer.adopt`.
 
     The hardening fields: ``attempts`` counts executions of this job
-    (1 = first try succeeded), ``quarantined_packets`` how many packets
-    the validation gate removed before analysis, and ``fallbacks`` any
-    guardrail fallback events the estimator recorded during the job
-    (see :meth:`repro.core.pipeline.RoArrayEstimator.drain_fallback_events`).
+    (1 = first try succeeded), and ``quarantined_packets`` how many
+    packets the validation gate removed before analysis.
     """
 
     index: int
@@ -279,7 +277,6 @@ class JobOutcome:
     spans: list[dict] = field(default_factory=list)
     attempts: int = 1
     quarantined_packets: int = 0
-    fallbacks: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -309,7 +306,6 @@ class JobOutcome:
             "spans": list(self.spans),
             "attempts": int(self.attempts),
             "quarantined_packets": int(self.quarantined_packets),
-            "fallbacks": list(self.fallbacks),
         }
 
     @classmethod
@@ -327,5 +323,4 @@ class JobOutcome:
             spans=list(payload.get("spans", [])),
             attempts=int(payload.get("attempts", 1)),
             quarantined_packets=int(payload.get("quarantined_packets", 0)),
-            fallbacks=tuple(payload.get("fallbacks", ())),
         )

