@@ -542,6 +542,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"speedup {row['speedup']:.2f}× | "
                     f"deviation {row['max_relative_deviation']:.2e}"
                 )
+            for row in result["mmv"]:
+                emit(
+                    f"  mmv {row['grid']} p={row['snapshots']} batch {row['batch_size']:>2}: "
+                    f"{row['seconds_per_problem_iteration'] * 1e6:.1f} µs/problem-iteration | "
+                    f"deviation {row['max_relative_deviation']:.2e}"
+                )
         from repro.runtime.checkpoint import atomic_write
 
         atomic_write(output, result)

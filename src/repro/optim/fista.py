@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace
-from repro.optim.linalg import validate_penalty_weights, validate_system
+from repro.optim.linalg import squared_norms, validate_penalty_weights, validate_system
 from repro.optim.operators import as_operator
 from repro.optim.result import (
     BatchSolverResult,
@@ -197,7 +197,6 @@ def fista_lockstep(
     if weights is not None:
         # Per-coefficient weighted ℓ1: one threshold per (row, problem).
         thresholds = weights.reshape(n, 1) * thresholds
-    positive = bool(np.all(thresholds > 0))
 
     X = (
         np.zeros((n, n_problems), dtype=complex)
@@ -209,34 +208,37 @@ def fista_lockstep(
 
     active = progress.active
     check = tolerance > 0
-    for it in range(1, max_iterations + 1):
-        raw_gradient = operator.rmatvec(operator.matvec(momentum) - Y)
-        candidate = _prox_gradient_step(
-            momentum, raw_gradient, 2.0 * step, thresholds, positive
-        )
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        coefficient = (t - 1.0) / t_next
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for it in range(1, max_iterations + 1):
+            raw_gradient = operator.rmatvec(operator.matvec(momentum) - Y)
+            candidate = _prox_gradient_step(momentum, raw_gradient, 2.0 * step, thresholds)
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            change = candidate - X
 
-        if check:
-            delta = np.linalg.norm(candidate - X, axis=0)
-            scale = np.maximum(1.0, np.linalg.norm(X, axis=0))
+            if check:
+                # ‖Δx‖ ≤ tol·max(1, ‖x‖) per problem, compared as squares.
+                delta = squared_norms(change, axis=0)
+                scale = np.maximum(1.0, squared_norms(X, axis=0))
 
-        if progress.all_active:
-            momentum = _momentum_combine(candidate, X, coefficient)
-            X = candidate
-        else:
-            # Freeze converged columns: their iterate (and momentum) stop
-            # moving, preserving per-problem equivalence with B = 1.
-            momentum_next = candidate + coefficient * (candidate - X)
-            mask = active.reshape(1, n_problems)
-            X = np.where(mask, candidate, X)
-            momentum = np.where(mask, momentum_next, momentum)
-        t = t_next
+            # candidate + ((t − 1)/t_next)·(candidate − X), in place on the change.
+            momentum_next = change
+            momentum_next *= (t - 1.0) / t_next
+            momentum_next += candidate
 
-        if observe is not None:
-            observe(it, np.moveaxis(X, 0, 1))
-        if check and progress.settle(it, delta <= tolerance * scale):
-            break
+            if progress.all_active:
+                X, momentum = candidate, momentum_next
+            else:
+                # Freeze converged columns: their iterate (and momentum) stop
+                # moving, preserving per-problem equivalence with B = 1.
+                mask = active.reshape(1, n_problems)
+                X = np.where(mask, candidate, X)
+                momentum = np.where(mask, momentum_next, momentum)
+            t = t_next
+
+            if observe is not None:
+                observe(it, np.moveaxis(X, 0, 1))
+            if check and progress.settle(it, delta <= tolerance**2 * scale):
+                break
 
     objectives = lasso_batch_objectives(operator, X, Y, kap, weights)
     return progress.result(np.moveaxis(X, 0, 1), objectives, "fista", kappas)
@@ -252,52 +254,28 @@ def lasso_batch_objectives(operator, X_cols, Y, kap, penalty_weights=None):
     return data + kap * magnitudes.sum(axis=0)
 
 
-# -- fused lockstep steps ------------------------------------------------
-# The kernel's hot inner steps, done in place: the lockstep iterate
+# -- fused lockstep step ------------------------------------------------
+# The kernel's hot inner step, done in place: the lockstep iterate
 # (n × B) no longer fits in cache, so every avoided pass over it is a
 # measurable win.
 
 
-def _prox_gradient_step(momentum, gradient, step2, thresholds, positive=None):
+def _prox_gradient_step(momentum, gradient, step2, thresholds):
     """``soft_threshold(momentum − step2·gradient, thresholds)``.
 
     ``gradient`` is ``Aᴴ(Ax − y)`` *without* the factor 2 — ``step2``
     carries it (``2·step``; exact, a power-of-two scale).  ``gradient``
     is clobbered (the caller owns and discards it); ``momentum`` is left
-    untouched.  ``positive`` says whether every threshold is > 0; the
-    kernel passes it once-computed, since the check costs as much as an
-    array op on small grids.
+    untouched.  The shrink is ``fmax(1 − t/|z|, 0)·z``: same as the
+    reference formula to rounding, with no boolean mask — ``|z| = 0``
+    gives −inf (or NaN when ``t = 0``), which the clamp sends to 0.  The
+    kernel calls it under ``np.errstate(invalid/divide="ignore")``.
     """
     point = np.multiply(gradient, -step2, out=gradient)
     point += momentum
-    magnitude = np.abs(point)
-    thresholds = np.asarray(thresholds)
-    if positive is None:
-        positive = bool(np.all(thresholds > 0))
-    if positive:
-        # max(1 − t/|z|, 0)·z: same shrinkage as the reference
-        # formula to rounding, one fewer real-array pass and no
-        # boolean mask; |z| = 0 gives −inf → clamped to 0.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = thresholds / magnitude
-            np.subtract(1.0, scale, out=scale)
-            np.maximum(scale, 0.0, out=scale)
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shrunk = np.maximum(magnitude - thresholds, 0.0)
-            scale = np.where(
-                magnitude > 0, shrunk / np.where(magnitude > 0, magnitude, 1.0), 0.0
-            )
+    scale = np.abs(point)
+    np.divide(thresholds, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    np.fmax(scale, 0.0, out=scale)
     point *= scale
     return point
-
-
-def _momentum_combine(candidate, previous, coefficient):
-    """``candidate + coefficient·(candidate − previous)``, clobbering ``previous``.
-
-    The kernel only calls this once the previous iterate is dead.
-    """
-    combined = np.subtract(candidate, previous, out=previous)
-    combined *= coefficient
-    combined += candidate
-    return combined

@@ -27,24 +27,38 @@ def soft_threshold(x: np.ndarray, threshold) -> np.ndarray:
     return shrunk
 
 
-def row_soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
+def row_soft_threshold(x: np.ndarray, threshold) -> np.ndarray:
     """Row-wise group soft-thresholding (proximal operator of ℓ2,1).
 
     Each row of ``x`` is treated as one group: its ℓ2 norm is shrunk by
     ``threshold`` and the row is rescaled, which either preserves the
     row's direction or zeroes the row entirely.  This is the operator
     that makes the multi-snapshot (MMV) problem *jointly* sparse — all
-    snapshots agree on the active dictionary atoms.
+    snapshots agree on the active dictionary atoms.  ``threshold`` is a
+    scalar or one threshold per row (the weighted ℓ2,1 prox).
     """
     if x.ndim != 2:
         raise SolverError(f"row_soft_threshold expects a 2-D array, got ndim={x.ndim}")
-    if threshold < 0:
+    threshold = np.reshape(threshold, (-1, 1)) if np.ndim(threshold) else threshold
+    if np.any(np.asarray(threshold) < 0):
         raise SolverError(f"row_soft_threshold requires threshold >= 0, got {threshold}")
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     scale = np.maximum(norms - threshold, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         factors = np.where(norms > 0, scale / np.where(norms > 0, norms, 1.0), 0.0)
     return x * factors
+
+
+def squared_norms(x: np.ndarray, axis) -> np.ndarray:
+    """``Σ|x|²`` along ``axis``, squared from the real and imaginary parts.
+
+    The ℓ2,1 row norms and stop norms of the solvers: no
+    ``np.linalg.norm`` dispatch, no ``|x|`` square roots and no conjugate
+    temporary, and callers take the root only where a norm is needed.
+    """
+    squares = np.square(x.real)
+    squares += np.square(x.imag)
+    return squares.sum(axis=axis)
 
 
 def estimate_lipschitz(matrix, iterations: int = 50, seed: int = 0) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace
-from repro.optim.linalg import validate_penalty_weights, validate_system
+from repro.optim.linalg import squared_norms, validate_penalty_weights, validate_system
 from repro.optim.operators import as_operator
 from repro.optim.result import (
     BatchSolverResult,
@@ -41,7 +41,7 @@ def mmv_objective(
     """``‖AX − Y‖_F² + κ·Σᵢ‖Xᵢ,:‖₂`` (``κ·Σᵢ wᵢ‖Xᵢ,:‖₂`` when weighted)."""
     residual = as_operator(matrix).matvec(x) - np.asarray(rhs)
     data_term = float(np.vdot(residual, residual).real)
-    row_norms = np.linalg.norm(x, axis=1)
+    row_norms = np.sqrt(squared_norms(x, axis=1))
     if penalty_weights is not None:
         row_norms = np.asarray(penalty_weights, dtype=float) * row_norms
     return data_term + kappa * float(row_norms.sum())
@@ -114,7 +114,7 @@ def solve_mmv_fista(
     weights = validate_penalty_weights(penalty_weights, n)
 
     def penalty(x):
-        row_norms = np.linalg.norm(x, axis=1)
+        row_norms = np.sqrt(squared_norms(x, axis=1))
         if weights is not None:
             row_norms = weights * row_norms
         return kappa * float(row_norms.sum())
@@ -148,11 +148,13 @@ def mmv_lockstep(
 
     ``Ys`` stacks the snapshot matrices, ``(B, m, p)``; ``kappas`` holds
     one weight per problem and ``warm`` an optional ``(B, n, p)`` start.
-    The iterate lives as one ``(n, B, p)`` array whose ``(n, B·p)`` view
-    feeds the operator's 2-D products directly — one pair of factor
-    GEMMs for the whole stack, and at ``B = 1`` exactly the products of
-    a lone ``(n, p)`` solve.  Converged problems are frozen while the
-    rest iterate on.
+    The iterate lives as one ``(B, p, n)`` array, grid axis innermost, so
+    the row prox and the stop norms reduce and broadcast along the long
+    axis.  Each product takes one contiguous transposed copy to the
+    operator's ``(n, B·p)`` form and back — one pair of factor GEMMs for
+    the whole stack, and at ``B = 1`` exactly the products of a lone
+    ``(n, p)`` solve.  Converged problems are frozen while the rest
+    iterate on.
     """
     m, n = operator.shape
     n_problems, _, n_snapshots = Ys.shape
@@ -171,66 +173,69 @@ def mmv_lockstep(
         objectives = mmv_batch_objectives(operator, X, Ys, kap, weights)
         return progress.result(X, objectives, "mmv", kappas)
     step = 1.0 / lipschitz
-    thresholds = (kap * step).reshape(1, n_problems, 1)
+    # One threshold per problem, or per (problem, row) when weighted.
+    thresholds = (kap * step).reshape(n_problems, 1)
     if weights is not None:
-        # Per-row weighted ℓ2,1: one threshold per (row, problem).
-        thresholds = weights.reshape(n, 1, 1) * thresholds
+        thresholds = thresholds * weights.reshape(1, n)
 
-    Y = np.moveaxis(Ys, 0, 1)
+    folded = n_problems * n_snapshots
+    Y = np.moveaxis(Ys, 0, 1).reshape(m, folded)
     X = (
-        np.zeros((n, n_problems, n_snapshots), dtype=complex)
+        np.zeros((n_problems, n_snapshots, n), dtype=complex)
         if warm is None
-        else np.moveaxis(np.asarray(warm, dtype=complex), 0, 1).copy()
+        else np.asarray(warm, dtype=complex).transpose(0, 2, 1).copy()
     )
     momentum = X.copy()
     t = 1.0
-    folded = n_problems * n_snapshots
 
     active = progress.active
     check = tolerance > 0
-    for it in range(1, max_iterations + 1):
-        residual = operator.matvec(momentum.reshape(n, folded)).reshape(Y.shape) - Y
-        # point = momentum − step·2Aᴴr, built in place in the fresh adjoint
-        # product; the exact factor 2 rides on the step.
-        point = operator.rmatvec(residual.reshape(m, folded)).reshape(X.shape)
-        point *= -2.0 * step
-        point += momentum
-        row_norms = np.linalg.norm(point, axis=2, keepdims=True)
-        shrunk = np.maximum(row_norms - thresholds, 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            factors = np.where(
-                row_norms > 0, shrunk / np.where(row_norms > 0, row_norms, 1.0), 0.0
-            )
-        point *= factors
-        candidate = point
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        change = candidate - X
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for it in range(1, max_iterations + 1):
+            columns = np.ascontiguousarray(momentum.reshape(folded, n).T)
+            residual = operator.matvec(columns)
+            residual -= Y
+            # point = momentum − step·2Aᴴr, built in place in the transposed
+            # adjoint product; the exact factor 2 rides on the step.
+            point = np.ascontiguousarray(operator.rmatvec(residual).T).reshape(X.shape)
+            point *= -2.0 * step
+            point += momentum
+            # Row prox: fmax(1 − t/‖row‖, 0) scales each row; the clamp
+            # also zeroes ‖row‖ = 0 (−inf, or NaN when t = 0).
+            factors = squared_norms(point, axis=1)
+            np.sqrt(factors, out=factors)
+            np.divide(thresholds, factors, out=factors)
+            np.subtract(1.0, factors, out=factors)
+            np.fmax(factors, 0.0, out=factors)
+            point *= factors[:, None, :]
+            candidate = point
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            change = candidate - X
 
-        if check:
-            # One flat norm per problem: the BLAS-dot path, ~2.5x cheaper
-            # than an axis reduction (no conjugate copy) at B = 1.
-            delta = np.array([np.linalg.norm(change[:, b]) for b in range(n_problems)])
-            scale = np.maximum(1.0, [np.linalg.norm(X[:, b]) for b in range(n_problems)])
+            if check:
+                # ‖ΔX‖ ≤ tol·max(1, ‖X‖) per problem, compared as squares.
+                delta = squared_norms(change.reshape(n_problems, -1), axis=1)
+                scale = np.maximum(1.0, squared_norms(X.reshape(n_problems, -1), axis=1))
 
-        # candidate + ((t − 1)/t_next)·(candidate − X), in place on the change.
-        momentum_next = change
-        momentum_next *= (t - 1.0) / t_next
-        momentum_next += candidate
+            # candidate + ((t − 1)/t_next)·(candidate − X), in place on the change.
+            momentum_next = change
+            momentum_next *= (t - 1.0) / t_next
+            momentum_next += candidate
 
-        if progress.all_active:
-            X, momentum = candidate, momentum_next
-        else:
-            mask = active.reshape(1, n_problems, 1)
-            X = np.where(mask, candidate, X)
-            momentum = np.where(mask, momentum_next, momentum)
-        t = t_next
+            if progress.all_active:
+                X, momentum = candidate, momentum_next
+            else:
+                mask = active.reshape(n_problems, 1, 1)
+                X = np.where(mask, candidate, X)
+                momentum = np.where(mask, momentum_next, momentum)
+            t = t_next
 
-        if observe is not None:
-            observe(it, np.moveaxis(X, 1, 0))
-        if check and progress.settle(it, delta <= tolerance * scale):
-            break
+            if observe is not None:
+                observe(it, X.transpose(0, 2, 1))
+            if check and progress.settle(it, delta <= tolerance**2 * scale):
+                break
 
-    X = np.ascontiguousarray(np.moveaxis(X, 1, 0))
+    X = np.ascontiguousarray(X.transpose(0, 2, 1))
     objectives = mmv_batch_objectives(operator, X, Ys, kap, weights)
     return progress.result(X, objectives, "mmv", kappas)
 
@@ -238,8 +243,8 @@ def mmv_lockstep(
 def mmv_batch_objectives(operator, X, Ys, kap, penalty_weights=None):
     """Per-problem ℓ2,1 objectives of a ``(B, n, p)`` iterate stack."""
     residual = operator.matmul_batch(X) - Ys
-    data = np.linalg.norm(residual, axis=(1, 2)) ** 2
-    row_norms = np.linalg.norm(X, axis=2)
+    data = squared_norms(residual, axis=(1, 2))
+    row_norms = np.sqrt(squared_norms(X, axis=2))
     if penalty_weights is not None:
         row_norms = penalty_weights.reshape(1, X.shape[1]) * row_norms
     return data + kap * row_norms.sum(axis=1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import SolverError
+from repro.optim.linalg import squared_norms
 from repro.optim.operators import as_operator
 
 
@@ -71,8 +72,8 @@ def mmv_residual_kappa(matrix, snapshots: np.ndarray, *, fraction: float = 0.05)
         raise SolverError(f"fraction must be in (0, 1), got {fraction}")
     if snapshots.ndim != 2:
         raise SolverError(f"snapshot matrix must be 2-D, got ndim={snapshots.ndim}")
-    gradient_rows = 2.0 * np.linalg.norm(as_operator(matrix).rmatvec(snapshots), axis=1)
-    peak = float(gradient_rows.max(initial=0.0))
+    rows = squared_norms(as_operator(matrix).rmatvec(snapshots), axis=1)
+    peak = 2.0 * float(np.sqrt(rows.max(initial=0.0)))
     if peak == 0.0:
         raise SolverError("snapshots are orthogonal to every dictionary atom (all-zero gradient)")
     return fraction * peak

@@ -25,6 +25,34 @@ import time
 import numpy as np
 
 
+def _best_time(run, repeats: int):
+    """``(best wall time of repeats calls, the last call's result)``."""
+    best, outcome = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        outcome = run()
+        best = min(best, time.perf_counter() - start)
+    return best, outcome
+
+
+def _scene_packets(config, *, n_packets: int, snr_db: float, seed: int):
+    """``(estimator, packets)``: vectorized noisy packets of one seeded scene."""
+    from repro.channel.csi import CsiSynthesizer
+    from repro.channel.impairments import ImpairmentModel
+    from repro.channel.paths import random_profile
+    from repro.core.pipeline import RoArrayEstimator
+    from repro.core.steering import vectorize_csi_matrix
+
+    estimator = RoArrayEstimator(config=config)
+    rng = np.random.default_rng(seed)
+    profile = random_profile(rng, direct_aoa_deg=150.0)
+    synthesizer = CsiSynthesizer(
+        estimator.array, estimator.layout, ImpairmentModel(), seed=seed
+    )
+    trace = synthesizer.packets(profile, n_packets=n_packets, snr_db=snr_db, rng=rng)
+    return estimator, [vectorize_csi_matrix(trace.packet(i)) for i in range(trace.n_packets)]
+
+
 def joint_solve_benchmark(
     *,
     snr_db: float = 12.0,
@@ -39,29 +67,18 @@ def joint_solve_benchmark(
     and the relative spectrum disagreement (which must be at rounding
     level — the operator is the *same* matrix, applied factored).
     """
-    from repro.channel.csi import CsiSynthesizer
-    from repro.channel.impairments import ImpairmentModel
-    from repro.channel.paths import random_profile
     from repro.core.joint import coefficients_to_joint_power
-    from repro.core.pipeline import RoArrayEstimator
-    from repro.core.steering import vectorize_csi_matrix
     from repro.experiments.runner import evaluation_roarray_config
     from repro.optim import solve_lasso_fista
     from repro.optim.tuning import residual_kappa
 
-    estimator = RoArrayEstimator(config=evaluation_roarray_config())
+    estimator, (y,) = _scene_packets(
+        evaluation_roarray_config(), n_packets=1, snr_db=snr_db, seed=seed
+    )
     cache = estimator.cache
     config = estimator.config
     if max_iterations is None:
         max_iterations = config.max_iterations
-
-    rng = np.random.default_rng(seed)
-    profile = random_profile(rng, direct_aoa_deg=150.0)
-    synthesizer = CsiSynthesizer(
-        estimator.array, estimator.layout, ImpairmentModel(), seed=seed
-    )
-    trace = synthesizer.packets(profile, n_packets=1, snr_db=snr_db, rng=rng)
-    y = vectorize_csi_matrix(trace.packet(0))
 
     operator = cache.joint_operator
     dense = cache.joint_dictionary
@@ -77,16 +94,8 @@ def joint_solve_benchmark(
             max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
         )
 
-    def best_time(matrix):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = run(matrix)
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    dense_seconds, dense_result = best_time(dense)
-    operator_seconds, operator_result = best_time(operator)
+    dense_seconds, dense_result = _best_time(lambda: run(dense), repeats)
+    operator_seconds, operator_result = _best_time(lambda: run(operator), repeats)
 
     n_angles, n_delays = config.angle_grid.n_points, config.delay_grid.n_points
     dense_power = coefficients_to_joint_power(dense_result.x, n_angles, n_delays)
@@ -134,52 +143,35 @@ def robust_solve_benchmark(
     construction, which is what lets hardened mode run the augmented
     path unconditionally without distorting clean solves.
     """
-    from repro.channel.csi import CsiSynthesizer
-    from repro.channel.impairments import ImpairmentModel
-    from repro.channel.paths import random_profile
-    from repro.core.pipeline import RoArrayEstimator
-    from repro.core.steering import vectorize_csi_matrix
     from repro.experiments.runner import evaluation_roarray_config
     from repro.optim import solve_lasso_fista, solve_robust_lasso
     from repro.optim.tuning import residual_kappa
 
-    estimator = RoArrayEstimator(config=evaluation_roarray_config())
+    estimator, (y,) = _scene_packets(
+        evaluation_roarray_config(), n_packets=1, snr_db=snr_db, seed=seed
+    )
     cache = estimator.cache
     config = estimator.config
     if max_iterations is None:
         max_iterations = config.max_iterations
 
-    rng = np.random.default_rng(seed)
-    profile = random_profile(rng, direct_aoa_deg=150.0)
-    synthesizer = CsiSynthesizer(
-        estimator.array, estimator.layout, ImpairmentModel(), seed=seed
-    )
-    trace = synthesizer.packets(profile, n_packets=1, snr_db=snr_db, rng=rng)
-    y = vectorize_csi_matrix(trace.packet(0))
-
     operator = cache.joint_operator
     lipschitz = cache.joint_lipschitz
     kappa = residual_kappa(operator, y, fraction=config.kappa_fraction)
 
-    def best_time(run):
-        best, outcome = float("inf"), None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            outcome = run()
-            best = min(best, time.perf_counter() - start)
-        return best, outcome
-
-    plain_seconds, plain_result = best_time(
+    plain_seconds, plain_result = _best_time(
         lambda: solve_lasso_fista(
             operator, y, kappa,
             max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
-        )
+        ),
+        repeats,
     )
-    robust_seconds, robust_result = best_time(
+    robust_seconds, robust_result = _best_time(
         lambda: solve_robust_lasso(
             operator, y, kappa,
             max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
-        )
+        ),
+        repeats,
     )
 
     scale = max(1.0, float(np.abs(plain_result.x).max()))
@@ -228,36 +220,24 @@ def batched_solve_benchmark(
     solutions from the sequential reference.
 
     Returns a JSON-ready dict with one row per batch size; ``speedup``
-    on each row is ``loop_seconds / batched_seconds``.
+    on each row is ``loop_seconds / batched_seconds``.  Its ``mmv``
+    block times the ℓ2,1 kernel (:func:`_mmv_kernel_rows`).
     """
-    from repro.channel.csi import CsiSynthesizer
-    from repro.channel.impairments import ImpairmentModel
-    from repro.channel.paths import random_profile
-    from repro.core.pipeline import RoArrayEstimator
-    from repro.core.steering import vectorize_csi_matrix
     from repro.experiments.runner import evaluation_roarray_config
     from repro.optim import FLOAT64_PARITY_TOLERANCE, solve_batch, solve_lasso_fista
     from repro.optim.reference import reference_lasso_fista
     from repro.optim.tuning import residual_kappa
 
-    estimator = RoArrayEstimator(config=evaluation_roarray_config())
+    batch_sizes = tuple(sorted(int(b) for b in batch_sizes))
+    if not batch_sizes or batch_sizes[0] < 1:
+        raise ValueError(f"batch_sizes must be positive, got {batch_sizes}")
+    estimator, ys = _scene_packets(
+        evaluation_roarray_config(), n_packets=batch_sizes[-1], snr_db=snr_db, seed=seed
+    )
     cache = estimator.cache
     config = estimator.config
     if max_iterations is None:
         max_iterations = config.max_iterations
-    batch_sizes = tuple(sorted(int(b) for b in batch_sizes))
-    if not batch_sizes or batch_sizes[0] < 1:
-        raise ValueError(f"batch_sizes must be positive, got {batch_sizes}")
-
-    rng = np.random.default_rng(seed)
-    profile = random_profile(rng, direct_aoa_deg=150.0)
-    synthesizer = CsiSynthesizer(
-        estimator.array, estimator.layout, ImpairmentModel(), seed=seed
-    )
-    trace = synthesizer.packets(
-        profile, n_packets=batch_sizes[-1], snr_db=snr_db, rng=rng
-    )
-    ys = [vectorize_csi_matrix(trace.packet(i)) for i in range(trace.n_packets)]
 
     operator = cache.joint_operator
     lipschitz = cache.joint_lipschitz
@@ -265,42 +245,37 @@ def batched_solve_benchmark(
         residual_kappa(operator, y, fraction=config.kappa_fraction) for y in ys
     ]
 
-    def best_time(run):
-        best, outcome = float("inf"), None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            outcome = run()
-            best = min(best, time.perf_counter() - start)
-        return best, outcome
-
     rows = []
     for batch_size in batch_sizes:
         batch_ys = ys[:batch_size]
         batch_kappas = kappas[:batch_size]
 
-        loop_seconds, loop_results = best_time(
+        loop_seconds, loop_results = _best_time(
             lambda: [
                 reference_lasso_fista(
                     operator, y, k,
                     max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
                 )
                 for y, k in zip(batch_ys, batch_kappas)
-            ]
+            ],
+            repeats,
         )
-        kernel_loop_seconds, _ = best_time(
+        kernel_loop_seconds, _ = _best_time(
             lambda: [
                 solve_lasso_fista(
                     operator, y, k,
                     max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
                 )
                 for y, k in zip(batch_ys, batch_kappas)
-            ]
+            ],
+            repeats,
         )
-        batched_seconds, batched = best_time(
+        batched_seconds, batched = _best_time(
             lambda: solve_batch(
                 operator, batch_ys, method="fista", kappa=batch_kappas,
                 max_iterations=max_iterations, tolerance=0.0, lipschitz=lipschitz,
-            )
+            ),
+            repeats,
         )
 
         solutions = batched.to_numpy()
@@ -336,4 +311,73 @@ def batched_solve_benchmark(
         "parity_tolerance": FLOAT64_PARITY_TOLERANCE,
         "batches": rows,
         "max_batch_speedup": rows[-1]["speedup"],
+        "mmv": _mmv_kernel_rows(snr_db=snr_db, seed=seed, repeats=repeats),
     }
+
+
+#: MMV kernel shapes: the serve working point (61×21 grid, 2-packet
+#: windows, 100 iterations) and the Fig. 6 one (91×50 grid, 6 fused
+#: snapshots, 250 iterations).
+MMV_SHAPES = (
+    {"n_angles": 61, "n_delays": 21, "snapshots": 2, "iterations": 100, "batch_sizes": (1, 3, 16)},
+    {"n_angles": 91, "n_delays": 50, "snapshots": 6, "iterations": 250, "batch_sizes": (1,)},
+)
+
+
+def _mmv_kernel_rows(*, snr_db: float, seed: int, repeats: int) -> list[dict]:
+    """Time ``solve_batch(method="mmv")`` per problem-iteration at :data:`MMV_SHAPES`.
+
+    Each problem is a window of consecutive packets of one scene; every
+    row also records the max relative deviation of the batched solutions
+    from their ``B = 1`` :func:`~repro.optim.solve_mmv_fista` solves.
+    """
+    from dataclasses import replace
+
+    from repro.core.grids import AngleGrid, DelayGrid
+    from repro.experiments.runner import evaluation_roarray_config
+    from repro.optim import solve_batch, solve_mmv_fista
+    from repro.optim.tuning import mmv_residual_kappa
+
+    rows = []
+    for shape in MMV_SHAPES:
+        config = replace(
+            evaluation_roarray_config(),
+            angle_grid=AngleGrid(n_points=shape["n_angles"]),
+            delay_grid=DelayGrid(n_points=shape["n_delays"]),
+        )
+        iterations, p = shape["iterations"], shape["snapshots"]
+        estimator, packets = _scene_packets(
+            config, n_packets=max(shape["batch_sizes"]) * p, snr_db=snr_db, seed=seed
+        )
+        operator = estimator.cache.joint_operator
+        lipschitz = estimator.cache.joint_lipschitz
+        stacks = [np.stack(packets[i : i + p], axis=1) for i in range(0, len(packets), p)]
+        kappas = [mmv_residual_kappa(operator, s, fraction=config.kappa_fraction) for s in stacks]
+        options = dict(max_iterations=iterations, tolerance=0.0, lipschitz=lipschitz)
+        for batch_size in shape["batch_sizes"]:
+            best, batched = _best_time(
+                lambda: solve_batch(
+                    operator, stacks[:batch_size], method="mmv",
+                    kappa=kappas[:batch_size], **options,
+                ),
+                repeats,
+            )
+            deviation = 0.0
+            for index in range(batch_size):
+                solo = solve_mmv_fista(operator, stacks[index], kappas[index], **options).x
+                scale = max(1.0, float(np.abs(solo).max()))
+                deviation = max(
+                    deviation, float(np.abs(batched.to_numpy()[index] - solo).max()) / scale
+                )
+            rows.append(
+                {
+                    "grid": f"{shape['n_angles']}x{shape['n_delays']}",
+                    "snapshots": p,
+                    "batch_size": batch_size,
+                    "iterations": iterations,
+                    "batched_seconds": best,
+                    "seconds_per_problem_iteration": best / (batch_size * iterations),
+                    "max_relative_deviation": deviation,
+                }
+            )
+    return rows

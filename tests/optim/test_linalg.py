@@ -84,6 +84,17 @@ class TestRowSoftThreshold:
         with pytest.raises(SolverError):
             row_soft_threshold(np.ones((2, 2)), -1.0)
 
+    def test_per_row_thresholds_match_row_by_row(self):
+        x = np.array([[3.0, 4.0], [0.6, 0.8], [1.0, 0.0]], dtype=complex)
+        thresholds = np.array([1.0, 2.0, 0.0])
+        result = row_soft_threshold(x, thresholds)
+        for row, threshold in enumerate(thresholds):
+            np.testing.assert_array_equal(
+                result[row], row_soft_threshold(x[row : row + 1], threshold)[0]
+            )
+        with pytest.raises(SolverError):
+            row_soft_threshold(x, np.array([1.0, -1.0, 0.0]))
+
     def test_single_column_matches_scalar_soft_threshold(self):
         x = np.array([[1.5 + 0j], [0.3 + 0j], [-2.0 + 0j]])
         grouped = row_soft_threshold(x, 0.5)[:, 0]

@@ -183,6 +183,9 @@ class TestBenchBatched:
         assert payload["benchmark"] == "batched_solve"
         assert [row["batch_size"] for row in payload["batches"]] == [1, 3]
         assert all(row["max_relative_deviation"] <= 1e-12 for row in payload["batches"])
+        assert [row["batch_size"] for row in payload["mmv"]] == [1, 3, 16, 1]
+        assert all(row["max_relative_deviation"] <= 1e-12 for row in payload["mmv"])
+        assert "mmv 61x21 p=2" in output
 
     def test_batched_json_mode(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
