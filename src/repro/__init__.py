@@ -9,9 +9,9 @@ This package is a from-scratch reproduction of
 It contains four layers, from bottom to top:
 
 ``repro.optim``
-    Complex-valued sparse-recovery solvers (FISTA, ADMM, OMP and a
-    joint-sparse MMV solver) used in place of the paper's MATLAB/CVX
-    second-order cone programs.
+    Complex-valued sparse-recovery solvers (FISTA, a joint-sparse MMV
+    FISTA and the greedy OMP baseline) used in place of the paper's
+    MATLAB/CVX second-order cone programs.
 
 ``repro.channel``
     A synthetic WiFi CSI substrate: geometric multipath, uniform linear

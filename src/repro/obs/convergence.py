@@ -10,7 +10,7 @@ evaluations, no recording.
 The trace rides back on :attr:`repro.optim.result.SolverResult.convergence`
 and, when the pipeline runs under an enabled tracer, lands in the span
 tree as a ``convergence`` attribute of the ``solver`` span — which is
-how ``roarray trace`` exposes FISTA/ADMM iteration behaviour per solve.
+how ``roarray trace`` exposes FISTA iteration behaviour per solve.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ConvergenceTrace:
     ----------
     solver:
         Which solver produced the trace (``"fista"``, ``"mmv_fista"``,
-        ``"admm"``, …).
+        ``"omp"``, …).
     objectives:
         The solver's objective value after each iteration.
     residual_norms:

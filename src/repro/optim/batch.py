@@ -3,11 +3,9 @@
 The evaluation harness solves the *same* joint dictionary against many
 measurements — one per (packet × client) — and the per-problem Python
 loop, not the arithmetic, dominates at scale.  :func:`solve_batch`
-stacks ``B`` problems and hands them to the algorithm's lockstep kernel
+stacks ``B`` problems and hands them to the FISTA or MMV lockstep kernel
 (:func:`~repro.optim.fista.fista_lockstep`,
-:func:`~repro.optim.mmv.mmv_lockstep`,
-:func:`~repro.optim.admm.admm_lockstep`,
-:func:`~repro.optim.omp.omp_lockstep`): every dictionary product is a
+:func:`~repro.optim.mmv.mmv_lockstep`): every dictionary product is a
 single batched matmul (two factor GEMMs for the Kronecker operator),
 the elementwise proximal steps broadcast one threshold per problem
 column, and per-problem convergence is tracked with freeze masks so a
@@ -16,8 +14,9 @@ column that has converged stops moving while its neighbours iterate on.
 Correctness contract:
 
 * The kernels are the only iteration loops: the sequential solvers
-  (``solve_lasso_fista`` & co.) are ``B = 1`` calls of the same code, so
-  a one-problem batch equals the sequential solve exactly.
+  (``solve_lasso_fista``, ``solve_mmv_fista``) are ``B = 1`` calls of
+  the same code, so a one-problem batch equals the sequential solve
+  exactly.
 * Larger batches run the same per-column iteration, but BLAS
   accumulates batched GEMM columns in a different order, so each
   problem agrees with its ``B = 1`` solve to rounding, not bits.  The
@@ -33,10 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import SolverError
-from repro.optim.admm import CachedAdmmFactors, admm_lockstep
 from repro.optim.fista import fista_lockstep
 from repro.optim.mmv import mmv_lockstep
-from repro.optim.omp import omp_lockstep
 from repro.optim.operators import as_operator
 from repro.optim.result import BatchSolverResult
 from repro.optim.tuning import mmv_residual_kappa, residual_kappa
@@ -45,13 +42,8 @@ from repro.optim.tuning import mmv_residual_kappa, residual_kappa
 #: ``B = 1`` solve to this relative tolerance.
 FLOAT64_PARITY_TOLERANCE = 1e-12
 
-#: Methods solve_batch can run, with the options each accepts.
-_BATCH_METHODS = {
-    "fista": {"max_iterations", "tolerance", "lipschitz", "penalty_weights"},
-    "admm": {"rho", "max_iterations", "tolerance", "factors"},
-    "omp": {"sparsity", "tolerance"},
-    "mmv": {"max_iterations", "tolerance", "lipschitz", "penalty_weights"},
-}
+#: The kernel options solve_batch forwards; both methods take them all.
+_BATCH_OPTIONS = {"max_iterations", "tolerance", "lipschitz", "penalty_weights"}
 
 #: Columns per lockstep block.  Problems are independent columns, so a
 #: big batch is solved block-by-block with identical per-problem
@@ -82,18 +74,18 @@ def solve_batch(
         :class:`~repro.optim.operators.DictionaryOperator`.
     ys:
         Sequence of ``B`` measurements: 1-D vectors of length ``m``
-        (``method`` in ``fista``/``admm``/``omp``) or 2-D ``(m, p)``
-        snapshot matrices (``method="mmv"``).  All problems must share
-        one shape — a ragged batch is an error, as is an empty one.
+        (``method="fista"``) or 2-D ``(m, p)`` snapshot matrices
+        (``method="mmv"``).  All problems must share one shape — a
+        ragged batch is an error, as is an empty one.
     kappa:
         Scalar (shared), a length-``B`` sequence (per problem), or
         ``None`` to derive each problem's κ via
         :func:`~repro.optim.tuning.residual_kappa` exactly as the
-        sequential loop would.  Rejected for ``method="omp"``.
+        sequential loop would.
     x0:
         Warm start carried over from a previous batch: a
         :class:`BatchSolverResult` or an array of shape ``(B, n)``
-        (``(B, n, p)`` for MMV).  Supported for ``fista`` and ``mmv``.
+        (``(B, n, p)`` for MMV).
     warm_state / warm_keys:
         Keyed cross-batch carry-over: a
         :class:`~repro.optim.warm.WarmStartState` plus one key per
@@ -102,27 +94,19 @@ def solve_batch(
         changed) and writes its solution back after the solve, so
         consecutive batches over an evolving problem population (the
         streaming service's micro-batches) chain warm starts without
-        the caller stacking arrays.  Mutually exclusive with ``x0``;
-        same method restriction.
+        the caller stacking arrays.  Mutually exclusive with ``x0``.
     **options:
-        Per-method solver options (``max_iterations``, ``tolerance``,
-        ``lipschitz``; ``rho``/``factors`` for ADMM; ``sparsity`` for
-        OMP).
+        Kernel options: ``max_iterations``, ``tolerance``, ``lipschitz``
+        and ``penalty_weights``.
     """
-    if method not in _BATCH_METHODS:
+    if method not in ("fista", "mmv"):
         raise SolverError(
             f"solve_batch does not support method {method!r}; "
-            f"batchable methods: {sorted(_BATCH_METHODS)}"
+            "batchable methods: ['fista', 'mmv']"
         )
-    stray = sorted(set(options) - set().union(*_BATCH_METHODS.values()))
+    stray = sorted(set(options) - _BATCH_OPTIONS)
     if stray:
         raise TypeError(f"solve_batch() got an unexpected keyword argument {stray[0]!r}")
-    unknown = set(options) - _BATCH_METHODS[method]
-    if unknown:
-        raise SolverError(
-            f"method {method!r} does not accept options {sorted(unknown)}; "
-            f"allowed: {sorted(_BATCH_METHODS[method])}"
-        )
 
     ys = list(ys)
     n_problems = len(ys)
@@ -157,10 +141,6 @@ def solve_batch(
         raise SolverError("warm_keys requires warm_state")
     warm = _resolve_warm_start(x0, method, n_problems, operator.shape[1], problem_shape)
 
-    if method == "admm" and options.get("factors") is None:
-        # One factorization serves every block (and every κ).
-        options = dict(options)
-        options["factors"] = CachedAdmmFactors(operator, options.get("rho") or 1.0)
     blocks = []
     for start in range(0, n_problems, _BLOCK_COLUMNS):
         stop = min(start + _BLOCK_COLUMNS, n_problems)
@@ -169,7 +149,7 @@ def solve_batch(
                 operator,
                 ys[start:stop],
                 method,
-                kappas[start:stop] if kappas is not None else None,
+                kappas[start:stop],
                 warm[start:stop] if warm is not None else None,
                 options,
             )
@@ -195,10 +175,6 @@ def _merge_blocks(blocks, kappas):
 
 
 def _resolve_kappas(operator, ys, method, kappa, kappa_fraction, n_problems):
-    if method == "omp":
-        if kappa is not None:
-            raise SolverError("method 'omp' does not take a kappa weight")
-        return None
     if kappa is None:
         derive = mmv_residual_kappa if method == "mmv" else residual_kappa
         return tuple(derive(operator, np.asarray(y), fraction=kappa_fraction) for y in ys)
@@ -222,8 +198,6 @@ def _warm_starts_from_state(warm_state, warm_keys, x0, method, n_problems, n, pr
     """
     if x0 is not None:
         raise SolverError("pass either x0 or warm_state, not both")
-    if method not in ("fista", "mmv"):
-        raise SolverError(f"method {method!r} does not accept a warm start (warm_state)")
     if warm_keys is None or len(warm_keys) != n_problems:
         n_keys = 0 if warm_keys is None else len(warm_keys)
         raise SolverError(
@@ -242,8 +216,6 @@ def _warm_starts_from_state(warm_state, warm_keys, x0, method, n_problems, n, pr
 def _resolve_warm_start(x0, method, n_problems, n, problem_shape):
     if x0 is None:
         return None
-    if method not in ("fista", "mmv"):
-        raise SolverError(f"method {method!r} does not accept a warm start (x0)")
     if isinstance(x0, BatchSolverResult):
         x0 = x0.x
     expected = (
@@ -261,10 +233,5 @@ def _solve_stacked(operator, ys, method, kappas, warm, options):
     )
     if not np.all(np.isfinite(stacked)):
         raise SolverError("batch contains non-finite measurements")
-    if method == "fista":
-        return fista_lockstep(operator, stacked, kappas, warm, **options)
-    if method == "admm":
-        return admm_lockstep(operator, stacked, kappas, **options)
-    if method == "omp":
-        return omp_lockstep(operator, stacked, **options)
-    return mmv_lockstep(operator, stacked, kappas, warm, **options)
+    kernel = fista_lockstep if method == "fista" else mmv_lockstep
+    return kernel(operator, stacked, kappas, warm, **options)

@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace
-from repro.optim.linalg import squared_norms, validate_penalty_weights, validate_system
+from repro.optim.linalg import (
+    squared_norms,
+    validate_kernel_inputs,
+    validate_penalty_weights,
+    validate_system,
+)
 from repro.optim.operators import as_operator
 from repro.optim.result import (
     BatchSolverResult,
@@ -80,8 +85,8 @@ def solve_lasso_fista(
     rhs:
         The measurement vector ``y`` of shape ``(m,)``.
     kappa:
-        Sparsity weight κ ≥ 0.  See :mod:`repro.optim.tuning` for the
-        noise-scaled heuristics used by the higher layers.
+        Sparsity weight κ ≥ 0, finite.  See :mod:`repro.optim.tuning`
+        for the κ heuristic used by the higher layers.
     max_iterations:
         Iteration cap (≥ 1).  The iterates are feasible at every step, so
         a small cap yields a coarse spectrum (paper Fig. 3) rather than
@@ -180,9 +185,7 @@ def fista_lockstep(
     n = operator.shape[1]
     n_problems = Y.shape[1]
     progress = LockstepProgress(n_problems, max_iterations)
-    kap = np.asarray(kappas, dtype=np.float64)
-    if np.any(kap < 0):
-        raise SolverError(f"kappa must be non-negative, got {kappas}")
+    kap = validate_kernel_inputs(kappas, lipschitz, warm)
     weights = validate_penalty_weights(penalty_weights, n)
 
     lipschitz = 2.0 * (operator.lipschitz() if lipschitz is None else float(lipschitz))

@@ -109,6 +109,24 @@ def validate_penalty_weights(penalty_weights, n: int) -> np.ndarray | None:
     return weights
 
 
+def validate_kernel_inputs(kappas, lipschitz, warm) -> np.ndarray:
+    """A kernel's κ as a float64 array, after checking its numeric inputs.
+
+    κ must be finite and ≥ 0, a supplied ``lipschitz`` finite and > 0
+    (only the operator's own bound may be 0, for a zero dictionary),
+    and a warm start finite — so NaN or inf fails here instead of
+    coming back as a "converged" result.
+    """
+    kap = np.asarray(kappas, dtype=np.float64)
+    if not np.all(np.isfinite(kap)) or np.any(kap < 0):
+        raise SolverError(f"kappa must be finite and non-negative, got {kappas}")
+    if lipschitz is not None and not 0 < float(lipschitz) < np.inf:
+        raise SolverError(f"lipschitz must be finite and positive, got {lipschitz}")
+    if warm is not None and not np.all(np.isfinite(warm)):
+        raise SolverError("x0 contains non-finite entries")
+    return kap
+
+
 def validate_system(matrix, rhs: np.ndarray) -> None:
     """Check that ``matrix`` (ndarray or operator) and ``rhs`` are consistent."""
     is_operator = hasattr(matrix, "matvec")

@@ -24,7 +24,12 @@ import numpy as np
 
 from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace
-from repro.optim.linalg import squared_norms, validate_penalty_weights, validate_system
+from repro.optim.linalg import (
+    squared_norms,
+    validate_kernel_inputs,
+    validate_penalty_weights,
+    validate_system,
+)
 from repro.optim.operators import as_operator
 from repro.optim.result import (
     BatchSolverResult,
@@ -161,9 +166,7 @@ def mmv_lockstep(
     progress = LockstepProgress(n_problems, max_iterations)
     if n_snapshots == 0:
         raise SolverError("snapshot matrices have zero columns")
-    kap = np.asarray(kappas, dtype=np.float64)
-    if np.any(kap < 0):
-        raise SolverError(f"kappa must be non-negative, got {kappas}")
+    kap = validate_kernel_inputs(kappas, lipschitz, warm)
     weights = validate_penalty_weights(penalty_weights, n)
 
     lipschitz = 2.0 * (operator.lipschitz() if lipschitz is None else float(lipschitz))

@@ -1,6 +1,6 @@
 """Result containers and the shared lockstep bookkeeping of the solvers.
 
-Each algorithm (FISTA, MMV, ADMM, OMP) has exactly one iteration loop:
+Each algorithm (FISTA, MMV, OMP) has exactly one iteration loop:
 a lockstep kernel over a stack of ``B`` problems that returns a
 :class:`BatchSolverResult`.  The sequential front doors
 (``solve_lasso_fista`` & co.) call it with ``B = 1``;
@@ -11,7 +11,7 @@ every solve it makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,14 +37,9 @@ class SolverResult:
     converged:
         ``True`` when the stopping tolerance was met before the iteration
         cap; ``False`` when the solver ran out of iterations.  A
-        non-converged result is still usable — FISTA/ADMM iterates are
+        non-converged result is still usable — FISTA iterates are
         feasible at every step — which is what paper Fig. 3 exploits when
         it shows spectra after 3/6/9/14 iterations.
-    history:
-        Per-outer-pass objective values of the multi-pass solvers
-        (:func:`~repro.optim.reweighted.solve_reweighted_lasso`,
-        :func:`~repro.optim.sbl.solve_sbl`); empty for the single-kernel
-        solvers, whose per-iteration objectives ``telemetry=`` records.
     convergence:
         The :class:`~repro.obs.convergence.ConvergenceTrace` the caller
         passed via the solver's ``telemetry=`` hook, filled with
@@ -59,7 +54,6 @@ class SolverResult:
     objective: float
     iterations: int
     converged: bool
-    history: list[float] = field(default_factory=list)
     convergence: "ConvergenceTrace | None" = None
     solver: str = ""
 

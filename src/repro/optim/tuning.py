@@ -2,8 +2,9 @@
 
 The paper's Eq. 10 bounds the residual by a noise-tolerance parameter γ
 and Eq. 11 folds it into the Lagrangian weight κ.  Neither value is
-reported, so we expose the two standard, well-behaved choices and use
-them consistently across the core and the baselines' ablations.
+reported, so κ is chosen as a fraction of the zero-solution gradient,
+in its LASSO and ℓ2,1 forms, consistently across the core and the
+baselines' ablations.
 """
 
 from __future__ import annotations
@@ -13,34 +14,6 @@ import numpy as np
 from repro.exceptions import SolverError
 from repro.optim.linalg import squared_norms
 from repro.optim.operators import as_operator
-
-
-def noise_scaled_kappa(matrix, noise_std: float, *, confidence: float = 1.0) -> float:
-    """κ from the universal-threshold rule, κ = c·σ·√(2·log n)·‖A‖_col.
-
-    For i.i.d. complex Gaussian noise of standard deviation ``noise_std``
-    per measurement entry, ``max_i |Aᴴn|_i`` concentrates around
-    ``σ·√(2 log n)`` times the largest column norm; choosing κ at that
-    scale keeps pure-noise atoms out of the solution with high
-    probability while barely biasing true paths.
-
-    Parameters
-    ----------
-    matrix:
-        Dictionary — a dense ndarray or any
-        :class:`~repro.optim.operators.DictionaryOperator`.
-    confidence:
-        Multiplier ``c``; >1 prunes more aggressively, <1 keeps weaker
-        paths.
-    """
-    if noise_std < 0:
-        raise SolverError(f"noise_std must be non-negative, got {noise_std}")
-    operator = as_operator(matrix)
-    n = operator.shape[1]
-    if n == 0:
-        raise SolverError("dictionary has zero columns")
-    max_column_norm = float(operator.column_norms().max())
-    return confidence * noise_std * np.sqrt(2.0 * np.log(max(n, 2))) * max_column_norm
 
 
 def residual_kappa(matrix, rhs: np.ndarray, *, fraction: float = 0.05) -> float:

@@ -101,8 +101,9 @@ class TestObjective:
 class TestValidation:
     def test_rejects_negative_kappa(self, rng):
         a, y, *_ = make_sparse_system(rng)
-        with pytest.raises(SolverError):
-            solve_lasso_fista(a, y, kappa=-1.0)
+        for kappa in (-1.0, np.nan, np.inf):
+            with pytest.raises(SolverError, match="kappa"):
+                solve_lasso_fista(a, y, kappa=kappa)
 
     def test_rejects_matrix_rhs(self, rng):
         a, y, *_ = make_sparse_system(rng)
@@ -113,6 +114,16 @@ class TestValidation:
         a, y, *_ = make_sparse_system(rng)
         with pytest.raises(SolverError, match="x0"):
             solve_lasso_fista(a, y, kappa=0.1, x0=np.zeros(3))
+        with pytest.raises(SolverError, match="x0"):
+            solve_lasso_fista(a, y, kappa=0.1, x0=np.full(a.shape[1], np.nan))
+
+    def test_rejects_bad_lipschitz(self, rng):
+        """Only the operator's own zero bound takes the zero-dictionary
+        shortcut; a supplied constant must be finite and positive."""
+        a, y, *_ = make_sparse_system(rng)
+        for lipschitz in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(SolverError, match="lipschitz"):
+                solve_lasso_fista(a, y, kappa=0.1, lipschitz=lipschitz)
 
     def test_rejects_zero_iterations(self, rng):
         a, y, *_ = make_sparse_system(rng)

@@ -88,8 +88,19 @@ class TestValidation:
 
     def test_rejects_negative_kappa(self, rng):
         a, y, *_ = make_mmv_system(rng)
-        with pytest.raises(SolverError):
-            solve_mmv_fista(a, y, kappa=-0.1)
+        for kappa in (-0.1, np.nan, np.inf):
+            with pytest.raises(SolverError, match="kappa"):
+                solve_mmv_fista(a, y, kappa=kappa)
+
+    def test_rejects_bad_lipschitz_and_warm_start(self, rng):
+        a, y, *_ = make_mmv_system(rng)
+        for lipschitz in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(SolverError, match="lipschitz"):
+                solve_mmv_fista(a, y, kappa=0.1, lipschitz=lipschitz)
+        x0 = np.zeros((a.shape[1], y.shape[1]), dtype=complex)
+        x0[3, 1] = np.nan
+        with pytest.raises(SolverError, match="x0"):
+            solve_mmv_fista(a, y, kappa=0.1, x0=x0)
 
     def test_zero_dictionary_returns_zero(self):
         result = solve_mmv_fista(np.zeros((4, 8)), np.zeros((4, 2)), kappa=0.1)

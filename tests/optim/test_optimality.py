@@ -14,9 +14,18 @@ Eq. 18 (the ℓ2,1 MMV program) has the same conditions row-wise, with
 ``G = 2Aᴴ(AX − Y)``: ``Gᵢ = −κ·wᵢ·Xᵢ/‖Xᵢ‖`` on active rows and
 ``‖Gᵢ‖ ≤ κ·wᵢ`` on zero rows.
 
-Every instance is solved to ``tolerance=1e-10`` through ``solve_batch``
-at ``B = 1`` and ``B = 5``, so the oracle covers the lockstep kernels
-both alone and in a batch.
+The outlier-augmented program behind the NLOS drills' evidence probes,
+
+    min_{x,e} ‖Ax + e − y‖₂² + κ‖x‖₁ + λ‖e‖₁
+
+(ℓ2,1 row norms in MMV form), has the same conditions per block with
+``r = Ax + e − y``: ``2Aᴴr`` meets the κ-conditions on ``x`` and ``2r``
+the λ-conditions on ``e``.
+
+Every instance is solved to ``tolerance=1e-10`` at ``B = 1`` and
+``B = 5`` — through ``solve_batch``, and for the robust program also
+through ``solve_robust_lasso`` / ``solve_robust_mmv`` — so the oracle
+covers the lockstep kernels both alone and in a batch.
 """
 
 from __future__ import annotations
@@ -24,12 +33,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.optim import solve_batch
+from repro.optim import (
+    OutlierAugmentedOperator,
+    robust_penalty_weights,
+    solve_batch,
+    solve_robust_lasso,
+    solve_robust_mmv,
+)
 
 M, N, P = 20, 50, 3
 KAPPA_FRACTION = 0.2
 #: KKT residual budget, relative to the largest ``κ·wⱼ``.
 KKT_TOLERANCE = 1e-6
+#: λ/κ of the robust instances: at λ = κ the error block picks up the
+#: corrupted entries, so both blocks have a non-empty support.
+OUTLIER_RATIO = 1.0
 
 
 def _complex(rng, *shape):
@@ -56,10 +74,32 @@ def _kappa(matrix, y):
     return KAPPA_FRACTION * float(peak)
 
 
+def _corrupted(ys, seed):
+    """``ys`` with gross errors on two measurement entries (rows) each."""
+    rng = np.random.default_rng(seed)
+    corrupted = []
+    for y in ys:
+        y = y.copy()
+        y[rng.choice(M, 2, replace=False)] += 5.0 * _complex(rng, 2, *y.shape[1:])
+        corrupted.append(y)
+    return corrupted
+
+
 def _assert_kkt(matrix, y, x, kappa, weights):
     """Check the (row-wise for 2-D ``x``) subgradient optimality conditions."""
     gradient = 2.0 * matrix.conj().T @ (matrix @ x - y)
-    penalty = kappa * (np.ones(N) if weights is None else weights)
+    _assert_subgradient(gradient, x, kappa * (np.ones(N) if weights is None else weights))
+
+
+def _assert_robust_kkt(matrix, y, x, e, kappa):
+    """Both blocks of the split program: ``2Aᴴr`` on x, ``2r`` on e."""
+    residual = matrix @ x + e - y
+    _assert_subgradient(2.0 * matrix.conj().T @ residual, x, np.full(N, kappa))
+    _assert_subgradient(2.0 * residual, e, np.full(M, OUTLIER_RATIO * kappa))
+
+
+def _assert_subgradient(gradient, x, penalty):
+    """``gradient`` is minus a subgradient of ``Σⱼ penaltyⱼ·|xⱼ|`` at x."""
     if x.ndim == 1:
         magnitude, direction_axis = np.abs(x), None
         gradient_size = np.abs(gradient)
@@ -93,18 +133,6 @@ def test_fista_solves_eq11(n_problems, weighted):
 
 
 @pytest.mark.parametrize("n_problems", (1, 5))
-def test_admm_solves_eq11(n_problems):
-    matrix, ys, _ = _instance(12, n_problems)
-    kappas = [_kappa(matrix, y) for y in ys]
-    batch = solve_batch(
-        matrix, ys, "admm", kappa=kappas, tolerance=1e-10, max_iterations=20_000
-    )
-    assert all(batch.converged)
-    for y, x, kappa in zip(ys, batch.to_numpy(), kappas):
-        _assert_kkt(matrix, y, x, kappa, None)
-
-
-@pytest.mark.parametrize("n_problems", (1, 5))
 @pytest.mark.parametrize("weighted", (False, True))
 def test_mmv_solves_eq18(n_problems, weighted):
     matrix, ys, weights = _instance(13, n_problems, snapshots=P)
@@ -117,3 +145,26 @@ def test_mmv_solves_eq18(n_problems, weighted):
     assert all(batch.converged)
     for y, x, kappa in zip(ys, batch.to_numpy(), kappas):
         _assert_kkt(matrix, y, x, kappa, weights)
+
+
+@pytest.mark.parametrize("n_problems", (1, 5))
+@pytest.mark.parametrize("snapshots", (None, P))
+def test_robust_solves_split_program(n_problems, snapshots):
+    matrix, ys, _ = _instance(14, n_problems, snapshots=snapshots)
+    ys = _corrupted(ys, 15)
+    kappas = [_kappa(matrix, y) for y in ys]
+    augmented = OutlierAugmentedOperator(matrix)
+    weights = robust_penalty_weights(N, M, kappas[0], OUTLIER_RATIO * kappas[0])
+    batch = solve_batch(
+        augmented, ys, "fista" if snapshots is None else "mmv", kappa=kappas,
+        penalty_weights=weights, tolerance=1e-10, max_iterations=20_000,
+    )
+    assert all(batch.converged)
+    solve = solve_robust_lasso if snapshots is None else solve_robust_mmv
+    for y, z, kappa in zip(ys, batch.to_numpy(), kappas):
+        _assert_robust_kkt(matrix, y, *augmented.split(z), kappa)
+        alone = solve(
+            matrix, y, kappa, OUTLIER_RATIO * kappa, tolerance=1e-10, max_iterations=20_000
+        )
+        assert alone.converged
+        _assert_robust_kkt(matrix, y, alone.x, alone.e, kappa)

@@ -39,7 +39,3 @@ class TestSparsity:
         x[1] = [0.01, 0.0]
         result = SolverResult(x=x, objective=0.0, iterations=1, converged=True)
         assert result.sparsity(rtol=0.1) == 1
-
-    def test_history_defaults_empty(self):
-        result = SolverResult(x=np.zeros(1), objective=0.0, iterations=0, converged=True)
-        assert result.history == []

@@ -5,12 +5,12 @@ The contract under test (see ``repro/optim/batch.py``):
 * the sequential solvers are ``B = 1`` calls of the lockstep kernels,
   so a singleton batch is **byte-identical** to the sequential solver;
 * any larger batch matches the per-problem ``B = 1`` solves within the
-  parity budget (1e-12 relative), for every method, at batch sizes that
+  parity budget (1e-12 relative), for both methods, at batch sizes that
   cross the internal column-block boundary;
 * κ derivation and warm starts behave exactly like their sequential
   counterparts;
-* malformed batches (and iteration caps below 1) fail loudly, never
-  silently truncate;
+* malformed batches, non-finite κ / Lipschitz / warm-start inputs and
+  iteration caps below 1 fail loudly, never silently truncate;
 * the fused in-place prox kernel equals its plain definition, the
   FISTA kernel matches the plain sequential reference loop of
   ``repro/optim/reference.py``, and the MMV kernel matches a plain
@@ -26,12 +26,9 @@ from repro.exceptions import SolverError
 from repro.optim import (
     BatchSolverResult,
     solve_batch,
-    solve_lasso_admm,
     solve_lasso_fista,
     solve_mmv_fista,
-    solve_omp,
 )
-from repro.optim.admm import CachedAdmmFactors
 from repro.optim.fista import _prox_gradient_step
 from repro.optim.linalg import row_soft_threshold, soft_threshold
 from repro.optim.operators import as_operator
@@ -65,18 +62,6 @@ class TestSingletonByteIdentity:
         assert batch.objectives[0] == solo.objective
         assert batch.iterations[0] == solo.iterations
 
-    def test_admm(self, rng):
-        a, ys = make_batch(rng, 1)
-        solo = solve_lasso_admm(a, ys[0], 0.1, max_iterations=300)
-        batch = solve_batch(a, ys, method="admm", kappa=0.1, max_iterations=300)
-        np.testing.assert_array_equal(batch.to_numpy()[0], solo.x)
-
-    def test_omp(self, rng):
-        a, ys = make_batch(rng, 1, noise=0.0)
-        solo = solve_omp(a, ys[0], sparsity=3)
-        batch = solve_batch(a, ys, method="omp", sparsity=3)
-        np.testing.assert_array_equal(batch.to_numpy()[0], solo.x)
-
     def test_mmv(self, rng):
         a, ys = make_batch(rng, 1)
         snapshots = np.stack([ys[0], 1.1 * ys[0]], axis=1)
@@ -96,24 +81,6 @@ class TestBatchedMatchesSequentialLoop:
             assert float(np.abs(batch.to_numpy()[index] - solo.x).max()) <= 1e-12 * scale
             assert batch.iterations[index] == solo.iterations
             assert batch.converged[index] == solo.converged
-
-    @pytest.mark.parametrize("n_problems", BATCH_SIZES)
-    def test_admm(self, rng, n_problems):
-        a, ys = make_batch(rng, n_problems)
-        batch = solve_batch(a, ys, method="admm", kappa=0.1, max_iterations=300)
-        for index, y in enumerate(ys):
-            solo = solve_lasso_admm(a, y, 0.1, max_iterations=300)
-            scale = max(1.0, float(np.abs(solo.x).max()))
-            assert float(np.abs(batch.to_numpy()[index] - solo.x).max()) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("n_problems", BATCH_SIZES)
-    def test_omp(self, rng, n_problems):
-        a, ys = make_batch(rng, n_problems, noise=0.0)
-        batch = solve_batch(a, ys, method="omp", sparsity=3)
-        for index, y in enumerate(ys):
-            solo = solve_omp(a, y, sparsity=3)
-            scale = max(1.0, float(np.abs(solo.x).max()))
-            assert float(np.abs(batch.to_numpy()[index] - solo.x).max()) <= 1e-12 * scale
 
     def test_mmv(self, rng):
         a, ys = make_batch(rng, 7)
@@ -158,16 +125,6 @@ class TestBatchedMatchesSequentialLoop:
         expected = tuple(mmv_residual_kappa(a, s, fraction=0.05) for s in stacks)
         assert batch.kappas == pytest.approx(expected, rel=0, abs=0)
 
-    def test_shared_admm_factors_across_blocks(self, rng):
-        """One caller-provided factorization serves the whole batch."""
-        a, ys = make_batch(rng, 33)
-        factors = CachedAdmmFactors(a, rho=1.0)
-        batch = solve_batch(
-            a, ys, method="admm", kappa=0.1, factors=factors, max_iterations=200
-        )
-        plain = solve_batch(a, ys, method="admm", kappa=0.1, max_iterations=200)
-        np.testing.assert_array_equal(batch.to_numpy(), plain.to_numpy())
-
 
 class TestWarmStart:
     def test_warm_start_matches_sequential_warm_loop(self, rng):
@@ -199,11 +156,6 @@ class TestWarmStart:
         with pytest.raises(SolverError, match="x0 has shape"):
             solve_batch(a, ys, method="fista", kappa=0.1, x0=np.zeros((2, a.shape[1])))
 
-    def test_warm_start_rejected_for_greedy_methods(self, rng):
-        a, ys = make_batch(rng, 3)
-        with pytest.raises(SolverError, match="warm start"):
-            solve_batch(a, ys, method="omp", sparsity=2, x0=np.zeros((3, a.shape[1])))
-
 
 class TestValidation:
     def test_empty_batch(self, rng):
@@ -216,25 +168,23 @@ class TestValidation:
         with pytest.raises(SolverError, match="ragged"):
             solve_batch(a, [ys[0], ys[1][:-1]], method="fista", kappa=0.1)
 
-    def test_unknown_method(self, rng):
+    @pytest.mark.parametrize("method", ("admm", "omp", "sbl"))
+    def test_unknown_method(self, rng, method):
         a, ys = make_batch(rng, 2)
         with pytest.raises(SolverError, match="does not support method"):
-            solve_batch(a, ys, method="sbl")
+            solve_batch(a, ys, method=method)
 
     def test_unknown_option(self, rng):
+        """Both methods take one option set; anything else is a stray
+        keyword, as for any Python call."""
         a, ys = make_batch(rng, 2)
-        with pytest.raises(SolverError, match="does not accept options"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'sparsity'"):
             solve_batch(a, ys, method="fista", kappa=0.1, sparsity=3)
 
     def test_kappa_length_mismatch(self, rng):
         a, ys = make_batch(rng, 3)
         with pytest.raises(SolverError, match="kappa sequence has length"):
             solve_batch(a, ys, method="fista", kappa=[0.1, 0.2])
-
-    def test_omp_rejects_kappa(self, rng):
-        a, ys = make_batch(rng, 2)
-        with pytest.raises(SolverError, match="kappa"):
-            solve_batch(a, ys, method="omp", sparsity=2, kappa=0.1)
 
     def test_dimension_mismatch(self, rng):
         a, ys = make_batch(rng, 2)
@@ -258,31 +208,41 @@ class TestValidation:
             ServeConfig(dtype="complex64")
 
     @pytest.mark.parametrize("n_problems", (1, 2))
-    @pytest.mark.parametrize("method", ("fista", "admm", "mmv", "omp"))
+    @pytest.mark.parametrize("method", ("fista", "mmv"))
     def test_iteration_cap_below_one_rejected(self, rng, method, n_problems):
         """A zero cap must raise, never return an unconverged zero
         iterate — through solve_batch and through the front doors."""
         a, ys = make_batch(rng, n_problems)
         if method == "mmv":
             ys = [np.stack([y, y], axis=1) for y in ys]
-        cap = {"sparsity": 0} if method == "omp" else {"max_iterations": 0}
-        kappa = {} if method == "omp" else {"kappa": 0.1}
         with pytest.raises(SolverError, match=">= 1"):
-            solve_batch(a, ys, method=method, **kappa, **cap)
-        solo = {
-            "fista": solve_lasso_fista,
-            "admm": solve_lasso_admm,
-            "mmv": solve_mmv_fista,
-            "omp": solve_omp,
-        }[method]
+            solve_batch(a, ys, method=method, kappa=0.1, max_iterations=0)
+        solo = solve_mmv_fista if method == "mmv" else solve_lasso_fista
         with pytest.raises(SolverError, match=">= 1"):
-            solo(a, ys[0], **kappa, **cap)
+            solo(a, ys[0], kappa=0.1, max_iterations=0)
 
     def test_non_finite_measurements(self, rng):
         a, ys = make_batch(rng, 2)
         ys[1][0] = np.nan
         with pytest.raises(SolverError, match="non-finite"):
             solve_batch(a, ys, method="fista", kappa=0.1, max_iterations=10)
+
+    @pytest.mark.parametrize("method", ("fista", "mmv"))
+    def test_bad_kernel_inputs_rejected(self, rng, method):
+        """NaN/inf κ, a non-positive or non-finite Lipschitz constant and a
+        non-finite warm start raise instead of returning "converged"."""
+        a, ys = make_batch(rng, 2)
+        if method == "mmv":
+            ys = [np.stack([y, y], axis=1) for y in ys]
+        bad_x0 = np.zeros((2, a.shape[1], *np.shape(ys[0])[1:]), dtype=complex)
+        bad_x0[1, 0] = np.inf
+        cases = [({"kappa": k}, "kappa") for k in (np.nan, np.inf, [0.1, np.nan])]
+        cases += [({"lipschitz": v}, "lipschitz") for v in (-1.0, 0.0, np.nan, np.inf)]
+        cases += [({"x0": bad_x0}, "x0")]
+        for bad, match in cases:
+            inputs = {"kappa": 0.1, "max_iterations": 10, **bad}
+            with pytest.raises(SolverError, match=match):
+                solve_batch(a, ys, method=method, **inputs)
 
 
 class TestResultApi:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import SolverError
 from repro.optim.fista import solve_lasso_fista
-from repro.optim.tuning import noise_scaled_kappa, residual_kappa
+from repro.optim.tuning import residual_kappa
 
 from tests.optim.test_fista import make_sparse_system
 
@@ -40,35 +40,3 @@ class TestResidualKappa:
         with pytest.raises(SolverError, match="orthogonal"):
             residual_kappa(a, y)
 
-
-class TestNoiseScaledKappa:
-    def test_scales_linearly_with_noise(self, rng):
-        a, *_ = make_sparse_system(rng)
-        assert noise_scaled_kappa(a, 0.2) == pytest.approx(2 * noise_scaled_kappa(a, 0.1))
-
-    def test_grows_with_dictionary_size(self, rng):
-        a_small = np.ones((4, 10))
-        a_large = np.ones((4, 10000))
-        assert noise_scaled_kappa(a_large, 1.0) > noise_scaled_kappa(a_small, 1.0)
-
-    def test_zero_noise_gives_zero(self, rng):
-        a, *_ = make_sparse_system(rng)
-        assert noise_scaled_kappa(a, 0.0) == 0.0
-
-    def test_suppresses_noise_atoms(self, rng):
-        """With κ from the rule, a pure-noise measurement yields ~nothing."""
-        a, *_ = make_sparse_system(rng, m=40, n=160)
-        sigma = 0.5
-        noise = sigma / np.sqrt(2) * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
-        kappa = noise_scaled_kappa(a, sigma, confidence=1.5)
-        result = solve_lasso_fista(a, noise, kappa=kappa, max_iterations=300)
-        assert result.sparsity() <= 2
-
-    def test_rejects_negative_noise(self, rng):
-        a, *_ = make_sparse_system(rng)
-        with pytest.raises(SolverError):
-            noise_scaled_kappa(a, -1.0)
-
-    def test_rejects_empty_dictionary(self):
-        with pytest.raises(SolverError):
-            noise_scaled_kappa(np.zeros((3, 0)), 1.0)
