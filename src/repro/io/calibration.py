@@ -8,7 +8,7 @@ parameters, so the assumptions can be checked against hardware and the
 simulator re-fit to a specific testbed.
 
 The estimator is the same joint linear-phase model SpotFi's Algorithm 1
-removes (:func:`repro.io.stages.fit_phase_slope`): per packet, one
+removes (:func:`repro.io.stages.fit_phase_slopes`): per packet, one
 common slope plus per-antenna intercepts.
 
 * The slope is ``−2π·Δf·(detection delay + direct ToA)``.  The static
@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.channel.trace import CsiTrace
 from repro.exceptions import CalibrationError
-from repro.io.stages import fit_phase_slope
+from repro.io.stages import fit_phase_slopes
 from repro.obs import NULL_TRACER
 
 
@@ -87,16 +87,9 @@ class CalibrationReport:
 
     def to_dict(self) -> dict:
         return {
-            "n_packets": self.n_packets,
-            "n_antennas": self.n_antennas,
+            **vars(self),
             "relative_delays_s": list(self.relative_delays_s),
-            "detection_delay_range_s": self.detection_delay_range_s,
-            "sfo_std_s": self.sfo_std_s,
             "phase_offsets_rad": list(self.phase_offsets_rad),
-            "phase_offset_stability_rad": self.phase_offset_stability_rad,
-            "cfo_residual_rad": self.cfo_residual_rad,
-            "source": self.source,
-            "ap_id": self.ap_id,
             "metrics": dict(self.metrics),
         }
 
@@ -171,10 +164,7 @@ def fit_calibration(
     indices = np.asarray(indices, dtype=float)
 
     with tracer.span("calibration_fit", n_packets=trace.n_packets) as span:
-        slopes = np.empty(trace.n_packets)
-        intercepts = np.empty((trace.n_packets, trace.n_antennas))
-        for p in range(trace.n_packets):
-            slopes[p], intercepts[p] = fit_phase_slope(trace.csi[p], indices)
+        slopes, intercepts = fit_phase_slopes(trace.csi, indices)
 
         delays = -slopes / (2 * np.pi * index_spacing_hz)
         relative = delays - delays.min()

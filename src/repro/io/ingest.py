@@ -15,13 +15,30 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.exceptions import ReproError
 from repro.obs import NULL_TRACER
 
 
+def _jsonable(value):
+    """``value`` with every array inside it turned into a list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(item) for item in value]
+    return value
+
+
 @dataclass(frozen=True)
 class IngestRecord:
-    """Outcome of ingesting one trace from one source."""
+    """Outcome of ingesting one trace from one source.
+
+    Per-packet series (STO ``slopes_rad`` / ``delays_ns``, calibration
+    ``relative_delays_s``) stay float64 arrays until :meth:`to_dict`.
+    """
 
     label: str
     source: str
@@ -39,22 +56,7 @@ class IngestRecord:
     error_kind: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "source": self.source,
-            "ok": self.ok,
-            "n_packets": self.n_packets,
-            "n_antennas": self.n_antennas,
-            "n_subcarriers": self.n_subcarriers,
-            "source_format": self.source_format,
-            "snr_db": self.snr_db,
-            "output_path": self.output_path,
-            "dataset": self.dataset,
-            "stage_reports": list(self.stage_reports),
-            "calibration": self.calibration,
-            "error": self.error,
-            "error_kind": self.error_kind,
-        }
+        return _jsonable(vars(self))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "IngestRecord":
@@ -335,6 +337,7 @@ def _ingest_one(
                 calibration = None
                 if calibrate and trace.n_antennas >= 2 and trace.n_packets >= 1:
                     calibration = fit_calibration(trace, tracer=tracer).to_dict()
+                    calibration["relative_delays_s"] = np.array(calibration["relative_delays_s"])
 
                 output_path = None
                 dataset = None
@@ -360,7 +363,7 @@ def _ingest_one(
                         n_antennas=cleaned.n_antennas,
                         n_subcarriers=cleaned.n_subcarriers,
                         source_format=trace.source_format,
-                        snr_db=None if _isnan(cleaned.snr_db) else float(cleaned.snr_db),
+                        snr_db=None if np.isnan(cleaned.snr_db) else float(cleaned.snr_db),
                         output_path=output_path,
                         dataset=dataset,
                         stage_reports=[report.to_dict() for report in reports],
@@ -380,7 +383,3 @@ def _ingest_one(
                     )
                 )
     return records
-
-
-def _isnan(value: float) -> bool:
-    return value != value

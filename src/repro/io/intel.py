@@ -54,6 +54,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -97,12 +98,101 @@ def _dbinv(x: float | np.ndarray) -> float | np.ndarray:
     return 10.0 ** (np.asarray(x, dtype=float) / 10.0)
 
 
-def _db(x: float) -> float:
-    return float(10.0 * np.log10(x))
-
-
 def _calc_len(n_rx: int, n_tx: int) -> int:
     return (N_SUBCARRIERS * (n_rx * n_tx * 8 * 2 + 3) + 7) // 8
+
+
+#: The 20 bytes before the bit-packed CSI (see the module docstring).
+_BFEE_HEADER = struct.Struct("<IH2xBB3BbBBHH")
+#: A framed bfee record: :data:`_BFEE_HEADER`'s fields, then its CSI's file offset.
+_FRAMED = np.dtype(
+    [(name, np.int64) for name in "timestamp_low bfee_count n_rx n_tx rssi_a rssi_b "
+     "rssi_c noise agc antenna_sel length rate csi_at".split()]
+)
+
+
+@lru_cache(maxsize=None)
+def _bit_table(n_rx: int, n_tx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Byte offset and bit shift of every CSI component, ``(n_rx, n_tx, 30, 2)``.
+
+    Value ``j = rx·n_tx + tx`` of subcarrier ``s`` starts at bit
+    ``s·(16·n_rx·n_tx + 3) + 3 + 16·j``; its imaginary part 8 bits later.
+    At most nine shapes are cached; the tables are read-only.
+    """
+    rx, tx, subcarrier, part = np.ix_(
+        np.arange(n_rx), np.arange(n_tx), np.arange(N_SUBCARRIERS), np.arange(2)
+    )
+    bit = subcarrier * (16 * n_rx * n_tx + 3) + 3 + 16 * (rx * n_tx + tx) + 8 * part
+    byte, shift = bit // 8, (bit % 8).astype(np.uint16)
+    byte.flags.writeable = shift.flags.writeable = False
+    return byte, shift
+
+
+def _decode_csi(raw: np.ndarray, framed: np.ndarray, n_rx: int, n_tx: int) -> np.ndarray:
+    """RX-permuted integer CSI ``(records, n_rx, n_tx, 30)`` of same-shape
+    :data:`_FRAMED` records.
+
+    Each component is the 16-bit little-endian window at its byte,
+    shifted down to 8 bits (a payload is 2 mod 8 bits long, so no window
+    leaves its record).  Captured RX stream ``k`` of a 3-RX record holds
+    physical antenna ``perm[k]``, 2 bits per antenna of ``antenna_sel``;
+    a record whose field is no permutation warns and keeps its order.
+    """
+    byte, shift = _bit_table(n_rx, n_tx)
+    at = framed["csi_at"][:, None, None, None, None] + byte
+    window = raw[at].astype(np.uint16) | (raw[at + 1].astype(np.uint16) << 8)
+    values = (window >> shift).astype(np.uint8).view(np.int8)
+    csi = values.astype(float).view(complex)[..., 0]
+    if n_rx != 3:
+        return csi
+    perm = (framed["antenna_sel"][:, None] >> (2 * np.arange(3))) & 0x3
+    invalid = np.any(np.sort(perm, axis=1) != np.arange(3), axis=1)
+    for bad in perm[invalid]:
+        warnings.warn(
+            f"invalid antenna_sel permutation {bad.tolist()}; leaving RX order as captured",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    perm[invalid] = np.arange(3)
+    permuted = np.empty_like(csi)
+    permuted[np.arange(len(csi))[:, None], perm] = csi
+    return permuted
+
+
+def _rssi_dbm(chains, agc: np.ndarray) -> np.ndarray:
+    """Received power in dBm from the three chains' RSSI (0 = unmeasured;
+    −inf when no chain is), in csitool's −44 − AGC convention."""
+    a, b, c = (np.where(rssi != 0, _dbinv(rssi), 0.0) for rssi in chains)
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(a + b + c) - 44.0 - agc
+
+
+def _noise_dbm(noise: np.ndarray) -> np.ndarray:
+    """Measured noise floor, with the −127 sentinel mapped to −92 dBm."""
+    return np.where(noise == -127, -92.0, noise)
+
+
+def _scale_csi(csi: np.ndarray, rssi_dbm: np.ndarray, noise_dbm: np.ndarray) -> np.ndarray:
+    """CSI stack in absolute channel units (reference ``get_scaled_csi``).
+
+    Scales each record so ``|csi|²`` measures the per-subcarrier SNR:
+    total CSI power is matched to the RSSI-derived received power, then
+    normalized by thermal noise plus the quantization-error power the
+    integer format introduces.  All-zero records pass through."""
+    n_records, n_rx, n_tx, _ = csi.shape
+    csi_pwr = np.sum(np.abs(csi.reshape(n_records, -1)) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = _dbinv(rssi_dbm) / (csi_pwr / 30.0)
+        total_noise_pwr = _dbinv(noise_dbm) + scale * n_rx * n_tx
+        factor = np.where(csi_pwr == 0, 1.0, np.sqrt(scale / total_noise_pwr))
+    ret = csi * factor[:, None, None, None]
+    # The NIC backs off TX power per extra stream; undo it so
+    # multi-stream magnitudes are comparable to single-stream.
+    if n_tx == 2:
+        ret *= _SQRT2
+    elif n_tx == 3:
+        ret *= np.sqrt(_dbinv(4.5))
+    return ret
 
 
 @dataclass(frozen=True)
@@ -111,7 +201,8 @@ class BfeeRecord:
 
     ``csi`` is the *raw* integer-valued channel, shape
     ``(n_rx, n_tx, 30)``, already RX-permuted back to physical antenna
-    order (``antenna_sel``) but not yet scaled.
+    order (``antenna_sel``) but not yet scaled.  The derived values are
+    one-record views of the code :func:`read_intel_dat` runs per capture.
     """
 
     timestamp_low: int
@@ -128,54 +219,26 @@ class BfeeRecord:
     @property
     def rssi_dbm(self) -> float:
         """Total received power in dBm (csitool convention: −44 − AGC)."""
-        mag = sum(_dbinv(r) for r in self.rssi if r != 0)
-        if mag <= 0:
-            return float("-inf")
-        return _db(mag) - 44.0 - self.agc
+        return float(_rssi_dbm(self.rssi, self.agc))
 
     @property
     def noise_dbm(self) -> float:
         """Measured noise floor, with the −127 sentinel mapped to −92 dBm."""
-        return -92.0 if self.noise == -127 else float(self.noise)
+        return float(_noise_dbm(self.noise))
 
     def scaled_csi(self) -> np.ndarray:
-        """CSI in absolute channel units (reference ``get_scaled_csi``).
-
-        Scales the quantized integers so ``|csi|²`` measures the
-        per-subcarrier SNR: total CSI power is matched to the
-        RSSI-derived received power, then normalized by thermal noise
-        plus the quantization-error power the integer format introduces.
-        """
-        csi = self.csi.astype(complex)
-        csi_pwr = float(np.sum(np.abs(csi) ** 2))
-        if csi_pwr == 0:
-            return csi
-        rssi_pwr = _dbinv(self.rssi_dbm)
-        scale = rssi_pwr / (csi_pwr / 30.0)
-        thermal_noise_pwr = _dbinv(self.noise_dbm)
-        quant_error_pwr = scale * self.n_rx * self.n_tx
-        total_noise_pwr = thermal_noise_pwr + quant_error_pwr
-        ret = csi * np.sqrt(scale / total_noise_pwr)
-        # The NIC backs off TX power per extra stream; undo it so
-        # multi-stream magnitudes are comparable to single-stream.
-        if self.n_tx == 2:
-            ret *= _SQRT2
-        elif self.n_tx == 3:
-            ret *= np.sqrt(_dbinv(4.5))
-        return ret
+        """CSI in absolute channel units (reference ``get_scaled_csi``)."""
+        return _scale_csi(self.csi[None], self.rssi_dbm, self.noise_dbm)[0]
 
 
-def _decode_bfee(payload: bytes) -> BfeeRecord:
-    if len(payload) < 20:
+def _bfee_header(raw: bytes, start: int, end: int) -> tuple:
+    """Unpack and check the header of the bfee payload ``raw[start:end]``."""
+    if end - start < 20:
         raise IngestError(
-            f"bfee record too short: {len(payload)} bytes (need >= 20)", kind="truncated"
+            f"bfee record too short: {end - start} bytes (need >= 20)", kind="truncated"
         )
-    timestamp_low, bfee_count = struct.unpack_from("<IH", payload, 0)
-    n_rx, n_tx = payload[8], payload[9]
-    rssi = (payload[10], payload[11], payload[12])
-    noise = struct.unpack_from("<b", payload, 13)[0]
-    agc, antenna_sel = payload[14], payload[15]
-    length, rate = struct.unpack_from("<HH", payload, 16)
+    header = _BFEE_HEADER.unpack_from(raw, start)
+    n_rx, n_tx, length = header[2], header[3], header[10]
     if not 1 <= n_rx <= 3 or not 1 <= n_tx <= 3:
         raise IngestError(
             f"bfee record claims {n_rx}×{n_tx} antennas (expected 1..3 each)",
@@ -188,58 +251,12 @@ def _decode_bfee(payload: bytes) -> BfeeRecord:
             f"{n_rx}×{n_tx}: truncated or corrupt record",
             kind="bad_length",
         )
-    if len(payload) < 20 + length:
+    if end - start < 20 + length:
         raise IngestError(
-            f"bfee record truncated: {len(payload) - 20} CSI bytes, need {length}",
+            f"bfee record truncated: {end - start - 20} CSI bytes, need {length}",
             kind="truncated",
         )
-    # Two bytes of slack so the sliding 16-bit window below never
-    # indexes past the end on the final value.
-    bits = payload[20 : 20 + length] + b"\x00\x00"
-
-    csi = np.empty((n_rx, n_tx, N_SUBCARRIERS), dtype=complex)
-    index = 0
-    for subcarrier in range(N_SUBCARRIERS):
-        index += 3
-        remainder = index % 8
-        for j in range(n_rx * n_tx):
-            byte = index // 8
-            if remainder:
-                real = ((bits[byte] >> remainder) | (bits[byte + 1] << (8 - remainder))) & 0xFF
-                imag = (
-                    (bits[byte + 1] >> remainder) | (bits[byte + 2] << (8 - remainder))
-                ) & 0xFF
-            else:
-                real = bits[byte]
-                imag = bits[byte + 1]
-            value = complex(real - 256 if real >= 128 else real, imag - 256 if imag >= 128 else imag)
-            csi[j // n_tx, j % n_tx, subcarrier] = value
-            index += 16
-
-    if n_rx == 3:
-        perm = [(antenna_sel >> (2 * k)) & 0x3 for k in range(n_rx)]
-        if sorted(perm) == list(range(n_rx)):
-            permuted = np.empty_like(csi)
-            permuted[perm, :, :] = csi
-            csi = permuted
-        else:
-            warnings.warn(
-                f"invalid antenna_sel permutation {perm}; leaving RX order as captured",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return BfeeRecord(
-        timestamp_low=timestamp_low,
-        bfee_count=bfee_count,
-        n_rx=n_rx,
-        n_tx=n_tx,
-        rssi=rssi,
-        noise=noise,
-        agc=agc,
-        antenna_sel=antenna_sel,
-        rate=rate,
-        csi=csi,
-    )
+    return header
 
 
 def _plausible_bfee_at(raw: bytes, pos: int) -> bool:
@@ -250,73 +267,45 @@ def _plausible_bfee_at(raw: bytes, pos: int) -> bool:
     in-payload CSI length matching both ``_calc_len`` and the outer
     ``field_len`` — so random garbage essentially never matches.
     """
-    if pos + 3 + 20 > len(raw):
+    if pos + 3 + 20 > len(raw) or raw[pos + 2] != BFEE_CODE:
         return False
     (field_len,) = struct.unpack_from(">H", raw, pos)
-    if raw[pos + 2] != BFEE_CODE:
+    try:
+        return field_len == 21 + _bfee_header(raw, pos + 3, pos + 2 + field_len)[10]
+    except IngestError:
         return False
-    n_rx, n_tx = raw[pos + 3 + 8], raw[pos + 3 + 9]
-    if not (1 <= n_rx <= 3 and 1 <= n_tx <= 3):
-        return False
-    (length,) = struct.unpack_from("<H", raw, pos + 3 + 16)
-    return length == _calc_len(n_rx, n_tx) and field_len == 21 + length
 
 
-def _resync(raw: bytes, start: int, budget: int) -> int | None:
-    """Scan forward (at most ``budget`` bytes) for the next plausible bfee.
-
-    Each candidate test is O(1), so the scan is a single bounded forward
-    pass — a corrupted length field costs linear work, never a quadratic
-    rescan, and the returned offset is always > the corrupt one.
-    """
-    limit = min(len(raw), start + budget)
-    for pos in range(start, limit):
-        if _plausible_bfee_at(raw, pos):
-            return pos
-    return None
-
-
-def read_bfee_records(path: str | Path, *, max_resync_bytes: int = 1 << 16) -> list[BfeeRecord]:
-    """Decode every bfee record in an Intel 5300 ``.dat`` log.
-
-    Non-bfee records are skipped; a torn final record (the logger was
-    killed mid-write) is dropped with a warning rather than rejected,
-    matching how the reference MATLAB reader treats truncated logs.
-
-    Corrupt framing — a zero/self-referential length field, a length
-    pointing past EOF with data still behind it, or a bfee whose header
-    lies about its payload — does not abort the file: the parser skips
-    the damaged record and resynchronizes on the next internally
-    consistent bfee header.  Resynchronization is a bounded single
-    forward pass (``max_resync_bytes`` total across the file), and the
-    cursor advances strictly monotonically, so hostile bytes can force
-    neither an infinite loop nor quadratic work.  Files yielding no
-    decodable record raise :class:`IngestError` (kind ``"empty"``).
-    """
+def _read_bfee(path: str | Path, max_resync_bytes: int = 1 << 16) -> dict:
+    """Frame a log record by record (see :func:`read_bfee_records`), then
+    decode its CSI per antenna shape: ``{(n_rx, n_tx): (framed, csi)}``
+    with the records' :data:`_FRAMED` fields (``csi_at`` keeps file
+    order) and :func:`_decode_csi`'s stack."""
     try:
         raw = Path(path).read_bytes()
     except OSError as error:
         raise IngestError(f"cannot read {path}: {error}", kind="io") from error
-    records: list[BfeeRecord] = []
+    records: list[tuple] = []
     offset = 0
     resync_budget = max_resync_bytes
-    n_skipped = 0
 
     def try_resync(start: int, why: str) -> int | None:
-        nonlocal resync_budget, n_skipped
+        nonlocal resync_budget
         if resync_budget <= 0:
             return None
-        found = _resync(raw, start, resync_budget)
+        # One bounded forward pass of O(1) tests: a corrupt length costs
+        # linear work, and the offset found is always past the corrupt one.
+        limit = min(len(raw), start + resync_budget)
+        found = next((pos for pos in range(start, limit) if _plausible_bfee_at(raw, pos)), None)
         if found is None:
             resync_budget = 0
             return None
         resync_budget -= found - start
-        n_skipped += 1
         warnings.warn(
             f"skipping corrupt record at byte {start - 1} of {path} ({why}); "
             f"resynchronized at byte {found}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         return found
 
@@ -336,14 +325,14 @@ def read_bfee_records(path: str | Path, *, max_resync_bytes: int = 1 << 16) -> l
                 warnings.warn(
                     f"dropping torn final record at byte {offset} of {path}",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 break
             offset = resumed
             continue
         if code == BFEE_CODE:
             try:
-                records.append(_decode_bfee(raw[offset + 3 : end]))
+                records.append((*_bfee_header(raw, offset + 3, end), offset + 23))
             except IngestError as error:
                 # The framing may be lying about where this record ends;
                 # don't trust `end` — rescan from just past the header.
@@ -357,13 +346,48 @@ def read_bfee_records(path: str | Path, *, max_resync_bytes: int = 1 << 16) -> l
         warnings.warn(
             f"dropping {len(raw) - offset} trailing bytes of {path}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if not records:
         raise IngestError(
             f"no bfee records in {path}: not an Intel 5300 CSI log?", kind="empty"
         )
-    return records
+    data, table = np.frombuffer(raw, dtype=np.uint8), np.array(records, dtype=_FRAMED)
+    groups = {}
+    for n_rx, n_tx in sorted({(r[2], r[3]) for r in records}):
+        framed = table[(table["n_rx"] == n_rx) & (table["n_tx"] == n_tx)]
+        groups[n_rx, n_tx] = (framed, _decode_csi(data, framed, n_rx, n_tx))
+    return groups
+
+
+def read_bfee_records(path: str | Path, *, max_resync_bytes: int = 1 << 16) -> list[BfeeRecord]:
+    """Decode every bfee record in an Intel 5300 ``.dat`` log.
+
+    Framing and validation run record by record; the CSI payloads then
+    decode as one batch per antenna shape.
+
+    Non-bfee records are skipped; a torn final record (the logger was
+    killed mid-write) is dropped with a warning rather than rejected,
+    matching how the reference MATLAB reader treats truncated logs.
+
+    Corrupt framing — a zero/self-referential length field, a length
+    pointing past EOF with data still behind it, or a bfee whose header
+    lies about its payload — does not abort the file: the parser skips
+    the damaged record and resynchronizes on the next internally
+    consistent bfee header.  Resynchronization is a bounded single
+    forward pass (``max_resync_bytes`` total across the file), and the
+    cursor advances strictly monotonically, so hostile bytes can force
+    neither an infinite loop nor quadratic work.  Files yielding no
+    decodable record raise :class:`IngestError` (kind ``"empty"``).
+    """
+    decoded = {}
+    for framed, csi in _read_bfee(path, max_resync_bytes).values():
+        for fields, matrix in zip(framed.tolist(), csi):
+            stamp, count, n_rx, n_tx, *rssi, noise, agc, sel, _, rate, csi_at = fields
+            decoded[csi_at] = BfeeRecord(
+                stamp, count, n_rx, n_tx, tuple(rssi), noise, agc, sel, rate, matrix
+            )
+    return [decoded[csi_at] for csi_at in sorted(decoded)]
 
 
 def remove_spatial_mapping(csi: np.ndarray, n_tx: int, *, bandwidth_mhz: int) -> np.ndarray:
@@ -406,41 +430,36 @@ def read_intel_dat(
     false), spatial-mapping-corrected, and reduced to TX stream
     ``stream`` so the result is the paper's ``(antennas, subcarriers)``
     per-packet matrix.  ``snr_db`` and ``rssi_dbm`` are measured from
-    the RSSI/AGC/noise fields (means across packets); ground-truth
+    the RSSI/AGC/noise fields: means across packets, leaving out records
+    with no measured RSSI chain (NaN if none has one).  Ground-truth
     fields stay at their unknown defaults — a registry entry or site
     survey supplies those.
     """
-    records = read_bfee_records(path)
-    shapes = {(r.n_rx, r.n_tx) for r in records}
-    if len(shapes) != 1:
+    groups = _read_bfee(path)
+    if len(groups) != 1:
         raise IngestError(
-            f"mixed antenna configurations in {path}: {sorted(shapes)}", kind="bad_shape"
+            f"mixed antenna configurations in {path}: {sorted(groups)}", kind="bad_shape"
         )
-    ((n_rx, n_tx),) = shapes
+    (((n_rx, n_tx), (framed, csi)),) = groups.items()
     if not 0 <= stream < n_tx:
         raise IngestError(
             f"stream {stream} out of range for {n_tx} TX stream(s)", kind="bad_field"
         )
 
-    matrices = np.empty((len(records), n_rx, N_SUBCARRIERS), dtype=complex)
-    times = np.empty(len(records))
-    for p, record in enumerate(records):
-        csi = record.scaled_csi() if scale else record.csi.astype(complex)
-        # (n_rx, n_tx, 30) → (n_rx, 30, n_tx) so the TX axis is last
-        # for spatial-mapping removal, then select the requested stream.
-        csi = remove_spatial_mapping(
-            np.moveaxis(csi, 1, 2), n_tx, bandwidth_mhz=bandwidth_mhz
-        )
-        matrices[p] = csi[:, :, stream]
-        times[p] = record.timestamp_low * 1e-6
-
-    rssi = float(np.mean([r.rssi_dbm for r in records]))
-    noise = float(np.mean([r.noise_dbm for r in records]))
+    rssi_dbm = _rssi_dbm([framed["rssi_a"], framed["rssi_b"], framed["rssi_c"]], framed["agc"])
+    noise_dbm = _noise_dbm(framed["noise"])
+    csi = _scale_csi(csi, rssi_dbm, noise_dbm) if scale else csi
+    # (…, n_tx, 30) → (…, 30, n_tx) so the TX axis is last for
+    # spatial-mapping removal, then select the requested stream.
+    csi = remove_spatial_mapping(np.moveaxis(csi, 2, 3), n_tx, bandwidth_mhz=bandwidth_mhz)
+    measured = np.isfinite(rssi_dbm)
+    rssi = float(np.mean(rssi_dbm[measured])) if measured.any() else float("nan")
+    noise = float(np.mean(noise_dbm))
     return CsiTrace(
-        csi=matrices,
+        csi=np.ascontiguousarray(csi[..., stream]),
         snr_db=rssi - noise,
         rssi_dbm=rssi,
-        capture_times_s=times,
+        capture_times_s=framed["timestamp_low"] * 1e-6,
         ap_id=ap_id,
         source_format="intel-dat",
     )

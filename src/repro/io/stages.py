@@ -33,7 +33,7 @@ frequency positions; synthetic traces use the uniform default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
@@ -72,7 +72,7 @@ def subcarrier_indices(bandwidth_mhz: int = 40, grouping: int | None = None) -> 
 
 @dataclass(frozen=True)
 class StageReport:
-    """What one preprocessing stage did to one trace."""
+    """What one preprocessing stage did to one trace (per-packet ``details`` are arrays)."""
 
     stage: str
     changed: bool
@@ -80,12 +80,7 @@ class StageReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "changed": self.changed,
-            "metrics": dict(self.metrics),
-            "details": dict(self.details),
-        }
+        return {**vars(self), "metrics": dict(self.metrics), "details": dict(self.details)}
 
 
 @runtime_checkable
@@ -106,37 +101,44 @@ class PreprocessingStage(Protocol):
 def _unwrap_phases(csi: np.ndarray) -> np.ndarray:
     """Per-antenna unwrapped phase, anchored within π of antenna 0.
 
-    Unwrapping runs along the subcarrier axis; each antenna's whole
-    curve is then shifted by a multiple of 2π so its first subcarrier
-    lands within π of the first antenna's — the cross-antenna branch
-    alignment SpotFi's reference implementation applies before the
-    joint fit.
+    ``csi`` is a ``(packets, antennas, subcarriers)`` stack.  Unwrapping
+    runs along the subcarrier axis; each antenna's whole curve is then
+    shifted by a multiple of 2π so its first subcarrier lands within π
+    of the first antenna's — the cross-antenna branch alignment
+    SpotFi's reference implementation applies before the joint fit.
     """
     phases = np.unwrap(np.angle(csi), axis=-1)
-    anchor = phases[0, 0]
-    shift = np.round((phases[:, 0] - anchor) / (2 * np.pi)) * 2 * np.pi
-    return phases - shift[:, None]
+    first = phases[:, :, :1]
+    shift = np.round((first - first[:, :1]) / (2 * np.pi)) * 2 * np.pi
+    return phases - shift
 
 
-def fit_phase_slope(
-    csi: np.ndarray, indices: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Joint LS fit of one common slope + per-antenna intercepts.
+def fit_phase_slopes(csi: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint LS fit, per packet, of one common slope + per-antenna intercepts.
 
-    ``csi`` is one packet, shape ``(antennas, subcarriers)``; the model
-    is ``phase[m, l] = slope·indices[l] + intercept[m]``.  Returns
-    ``(slope, intercepts)`` in radians (per raw index, and absolute).
+    ``csi`` is a ``(packets, antennas, subcarriers)`` stack; the model
+    for packet ``p`` is ``phase[p, m, l] = slope[p]·indices[l] +
+    intercept[p, m]``.  Returns ``(slopes, intercepts)`` of shapes
+    ``(packets,)`` and ``(packets, antennas)``, in radians (per raw
+    index, and absolute).
     """
     phases = _unwrap_phases(csi)
+    n_packets, n_antennas, n_subcarriers = phases.shape
     centered_idx = indices - indices.mean()
+    means = phases.mean(axis=2, keepdims=True)
     # With per-antenna intercepts free, the joint-LS slope decouples:
     # it is the pooled covariance over centered indices.
-    slope = float(
-        np.sum((phases - phases.mean(axis=1, keepdims=True)) * centered_idx)
-        / (phases.shape[0] * np.sum(centered_idx**2))
-    )
-    intercepts = phases.mean(axis=1) - slope * indices.mean()
-    return slope, intercepts
+    deviations = (phases - means) * centered_idx
+    covariance = deviations.reshape(n_packets, n_antennas * n_subcarriers).sum(axis=1)
+    slopes = covariance / (n_antennas * np.sum(centered_idx**2))
+    intercepts = means[:, :, 0] - slopes[:, None] * indices.mean()
+    return slopes, intercepts
+
+
+def fit_phase_slope(csi: np.ndarray, indices: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`fit_phase_slopes` for one ``(antennas, subcarriers)`` packet."""
+    slopes, intercepts = fit_phase_slopes(csi[None], indices)
+    return float(slopes[0]), intercepts[0]
 
 
 @dataclass(frozen=True)
@@ -185,34 +187,25 @@ class StoRemoval:
         return indices
 
     def apply(self, trace: CsiTrace) -> tuple[CsiTrace, StageReport]:
-        from dataclasses import replace
-
         indices = self._indices_for(trace)
-        cleaned = np.empty_like(trace.csi)
-        slopes = np.empty(trace.n_packets)
-        changed = False
-        for p in range(trace.n_packets):
-            slope, intercepts = fit_phase_slope(trace.csi[p], indices)
-            ramp = slope * indices
-            if self.remove_intercept:
-                ramp = ramp + float(intercepts.mean())
-            changed = changed or bool(np.any(ramp != 0.0))
-            cleaned[p] = trace.csi[p] * np.exp(-1j * ramp)
-            slopes[p] = slope
+        slopes, intercepts = fit_phase_slopes(trace.csi, indices)
+        ramps = slopes[:, None] * indices
+        if self.remove_intercept:
+            ramps = ramps + intercepts.mean(axis=1, keepdims=True)
         delays_ns = -slopes / (2 * np.pi * self.index_spacing_hz) * 1e9
         report = StageReport(
             stage=self.name,
-            changed=changed,
+            changed=bool(np.any(ramps != 0.0)),
             metrics={
                 "max_abs_slope_rad": float(np.max(np.abs(slopes), initial=0.0)),
                 "mean_delay_ns": float(np.mean(delays_ns)) if slopes.size else 0.0,
                 "delay_spread_ns": float(np.ptp(delays_ns)) if slopes.size else 0.0,
             },
-            details={"slopes_rad": slopes.tolist(), "delays_ns": delays_ns.tolist()},
+            details={"slopes_rad": slopes, "delays_ns": delays_ns},
         )
         if not report.changed:
             return trace, report
-        return replace(trace, csi=cleaned), report
+        return replace(trace, csi=trace.csi * np.exp(-1j * ramps)[:, None, :]), report
 
 
 def remove_sto(
@@ -238,8 +231,6 @@ class PhaseOffsetCorrection:
     name: str = "phase-offset-correction"
 
     def apply(self, trace: CsiTrace) -> tuple[CsiTrace, StageReport]:
-        from dataclasses import replace
-
         from repro.core.calibration import apply_phase_calibration
 
         offsets = np.asarray(self.offsets_rad, dtype=float)

@@ -1,10 +1,12 @@
 """Bulk ingestion: artifacts, failure tolerance, checkpoint replay."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.channel.trace import CsiTrace
-from repro.io.ingest import ingest_sources
+from repro.io.ingest import IngestRecord, ingest_sources
 from repro.io.intel import write_intel_dat
 from repro.io.registry import DatasetRegistry
 
@@ -43,6 +45,39 @@ class TestHappyPath:
         write_intel_dat(capture, int8_csi)
         [record] = ingest_sources([capture]).records
         assert record.ok and record.output_path is None
+
+
+class TestRecordSerialisation:
+    @pytest.fixture
+    def record(self, tmp_path, rng):
+        shape = (400, 3, 30)
+        csi = rng.integers(-128, 128, size=shape) + 1j * rng.integers(-128, 128, size=shape)
+        capture = write_intel_dat(tmp_path / "long.dat", csi)
+        [record] = ingest_sources([capture], out_dir=tmp_path / "out").records
+        assert record.ok and record.n_packets == 400
+        return record
+
+    def test_per_packet_series_are_arrays_in_memory(self, record):
+        sto = record.stage_reports[0]
+        assert sto["stage"] == "sto-removal"
+        series = [
+            sto["details"]["slopes_rad"],
+            sto["details"]["delays_ns"],
+            record.calibration["relative_delays_s"],
+        ]
+        for values in series:
+            assert isinstance(values, np.ndarray)
+            assert values.dtype == np.float64 and values.shape == (400,)
+
+    def test_to_dict_is_strict_json_and_round_trips(self, record):
+        payload = record.to_dict()
+        text = json.dumps(payload, allow_nan=False)
+        assert json.loads(text) == payload
+        assert isinstance(payload["stage_reports"][0]["details"]["slopes_rad"], list)
+        assert isinstance(payload["calibration"]["relative_delays_s"], list)
+        assert IngestRecord.from_dict(payload).to_dict() == payload
+        # to_dict copies: the record keeps its arrays.
+        assert isinstance(record.calibration["relative_delays_s"], np.ndarray)
 
 
 class TestFailureTolerance:

@@ -4,12 +4,18 @@ The encoder and decoder are independent implementations of the bfee
 bit packing; the round-trip tests exercise each against the other.
 """
 
+import itertools
+import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.channel.trace import CsiTrace
+from repro.cli import main
 from repro.exceptions import IngestError
+from repro.io.ingest import ingest_sources
 from repro.io.intel import (
     BFEE_CODE,
     IDENTITY_ANTENNA_SEL,
@@ -23,7 +29,40 @@ from repro.io.intel import (
 )
 
 
+def int8_stack(rng, shape):
+    """Random integer CSI of ``shape`` that hits both int8 extremes."""
+    csi = rng.integers(-128, 128, size=shape) + 1j * rng.integers(-128, 128, size=shape)
+    csi.flat[0], csi.flat[-1] = -128 + 127j, 127 - 128j
+    return csi
+
+
+def concatenate_logs(path, *parts):
+    """One ``.dat`` log holding the records of every part, in order."""
+    path.write_bytes(b"".join(part.read_bytes() for part in parts))
+    return path
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("n_rx, n_tx", list(itertools.product((1, 2, 3), repeat=2)))
+    def test_every_shape_round_trips(self, tmp_path, rng, n_rx, n_tx):
+        csi = int8_stack(rng, (4, n_rx, n_tx, 30))
+        path = write_intel_dat(tmp_path / "shape.dat", csi)
+        records = read_bfee_records(path)
+        assert [(r.n_rx, r.n_tx) for r in records] == [(n_rx, n_tx)] * 4
+        np.testing.assert_array_equal(np.array([r.csi for r in records]), csi)
+        assert all(type(r.timestamp_low) is int and type(r.rssi[0]) is int for r in records)
+
+    def test_mixed_shapes_keep_file_order(self, tmp_path, rng):
+        shapes = [(2, 3, 1, 30), (1, 2, 3, 30), (2, 3, 1, 30)]
+        parts = [int8_stack(rng, shape) for shape in shapes]
+        files = [write_intel_dat(tmp_path / f"part{k}.dat", part) for k, part in enumerate(parts)]
+        records = read_bfee_records(concatenate_logs(tmp_path / "mixed.dat", *files))
+        assert [(r.n_rx, r.n_tx) for r in records] == [(3, 1), (3, 1), (2, 3), (3, 1), (3, 1)]
+        for record, expected in zip(records, [m for part in parts for m in part]):
+            np.testing.assert_array_equal(record.csi, expected)
+        with pytest.raises(IngestError, match="mixed antenna configurations"):
+            read_intel_dat(tmp_path / "mixed.dat")
+
     def test_bit_exact(self, tmp_path, int8_csi):
         path = tmp_path / "capture.dat"
         write_intel_dat(path, int8_csi)
@@ -106,6 +145,24 @@ class TestStreamRobustness:
         np.testing.assert_array_equal(permuted[2], base[1])
         np.testing.assert_array_equal(permuted[0], base[2])
 
+    def test_per_record_antenna_sel(self, tmp_path, rng):
+        csi = int8_stack(rng, (4, 3, 30))
+        selections = [IDENTITY_ANTENNA_SEL, 0b00_10_01, 0b00_00_00, 0b01_00_10]
+        files = [
+            write_intel_dat(tmp_path / f"r{p}.dat", csi[p : p + 1], antenna_sel=sel)
+            for p, sel in enumerate(selections)
+        ]
+        with pytest.warns(RuntimeWarning, match=r"invalid antenna_sel permutation \[0, 0, 0\]"):
+            records = read_bfee_records(concatenate_logs(tmp_path / "sel.dat", *files))
+        decoded = [record.csi[:, 0] for record in records]
+        np.testing.assert_array_equal(decoded[0], csi[0])
+        # (1, 2, 0): captured stream k holds physical antenna perm[k].
+        np.testing.assert_array_equal(decoded[1], csi[1][[2, 0, 1]])
+        # Not a permutation: warned above, captured order kept.
+        np.testing.assert_array_equal(decoded[2], csi[2])
+        # (2, 0, 1)
+        np.testing.assert_array_equal(decoded[3], csi[3][[1, 2, 0]])
+
 
 class TestScaling:
     def test_scaled_csi_matches_reference_formula(self, tmp_path, int8_csi):
@@ -144,6 +201,34 @@ class TestScaling:
         assert trace.snr_db == pytest.approx(expected, abs=1e-9)
         assert trace.source_format == "intel-dat"
         assert trace.capture_times_s.shape == (int8_csi.shape[0],)
+
+    def test_unmeasured_rssi_record_does_not_poison_the_capture(self, tmp_path, capsys, rng):
+        csi = int8_stack(rng, (20, 3, 30))
+        good = write_intel_dat(tmp_path / "good.dat", csi[:19], rssi=(33, 33, 33))
+        dead = write_intel_dat(tmp_path / "dead.dat", csi[19:], rssi=(0, 0, 0))
+        capture = concatenate_logs(tmp_path / "capture.dat", good, dead)
+        expected = read_intel_dat(good).snr_db
+        assert read_intel_dat(capture).snr_db == expected
+
+        [record] = ingest_sources([capture], out_dir=tmp_path / "out").records
+        gate = record.stage_reports[-1]
+        assert record.n_packets == 19 and gate["metrics"]["n_quarantined"] == 1.0
+        assert record.snr_db == expected
+        assert CsiTrace.load(record.output_path).snr_db == expected
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        assert main(["ingest", str(capture), "--out", str(tmp_path / "cli"), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["records"][0]["snr_db"] == expected
+
+    def test_no_measured_rssi_means_unknown_snr(self, tmp_path, int8_csi):
+        path = write_intel_dat(tmp_path / "dark.dat", int8_csi, rssi=(0, 0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = read_intel_dat(path)
+        assert np.isnan(trace.snr_db) and np.isnan(trace.rssi_dbm)
 
 
 class TestSpatialMapping:
