@@ -1,9 +1,8 @@
 """Re-implementations of the systems the paper compares against.
 
 * :mod:`repro.baselines.music` — the MUSIC subspace estimator
-  (Schmidt [14]) plus the covariance conditioning tricks (forward–
-  backward averaging, spatial smoothing) all MUSIC-based WiFi systems
-  rely on.
+  (Schmidt [14]) plus forward–backward averaging, the covariance
+  conditioning MUSIC-based WiFi systems rely on.
 * :mod:`repro.baselines.spotfi` — SpotFi (Kotaru et al., SIGCOMM'15):
   CSI sanitization, smoothed-CSI joint (AoA, ToA) MUSIC, and
   cluster-likelihood direct-path identification.
@@ -19,7 +18,6 @@ from repro.baselines.music import (
     music_angle_spectrum,
     music_joint_spectrum,
     sample_covariance,
-    spatial_smoothing,
 )
 from repro.baselines.spotfi import SpotFiEstimator, sanitize_csi_phase
 
@@ -31,5 +29,4 @@ __all__ = [
     "music_joint_spectrum",
     "sample_covariance",
     "sanitize_csi_phase",
-    "spatial_smoothing",
 ]

@@ -8,11 +8,11 @@ subspace:
     P(θ) = 1 / ‖E_nᴴ s(θ)‖²
 
 Indoor multipath is *coherent* (all paths carry the same symbol), which
-rank-collapses the covariance; the standard fixes implemented here are
-forward–backward averaging and spatial smoothing over subarrays.  The
-paper's §II motivates ROArray with exactly the failure mode these tools
-cannot fix: when the SNR is low the signal/noise subspace split itself
-becomes unreliable.
+rank-collapses the covariance; the fix implemented here is
+forward–backward averaging (SpotFi smooths its own CSI matrix in
+:mod:`repro.baselines.spotfi`).  The paper's §II motivates ROArray
+with exactly the failure mode these tools cannot fix: when the SNR is
+low the signal/noise subspace split itself becomes unreliable.
 """
 
 from __future__ import annotations
@@ -45,26 +45,6 @@ def forward_backward_average(covariance: np.ndarray) -> np.ndarray:
         raise SolverError(f"covariance must be square, got shape {covariance.shape}")
     flipped = covariance[::-1, ::-1].conj()
     return 0.5 * (covariance + flipped)
-
-
-def spatial_smoothing(snapshots: np.ndarray, subarray_size: int) -> np.ndarray:
-    """Average subarray covariances over a sliding window (ULA smoothing).
-
-    Returns a ``subarray_size × subarray_size`` covariance whose rank is
-    restored up to the number of subarrays, at the cost of shrinking the
-    effective aperture — the trade ArrayTrack-class systems must make to
-    handle coherent multipath with few antennas.
-    """
-    snapshots = np.asarray(snapshots)
-    m = snapshots.shape[0]
-    if not 2 <= subarray_size <= m:
-        raise SolverError(f"subarray_size must be in [2, {m}], got {subarray_size}")
-    n_subarrays = m - subarray_size + 1
-    accumulated = np.zeros((subarray_size, subarray_size), dtype=complex)
-    for start in range(n_subarrays):
-        block = snapshots[start : start + subarray_size]
-        accumulated += sample_covariance(block)
-    return accumulated / n_subarrays
 
 
 def noise_subspace(covariance: np.ndarray, n_sources: int) -> np.ndarray:

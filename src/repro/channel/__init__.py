@@ -26,7 +26,6 @@ Layer map
 """
 
 from repro.channel.array import UniformLinearArray
-from repro.channel.array2d import DualPolarizationFeed, PlanarArray
 from repro.channel.csi import CsiSynthesizer, synthesize_csi_matrix
 from repro.channel.geometry import Room, Scene, reflect_point, trace_paths
 from repro.channel.impairments import ImpairmentModel, polarization_loss
@@ -45,8 +44,6 @@ from repro.channel.trace import CsiTrace
 __all__ = [
     "CsiSynthesizer",
     "CsiTrace",
-    "DualPolarizationFeed",
-    "PlanarArray",
     "ImpairmentModel",
     "Interferer",
     "MultipathProfile",

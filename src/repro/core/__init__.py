@@ -20,7 +20,6 @@ The estimation chain, bottom-up:
 """
 
 from repro.core.aoa import estimate_aoa_spectrum
-from repro.core.aoa2d import AzimuthElevationGrid, PlanarSpectrum, estimate_aoa2d_spectrum
 from repro.core.calibration import calibrate_phase_offsets
 from repro.core.config import RoArrayConfig
 from repro.core.direct_path import DirectPathEstimate, identify_direct_path
@@ -42,25 +41,21 @@ from repro.core.localization import (
 )
 from repro.core.pipeline import RoArrayEstimator
 from repro.core.steering import SteeringCache, joint_steering_dictionary
-from repro.core.tracking import KalmanTracker, TrackState, track_fixes
+from repro.core.tracking import KalmanTracker, TrackState
 
 __all__ = [
     "TRUST_THRESHOLD",
     "AngleGrid",
     "ApEvidence",
     "ApTrustScore",
-    "AzimuthElevationGrid",
     "ConsensusResult",
     "DegradedResult",
     "DelayGrid",
     "DroppedAp",
-    "PlanarSpectrum",
-    "estimate_aoa2d_spectrum",
     "DirectPathEstimate",
     "KalmanTracker",
     "RoArrayConfig",
     "TrackState",
-    "track_fixes",
     "RoArrayEstimator",
     "SteeringCache",
     "calibrate_phase_offsets",

@@ -205,13 +205,3 @@ class KalmanTracker:
             accepted=True,
             reinitialized=reinitialized,
         )
-
-
-def track_fixes(
-    fixes: list[tuple[float, tuple[float, float]]],
-    *,
-    tracker: KalmanTracker | None = None,
-) -> list[TrackState]:
-    """Run a tracker over a (time, fix) sequence and return all states."""
-    tracker = tracker or KalmanTracker()
-    return [tracker.update(t, fix) for t, fix in fixes]

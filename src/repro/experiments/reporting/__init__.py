@@ -5,7 +5,7 @@
 * :mod:`~repro.experiments.reporting.text` — plain-text tables / CDF
   series / ASCII spectra for benchmark logs.
 * :mod:`~repro.experiments.reporting.console` — CLI output helpers
-  (``emit`` / ``emit_json`` and the telemetry cost table).
+  (``emit`` / ``emit_json``).
 
 This package is the only import surface: the former flat modules
 ``repro.experiments.report`` (markdown) and the top-level re-exports of
@@ -17,7 +17,7 @@ gone — import the text helpers from
 
 from __future__ import annotations
 
-from repro.experiments.reporting.console import emit, emit_json, format_cost_table
+from repro.experiments.reporting.console import emit, emit_json
 from repro.experiments.reporting.markdown import (
     SYSTEMS,
     ReportScale,
@@ -30,7 +30,6 @@ __all__ = [
     "ReportScale",
     "emit",
     "emit_json",
-    "format_cost_table",
     "format_degradation_table",
     "generate_report",
 ]

@@ -23,17 +23,3 @@ def emit_json(payload: Any, *, stream: TextIO | None = None) -> None:
     out = sys.stdout if stream is None else stream
     json.dump(payload, out, indent=2, sort_keys=True)
     out.write("\n")
-
-
-def format_cost_table(rollup: dict[str, dict[str, float]]) -> str:
-    """Plain-text per-span cost table from :meth:`Tracer.aggregate`."""
-    if not rollup:
-        return "no spans recorded"
-    lines = [f"{'span':<18} {'count':>6} {'wall (s)':>10} {'cpu (s)':>10}"]
-    for name in sorted(rollup, key=lambda n: rollup[n]["wall_s"], reverse=True):
-        entry = rollup[name]
-        lines.append(
-            f"{name:<18} {int(entry['count']):>6} {entry['wall_s']:>10.3f} "
-            f"{entry['cpu_s']:>10.3f}"
-        )
-    return "\n".join(lines)

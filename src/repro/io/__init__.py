@@ -62,7 +62,6 @@ from repro.io.stages import (
     StageReport,
     StoRemoval,
     default_stages,
-    remove_sto,
     run_stages,
     subcarrier_indices,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "read_intel_dat",
     "read_npz_trace",
     "read_spotfi_mat",
-    "remove_sto",
     "resolve_source",
     "scenario_band",
     "sniff_format",

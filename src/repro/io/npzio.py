@@ -14,6 +14,7 @@ bit-rot in either direction.
 
 from __future__ import annotations
 
+import tokenize
 import warnings
 import zipfile
 import zlib
@@ -26,7 +27,11 @@ from repro.exceptions import IngestError, ReproError
 
 # np.load on hostile bytes surfaces zip-container and npy-header damage
 # through this zoo; inside the archive, member decompression adds
-# zlib.error and short reads add EOFError.
+# zlib.error and short reads add EOFError.  zipfile raises
+# NotImplementedError for a member whose version or compression method
+# it does not support, and numpy parses the npy header dict with
+# tokenize + ast, which raise TokenError (Python 3.11) or SyntaxError
+# (Python 3.12, e.g. on null bytes) when that dict is mangled.
 _ARCHIVE_ERRORS = (
     OSError,
     ValueError,
@@ -36,6 +41,9 @@ _ARCHIVE_ERRORS = (
     IndexError,
     OverflowError,
     MemoryError,
+    NotImplementedError,
+    SyntaxError,
+    tokenize.TokenError,
     zipfile.BadZipFile,
     zlib.error,
 )

@@ -208,21 +208,6 @@ class StoRemoval:
         return replace(trace, csi=trace.csi * np.exp(-1j * ramps)[:, None, :]), report
 
 
-def remove_sto(
-    csi: np.ndarray, *, bandwidth_mhz: int = 20, remove_intercept: bool = True
-) -> np.ndarray:
-    """Functional SpotFi Algorithm 1 for one packet matrix.
-
-    Convenience wrapper over :class:`StoRemoval` for code (and tests)
-    that holds a bare ``(antennas, subcarriers)`` matrix rather than a
-    trace — the shape the SpotFi reference operates on.
-    """
-    trace = CsiTrace(csi=np.asarray(csi, dtype=complex)[None, :, :], snr_db=float("nan"))
-    stage = StoRemoval.for_bandwidth(bandwidth_mhz, remove_intercept=remove_intercept)
-    cleaned, _ = stage.apply(trace)
-    return cleaned.csi[0]
-
-
 @dataclass(frozen=True)
 class PhaseOffsetCorrection:
     """Undo known per-antenna phase offsets (paper §III-D calibration)."""

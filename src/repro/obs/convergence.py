@@ -75,19 +75,6 @@ class ConvergenceTrace:
             return 0.0
         return float(self.objectives[0] - self.objectives[-1])
 
-    def is_monotone(self, *, rtol: float = 1e-12) -> bool:
-        """Whether the recorded objective never increases.
-
-        MFISTA guarantees this by construction; plain FISTA may
-        transiently overshoot.  ``rtol`` absorbs floating-point noise
-        relative to the trace's largest objective.
-        """
-        if len(self.objectives) < 2:
-            return True
-        values = np.asarray(self.objectives)
-        slack = rtol * float(np.abs(values).max(initial=0.0))
-        return bool(np.all(np.diff(values) <= slack))
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "solver": self.solver,

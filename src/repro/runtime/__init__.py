@@ -7,7 +7,7 @@ result.  See :class:`~repro.runtime.batch.BatchEvaluator` for the
 determinism, warmup, and failure-isolation contracts.
 """
 
-from repro.runtime.batch import BatchEvaluator, BatchResult, evaluate_traces
+from repro.runtime.batch import BatchEvaluator, BatchResult
 from repro.runtime.bench import joint_solve_benchmark
 from repro.runtime.checkpoint import (
     EXIT_RESUMABLE,
@@ -52,7 +52,6 @@ __all__ = [
     "atomic_write",
     "checkpoint_status",
     "config_digest",
-    "evaluate_traces",
     "job_key",
     "joint_solve_benchmark",
     "read_manifest",

@@ -735,26 +735,3 @@ class BatchEvaluator:
         # Aim for ~2 chunks per worker: large enough to amortize IPC,
         # small enough to keep the pool busy at the tail.
         return max(1, -(-n_jobs // (2 * self.workers)))
-
-
-def evaluate_traces(
-    system,
-    traces: Sequence[CsiTrace],
-    *,
-    workers: int = 0,
-    chunk_size: int | None = None,
-    base_seed: int = 0,
-    policy: ExecutionPolicy = DEFAULT_POLICY,
-    tracer=NULL_TRACER,
-    checkpoint: CheckpointPolicy | None = None,
-) -> BatchResult:
-    """One-shot convenience wrapper around :class:`BatchEvaluator`."""
-    evaluator = BatchEvaluator(
-        system,
-        workers=workers,
-        chunk_size=chunk_size,
-        base_seed=base_seed,
-        policy=policy,
-        tracer=tracer,
-    )
-    return evaluator.evaluate(traces, checkpoint=checkpoint)

@@ -9,7 +9,6 @@ from repro.baselines.music import (
     music_pseudospectrum,
     noise_subspace,
     sample_covariance,
-    spatial_smoothing,
 )
 from repro.channel.array import UniformLinearArray
 from repro.core.grids import AngleGrid
@@ -62,29 +61,6 @@ class TestForwardBackward:
     def test_rejects_non_square(self):
         with pytest.raises(SolverError):
             forward_backward_average(np.zeros((3, 4)))
-
-
-class TestSpatialSmoothing:
-    def test_output_size(self, rng):
-        y = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
-        assert spatial_smoothing(y, 4).shape == (4, 4)
-
-    def test_restores_rank_for_coherent_sources(self, rng):
-        """Two coherent sources: full covariance is rank 1, smoothed is 2."""
-        array = UniformLinearArray(n_antennas=6, spacing=0.02, wavelength=0.056)
-        steering = array.steering_matrix(np.array([50.0, 120.0]))
-        symbol = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-        snapshots = np.outer(steering.sum(axis=1), symbol)  # fully coherent
-        full = sample_covariance(snapshots)
-        smoothed = spatial_smoothing(snapshots, 4)
-        assert np.linalg.matrix_rank(full, tol=1e-6) == 1
-        assert np.linalg.matrix_rank(smoothed, tol=1e-6) >= 2
-
-    def test_rejects_bad_subarray_size(self, rng):
-        y = rng.standard_normal((4, 10))
-        for size in (1, 5):
-            with pytest.raises(SolverError):
-                spatial_smoothing(y, size)
 
 
 class TestNoiseSubspace:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.tracking import KalmanTracker, track_fixes
+from repro.core.tracking import KalmanTracker
 from repro.exceptions import ConfigurationError
 
 
@@ -80,14 +80,6 @@ class TestTracking:
             KalmanTracker(process_noise=0.0)
         with pytest.raises(ConfigurationError):
             KalmanTracker(gate_sigmas=-1.0)
-
-
-class TestTrackFixes:
-    def test_runs_full_sequence(self, rng):
-        sequence = [(t, fix) for t, fix, _ in noisy_line_fixes(rng, n=10)]
-        states = track_fixes(sequence)
-        assert len(states) == 10
-        assert all(s.accepted for s in states[:1])
 
 
 class TestRejectStreakReinit:

@@ -11,6 +11,7 @@ format; the default keeps tier-1 fast).
 
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.io import (
 FUZZ_N = int(os.environ.get("REPRO_FUZZ_N", "24"))
 FUZZ_SEED = 20260807
 FORMATS = ("dat", "mat", "npz")
+REGRESSION_DIR = Path(__file__).parent.parent / "fixtures" / "fuzz_regressions"
 
 PARSERS = {
     "dat": read_intel_dat,
@@ -174,3 +176,23 @@ class TestCraftedFraming:
         with pytest.raises(IngestError) as excinfo:
             read_spotfi_mat(path)
         assert excinfo.value.kind in INGEST_FAULT_KINDS
+
+
+class TestNpzRegressions:
+    """Corpus variants (``FUZZ_SEED`` at ``REPRO_FUZZ_N=1000``) that once
+    escaped :func:`read_npz_trace` with a non-taxonomy exception."""
+
+    @pytest.mark.parametrize(
+        ("name", "kind", "cause"),
+        [
+            # zipfile: NotImplementedError "zip file version 13.4"
+            ("npz_zip_version_20261275.npz", "invalid", "zip file version"),
+            # numpy's npy-header parse: tokenize.TokenError on 3.11,
+            # SyntaxError on 3.12
+            ("npz_header_tokenize_20261386.npz", "truncated", "damaged trace archive member"),
+        ],
+    )
+    def test_escaped_variant_is_taxonomized(self, name, kind, cause):
+        with pytest.raises(IngestError, match=cause) as excinfo:
+            _parse("npz", REGRESSION_DIR / name)
+        assert excinfo.value.kind == kind

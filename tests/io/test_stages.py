@@ -11,7 +11,6 @@ from repro.io.stages import (
     QuarantineGate,
     StoRemoval,
     default_stages,
-    remove_sto,
     run_stages,
     subcarrier_indices,
 )
@@ -98,16 +97,6 @@ class TestStoProperties:
             StoRemoval().apply(smooth_trace)[1].details["slopes_rad"]
         )
         np.testing.assert_allclose(slopes - base_slopes, -0.21, atol=1e-9)
-
-    def test_functional_wrapper_matches_stage(self, smooth_trace):
-        matrix = smooth_trace.csi[0]
-        via_function = remove_sto(matrix, bandwidth_mhz=20)
-        stage = StoRemoval.for_bandwidth(20)
-        from dataclasses import replace
-
-        one_packet = replace(smooth_trace, csi=matrix[None])
-        via_stage, _ = stage.apply(one_packet)
-        np.testing.assert_allclose(via_function, via_stage.csi[0], atol=1e-12)
 
     def test_index_count_mismatch_rejected(self, smooth_trace):
         stage = StoRemoval(indices=np.arange(5, dtype=float))

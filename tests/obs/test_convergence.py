@@ -37,13 +37,6 @@ class TestConvergenceTrace:
         assert self._trace([3.0]).objective_decay() == 0.0
         assert ConvergenceTrace().objective_decay() == 0.0
 
-    def test_monotone_detection(self):
-        assert self._trace([3.0, 2.0, 2.0, 1.0]).is_monotone()
-        assert not self._trace([3.0, 2.0, 2.5]).is_monotone()
-        # Floating-point noise within rtol does not count as an increase.
-        assert self._trace([1.0, 1.0 + 1e-15]).is_monotone()
-        assert ConvergenceTrace().is_monotone()
-
     def test_dict_round_trip(self):
         trace = self._trace([3.0, 1.0])
         clone = ConvergenceTrace.from_dict(trace.to_dict())

@@ -10,7 +10,7 @@ from repro.baselines.arraytrack import ArrayTrackEstimator
 from repro.baselines.spotfi import SpotFiEstimator
 from repro.core.pipeline import RoArrayEstimator
 from repro.exceptions import ConfigurationError, SolverError
-from repro.runtime import BatchEvaluator, EstimatorSpec, evaluate_traces
+from repro.runtime import BatchEvaluator, EstimatorSpec
 from tests.runtime.conftest import make_traces, poison_trace
 
 
@@ -105,11 +105,6 @@ class TestBatchEvaluatorSequential:
             BatchEvaluator(small_estimator, workers=-1)
         with pytest.raises(ConfigurationError):
             BatchEvaluator(small_estimator, chunk_size=0)
-
-    def test_evaluate_traces_wrapper(self, small_estimator, workload):
-        result = evaluate_traces(small_estimator, workload[:2])
-        assert len(result.outcomes) == 2
-        assert result.report.workers == 0
 
 
 class TestBatchEvaluatorParallel:

@@ -39,3 +39,26 @@ class TestPackage:
             assert hasattr(cls, "analyze")
             assert hasattr(cls, "estimate_direct_path")
             assert isinstance(cls.name, str)
+
+    def test_every_all_name_resolves_once(self):
+        """Each module's ``__all__`` lists names the module really has,
+        each once — a deleted name left in an export list fails here."""
+        import collections
+        import importlib
+        import pkgutil
+
+        problems = []
+        checked = 0
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+            module = importlib.import_module(info.name)
+            names = getattr(module, "__all__", None)
+            if names is None:
+                continue
+            checked += 1
+            for name, count in collections.Counter(names).items():
+                if count > 1:
+                    problems.append(f"{info.name}.__all__ lists {name!r} {count} times")
+                if not hasattr(module, name):
+                    problems.append(f"{info.name}.__all__ names missing {name!r}")
+        assert checked >= 10
+        assert not problems, "\n".join(problems)

@@ -15,7 +15,6 @@ from repro.channel.geometry import AccessPoint, Room, trace_paths
 from repro.channel.ofdm import SubcarrierLayout
 from repro.channel.paths import MultipathProfile, PropagationPath
 from repro.core.steering import vectorize_csi_matrix
-from repro.spectral.pdp import power_delay_profile
 
 angles = st.floats(0.0, 180.0, allow_nan=False)
 delays = st.floats(0.0, 700e-9, allow_nan=False)
@@ -88,21 +87,3 @@ class TestGeometryInvariants:
         for path in profile.paths:
             if not path.is_direct:
                 assert abs(path.gain) <= direct_gain + 1e-12
-
-
-class TestPdpInvariants:
-    @given(delays)
-    @settings(max_examples=30, deadline=None)
-    def test_oversampling_preserves_peak_location(self, toa):
-        array = UniformLinearArray()
-        layout = SubcarrierLayout(n_subcarriers=16, spacing=1.25e6)
-        profile = MultipathProfile(paths=[PropagationPath(90.0, toa, 1.0, is_direct=True)])
-        csi = synthesize_csi_matrix(profile, array, layout)
-        coarse = power_delay_profile(csi, layout, oversample=2)
-        fine = power_delay_profile(csi, layout, oversample=16)
-        resolution = 1.0 / (layout.n_subcarriers * layout.spacing)
-        # Peaks agree modulo the aliasing range.
-        span = layout.max_unambiguous_delay
-        delta = abs(coarse.strongest_delay() - fine.strongest_delay())
-        delta = min(delta, span - delta)
-        assert delta <= resolution
