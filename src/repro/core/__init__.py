@@ -69,4 +69,5 @@ __all__ = [
     "localize_weighted_aoa",
     "peak_dispersion",
     "score_ap_trust",
+    "svd_reduce_snapshots",
 ]

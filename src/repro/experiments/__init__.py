@@ -66,6 +66,7 @@ __all__ = [
     "run_music_snr_experiment",
     "run_nlos_sweep",
     "run_polarization_experiment",
+    "run_real_trace_experiment",
     "run_snr_band_experiment",
     "summarize_systems",
 ]

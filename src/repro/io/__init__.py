@@ -99,6 +99,7 @@ __all__ = [
     "read_npz_trace",
     "read_spotfi_mat",
     "resolve_source",
+    "run_stages",
     "scenario_band",
     "sniff_format",
     "subcarrier_indices",

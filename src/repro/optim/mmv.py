@@ -154,11 +154,13 @@ def mmv_lockstep(
     ``Ys`` stacks the snapshot matrices, ``(B, m, p)``; ``kappas`` holds
     one weight per problem and ``warm`` an optional ``(B, n, p)`` start.
     The iterate lives as one ``(B, p, n)`` array, grid axis innermost, so
-    the row prox and the stop norms reduce and broadcast along the long
-    axis.  Each product takes one contiguous transposed copy to the
-    operator's ``(n, B·p)`` form and back — one pair of factor GEMMs for
-    the whole stack, and at ``B = 1`` exactly the products of a lone
-    ``(n, p)`` solve.  Converged problems are frozen while the rest
+    the row prox reduces and broadcasts along the long axis and each
+    problem's stop norm is one BLAS dot over its contiguous ``p·n``
+    slice.  Its ``(B·p, n)`` row stack goes to the operator as the
+    transposed ``(n, B·p)`` view, and the residual comes back as a
+    ``(B·p, m)`` row stack: one pair of factor GEMMs for the whole stack
+    with no copy either way, and at ``B = 1`` exactly the products of a
+    lone ``(n, p)`` solve.  Converged problems are frozen while the rest
     iterate on.
     """
     m, n = operator.shape
@@ -182,7 +184,7 @@ def mmv_lockstep(
         thresholds = thresholds * weights.reshape(1, n)
 
     folded = n_problems * n_snapshots
-    Y = np.moveaxis(Ys, 0, 1).reshape(m, folded)
+    Y = np.ascontiguousarray(Ys.transpose(0, 2, 1)).reshape(folded, m)
     X = (
         np.zeros((n_problems, n_snapshots, n), dtype=complex)
         if warm is None
@@ -195,13 +197,12 @@ def mmv_lockstep(
     check = tolerance > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         for it in range(1, max_iterations + 1):
-            columns = np.ascontiguousarray(momentum.reshape(folded, n).T)
-            residual = operator.matvec(columns)
+            residual = operator.matvec(momentum.reshape(folded, n).T).T
             residual -= Y
-            # point = momentum − step·2Aᴴr, built in place in the transposed
-            # adjoint product; the exact factor 2 rides on the step.
-            point = np.ascontiguousarray(operator.rmatvec(residual).T).reshape(X.shape)
-            point *= -2.0 * step
+            # point = momentum − step·2Aᴴr: the factor −2·step scales the
+            # short residual rows before the adjoint, not the gradient.
+            residual *= -2.0 * step
+            point = operator.rmatvec(residual.T).T.reshape(X.shape)
             point += momentum
             # Row prox: fmax(1 − t/‖row‖, 0) scales each row; the clamp
             # also zeroes ‖row‖ = 0 (−inf, or NaN when t = 0).
@@ -217,8 +218,8 @@ def mmv_lockstep(
 
             if check:
                 # ‖ΔX‖ ≤ tol·max(1, ‖X‖) per problem, compared as squares.
-                delta = squared_norms(change.reshape(n_problems, -1), axis=1)
-                scale = np.maximum(1.0, squared_norms(X.reshape(n_problems, -1), axis=1))
+                delta = _problem_squared_norms(change)
+                scale = np.maximum(1.0, _problem_squared_norms(X))
 
             # candidate + ((t − 1)/t_next)·(candidate − X), in place on the change.
             momentum_next = change
@@ -241,6 +242,11 @@ def mmv_lockstep(
     X = np.ascontiguousarray(X.transpose(0, 2, 1))
     objectives = mmv_batch_objectives(operator, X, Ys, kap, weights)
     return progress.result(X, objectives, "mmv", kappas)
+
+
+def _problem_squared_norms(stack: np.ndarray) -> np.ndarray:
+    """``‖stack[b]‖_F²`` per problem, one BLAS dot per contiguous slice."""
+    return np.array([np.vdot(block, block).real for block in stack.reshape(len(stack), -1)])
 
 
 def mmv_batch_objectives(operator, X, Ys, kap, penalty_weights=None):

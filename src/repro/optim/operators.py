@@ -154,6 +154,13 @@ class KroneckerJointOperator(DictionaryOperator):
     the dense ``O(M·L·Nθ·Nτ)`` — and the 2-D path doubles as the batched
     engine: :meth:`matmul_batch` folds a whole stack of problems into
     the same two factor GEMMs.
+
+    The 2-D path works on the operand's row stack ``xᵀ``, one
+    ``(Nτ, Nθ)`` coefficient grid per column, and returns the ``.T`` of
+    its ``(p, m)`` row-stack result.  A caller that keeps its iterate as
+    rows (the MMV kernel) hands over ``rows.T`` and reads back
+    ``product.T``, so neither side copies; any other ``(n, p)`` operand
+    pays one contiguous copy of its row stack.
     """
 
     def __init__(self, temporal, spatial) -> None:
@@ -165,11 +172,11 @@ class KroneckerJointOperator(DictionaryOperator):
             raise SolverError("KroneckerJointOperator factors contain non-finite entries")
         self.temporal = temporal
         self.spatial = spatial
-        # Adjoint factors, materialized once for the batched 2-D paths
-        # (the 1-D paths conjugate per call, matching the reference
-        # expressions bit for bit).
+        # Factors of the 2-D adjoint, materialized once (the 1-D paths
+        # conjugate per call, matching the reference expressions bit for
+        # bit).
         self._temporal_adjoint = temporal.conj().T
-        self._spatial_adjoint = spatial.conj().T
+        self._spatial_conj = spatial.conj()
         self.n_subcarriers, self.n_delays = tuple(temporal.shape)
         self.n_antennas, self.n_angles = tuple(spatial.shape)
         self.shape = (
@@ -188,15 +195,15 @@ class KroneckerJointOperator(DictionaryOperator):
             csi = self.spatial @ grid.T @ self.temporal.T
             return csi.T.reshape(-1)
         if x.ndim == 2:
-            # Contract the wide angle axis first (Nθ → M shrinks ~30×,
-            # Nτ → L only ~2×): an order-of-magnitude fewer MACs than
-            # the opposite order at the evaluation grid, and every
-            # intermediate stays C-contiguous — no transpose copies.
-            p = tuple(x.shape)[1]
-            grid = x.reshape(self.n_delays, self.n_angles, p)
-            partial = self.spatial[None] @ grid  # (Nτ, M, p) batched GEMM
-            full = self.temporal @ partial.reshape(self.n_delays, self.n_antennas * p)
-            return full.reshape(self.shape[0], p)
+            # Row stack: contract the wide angle axis first (Nθ → M
+            # shrinks ~30×, Nτ → L only ~2×) as one GEMM over every grid
+            # X_k, then G (X_k S̃ᵀ) per grid — the (L, M) CSI matrix of
+            # column k, whose C-order flattening is antenna-fastest.
+            rows = np.ascontiguousarray(x.T)
+            p = rows.shape[0]
+            angles = rows.reshape(p * self.n_delays, self.n_angles) @ self.spatial.T
+            csi = self.temporal @ angles.reshape(p, self.n_delays, self.n_antennas)
+            return csi.reshape(p, self.shape[0]).T
         raise SolverError(f"matvec operand must be 1-D or 2-D, got ndim={x.ndim}")
 
     def rmatvec(self, r):
@@ -206,15 +213,15 @@ class KroneckerJointOperator(DictionaryOperator):
             grid = self.spatial.conj().T @ csi @ np.conj(self.temporal)  # (Nθ, Nτ)
             return grid.T.reshape(-1)
         if r.ndim == 2:
-            # Adjoint of the 2-D matvec, same axis-order reasoning:
-            # contract subcarriers first (L → Nτ), then expand angles.
-            p = tuple(r.shape)[1]
-            inner = self._temporal_adjoint @ r.reshape(
-                self.n_subcarriers, self.n_antennas * p
-            )  # (Nτ, M·p)
-            inner = inner.reshape(self.n_delays, self.n_antennas, p)
-            grid = self._spatial_adjoint[None] @ inner  # (Nτ, Nθ, p) batched GEMM
-            return grid.reshape(self.shape[1], p)
+            # Adjoint of the 2-D matvec on the row stack: Gᴴ R_k per CSI
+            # matrix, then one GEMM with conj(S̃) for every grid at once.
+            rows = np.ascontiguousarray(r.T)
+            p = rows.shape[0]
+            delays = self._temporal_adjoint @ rows.reshape(
+                p, self.n_subcarriers, self.n_antennas
+            )
+            grid = delays.reshape(p * self.n_delays, self.n_antennas) @ self._spatial_conj
+            return grid.reshape(p, self.shape[1]).T
         raise SolverError(f"rmatvec operand must be 1-D or 2-D, got ndim={r.ndim}")
 
     def to_dense(self):

@@ -327,9 +327,13 @@ MMV_SHAPES = (
 def _mmv_kernel_rows(*, snr_db: float, seed: int, repeats: int) -> list[dict]:
     """Time ``solve_batch(method="mmv")`` per problem-iteration at :data:`MMV_SHAPES`.
 
-    Each problem is a window of consecutive packets of one scene; every
-    row also records the max relative deviation of the batched solutions
-    from their ``B = 1`` :func:`~repro.optim.solve_mmv_fista` solves.
+    The kernel runs at its default tolerance, as the pipeline and the
+    service run it, so the timing includes the per-iteration stop test;
+    the test never fires at these caps, which each row's ``iterations``
+    confirms.  Each problem is a window of consecutive packets of one
+    scene; every row also records the max relative deviation of the
+    batched solutions from their ``B = 1``
+    :func:`~repro.optim.solve_mmv_fista` solves.
     """
     from dataclasses import replace
 
@@ -353,7 +357,7 @@ def _mmv_kernel_rows(*, snr_db: float, seed: int, repeats: int) -> list[dict]:
         lipschitz = estimator.cache.joint_lipschitz
         stacks = [np.stack(packets[i : i + p], axis=1) for i in range(0, len(packets), p)]
         kappas = [mmv_residual_kappa(operator, s, fraction=config.kappa_fraction) for s in stacks]
-        options = dict(max_iterations=iterations, tolerance=0.0, lipschitz=lipschitz)
+        options = dict(max_iterations=iterations, lipschitz=lipschitz)
         for batch_size in shape["batch_sizes"]:
             best, batched = _best_time(
                 lambda: solve_batch(
@@ -362,6 +366,11 @@ def _mmv_kernel_rows(*, snr_db: float, seed: int, repeats: int) -> list[dict]:
                 ),
                 repeats,
             )
+            if set(batched.iterations) != {iterations}:
+                raise RuntimeError(
+                    f"mmv bench row {shape['n_angles']}x{shape['n_delays']} B={batch_size} "
+                    f"stopped before its cap: iterations {batched.iterations}"
+                )
             deviation = 0.0
             for index in range(batch_size):
                 solo = solve_mmv_fista(operator, stacks[index], kappas[index], **options).x
@@ -374,7 +383,7 @@ def _mmv_kernel_rows(*, snr_db: float, seed: int, repeats: int) -> list[dict]:
                     "grid": f"{shape['n_angles']}x{shape['n_delays']}",
                     "snapshots": p,
                     "batch_size": batch_size,
-                    "iterations": iterations,
+                    "iterations": batched.iterations[0],
                     "batched_seconds": best,
                     "seconds_per_problem_iteration": best / (batch_size * iterations),
                     "max_relative_deviation": deviation,

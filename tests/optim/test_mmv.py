@@ -5,6 +5,8 @@ import pytest
 
 from repro.exceptions import SolverError
 from repro.obs import ConvergenceTrace
+from repro.optim import KroneckerJointOperator
+from repro.optim.linalg import squared_norms
 from repro.optim.mmv import mmv_objective, solve_mmv_fista
 
 from tests.optim.test_fista import make_sparse_system
@@ -73,6 +75,38 @@ class TestObjective:
                         telemetry=telemetry)
         assert len(telemetry.objectives) == 40
         assert telemetry.objectives[-1] <= telemetry.objectives[0]
+
+
+class TestStoppingRule:
+    @pytest.mark.parametrize("form", ["dense", "kronecker"])
+    def test_stops_at_first_iteration_meeting_the_rule(self, rng, form):
+        """The reported iteration is the first ``k`` with
+        ``‖x_k − x_{k−1}‖² ≤ tol²·max(1, ‖x_{k−1}‖²)``, recomputed here."""
+        if form == "dense":
+            a, y, *_ = make_mmv_system(rng)
+        else:
+            a = KroneckerJointOperator(
+                rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9)),
+                rng.standard_normal((3, 13)) + 1j * rng.standard_normal((3, 13)),
+            )
+            x_true = np.zeros((a.shape[1], 4), dtype=complex)
+            x_true[[5, 40, 90]] = rng.standard_normal((3, 4)) + 1.5
+            y = a.matvec(x_true)
+        tolerance = 1e-3
+        iterates = []
+        result = solve_mmv_fista(
+            a, y, kappa=0.1, max_iterations=2000, tolerance=tolerance,
+            callback=lambda it, x, objective: iterates.append(x),
+        )
+        previous = [np.zeros_like(iterates[0])] + iterates[:-1]
+        first = next(
+            k
+            for k, (x, before) in enumerate(zip(iterates, previous), start=1)
+            if squared_norms(x - before, axis=(0, 1))
+            <= tolerance**2 * max(1.0, squared_norms(before, axis=(0, 1)))
+        )
+        assert result.converged
+        assert result.iterations == first == len(iterates) < 2000
 
 
 class TestValidation:

@@ -71,6 +71,35 @@ class TestKroneckerParity:
         np.testing.assert_allclose(operator.matvec(x), dense @ x, atol=1e-10)
         np.testing.assert_allclose(operator.rmatvec(r), dense.conj().T @ r, atol=1e-10)
 
+    @pytest.mark.parametrize("p", [1, 2, 6])
+    @pytest.mark.parametrize("layout", ["c_order", "row_stack", "sliced"])
+    def test_snapshot_products_match_kron_in_every_layout(self, p, layout):
+        """The 2-D products match dense ``kron`` for C-ordered, transposed
+        row-stack and non-contiguous operands; a row-stack operand comes
+        back as the ``.T`` of a C-ordered row stack (no copy either way)."""
+        operator, rng = random_kronecker(p)
+        dense = operator.to_dense()
+        m, n = operator.shape
+
+        def operand(rows):
+            draw = rng.normal(size=(2 * rows, 2 * p)) + 1j * rng.normal(size=(2 * rows, 2 * p))
+            if layout == "c_order":
+                return np.ascontiguousarray(draw[:rows, :p])
+            if layout == "row_stack":
+                return np.ascontiguousarray(draw[:rows, :p].T).T
+            return draw[::2, ::2]
+
+        x, r = operand(n), operand(m)
+        for product, reference in (
+            (operator.matvec(x), dense @ x),
+            (operator.rmatvec(r), dense.conj().T @ r),
+        ):
+            assert product.shape == reference.shape
+            scale = np.abs(reference).max()
+            np.testing.assert_allclose(product, reference, rtol=0, atol=1e-12 * scale)
+            if layout == "row_stack":
+                assert product.T.flags.c_contiguous
+
     @given(seeds)
     @settings(max_examples=15, deadline=None)
     def test_column_helpers_match_dense(self, seed):

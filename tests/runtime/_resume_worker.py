@@ -2,12 +2,12 @@
 
 Runs the runtime suite's deterministic workload through a checkpointed
 :class:`~repro.runtime.BatchEvaluator` and writes the outcomes as JSON.
-With ``--kill-after K`` a watcher thread SIGKILLs the process the
-moment the journal holds K job records — a hard crash mid-sweep, not a
-graceful drain — so the surviving journal is exactly what a preempted
-run leaves behind.  ``test_resume_parity.py`` then re-runs the same
-command and asserts the resumed results are byte-identical to an
-uninterrupted reference.
+With ``--kill-after K`` the process group is SIGKILLed right after
+the K-th job record is appended (and fsync'd) to the journal — a hard
+crash mid-sweep, not a graceful drain — so the surviving journal is
+exactly what a preempted run leaves behind, however fast the jobs run.
+``test_resume_parity.py`` then re-runs the same command and asserts the
+resumed results are byte-identical to an uninterrupted reference.
 
 The estimator/workload construction mirrors the ``small_estimator`` /
 ``make_traces`` fixtures; the trace generator itself is imported from
@@ -19,8 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import signal
-import threading
-import time
 from pathlib import Path
 
 from repro.channel.array import UniformLinearArray
@@ -28,7 +26,7 @@ from repro.channel.ofdm import SubcarrierLayout
 from repro.core.config import RoArrayConfig
 from repro.core.grids import AngleGrid, DelayGrid
 from repro.core.pipeline import RoArrayEstimator
-from repro.runtime import BatchEvaluator, CheckpointPolicy
+from repro.runtime import BatchEvaluator, CheckpointJournal, CheckpointPolicy
 from repro.runtime.checkpoint import atomic_write
 from tests.runtime.conftest import make_traces
 
@@ -48,28 +46,29 @@ def build_estimator() -> RoArrayEstimator:
     )
 
 
-def journal_job_count(path: Path) -> int:
-    """Complete job records currently on disk (a torn tail may add one)."""
-    try:
-        text = path.read_text()
-    except OSError:
-        return 0
-    return sum(1 for line in text.splitlines() if '"record": "job"' in line)
+def _arm_self_kill(kill_after: int) -> None:
+    """Wrap ``CheckpointJournal.append`` to die after ``kill_after`` appends.
 
+    The kill runs in the thread that journals, synchronously after the
+    append returns, so exactly ``kill_after`` job records are on disk
+    however fast the pool completes jobs.
+    """
+    append = CheckpointJournal.append
+    appended = 0
 
-def _arm_self_kill(journal_path: Path, kill_after: int) -> None:
-    def watch() -> None:
-        while True:
-            if journal_job_count(journal_path) >= kill_after:
-                # Kill the whole process group — the parent AND any pool
-                # workers.  The test launches this script in its own
-                # session (start_new_session=True), so the group is ours;
-                # orphaned workers would otherwise hold the stdout pipe
-                # open and hang the test's communicate().
-                os.killpg(os.getpgrp(), signal.SIGKILL)
-            time.sleep(0.002)
+    def append_then_kill(self, key, payload, *, index=None):
+        nonlocal appended
+        append(self, key, payload, index=index)
+        appended += 1
+        if appended >= kill_after:
+            # Kill the whole process group — the parent AND any pool
+            # workers.  The test launches this script in its own
+            # session (start_new_session=True), so the group is ours;
+            # orphaned workers would otherwise hold the stdout pipe
+            # open and hang the test's communicate().
+            os.killpg(os.getpgrp(), signal.SIGKILL)
 
-    threading.Thread(target=watch, daemon=True).start()
+    CheckpointJournal.append = append_then_kill
 
 
 def main() -> int:
@@ -82,7 +81,7 @@ def main() -> int:
         "--kill-after",
         type=int,
         default=0,
-        help="SIGKILL self once the journal holds this many job records",
+        help="SIGKILL self right after this many job records are journaled",
     )
     args = parser.parse_args()
 
@@ -90,7 +89,7 @@ def main() -> int:
     traces = make_traces(estimator, args.n_traces)
     journal_path = Path(args.checkpoint) / JOURNAL_NAME
     if args.kill_after:
-        _arm_self_kill(journal_path, args.kill_after)
+        _arm_self_kill(args.kill_after)
 
     result = BatchEvaluator(estimator, workers=args.workers).evaluate(
         traces,

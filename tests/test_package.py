@@ -62,3 +62,34 @@ class TestPackage:
                     problems.append(f"{info.name}.__all__ names missing {name!r}")
         assert checked >= 10
         assert not problems, "\n".join(problems)
+
+    def test_every_imported_public_name_is_in_all(self):
+        """The reverse of the check above: each public name a package
+        ``__init__`` binds with ``from … import`` is listed in its
+        ``__all__``, so ``from package import *`` exports what the
+        package imports for its callers."""
+        import ast
+        import importlib
+        import pkgutil
+        from pathlib import Path
+
+        problems = []
+        checked = 0
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+            if not info.ispkg:
+                continue
+            module = importlib.import_module(info.name)
+            names = getattr(module, "__all__", None)
+            if names is None:
+                continue
+            checked += 1
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            for node in tree.body:
+                if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if not bound.startswith("_") and bound not in names:
+                        problems.append(f"{info.name} imports {bound!r} but omits it from __all__")
+        assert checked >= 10
+        assert not problems, "\n".join(problems)
