@@ -9,8 +9,7 @@ reports the median direct-path AoA error of each.
 import numpy as np
 import pytest
 
-from repro.baselines.music import forward_backward_average, music_joint_spectrum
-from repro.baselines.spotfi import smoothed_csi_matrix, subarray_joint_steering
+from repro.baselines.spotfi import SpotFiConfig, SpotFiEstimator, smoothed_csi_matrix
 from repro.channel.csi import CsiSynthesizer
 from repro.channel.impairments import ImpairmentModel
 from repro.channel.paths import random_profile
@@ -29,8 +28,10 @@ SNRS_DB = (15.0, 2.0)
 def run_ablation():
     estimator = RoArrayEstimator(config=evaluation_roarray_config())
     cache = estimator.cache
-    music_steering = subarray_joint_steering(
-        estimator.array, estimator.layout, cache.angle_grid, cache.delay_grid
+    music = SpotFiEstimator(
+        estimator.array,
+        estimator.layout,
+        SpotFiConfig(angle_grid=cache.angle_grid, delay_grid=cache.delay_grid, model_order=5),
     )
 
     results = {}
@@ -75,18 +76,8 @@ def run_ablation():
                 errors[f"OMP (K={k})"].append(abs(direct.aoa_deg - true_aoa))
 
             # SpotFi-style smoothed 2-D MUSIC.
-            smoothed = smoothed_csi_matrix(csi)
-            covariance = forward_backward_average(
-                smoothed @ smoothed.conj().T / smoothed.shape[1]
-            )
-            music = music_joint_spectrum(
-                covariance,
-                music_steering,
-                cache.angle_grid.angles_deg,
-                cache.delay_grid.toas_s,
-                n_sources=5,
-            )
-            direct = identify_direct_path(music, peak_floor=0.3, max_paths=6)
+            spectrum = music.smoothed_spectrum(smoothed_csi_matrix(csi))
+            direct = identify_direct_path(spectrum, peak_floor=0.3, max_paths=6)
             errors["2D MUSIC"].append(abs(direct.aoa_deg - true_aoa))
 
         results[snr_db] = {k: float(np.median(v)) for k, v in errors.items()}

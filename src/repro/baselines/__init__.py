@@ -16,7 +16,6 @@ from repro.baselines.arraytrack import ArrayTrackEstimator
 from repro.baselines.music import (
     forward_backward_average,
     music_angle_spectrum,
-    music_joint_spectrum,
     sample_covariance,
 )
 from repro.baselines.spotfi import SpotFiEstimator, sanitize_csi_phase
@@ -26,7 +25,6 @@ __all__ = [
     "SpotFiEstimator",
     "forward_backward_average",
     "music_angle_spectrum",
-    "music_joint_spectrum",
     "sample_covariance",
     "sanitize_csi_phase",
 ]

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import SolverError
-from repro.spectral.spectrum import AngleSpectrum, JointSpectrum
+from repro.optim import as_operator
+from repro.spectral.spectrum import AngleSpectrum
 
 
 def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
@@ -63,10 +64,22 @@ def noise_subspace(covariance: np.ndarray, n_sources: int) -> np.ndarray:
     return eigenvectors[:, : m - n_sources]
 
 
-def music_pseudospectrum(noise_basis: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """``P = 1/‖E_nᴴ s‖²`` for each steering column."""
-    projections = noise_basis.conj().T @ steering
-    denominator = np.sum(np.abs(projections) ** 2, axis=0)
+def music_pseudospectrum(noise_basis: np.ndarray, dictionary) -> np.ndarray:
+    """``P = 1/‖E_nᴴ s‖²`` for each dictionary column ``s``.
+
+    ``dictionary`` is a dense ``(M, n)`` steering array or any
+    :class:`~repro.optim.DictionaryOperator` whose rows follow the
+    basis rows; the denominators are the row norms of the adjoint
+    product ``Aᴴ E_n``, so a structured dictionary (SpotFi's
+    :class:`~repro.optim.KroneckerJointOperator`) is never materialized.
+    """
+    projections = as_operator(dictionary).rmatvec(noise_basis)
+    # Σ|p|² per row, squared in place in the product (ours to clobber): a
+    # temporary the size of the product would cost page faults per call.
+    energies, imaginary = projections.real, projections.imag
+    np.square(energies, out=energies)
+    energies += np.square(imaginary, out=imaginary)
+    denominator = energies.sum(axis=1)
     floor = 1e-12 * max(float(denominator.max(initial=0.0)), 1e-300)
     return 1.0 / np.maximum(denominator, floor)
 
@@ -92,28 +105,3 @@ def music_angle_spectrum(
         covariance = forward_backward_average(covariance)
     basis = noise_subspace(covariance, n_sources)
     return AngleSpectrum(angles_deg, music_pseudospectrum(basis, steering))
-
-
-def music_joint_spectrum(
-    covariance: np.ndarray,
-    steering: np.ndarray,
-    angles_deg: np.ndarray,
-    toas_s: np.ndarray,
-    *,
-    n_sources: int,
-) -> JointSpectrum:
-    """2-D (AoA, ToA) MUSIC from a pre-smoothed covariance.
-
-    ``steering`` has one column per (angle, delay) pair, delay-major
-    (column ``j·Nθ + i`` ↔ angle ``i``, delay ``j``), matching
-    :func:`repro.core.steering.joint_steering_dictionary`.
-    """
-    basis = noise_subspace(covariance, n_sources)
-    power = music_pseudospectrum(basis, steering)
-    n_angles, n_toas = angles_deg.size, toas_s.size
-    if power.size != n_angles * n_toas:
-        raise SolverError(
-            f"steering has {power.size} columns, expected {n_angles}×{n_toas}"
-        )
-    grid = power.reshape(n_toas, n_angles).T  # delay-major columns → (angle, delay)
-    return JointSpectrum(angles_deg, toas_s, grid)

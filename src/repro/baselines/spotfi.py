@@ -27,16 +27,18 @@ re-derived constants, documented on :class:`SpotFiConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from repro.baselines.music import forward_backward_average, music_joint_spectrum
+from repro.baselines.music import forward_backward_average, music_pseudospectrum, noise_subspace
 from repro.channel.array import UniformLinearArray
 from repro.channel.ofdm import SubcarrierLayout, intel5300_layout
 from repro.channel.trace import CsiTrace
 from repro.core.direct_path import ApAnalysis, DirectPathEstimate
 from repro.core.grids import AngleGrid, DelayGrid
 from repro.exceptions import ConfigurationError, SolverError
+from repro.optim import KroneckerJointOperator
 from repro.spectral.spectrum import AngleSpectrum, JointSpectrum, SpectrumPeak
 
 
@@ -97,7 +99,7 @@ def smoothed_csi_matrix(
     return smoothed
 
 
-def subarray_joint_steering(
+def subarray_joint_operator(
     array: UniformLinearArray,
     layout: SubcarrierLayout,
     angle_grid: AngleGrid,
@@ -105,21 +107,35 @@ def subarray_joint_steering(
     *,
     antenna_window: int = 2,
     subcarrier_window: int = 15,
-) -> np.ndarray:
-    """Joint steering dictionary matching :func:`smoothed_csi_matrix` rows.
+) -> KroneckerJointOperator:
+    """Joint steering of one smoothing window, as a Kronecker operator.
 
-    Rows are antenna-major (Λ^i·Γ^j at row i·L' + j); columns are
-    delay-major to match :func:`repro.baselines.music.music_joint_spectrum`.
+    A path at (θ, τ) puts Λ^i·Γ^j on antenna i, subcarrier j of the
+    window, so the dictionary is ``kron(temporal, spatial)`` of the
+    ``(subcarrier_window, Nτ)`` delay ramps and the
+    ``(antenna_window, Nθ)`` antenna phases, with delay-major columns
+    (column ``j·Nθ + i`` ↔ angle ``i``, delay ``j``).  Its rows run
+    antenna-fastest (row ``j·A' + i``), whereas :func:`smoothed_csi_matrix`
+    rows are antenna-major (row ``i·L' + j``);
+    :func:`subarray_row_order` maps one order onto the other.
     """
     spatial = array.phase_factor(angle_grid.angles_deg)[None, :] ** np.arange(antenna_window)[:, None]
     temporal = (
         layout.delay_phase_factor(delay_grid.toas_s)[None, :]
         ** np.arange(subcarrier_window)[:, None]
     )
-    angle_major = np.kron(spatial, temporal)  # column p·Nτ + q ↔ (θ_p, τ_q)
-    n_angles, n_toas = angle_grid.n_points, delay_grid.n_points
-    reorder = np.arange(n_angles * n_toas).reshape(n_angles, n_toas).T.reshape(-1)
-    return angle_major[:, reorder]
+    return KroneckerJointOperator(temporal, spatial)
+
+
+def subarray_row_order(antenna_window: int = 2, subcarrier_window: int = 15) -> np.ndarray:
+    """The :func:`smoothed_csi_matrix` row behind each operator row.
+
+    ``rows[subarray_row_order()]`` reorders antenna-major rows (the
+    smoothed matrix, or a basis of its covariance) into the
+    antenna-fastest row order of :func:`subarray_joint_operator`.
+    """
+    antenna_major = np.arange(antenna_window * subcarrier_window)
+    return antenna_major.reshape(antenna_window, subcarrier_window).T.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -147,9 +163,17 @@ class SpotFiConfig:
     weight_power: float = 0.3
 
 
+_CLUSTER_STATISTICS = ("mean_aoa_deg", "mean_toa_s", "std_toa_s", "mean_power")
+
+
 @dataclass
 class PathCluster:
-    """A cluster of per-packet (AoA, ToA) peaks hypothesized as one path."""
+    """A cluster of per-packet (AoA, ToA) peaks hypothesized as one path.
+
+    Each statistic is computed on first read and kept until the next
+    :meth:`add`, so the clustering loop's comparisons do not re-average
+    the member lists.
+    """
 
     aoas_deg: list[float] = field(default_factory=list)
     toas_s: list[float] = field(default_factory=list)
@@ -159,24 +183,26 @@ class PathCluster:
         self.aoas_deg.append(peak.aoa_deg)
         self.toas_s.append(peak.toa_s)
         self.powers.append(peak.power)
+        for name in _CLUSTER_STATISTICS:
+            self.__dict__.pop(name, None)
 
     @property
     def size(self) -> int:
         return len(self.aoas_deg)
 
-    @property
+    @cached_property
     def mean_aoa_deg(self) -> float:
         return float(np.mean(self.aoas_deg))
 
-    @property
+    @cached_property
     def mean_toa_s(self) -> float:
         return float(np.mean(self.toas_s))
 
-    @property
+    @cached_property
     def std_toa_s(self) -> float:
         return float(np.std(self.toas_s))
 
-    @property
+    @cached_property
     def mean_power(self) -> float:
         return float(np.mean(self.powers))
 
@@ -195,13 +221,16 @@ class SpotFiEstimator:
         self.array = array or UniformLinearArray()
         self.layout = layout or intel5300_layout()
         self.config = config or SpotFiConfig()
-        self._steering = subarray_joint_steering(
+        self._operator = subarray_joint_operator(
             self.array,
             self.layout,
             self.config.angle_grid,
             self.config.delay_grid,
             antenna_window=self.config.antenna_window,
             subcarrier_window=self.config.subcarrier_window,
+        )
+        self._operator_rows = subarray_row_order(
+            self.config.antenna_window, self.config.subcarrier_window
         )
 
     # -- spectra -----------------------------------------------------------
@@ -214,13 +243,21 @@ class SpotFiEstimator:
             antenna_window=self.config.antenna_window,
             subcarrier_window=self.config.subcarrier_window,
         )
+        return self.smoothed_spectrum(smoothed)
+
+    def smoothed_spectrum(self, smoothed: np.ndarray) -> JointSpectrum:
+        """Joint 2-D MUSIC of a :func:`smoothed_csi_matrix` (``K = model_order``).
+
+        Forward–backward averaging and the eigendecomposition run in the
+        smoothed matrix's antenna-major row order; only the noise basis
+        is reordered into the operator's rows, which is exact.
+        """
         covariance = forward_backward_average(smoothed @ smoothed.conj().T / smoothed.shape[1])
-        return music_joint_spectrum(
-            covariance,
-            self._steering,
-            self.config.angle_grid.angles_deg,
-            self.config.delay_grid.toas_s,
-            n_sources=self.config.model_order,
+        basis = noise_subspace(covariance, self.config.model_order)[self._operator_rows]
+        power = music_pseudospectrum(basis, self._operator)
+        grid = power.reshape(self.config.delay_grid.n_points, self.config.angle_grid.n_points)
+        return JointSpectrum(
+            self.config.angle_grid.angles_deg, self.config.delay_grid.toas_s, grid.T
         )
 
     def aoa_spectrum(self, trace: CsiTrace) -> AngleSpectrum:
@@ -265,9 +302,10 @@ class SpotFiEstimator:
 
     def cluster_likelihood(self, cluster: PathCluster, clusters: list[PathCluster]) -> float:
         """SpotFi's direct-path likelihood, higher = more likely LoS."""
-        total_points = sum(c.size for c in clusters)
+        return self._likelihood(cluster, *_cluster_totals(clusters))
+
+    def _likelihood(self, cluster: PathCluster, total_points: int, max_power: float) -> float:
         toa_scale = self.config.delay_grid.stop_s - self.config.delay_grid.start_s
-        max_power = max(c.mean_power for c in clusters)
         size_term = cluster.size / total_points
         toa_mean_term = (cluster.mean_toa_s - self.config.delay_grid.start_s) / toa_scale
         toa_std_term = cluster.std_toa_s / toa_scale
@@ -289,7 +327,8 @@ class SpotFiEstimator:
             direct = DirectPathEstimate(best.aoa_deg, best.toa_s, best.power, n_paths=1)
             return ApAnalysis(direct=direct, candidate_aoas_deg=(best.aoa_deg,))
         clusters = self.cluster_peaks(peaks)
-        best = max(clusters, key=lambda c: self.cluster_likelihood(c, clusters))
+        totals = _cluster_totals(clusters)
+        best = max(clusters, key=lambda c: self._likelihood(c, *totals))
         direct = DirectPathEstimate(
             aoa_deg=best.mean_aoa_deg,
             toa_s=best.mean_toa_s,
@@ -304,3 +343,8 @@ class SpotFiEstimator:
     def estimate_direct_path(self, trace: CsiTrace) -> DirectPathEstimate:
         """Direct-path estimate only (see :meth:`analyze` for the full result)."""
         return self.analyze(trace).direct
+
+
+def _cluster_totals(clusters: list[PathCluster]) -> tuple[int, float]:
+    """The likelihood's normalizers: total peak count and strongest mean power."""
+    return sum(c.size for c in clusters), max(c.mean_power for c in clusters)

@@ -21,6 +21,8 @@ and returns the fused 2-D spectrum of paper Fig. 4c.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.channel.ofdm import SubcarrierLayout
@@ -56,11 +58,29 @@ def estimate_relative_delay(
         raise SolverError(f"packet shapes differ: {reference.shape} vs {packet.shape}")
     cross = np.mean(packet * reference.conj(), axis=0)  # (L,) averaged over antennas
 
-    candidates = np.arange(-search_range_s, search_range_s + resolution_s, resolution_s)
-    subcarriers = np.arange(cross.size)
-    ramps = np.exp(2j * np.pi * layout.spacing * candidates[:, None] * subcarriers[None, :])
+    candidates, ramps = _delay_ramp_bank(
+        layout.spacing, cross.size, search_range_s, resolution_s
+    )
     scores = np.abs(ramps @ cross)
     return float(candidates[int(np.argmax(scores))])
+
+
+@lru_cache(maxsize=16)
+def _delay_ramp_bank(
+    spacing: float, n_subcarriers: int, search_range_s: float, resolution_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate delays and their ``(n_candidates, L)`` phase ramps.
+
+    The bank depends only on the subcarrier spacing, the width and the
+    search grid, so it is built once per combination and shared by
+    every packet; both arrays are read-only.
+    """
+    candidates = np.arange(-search_range_s, search_range_s + resolution_s, resolution_s)
+    subcarriers = np.arange(n_subcarriers)
+    ramps = np.exp(2j * np.pi * spacing * candidates[:, None] * subcarriers[None, :])
+    candidates.flags.writeable = False
+    ramps.flags.writeable = False
+    return candidates, ramps
 
 
 def align_packet_delays(

@@ -7,9 +7,9 @@ stacks ``B`` problems and hands them to the FISTA or MMV lockstep kernel
 (:func:`~repro.optim.fista.fista_lockstep`,
 :func:`~repro.optim.mmv.mmv_lockstep`): every dictionary product is a
 single batched matmul (two factor GEMMs for the Kronecker operator),
-the elementwise proximal steps broadcast one threshold per problem
-column, and per-problem convergence is tracked with freeze masks so a
-column that has converged stops moving while its neighbours iterate on.
+the elementwise proximal steps broadcast one threshold per problem,
+and per-problem convergence is tracked with freeze masks so a problem
+that has converged stops moving while its neighbours iterate on.
 
 Correctness contract:
 
@@ -17,7 +17,7 @@ Correctness contract:
   (``solve_lasso_fista``, ``solve_mmv_fista``) are ``B = 1`` calls of
   the same code, so a one-problem batch equals the sequential solve
   exactly.
-* Larger batches run the same per-column iteration, but BLAS
+* Larger batches run the same per-problem iteration, but BLAS
   accumulates batched GEMM columns in a different order, so each
   problem agrees with its ``B = 1`` solve to rounding, not bits.  The
   budget is :data:`FLOAT64_PARITY_TOLERANCE` (1e-12 relative).
@@ -45,11 +45,11 @@ FLOAT64_PARITY_TOLERANCE = 1e-12
 #: The kernel options solve_batch forwards; both methods take them all.
 _BATCH_OPTIONS = {"max_iterations", "tolerance", "lipschitz", "penalty_weights"}
 
-#: Columns per lockstep block.  Problems are independent columns, so a
-#: big batch is solved block-by-block with identical per-problem
-#: results; the block keeps the (n × block) iterate and its temporaries
+#: Problems per lockstep block.  Problems are independent, so a big
+#: batch is solved block-by-block with identical per-problem results;
+#: the block keeps the (block × n) iterate and its temporaries
 #: L2-resident on CPU, which measures ~1.5× faster than one monolithic
-#: (n × B) sweep at B = 64 on the evaluation grid.
+#: (B × n) sweep at B = 64 on the evaluation grid.
 _BLOCK_COLUMNS = 16
 
 
@@ -228,9 +228,7 @@ def _resolve_warm_start(x0, method, n_problems, n, problem_shape):
 
 
 def _solve_stacked(operator, ys, method, kappas, warm, options):
-    stacked = np.stack(
-        [np.asarray(y, dtype=complex) for y in ys], axis=0 if method == "mmv" else 1
-    )
+    stacked = np.stack([np.asarray(y, dtype=complex) for y in ys])
     if not np.all(np.isfinite(stacked)):
         raise SolverError("batch contains non-finite measurements")
     kernel = fista_lockstep if method == "fista" else mmv_lockstep

@@ -150,7 +150,7 @@ def solve_lasso_fista(
 
     return fista_lockstep(
         operator,
-        rhs.reshape(-1, 1),
+        rhs[None],
         (kappa,),
         warm,
         max_iterations=max_iterations,
@@ -163,7 +163,7 @@ def solve_lasso_fista(
 
 def fista_lockstep(
     operator,
-    Y: np.ndarray,
+    Ys: np.ndarray,
     kappas,
     warm: np.ndarray | None = None,
     *,
@@ -175,15 +175,19 @@ def fista_lockstep(
 ) -> BatchSolverResult:
     """FISTA on ``B`` problems at once: the one FISTA iteration loop.
 
-    ``Y`` holds one measurement per column, ``(m, B)``; ``kappas`` one
-    weight per problem; ``warm`` an optional ``(B, n)`` start.  Every
-    dictionary product is one batched matmul, the proximal step
-    broadcasts one threshold per column, and a column whose stop test
-    passes is frozen while the rest iterate on, so each problem follows
-    exactly its own ``B = 1`` trajectory up to GEMM rounding.
+    ``Ys`` holds one measurement per row, ``(B, m)``; ``kappas`` one
+    weight per problem; ``warm`` an optional ``(B, n)`` start.  The
+    iterate lives as one ``(B, n)`` row stack, as in
+    :func:`~repro.optim.mmv.mmv_lockstep`: it goes to the operator as
+    the transposed ``(n, B)`` view and both products come back as
+    ``.T`` views of row stacks, so the Kronecker operator copies
+    neither way.  The proximal step broadcasts one threshold per row,
+    and a problem whose stop test passes is frozen while the rest
+    iterate on, so each problem follows exactly its own ``B = 1``
+    trajectory up to GEMM rounding.
     """
     n = operator.shape[1]
-    n_problems = Y.shape[1]
+    n_problems = Ys.shape[0]
     progress = LockstepProgress(n_problems, max_iterations)
     kap = validate_kernel_inputs(kappas, lipschitz, warm)
     weights = validate_penalty_weights(penalty_weights, n)
@@ -191,20 +195,20 @@ def fista_lockstep(
     lipschitz = 2.0 * (operator.lipschitz() if lipschitz is None else float(lipschitz))
     if lipschitz <= 0:
         # A zero dictionary: the minimizer is x = 0.
-        X = np.zeros((n, n_problems), dtype=complex)
+        X = np.zeros((n_problems, n), dtype=complex)
         progress.settle(0, np.ones(n_problems, dtype=bool))
-        objectives = lasso_batch_objectives(operator, X, Y, kap, weights)
-        return progress.result(np.moveaxis(X, 0, 1), objectives, "fista", kappas)
+        objectives = lasso_batch_objectives(operator, X, Ys, kap, weights)
+        return progress.result(X, objectives, "fista", kappas)
     step = 1.0 / lipschitz
-    thresholds = (kap * step).reshape(1, n_problems)
+    thresholds = (kap * step).reshape(n_problems, 1)
     if weights is not None:
-        # Per-coefficient weighted ℓ1: one threshold per (row, problem).
-        thresholds = weights.reshape(n, 1) * thresholds
+        # Per-coefficient weighted ℓ1: one threshold per (problem, coefficient).
+        thresholds = thresholds * weights.reshape(1, n)
 
     X = (
-        np.zeros((n, n_problems), dtype=complex)
+        np.zeros((n_problems, n), dtype=complex)
         if warm is None
-        else np.moveaxis(np.asarray(warm, dtype=complex), 0, 1).copy()
+        else np.array(warm, dtype=complex)
     )
     momentum = X.copy()
     t = 1.0
@@ -213,15 +217,17 @@ def fista_lockstep(
     check = tolerance > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         for it in range(1, max_iterations + 1):
-            raw_gradient = operator.rmatvec(operator.matvec(momentum) - Y)
+            residual = operator.matvec(momentum.T).T
+            residual -= Ys
+            raw_gradient = operator.rmatvec(residual.T).T
             candidate = _prox_gradient_step(momentum, raw_gradient, 2.0 * step, thresholds)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             change = candidate - X
 
             if check:
                 # ‖Δx‖ ≤ tol·max(1, ‖x‖) per problem, compared as squares.
-                delta = squared_norms(change, axis=0)
-                scale = np.maximum(1.0, squared_norms(X, axis=0))
+                delta = squared_norms(change, axis=1)
+                scale = np.maximum(1.0, squared_norms(X, axis=1))
 
             # candidate + ((t − 1)/t_next)·(candidate − X), in place on the change.
             momentum_next = change
@@ -231,35 +237,35 @@ def fista_lockstep(
             if progress.all_active:
                 X, momentum = candidate, momentum_next
             else:
-                # Freeze converged columns: their iterate (and momentum) stop
-                # moving, preserving per-problem equivalence with B = 1.
-                mask = active.reshape(1, n_problems)
+                # Freeze converged problems: their iterate (and momentum)
+                # stop moving, preserving per-problem equivalence with B = 1.
+                mask = active.reshape(n_problems, 1)
                 X = np.where(mask, candidate, X)
                 momentum = np.where(mask, momentum_next, momentum)
             t = t_next
 
             if observe is not None:
-                observe(it, np.moveaxis(X, 0, 1))
+                observe(it, X)
             if check and progress.settle(it, delta <= tolerance**2 * scale):
                 break
 
-    objectives = lasso_batch_objectives(operator, X, Y, kap, weights)
-    return progress.result(np.moveaxis(X, 0, 1), objectives, "fista", kappas)
+    objectives = lasso_batch_objectives(operator, X, Ys, kap, weights)
+    return progress.result(X, objectives, "fista", kappas)
 
 
-def lasso_batch_objectives(operator, X_cols, Y, kap, penalty_weights=None):
-    """Per-column LASSO objectives of an ``(n, B)`` iterate stack."""
-    residual = operator.matvec(X_cols) - Y
+def lasso_batch_objectives(operator, X, Ys, kap, penalty_weights=None):
+    """Per-problem LASSO objectives of a ``(B, n)`` iterate stack."""
+    residual = operator.matvec(X.T) - Ys.T
     data = np.linalg.norm(residual, axis=0) ** 2
-    magnitudes = np.abs(X_cols)
+    magnitudes = np.abs(X)
     if penalty_weights is not None:
-        magnitudes = penalty_weights.reshape(X_cols.shape[0], 1) * magnitudes
-    return data + kap * magnitudes.sum(axis=0)
+        magnitudes = penalty_weights.reshape(1, X.shape[1]) * magnitudes
+    return data + kap * magnitudes.sum(axis=1)
 
 
 # -- fused lockstep step ------------------------------------------------
 # The kernel's hot inner step, done in place: the lockstep iterate
-# (n × B) no longer fits in cache, so every avoided pass over it is a
+# (B × n) no longer fits in cache, so every avoided pass over it is a
 # measurable win.
 
 

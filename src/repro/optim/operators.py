@@ -14,7 +14,13 @@ applies it as two small matmuls over the ``Nθ × Nτ`` grid instead of one
 dense ``(M·L) × (Nθ·Nτ)`` GEMM — the separable-dictionary trick of
 multidimensional OMP (Palacios et al.) applied to the ℓ1/ℓ2,1 path —
 and its Lipschitz constant factorizes exactly as
-``λmax(S̃ᴴS̃)·λmax(GᴴG)``.
+``λmax(S̃ᴴS̃)·λmax(GᴴG)``.  It serves two estimators: ROArray's ℓ1 and
+ℓ2,1 solves (:attr:`repro.core.steering.SteeringCache.joint_operator`)
+and SpotFi's 2-D MUSIC, whose smoothing-window steering is the same
+Kronecker structure on a 2-antenna × 15-subcarrier window
+(:func:`repro.baselines.spotfi.subarray_joint_operator`) and whose
+pseudospectrum needs only ``rmatvec``
+(:func:`repro.baselines.music.music_pseudospectrum`).
 
 Operators also expose batched products ``matmul_batch``/``rmatmul_batch``
 that apply the dictionary to a whole stack of problems in one GEMM — the

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.baselines.music import forward_backward_average, noise_subspace
 from repro.baselines.spotfi import (
+    PathCluster,
     SpotFiConfig,
     SpotFiEstimator,
     sanitize_csi_phase,
     smoothed_csi_matrix,
-    subarray_joint_steering,
+    subarray_joint_operator,
+    subarray_row_order,
 )
 from repro.channel.array import UniformLinearArray
 from repro.channel.csi import CsiSynthesizer, synthesize_csi_matrix
@@ -83,6 +86,13 @@ class TestSmoothedMatrix:
             smoothed_csi_matrix(csi, subcarrier_window=31)
 
 
+def antenna_major_steering(operator):
+    """The operator's dictionary with its rows in smoothed-matrix order."""
+    steering = np.empty(operator.shape, dtype=complex)
+    steering[subarray_row_order()] = operator.to_dense()
+    return steering
+
+
 class TestSubarraySteering:
     def test_column_structure_matches_smoothed_rows(self):
         """Dictionary column (θ, τ) must equal the clean smoothed response."""
@@ -90,7 +100,8 @@ class TestSubarraySteering:
         layout = intel5300_layout()
         angle_grid = AngleGrid(n_points=7)
         delay_grid = DelayGrid(n_points=5)
-        steering = subarray_joint_steering(array, layout, angle_grid, delay_grid)
+        operator = subarray_joint_operator(array, layout, angle_grid, delay_grid)
+        steering = antenna_major_steering(operator)
         assert steering.shape == (30, 35)
 
         # Build the clean CSI for the grid point (angle index 3, delay index 2)
@@ -102,6 +113,29 @@ class TestSubarraySteering:
         window = csi[0:2, 0:15].reshape(-1)
         column = steering[:, 2 * 7 + 3]  # delay-major ordering
         np.testing.assert_allclose(window, column, atol=1e-10)
+
+
+class TestOperatorMusic:
+    def test_spectrum_matches_dense_formula(self, rng):
+        """‖E_nᴴ s‖² over the operator equals the dense formula per column."""
+        array = UniformLinearArray()
+        layout = intel5300_layout()
+        config = SpotFiConfig(angle_grid=AngleGrid(n_points=31), delay_grid=DelayGrid(n_points=17))
+        estimator = SpotFiEstimator(array, layout, config)
+        steering = antenna_major_steering(
+            subarray_joint_operator(array, layout, config.angle_grid, config.delay_grid)
+        )
+        for _ in range(3):
+            csi = rng.standard_normal((3, 30)) + 1j * rng.standard_normal((3, 30))
+            smoothed = smoothed_csi_matrix(csi)
+            covariance = forward_backward_average(smoothed @ smoothed.conj().T / smoothed.shape[1])
+            basis = noise_subspace(covariance, config.model_order)
+            projections = basis.conj().T @ steering
+            dense = 1.0 / np.sum(np.abs(projections) ** 2, axis=0)
+
+            spectrum = estimator.smoothed_spectrum(smoothed)
+            operator_power = spectrum.power.T.reshape(-1)  # back to delay-major
+            np.testing.assert_allclose(operator_power, dense, rtol=1e-12, atol=0)
 
 
 class TestEstimator:
@@ -173,3 +207,46 @@ class TestClustering:
         )
         best = max(clusters, key=lambda c: estimator.cluster_likelihood(c, clusters))
         assert best.mean_aoa_deg == pytest.approx(60.0)
+
+    def test_likelihood_value(self):
+        """Size, mean-ToA, ToA-spread and power terms with the documented weights."""
+        estimator = self.make_estimator()
+        config = estimator.config
+        clusters = estimator.cluster_peaks(
+            self.peaks([(60.0, 50e-9, 0.8)] * 5 + [(150.0, 400e-9, 1.0)] * 2)
+        )
+        early = next(c for c in clusters if c.size == 5)
+        toa_scale = config.delay_grid.stop_s - config.delay_grid.start_s
+        expected = (
+            config.weight_size * 5 / 7
+            - config.weight_toa_mean * (early.mean_toa_s - config.delay_grid.start_s) / toa_scale
+            - config.weight_toa_std * early.std_toa_s / toa_scale
+            + config.weight_power * 0.8 / 1.0
+        )
+        assert estimator.cluster_likelihood(early, clusters) == pytest.approx(expected, rel=1e-12)
+
+    def test_statistics_follow_add(self):
+        cluster = PathCluster()
+        cluster.add(SpectrumPeak(aoa_deg=100.0, power=1.0, toa_s=100e-9))
+        assert (cluster.mean_aoa_deg, cluster.mean_toa_s) == (100.0, 100e-9)
+        assert (cluster.std_toa_s, cluster.mean_power) == (0.0, 1.0)
+        cluster.add(SpectrumPeak(aoa_deg=104.0, power=0.5, toa_s=120e-9))
+        assert cluster.mean_aoa_deg == float(np.mean([100.0, 104.0]))
+        assert cluster.mean_toa_s == float(np.mean([100e-9, 120e-9]))
+        assert cluster.std_toa_s == float(np.std([100e-9, 120e-9]))
+        assert cluster.mean_power == 0.75
+
+    def test_analyze_picks_the_same_cluster_as_cluster_likelihood(self, rng):
+        estimator = self.make_estimator()
+        profile = random_profile(rng, n_paths=4, direct_aoa_deg=70.0)
+        synthesizer = CsiSynthesizer(UniformLinearArray(), intel5300_layout(), ImpairmentModel(), seed=3)
+        trace = synthesizer.packets(profile, n_packets=6, snr_db=5.0, rng=rng)
+        clusters = estimator.cluster_peaks(estimator.collect_peaks(trace))
+        assert len(clusters) > 1
+        best = max(clusters, key=lambda c: estimator.cluster_likelihood(c, clusters))
+        direct = estimator.analyze(trace).direct
+        assert (direct.aoa_deg, direct.toa_s, direct.power) == (
+            best.mean_aoa_deg,
+            best.mean_toa_s,
+            best.mean_power,
+        )

@@ -7,6 +7,7 @@ from repro.channel.csi import CsiSynthesizer, synthesize_csi_matrix
 from repro.channel.impairments import ImpairmentModel
 from repro.channel.paths import MultipathProfile, PropagationPath, random_profile
 from repro.core.fusion import (
+    _delay_ramp_bank,
     align_packet_delays,
     estimate_relative_delay,
     fuse_packets,
@@ -72,6 +73,36 @@ class TestAlignment:
     def test_rejects_2d(self, layout):
         with pytest.raises(SolverError):
             align_packet_delays(np.zeros((3, 16)), layout)
+
+    def test_matches_per_packet_reference_formula(self, layout, rng):
+        """The shared ramp bank, every delay and every aligned packet are
+        bit-identical to the per-packet formula."""
+        batch = rng.standard_normal((5, 3, 16)) + 1j * rng.standard_normal((5, 3, 16))
+        aligned, delays = align_packet_delays(batch, layout)
+
+        candidates = np.arange(-400e-9, 400e-9 + 1e-9, 1e-9)
+        subcarriers = np.arange(16)
+        ramps = np.exp(2j * np.pi * layout.spacing * candidates[:, None] * subcarriers[None, :])
+        bank_candidates, bank_ramps = _delay_ramp_bank(layout.spacing, 16, 400e-9, 1e-9)
+        assert np.array_equal(bank_candidates, candidates)
+        assert np.array_equal(bank_ramps, ramps)
+        expected = batch.copy()
+        expected_delays = np.zeros(5)
+        for p in range(1, 5):
+            cross = np.mean(batch[p] * batch[0].conj(), axis=0)
+            expected_delays[p] = float(candidates[int(np.argmax(np.abs(ramps @ cross)))])
+            compensation = np.exp(2j * np.pi * layout.spacing * expected_delays[p] * subcarriers)
+            expected[p] = batch[p] * compensation[None, :]
+        assert np.array_equal(delays, expected_delays)
+        assert np.array_equal(aligned, expected)
+
+    def test_ramp_bank_is_read_only(self, layout):
+        candidates, ramps = _delay_ramp_bank(layout.spacing, 16, 400e-9, 1e-9)
+        assert ramps.shape == (candidates.size, 16)
+        with pytest.raises(ValueError):
+            ramps[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            candidates[0] = 0.0
 
 
 class TestSvdReduce:

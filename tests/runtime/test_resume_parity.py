@@ -27,6 +27,7 @@ import pytest
 
 from repro.exceptions import ResumableInterrupt
 from repro.runtime import BatchEvaluator, CheckpointPolicy
+from repro.runtime.checkpoint import CheckpointJournal
 from tests.runtime.conftest import make_traces
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -138,7 +139,7 @@ class TestGracefulInterrupt:
     # parallel loop ever sees the signal (~35 ms/job on the small grids).
     N_GRACEFUL = 24
 
-    def _evaluate_with_sigint(self, estimator, tmp_path, *, workers: int):
+    def _evaluate_with_sigint(self, estimator, tmp_path, monkeypatch, *, workers: int):
         # Two seeds: make_traces spaces AoAs 12° apart, which caps one
         # call at 13 traces before leaving the [0, 180]° sector.
         traces = make_traces(estimator, self.N_GRACEFUL // 2) + make_traces(
@@ -146,19 +147,22 @@ class TestGracefulInterrupt:
         )
         journal = tmp_path / "batch.jsonl"
 
-        def fire_when_underway() -> None:
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                try:
-                    if journal.read_text().count('"record": "job"') >= 2:
-                        break
-                except OSError:
-                    pass
-                time.sleep(0.002)
-            os.kill(os.getpid(), signal.SIGINT)
+        # SIGINT arrives right after the 2nd job record is appended, in
+        # the thread that appends it, so the drain check that follows the
+        # same append loop already sees it.  A watcher thread polling the
+        # journal file could fire a whole drain poll later, by which time
+        # fast jobs may have finished the batch.
+        append = CheckpointJournal.append
+        appended = 0
 
-        watcher = threading.Thread(target=fire_when_underway, daemon=True)
-        watcher.start()
+        def append_then_interrupt(self, key, payload, *, index=None):
+            nonlocal appended
+            append(self, key, payload, index=index)
+            appended += 1
+            if appended == 2:
+                os.kill(os.getpid(), signal.SIGINT)
+
+        monkeypatch.setattr(CheckpointJournal, "append", append_then_interrupt)
         # chunk_size=1 keeps most futures out of the pool's pre-buffered
         # call queue, so the drain can actually cancel pending work — with
         # big chunks a small batch may finish entirely despite the signal.
@@ -166,13 +170,15 @@ class TestGracefulInterrupt:
             BatchEvaluator(estimator, workers=workers, chunk_size=1).evaluate(
                 traces, checkpoint=CheckpointPolicy(path=journal, experiment="t")
             )
-        watcher.join(timeout=120.0)
+        monkeypatch.setattr(CheckpointJournal, "append", append)
         return traces, journal, exc_info.value
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_sigint_drains_and_raises_resumable(self, small_estimator, tmp_path, workers):
+    def test_sigint_drains_and_raises_resumable(
+        self, small_estimator, tmp_path, monkeypatch, workers
+    ):
         traces, journal, interrupt = self._evaluate_with_sigint(
-            small_estimator, tmp_path, workers=workers
+            small_estimator, tmp_path, monkeypatch, workers=workers
         )
         assert 0 < interrupt.completed < interrupt.total == self.N_GRACEFUL
         assert str(journal) in str(interrupt)
