@@ -5,7 +5,9 @@ LASSO ``min ‖y − S̃ã‖₂² + κ‖ã‖₁`` and reads the AoA spectrum 
 recovered coefficient magnitudes.  Accepts either a single snapshot
 (one subcarrier of one packet) or a snapshot matrix (e.g. all 30
 subcarriers), in which case the joint-sparse MMV solver produces one
-coherent spectrum instead of 30 independent ones.
+coherent spectrum instead of 30 independent ones.  Both are one ℓ2,1
+solve: a single snapshot is its one-column case, where the ℓ2,1
+program is the LASSO.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from repro.core.grids import AngleGrid
 from repro.core.steering import angle_steering_dictionary
 from repro.exceptions import SolverError
 from repro.obs import NULL_TRACER, ConvergenceTrace
-from repro.optim import solve_lasso_fista, solve_mmv_fista
+from repro.optim import solve_mmv_fista
 from repro.optim.linalg import estimate_lipschitz
 from repro.optim.result import SolverResult
-from repro.optim.tuning import mmv_residual_kappa, residual_kappa
+from repro.optim.tuning import mmv_residual_kappa
 from repro.spectral.spectrum import AngleSpectrum
 
 
@@ -90,35 +92,25 @@ def estimate_aoa_spectrum(
     if telemetry is None and tracer.enabled:
         telemetry = ConvergenceTrace(solver=solver_name)
     with tracer.span("solver", solver=solver_name, stage="aoa_spectrum") as span:
-        if snapshots.ndim == 1:
-            if kappa is None:
-                kappa = residual_kappa(dictionary, snapshots, fraction=kappa_fraction)
-            result = solve_lasso_fista(
-                dictionary,
-                snapshots,
-                kappa,
-                max_iterations=max_iterations,
-                lipschitz=lipschitz,
-                x0=x0,
-                telemetry=telemetry,
-            )
-            power = np.abs(result.x)
-        else:
-            if kappa is None:
-                try:
-                    kappa = mmv_residual_kappa(dictionary, snapshots, fraction=kappa_fraction)
-                except SolverError:
-                    raise SolverError("snapshots are orthogonal to every steering vector") from None
-            result = solve_mmv_fista(
-                dictionary,
-                snapshots,
-                kappa,
-                max_iterations=max_iterations,
-                lipschitz=lipschitz,
-                x0=x0,
-                telemetry=telemetry,
-            )
-            power = np.linalg.norm(result.x, axis=1)
+        # One ℓ2,1 solve: a single snapshot is one column, and the
+        # power is each row's norm (the entry's modulus for one column).
+        columns = snapshots.reshape(len(snapshots), -1)
+        if kappa is None:
+            try:
+                kappa = mmv_residual_kappa(dictionary, columns, fraction=kappa_fraction)
+            except SolverError:
+                raise SolverError("snapshots are orthogonal to every steering vector") from None
+        result = solve_mmv_fista(
+            dictionary,
+            columns,
+            kappa,
+            max_iterations=max_iterations,
+            lipschitz=lipschitz,
+            x0=None if x0 is None else np.asarray(x0).reshape(len(x0), -1),
+            telemetry=telemetry,
+        )
+        power = np.linalg.norm(result.x, axis=1)
+        result.x = result.x.reshape(-1, *snapshots.shape[1:])
         span.annotate(iterations=result.iterations, converged=result.converged)
         if telemetry is not None:
             span.annotate(convergence=telemetry.to_dict())

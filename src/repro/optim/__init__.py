@@ -13,12 +13,15 @@ Dictionaries may be dense ndarrays or structured
 :class:`KroneckerJointOperator`, which applies the paper's Eq. 16 joint
 dictionary as two small matmuls instead of one dense GEMM.
 
-Each of FISTA, MMV and OMP has exactly one iteration loop, a lockstep
-kernel over a stack of problems; the functions below are its ``B = 1``
-front doors:
+There are two iteration loops, each a lockstep kernel over a stack of
+problems: one FISTA loop, :func:`~repro.optim.mmv.mmv_lockstep`, for
+both programs (with one snapshot column a row's ℓ2 norm is the entry's
+modulus, so the LASSO is the ℓ2,1 program with ``p = 1``), and OMP's.
+The functions below are their ``B = 1`` front doors:
 
 * :func:`solve_lasso_fista` — accelerated proximal gradient (FISTA) with
-  the fixed step ``1/L``; the workhorse used by :mod:`repro.core`.
+  the fixed step ``1/L``; the workhorse used by :mod:`repro.core`.  It
+  solves ``y`` as one ``(m, 1)`` column and returns a vector.
 * :func:`solve_mmv_fista` — the multiple-measurement-vector (ℓ2,1,
   joint-sparse) variant used for multi-packet fusion (paper §III-D,
   after Malioutov et al. [25]).
@@ -26,9 +29,9 @@ front doors:
   model-order-bound baseline of the ablations.
 
 :func:`solve_batch` (``solve_batch(A, ys, "fista" | "mmv", ...)``)
-stacks many measurements against one dictionary and feeds the FISTA or
-MMV kernel column blocks.  The outlier-augmented ``[A | I]`` solves of
-:mod:`repro.optim.robust` are the same two kernels with penalty weights.
+stacks many measurements against one dictionary and feeds the FISTA
+kernel column blocks.  The outlier-augmented ``[A | I]`` solves of
+:mod:`repro.optim.robust` are the same kernel with penalty weights.
 
 All solvers accept complex dictionaries and measurements directly — the
 complex soft-threshold (magnitude shrinkage, phase preserved) makes the

@@ -3,17 +3,19 @@
 The evaluation harness solves the *same* joint dictionary against many
 measurements — one per (packet × client) — and the per-problem Python
 loop, not the arithmetic, dominates at scale.  :func:`solve_batch`
-stacks ``B`` problems and hands them to the FISTA or MMV lockstep kernel
-(:func:`~repro.optim.fista.fista_lockstep`,
-:func:`~repro.optim.mmv.mmv_lockstep`): every dictionary product is a
-single batched matmul (two factor GEMMs for the Kronecker operator),
-the elementwise proximal steps broadcast one threshold per problem,
-and per-problem convergence is tracked with freeze masks so a problem
-that has converged stops moving while its neighbours iterate on.
+stacks ``B`` problems and hands them to the one FISTA loop,
+:func:`~repro.optim.mmv.mmv_lockstep`; a ``"fista"`` (ℓ1) measurement
+goes in as one ``(m, 1)`` snapshot column, because the ℓ1 program is
+the ℓ2,1 program with ``p = 1``, and its solution comes out as a
+vector.  Every dictionary product is a single batched matmul (two
+factor GEMMs for the Kronecker operator), the row prox broadcasts one
+threshold per problem, and per-problem convergence is tracked with
+freeze masks so a problem that has converged stops moving while its
+neighbours iterate on.
 
 Correctness contract:
 
-* The kernels are the only iteration loops: the sequential solvers
+* The kernel is the only iteration loop: the sequential solvers
   (``solve_lasso_fista``, ``solve_mmv_fista``) are ``B = 1`` calls of
   the same code, so a one-problem batch equals the sequential solve
   exactly.
@@ -32,11 +34,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import SolverError
-from repro.optim.fista import fista_lockstep
 from repro.optim.mmv import mmv_lockstep
 from repro.optim.operators import as_operator
 from repro.optim.result import BatchSolverResult
-from repro.optim.tuning import mmv_residual_kappa, residual_kappa
+from repro.optim.tuning import mmv_residual_kappa
 
 #: Parity budget: a problem solved inside a batch must match its
 #: ``B = 1`` solve to this relative tolerance.
@@ -80,8 +81,9 @@ def solve_batch(
     kappa:
         Scalar (shared), a length-``B`` sequence (per problem), or
         ``None`` to derive each problem's κ via
-        :func:`~repro.optim.tuning.residual_kappa` exactly as the
-        sequential loop would.
+        :func:`~repro.optim.tuning.mmv_residual_kappa` (of which
+        :func:`~repro.optim.tuning.residual_kappa` is the one-column
+        call) exactly as the sequential loop would.
     x0:
         Warm start carried over from a previous batch: a
         :class:`BatchSolverResult` or an array of shape ``(B, n)``
@@ -126,20 +128,24 @@ def solve_batch(
         )
 
     operator = as_operator(matrix)
-    if problem_shape[0] != operator.shape[0]:
+    m, n = operator.shape
+    if problem_shape[0] != m:
         raise SolverError(
             f"dictionary and batch are incompatible: A is {operator.shape}, "
             f"measurements have leading dimension {problem_shape[0]}"
         )
 
-    kappas = _resolve_kappas(operator, ys, method, kappa, kappa_fraction, n_problems)
+    # The ℓ1 program is the ℓ2,1 program with one snapshot column: each
+    # measurement goes in as an (m, p) matrix (p = 1 for "fista") and
+    # each solution comes back in the caller's (n[, p]) shape.
+    solution_shape = (n, *problem_shape[1:])
+    ys = [np.reshape(y, (m, -1)) for y in ys]
+    kappas = _resolve_kappas(operator, ys, kappa, kappa_fraction, n_problems)
     if warm_state is not None:
-        x0 = _warm_starts_from_state(
-            warm_state, warm_keys, x0, method, n_problems, operator.shape[1], problem_shape
-        )
+        x0 = _warm_starts_from_state(warm_state, warm_keys, x0, n_problems, solution_shape)
     elif warm_keys is not None:
         raise SolverError("warm_keys requires warm_state")
-    warm = _resolve_warm_start(x0, method, n_problems, operator.shape[1], problem_shape)
+    warm = _resolve_warm_start(x0, n_problems, solution_shape)
 
     blocks = []
     for start in range(0, n_problems, _BLOCK_COLUMNS):
@@ -148,13 +154,20 @@ def solve_batch(
             _solve_stacked(
                 operator,
                 ys[start:stop],
-                method,
                 kappas[start:stop],
                 warm[start:stop] if warm is not None else None,
                 options,
             )
         )
-    result = blocks[0] if len(blocks) == 1 else _merge_blocks(blocks, kappas)
+    x = blocks[0].x if len(blocks) == 1 else np.concatenate([block.x for block in blocks])
+    result = BatchSolverResult(
+        x=x.reshape(n_problems, *solution_shape),
+        objectives=tuple(v for block in blocks for v in block.objectives),
+        iterations=tuple(v for block in blocks for v in block.iterations),
+        converged=tuple(v for block in blocks for v in block.converged),
+        method=method,
+        kappas=kappas,
+    )
 
     if warm_state is not None:
         solutions = result.to_numpy()
@@ -163,21 +176,9 @@ def solve_batch(
     return result
 
 
-def _merge_blocks(blocks, kappas):
-    return BatchSolverResult(
-        x=np.concatenate([block.x for block in blocks], axis=0),
-        objectives=tuple(v for block in blocks for v in block.objectives),
-        iterations=tuple(v for block in blocks for v in block.iterations),
-        converged=tuple(v for block in blocks for v in block.converged),
-        method=blocks[0].method,
-        kappas=kappas,
-    )
-
-
-def _resolve_kappas(operator, ys, method, kappa, kappa_fraction, n_problems):
+def _resolve_kappas(operator, ys, kappa, kappa_fraction, n_problems):
     if kappa is None:
-        derive = mmv_residual_kappa if method == "mmv" else residual_kappa
-        return tuple(derive(operator, np.asarray(y), fraction=kappa_fraction) for y in ys)
+        return tuple(mmv_residual_kappa(operator, y, fraction=kappa_fraction) for y in ys)
     if np.ndim(kappa) == 0:
         return (float(kappa),) * n_problems
     kappas = tuple(float(k) for k in kappa)
@@ -188,7 +189,7 @@ def _resolve_kappas(operator, ys, method, kappa, kappa_fraction, n_problems):
     return kappas
 
 
-def _warm_starts_from_state(warm_state, warm_keys, x0, method, n_problems, n, problem_shape):
+def _warm_starts_from_state(warm_state, warm_keys, x0, n_problems, shape):
     """Stack per-key warm starts out of a WarmStartState into an x0 array.
 
     Missing keys (and shape-mismatched slots — e.g. a client's snapshot
@@ -204,7 +205,6 @@ def _warm_starts_from_state(warm_state, warm_keys, x0, method, n_problems, n, pr
             f"warm_state requires one warm key per problem: got {n_keys} keys "
             f"for {n_problems} problems"
         )
-    shape = (n, problem_shape[1]) if method == "mmv" else (n,)
     starts = np.zeros((n_problems, *shape), dtype=complex)
     for index, key in enumerate(warm_keys):
         stored = warm_state.get(str(key), shape)
@@ -213,23 +213,21 @@ def _warm_starts_from_state(warm_state, warm_keys, x0, method, n_problems, n, pr
     return starts
 
 
-def _resolve_warm_start(x0, method, n_problems, n, problem_shape):
+def _resolve_warm_start(x0, n_problems, shape):
+    """``x0`` checked against ``(B, n[, p])`` and stacked as ``(B, n, p)``."""
     if x0 is None:
         return None
     if isinstance(x0, BatchSolverResult):
         x0 = x0.x
-    expected = (
-        (n_problems, n, problem_shape[1]) if method == "mmv" else (n_problems, n)
-    )
+    expected = (n_problems, *shape)
     x0 = np.asarray(x0)
     if x0.shape != expected:
         raise SolverError(f"x0 has shape {x0.shape}, expected {expected}")
-    return x0
+    return x0.reshape(n_problems, shape[0], -1)
 
 
-def _solve_stacked(operator, ys, method, kappas, warm, options):
+def _solve_stacked(operator, ys, kappas, warm, options):
     stacked = np.stack([np.asarray(y, dtype=complex) for y in ys])
     if not np.all(np.isfinite(stacked)):
         raise SolverError("batch contains non-finite measurements")
-    kernel = fista_lockstep if method == "fista" else mmv_lockstep
-    return kernel(operator, stacked, kappas, warm, **options)
+    return mmv_lockstep(operator, stacked, kappas, warm, **options)

@@ -12,7 +12,9 @@ solved here by FISTA with the row-wise group soft-threshold.  The SVD
 reduction that keeps the snapshot dimension small lives in
 :mod:`repro.core.fusion`; this module is the pure solver.
 :func:`mmv_lockstep` is its one iteration loop, over ``B`` stacked
-problems; :func:`solve_mmv_fista` is the ``B = 1`` front door.
+problems, and the package's one FISTA loop: the LASSO of
+:mod:`repro.optim.fista` is this program with one snapshot column.
+:func:`solve_mmv_fista` is the ``B = 1`` front door.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def mmv_lockstep(
     penalty_weights=None,
     observe: Observer | None = None,
 ) -> BatchSolverResult:
-    """ℓ2,1 FISTA on ``B`` problems at once: the one MMV iteration loop.
+    """ℓ2,1 FISTA on ``B`` problems at once: the one FISTA iteration loop.
 
     ``Ys`` stacks the snapshot matrices, ``(B, m, p)``; ``kappas`` holds
     one weight per problem and ``warm`` an optional ``(B, n, p)`` start.

@@ -3,11 +3,12 @@
 :func:`reference_lasso_fista` is the textbook, unfused FISTA iteration
 on a single vector: one ``matvec``/``rmatvec`` pair, an out-of-place
 soft-threshold and momentum step per iteration.  It is deliberately
-*not* the solver (that is :func:`~repro.optim.fista.fista_lockstep`):
-the batched-solve benchmark times ``solve_batch`` against a loop of
-these solves, so the recorded speedup measures the kernel against a
-stable baseline, and the kernel-vs-reference tests check the fused
-lockstep arithmetic against the plain definition.
+*not* the solver (that is :func:`~repro.optim.mmv.mmv_lockstep`, the
+one FISTA loop, which solves the LASSO as the one-column ℓ2,1
+program): the batched-solve benchmark times ``solve_batch`` against a
+loop of these solves, so the recorded speedup measures the kernel
+against a stable baseline, and the kernel-vs-reference tests check the
+fused lockstep arithmetic against the plain definition.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Result containers and the shared lockstep bookkeeping of the solvers.
 
-Each algorithm (FISTA, MMV, OMP) has exactly one iteration loop:
-a lockstep kernel over a stack of ``B`` problems that returns a
-:class:`BatchSolverResult`.  The sequential front doors
-(``solve_lasso_fista`` & co.) call it with ``B = 1``;
-:func:`~repro.optim.batch.solve_batch` calls it with column blocks.
+There are two iteration loops, each a lockstep kernel over a stack of
+``B`` problems that returns a :class:`BatchSolverResult`: one FISTA
+loop (:func:`~repro.optim.mmv.mmv_lockstep`) for the ℓ2,1 program and
+for the LASSO, which it solves as the one-column ℓ2,1 program, and
+OMP's loop.  The sequential front doors (``solve_lasso_fista`` & co.) call
+a kernel with ``B = 1``; :func:`~repro.optim.batch.solve_batch` calls
+the FISTA kernel with column blocks.
 :func:`check_divergence` is the O(1) sanity check the pipeline runs on
 every solve it makes.
 """
@@ -196,7 +198,9 @@ def observation_hook(
 ) -> Observer | None:
     """A front door's ``telemetry=`` / ``callback=`` as one kernel hook.
 
-    Per iteration it measures the ``B = 1`` iterate ``x``: the residual
+    Per iteration it measures the ``B = 1`` iterate ``x``, shaped like
+    the front door's solution (``(n,)`` for a one-column ℓ1 solve of a
+    1-D ``rhs``, ``(n, p)`` otherwise): the residual
     norm ``‖Ax − y‖``, the objective ``‖Ax − y‖² + penalty(x)`` and the
     support size, then feeds ``telemetry.record`` and
     ``callback(iteration, x, objective)``.  That costs one dictionary
@@ -207,7 +211,7 @@ def observation_hook(
         return None
 
     def observe(iteration: int, stack: np.ndarray) -> None:
-        x = stack[0]
+        x = stack[0].reshape(stack.shape[1], *rhs.shape[1:])
         residual_norm = float(np.linalg.norm(operator.matvec(x) - rhs))
         objective = residual_norm**2 + penalty(x)
         if telemetry is not None:

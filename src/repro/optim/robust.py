@@ -18,9 +18,12 @@ variable ``z = [x; e]``:
 
     min_z  ‖y − [Ã | I]·z‖₂² + κ·Σⱼ wⱼ|zⱼ|,   w = [1…1 | λ/κ … λ/κ]
 
-so every existing solver (:func:`~repro.optim.fista.solve_lasso_fista`,
-:func:`~repro.optim.mmv.solve_mmv_fista`, the lockstep batched engine)
-applies unchanged through their ``penalty_weights`` hook.  (The textbook
+so the one FISTA loop (:func:`~repro.optim.mmv.mmv_lockstep`, reached
+through :func:`~repro.optim.mmv.solve_mmv_fista` or
+:func:`~repro.optim.batch.solve_batch`) applies unchanged through its
+``penalty_weights`` hook.  :func:`solve_robust_lasso` is the one-column
+call of :func:`solve_robust_mmv`'s body, as the LASSO is the one-column
+ℓ2,1 program.  (The textbook
 alternative — folding λ into a column scaling ``[Ã | (κ/λ)·I]`` with a
 uniform κ — is mathematically identical but numerically poor: for
 ``κ ≪ λ`` the shrunken identity columns make FISTA crawl on the error
@@ -45,7 +48,6 @@ import numpy as np
 
 from repro.exceptions import SolverError
 from repro.obs.convergence import ConvergenceTrace
-from repro.optim.fista import solve_lasso_fista
 from repro.optim.mmv import solve_mmv_fista
 from repro.optim.operators import DictionaryOperator, as_operator
 
@@ -183,15 +185,6 @@ def robust_penalty_weights(n: int, m: int, kappa: float, lambda_outlier: float) 
     return np.concatenate([np.ones(n), np.full(m, lambda_outlier / kappa)])
 
 
-def _augmented_warm_start(x0, e0, n, m, two_dim_p=None):
-    if x0 is None and e0 is None:
-        return None
-    shape = lambda rows: (rows,) if two_dim_p is None else (rows, two_dim_p)  # noqa: E731
-    x_part = np.zeros(shape(n), dtype=complex) if x0 is None else np.asarray(x0, dtype=complex)
-    e_part = np.zeros(shape(m), dtype=complex) if e0 is None else np.asarray(e0, dtype=complex)
-    return np.concatenate([x_part, e_part], axis=0)
-
-
 def solve_robust_lasso(
     matrix,
     rhs: np.ndarray,
@@ -206,6 +199,10 @@ def solve_robust_lasso(
     telemetry: ConvergenceTrace | None = None,
 ) -> RobustSolverResult:
     """Solve ``min ‖y − Ãx − e‖₂² + κ‖x‖₁ + λ‖e‖₁`` by FISTA.
+
+    The one-column case of :func:`solve_robust_mmv`: ``y`` is solved as
+    one ``(m, 1)`` snapshot column and ``x``, ``e`` come back as
+    vectors.
 
     Parameters
     ----------
@@ -226,42 +223,17 @@ def solve_robust_lasso(
         Optional precomputed ``‖ÃᴴÃ‖₂`` of the *base* dictionary; the
         augmented constant is exactly ``‖ÃᴴÃ‖₂ + 1``.
     x0 / e0:
-        Optional warm starts for the two blocks.
+        Optional warm starts for the two blocks, of shapes ``(n,)`` and
+        ``(m,)``.
     """
-    if kappa <= 0:
-        raise SolverError(f"robust recovery needs kappa > 0, got {kappa}")
-    operator = as_operator(matrix)
-    if lambda_outlier is None:
-        lambda_outlier = 2.0 * kappa
-    if lambda_outlier <= 0:
-        raise SolverError(f"lambda_outlier must be positive, got {lambda_outlier}")
-    augmented = OutlierAugmentedOperator(operator)
-    m, n = operator.shape
-    z0 = _augmented_warm_start(x0, e0, n, m)
-    result = solve_lasso_fista(
-        augmented,
-        rhs,
-        kappa,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        x0=z0,
-        lipschitz=None if lipschitz is None else float(lipschitz) + 1.0,
-        penalty_weights=robust_penalty_weights(n, m, kappa, lambda_outlier),
-        telemetry=telemetry,
+    rhs = np.asarray(rhs)
+    if rhs.ndim != 1:
+        raise SolverError(f"solve_robust_lasso expects a 1-D measurement, got ndim={rhs.ndim}")
+    result = _solve_augmented(
+        matrix, rhs, kappa, lambda_outlier, max_iterations, tolerance, x0, e0, lipschitz, telemetry
     )
-    x, e = augmented.split(result.x)
-    rhs_energy = float(np.sum(np.abs(np.asarray(rhs)) ** 2))
-    e_energy = float(np.sum(np.abs(e) ** 2))
-    return RobustSolverResult(
-        x=x,
-        e=e,
-        outlier_fraction=e_energy / rhs_energy if rhs_energy > 0 else 0.0,
-        # The change of variables preserves the objective value exactly.
-        objective=result.objective,
-        iterations=result.iterations,
-        converged=result.converged,
-        convergence=result.convergence,
-    )
+    result.x, result.e = result.x[:, 0], result.e[:, 0]
+    return result
 
 
 def solve_robust_mmv(
@@ -282,26 +254,50 @@ def solve_robust_mmv(
     The corruption rows are shared across snapshots — the model for a
     persistently bad antenna/subcarrier rather than one glitched packet
     (per-packet glitches are the validation gate's job upstream).
+    ``λ`` defaults to ``2κ`` as in :func:`solve_robust_lasso` (the
+    row-sparse critical value — ``e`` row ``i`` zero iff
+    ``λ ≥ 2‖Y_{i,:}‖₂`` — sits far above the regime where ``e``
+    outcompetes the dictionary atoms); ``x0`` / ``e0`` have shapes
+    ``(n, p)`` and ``(m, p)``.
+    """
+    rhs = np.asarray(rhs)
+    if rhs.ndim != 2:
+        raise SolverError(f"solve_robust_mmv expects 2-D snapshots, got ndim={rhs.ndim}")
+    return _solve_augmented(
+        matrix, rhs, kappa, lambda_outlier, max_iterations, tolerance, x0, e0, lipschitz, telemetry
+    )
+
+
+def _solve_augmented(
+    matrix, rhs, kappa, lambda_outlier, max_iterations, tolerance, x0, e0, lipschitz, telemetry
+) -> RobustSolverResult:
+    """Both robust solvers: ``[Ã | I]`` by ℓ2,1 FISTA on ``rhs`` as ``(m, p)`` columns.
+
+    ``x0`` and ``e0`` are checked against ``rhs``'s own shape, ``(n[, p])``
+    and ``(m[, p])``, each before they are joined into one warm start.
     """
     if kappa <= 0:
         raise SolverError(f"robust recovery needs kappa > 0, got {kappa}")
-    operator = as_operator(matrix)
-    rhs_host = np.asarray(rhs)
-    if rhs_host.ndim != 2:
-        raise SolverError(f"solve_robust_mmv expects 2-D snapshots, got ndim={rhs_host.ndim}")
     if lambda_outlier is None:
-        # Same κ-relative pricing as solve_robust_lasso (the row-sparse
-        # critical value — e row i zero iff λ ≥ 2‖Y_{i,:}‖₂ — sits far
-        # above the regime where e outcompetes the dictionary atoms).
         lambda_outlier = 2.0 * kappa
     if lambda_outlier <= 0:
         raise SolverError(f"lambda_outlier must be positive, got {lambda_outlier}")
-    augmented = OutlierAugmentedOperator(operator)
-    m, n = operator.shape
-    z0 = _augmented_warm_start(x0, e0, n, m, two_dim_p=rhs_host.shape[1])
+    augmented = OutlierAugmentedOperator(matrix)
+    m, n = augmented.base.shape
+    columns = rhs.reshape(len(rhs), -1)
+    z0 = None
+    if x0 is not None or e0 is not None:
+        blocks = []
+        for name, block, rows in (("x0", x0, n), ("e0", e0, m)):
+            shape = (rows, *rhs.shape[1:])
+            block = np.zeros(shape, dtype=complex) if block is None else np.asarray(block, dtype=complex)
+            if block.shape != shape:
+                raise SolverError(f"{name} has shape {block.shape}, expected {shape}")
+            blocks.append(block.reshape(rows, -1))
+        z0 = np.concatenate(blocks, axis=0)
     result = solve_mmv_fista(
         augmented,
-        rhs,
+        columns,
         kappa,
         max_iterations=max_iterations,
         tolerance=tolerance,
@@ -311,15 +307,15 @@ def solve_robust_mmv(
         telemetry=telemetry,
     )
     x, e = augmented.split(result.x)
-    rhs_energy = float(np.sum(np.abs(rhs_host) ** 2))
+    rhs_energy = float(np.sum(np.abs(rhs) ** 2))
     e_energy = float(np.sum(np.abs(e) ** 2))
     return RobustSolverResult(
         x=x,
         e=e,
         outlier_fraction=e_energy / rhs_energy if rhs_energy > 0 else 0.0,
+        # The change of variables preserves the objective value exactly.
         objective=result.objective,
         iterations=result.iterations,
         converged=result.converged,
         convergence=result.convergence,
     )
-

@@ -23,23 +23,19 @@ def residual_kappa(matrix, rhs: np.ndarray, *, fraction: float = 0.05) -> float:
     minimizer; any κ below it admits a nonzero solution.  Choosing a
     small fraction of it adapts the sparsity weight to the measurement
     scale without needing a noise estimate — the choice we use when the
-    receiver has no SNR side information.
+    receiver has no SNR side information.  It is the one-column case of
+    :func:`mmv_residual_kappa`, as the LASSO is the one-column ℓ2,1
+    program.
     """
-    if not 0 < fraction < 1:
-        raise SolverError(f"fraction must be in (0, 1), got {fraction}")
-    gradient_at_zero = 2.0 * np.abs(as_operator(matrix).rmatvec(rhs))
-    peak = float(gradient_at_zero.max(initial=0.0))
-    if peak == 0.0:
-        raise SolverError("measurement is orthogonal to every dictionary atom (all-zero gradient)")
-    return fraction * peak
+    return mmv_residual_kappa(matrix, np.asarray(rhs)[:, None], fraction=fraction)
 
 
 def mmv_residual_kappa(matrix, snapshots: np.ndarray, *, fraction: float = 0.05) -> float:
-    """MMV analogue of :func:`residual_kappa` for the ℓ2,1 program.
+    """κ for the ℓ2,1 program, as a fraction of its critical value.
 
     For ``min ‖AX − Y‖_F² + κ Σᵢ‖Xᵢ,:‖₂`` the zero solution is optimal
     iff ``κ ≥ max_i 2‖(AᴴY)ᵢ,:‖₂``; κ is chosen as a fraction of that
-    critical value, mirroring the single-measurement rule.
+    critical value.
     """
     if not 0 < fraction < 1:
         raise SolverError(f"fraction must be in (0, 1), got {fraction}")
@@ -48,5 +44,5 @@ def mmv_residual_kappa(matrix, snapshots: np.ndarray, *, fraction: float = 0.05)
     rows = squared_norms(as_operator(matrix).rmatvec(snapshots), axis=1)
     peak = 2.0 * float(np.sqrt(rows.max(initial=0.0)))
     if peak == 0.0:
-        raise SolverError("snapshots are orthogonal to every dictionary atom (all-zero gradient)")
+        raise SolverError("measurement is orthogonal to every dictionary atom (all-zero gradient)")
     return fraction * peak

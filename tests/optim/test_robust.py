@@ -183,6 +183,18 @@ class TestRobustLasso:
         assert warm.iterations < cold.iterations
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-4)
 
+    def test_warm_start_blocks_checked_separately(self, rng):
+        """x0 must be (n,) and e0 (m,) each: a 29 + 13 split of the 42
+        augmented entries must not pass as the right total length."""
+        a = rng.standard_normal((12, 30)) + 1j * rng.standard_normal((12, 30))
+        y = a[:, 3] + a[:, 17]
+        with pytest.raises(SolverError, match="x0 has shape"):
+            solve_robust_lasso(a, y, 0.1, x0=np.zeros(29), e0=np.zeros(13))
+        with pytest.raises(SolverError, match="e0 has shape"):
+            solve_robust_lasso(a, y, 0.1, e0=np.zeros(13))
+        with pytest.raises(SolverError, match="e0 has shape"):
+            solve_robust_mmv(a, np.stack([y, y], axis=1), 0.1, e0=np.zeros((12, 3)))
+
     def test_objective_matches_split_form(self, rng):
         a, _, y_corr, *_ = make_corrupted_system(rng)
         result = solve_robust_lasso(a, y_corr, kappa=0.05, max_iterations=300)

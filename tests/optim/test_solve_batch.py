@@ -11,10 +11,11 @@ The contract under test (see ``repro/optim/batch.py``):
   counterparts;
 * malformed batches, non-finite κ / Lipschitz / warm-start inputs and
   iteration caps below 1 fail loudly, never silently truncate;
-* the fused in-place prox kernel equals its plain definition, the
-  FISTA kernel matches the plain sequential reference loop of
-  ``repro/optim/reference.py``, and the MMV kernel matches a plain
-  ℓ2,1 loop built on ``row_soft_threshold``.
+* the ℓ1 LASSO is the one-column ℓ2,1 program, solved bit for bit by
+  the same kernel; that kernel matches the plain sequential reference
+  loop of ``repro/optim/reference.py`` on ℓ1 problems, and a plain loop
+  built on ``soft_threshold`` (one column) or ``row_soft_threshold``
+  (two columns) on ℓ2,1 problems.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.optim import (
     solve_lasso_fista,
     solve_mmv_fista,
 )
-from repro.optim.fista import _prox_gradient_step
 from repro.optim.linalg import row_soft_threshold, soft_threshold
 from repro.optim.operators import as_operator
 from repro.optim.reference import reference_lasso_fista
@@ -68,6 +68,23 @@ class TestSingletonByteIdentity:
         solo = solve_mmv_fista(a, snapshots, 0.1, max_iterations=300)
         batch = solve_batch(a, [snapshots], method="mmv", kappa=0.1, max_iterations=300)
         np.testing.assert_array_equal(batch.to_numpy()[0], solo.x)
+
+    @pytest.mark.parametrize("n_problems", (1, 7))
+    def test_lasso_is_the_one_column_mmv_solve(self, rng, n_problems):
+        """Front doors and solve_batch (κ derived too): an ℓ1 solve of y
+        equals, bit for bit, the ℓ2,1 solve of the column y[:, None]."""
+        a, ys = make_batch(rng, n_problems)
+        for y in ys:
+            lasso = solve_lasso_fista(a, y, 0.1, max_iterations=300)
+            column = solve_mmv_fista(a, y[:, None], 0.1, max_iterations=300)
+            np.testing.assert_array_equal(lasso.x, column.x[:, 0])
+            assert lasso.objective == column.objective
+            assert residual_kappa(a, y) == mmv_residual_kappa(a, y[:, None])
+        lasso = solve_batch(a, ys, method="fista", max_iterations=300)
+        column = solve_batch(a, [y[:, None] for y in ys], method="mmv", max_iterations=300)
+        np.testing.assert_array_equal(lasso.to_numpy(), column.to_numpy()[..., 0])
+        assert lasso.kappas == column.kappas
+        assert lasso.method == "fista"
 
 
 class TestBatchedMatchesSequentialLoop:
@@ -267,7 +284,8 @@ def plain_mmv_fista(a, snapshots, kappa, *, max_iterations, x0, penalty_weights=
     """Textbook ℓ2,1 FISTA: unfused and out of place, one problem at a time.
 
     Same program, step, stop rule (default tolerance) and warm start as
-    :func:`solve_mmv_fista`; the prox is :func:`row_soft_threshold`.
+    :func:`solve_mmv_fista`.  The prox is :func:`row_soft_threshold`, or
+    for one column (the ℓ1 LASSO) the elementwise :func:`soft_threshold`.
     """
     operator = as_operator(a)
     step = 1.0 / (2.0 * operator.lipschitz())
@@ -279,7 +297,11 @@ def plain_mmv_fista(a, snapshots, kappa, *, max_iterations, x0, penalty_weights=
     t = 1.0
     for _ in range(max_iterations):
         gradient = 2.0 * operator.rmatvec(operator.matvec(momentum_point) - snapshots)
-        x_next = row_soft_threshold(momentum_point - step * gradient, threshold)
+        point = momentum_point - step * gradient
+        if snapshots.shape[1] == 1:
+            x_next = soft_threshold(point, np.reshape(threshold, (-1, 1)))
+        else:
+            x_next = row_soft_threshold(point, threshold)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         momentum_point = x_next + ((t - 1.0) / t_next) * (x_next - x)
         delta = np.linalg.norm(x_next - x)
@@ -306,21 +328,6 @@ class TestFusedKernels:
             )
         np.testing.assert_allclose(soft_threshold(x, thresholds), expected, atol=1e-13)
 
-    def test_fused_kernels_match_their_generic_definitions(self, rng):
-        """The in-place kernels must equal the plain compositions — and
-        must honor the clobber contract (momentum untouched)."""
-        momentum = _complex(rng, 6, 4)
-        gradient = _complex(rng, 6, 4)
-        thresholds = np.abs(rng.standard_normal((1, 4))) * 0.3
-        step2 = 0.125
-        expected = soft_threshold(momentum - step2 * gradient, thresholds)
-        # The kernel may clobber the gradient buffer — hand it a copy so
-        # the reference operands stay pristine for the momentum check.
-        passed_momentum = momentum.copy()
-        produced = _prox_gradient_step(passed_momentum, gradient.copy(), step2, thresholds)
-        np.testing.assert_allclose(produced, expected, atol=1e-13)
-        np.testing.assert_allclose(passed_momentum, momentum, atol=0)
-
     @pytest.mark.parametrize("weighted", (False, True))
     def test_fista_kernel_matches_the_plain_reference_loop(self, rng, weighted):
         """The fused lockstep FISTA, at B = 1 and inside a batch, follows
@@ -341,22 +348,26 @@ class TestFusedKernels:
             assert float(np.abs(solo.x - reference).max()) <= 1e-12 * scale
             assert float(np.abs(batch.to_numpy()[index] - reference).max()) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("n_snapshots", (1, 2))
     @pytest.mark.parametrize("weighted", (False, True))
-    def test_mmv_kernel_matches_the_plain_reference_loop(self, rng, weighted):
+    def test_mmv_kernel_matches_the_plain_reference_loop(self, rng, weighted, n_snapshots):
         """The lockstep ℓ2,1 kernel — at B = 1 and in a warm-started B = 5
-        batch with one κ = 0 problem — follows the textbook loop.  Atom 0
-        is a zero column; weighted, its weight is 0 too, so the cold solve
-        meets a zero row under a zero threshold (0/0 in the shrink factor)."""
+        batch with one κ = 0 problem — follows the textbook loop; with one
+        column its row shrink is the ℓ1 ``soft_threshold``.  Atom 0 is a
+        zero column; weighted, its weight is 0 too, so the cold solve
+        meets a zero row under a zero threshold (0/0 in the shrink factor).
+        At κ = 0 one iteration is the bare gradient step."""
         a, ys = make_batch(rng, 5)
         a[:, 0] = 0.0
         n = a.shape[1]
         stacks = [np.stack([y, 0.9 * y + 0.1j * ys[0]], axis=1) for y in ys]
+        stacks = [stack[:, :n_snapshots] for stack in stacks]
         weights = None
         if weighted:
             weights = 0.5 + rng.random(n)
             weights[::7] = 0.0
         kappas = [0.1, 0.2, 0.0, 0.05, 0.15]
-        warm = 0.05 * _complex(rng, 5, n, 2)
+        warm = 0.05 * _complex(rng, 5, n, n_snapshots)
 
         def check(x, reference):
             assert np.all(np.isfinite(x))
@@ -380,11 +391,9 @@ class TestFusedKernels:
                 x0=warm[index], penalty_weights=weights,
             ))
 
-    def test_prox_gradient_step_with_zero_thresholds(self, rng):
-        """κ = 0 columns take the non-shrinking path; result is the bare
-        gradient step (the fast path must not divide by |z|)."""
-        momentum = _complex(rng, 5, 3)
-        gradient = _complex(rng, 5, 3)
-        expected = momentum - 0.25 * gradient
-        produced = _prox_gradient_step(momentum, gradient.copy(), 0.25, np.zeros((1, 3)))
-        np.testing.assert_allclose(produced, expected, atol=1e-13)
+        step = 1.0 / (2.0 * as_operator(a).lipschitz())
+        one = solve_batch(
+            a, stacks[2:3], method="mmv", kappa=0.0, max_iterations=1, x0=warm[2:3]
+        )
+        gradient = 2.0 * a.conj().T @ (a @ warm[2] - stacks[2])
+        np.testing.assert_allclose(one.to_numpy()[0], warm[2] - step * gradient, atol=1e-13)
