@@ -34,7 +34,6 @@ from repro.channel.mobility import (
     RandomWaypointModel,
     TrajectorySample,
     stationary_track,
-    waypoint_walk,
 )
 from repro.channel.noise import awgn, measured_snr_db
 from repro.channel.ofdm import SubcarrierLayout, intel5300_layout
@@ -51,7 +50,6 @@ __all__ = [
     "TrajectorySample",
     "add_interference",
     "stationary_track",
-    "waypoint_walk",
     "PropagationPath",
     "Room",
     "Scene",

@@ -6,10 +6,9 @@ moved between them.  This module generates client trajectories through
 a room so the tracking experiments and examples can evaluate
 localization *along a path* rather than at isolated spots.
 
-Two classic models are provided:
+Two models are provided:
 
-* :func:`waypoint_walk` — straight segments between explicit waypoints
-  at constant speed (deterministic; good for reproducible examples).
+* :func:`stationary_track` — a client that does not move.
 * :class:`RandomWaypointModel` — the standard random-waypoint mobility
   model: pick a uniform random destination and speed, walk there,
   pause, repeat.
@@ -32,59 +31,6 @@ class TrajectorySample:
     time_s: float
     position: tuple[float, float]
     speed_mps: float
-
-
-def waypoint_walk(
-    waypoints: list[tuple[float, float]],
-    *,
-    speed_mps: float = 1.0,
-    sample_interval_s: float = 0.5,
-) -> list[TrajectorySample]:
-    """Constant-speed walk through explicit waypoints, sampled uniformly.
-
-    Parameters
-    ----------
-    waypoints:
-        At least two (x, y) points; consecutive duplicates are invalid.
-    speed_mps:
-        Walking speed (≈1 m/s is a pedestrian).
-    sample_interval_s:
-        Time between emitted samples; one CSI fix per sample.
-    """
-    if len(waypoints) < 2:
-        raise ConfigurationError(f"need >= 2 waypoints, got {len(waypoints)}")
-    if speed_mps <= 0 or sample_interval_s <= 0:
-        raise ConfigurationError("speed and sample interval must be positive")
-
-    points = [np.asarray(w, dtype=float) for w in waypoints]
-    segments = []
-    for a, b in zip(points, points[1:]):
-        length = float(np.linalg.norm(b - a))
-        if length == 0:
-            raise ConfigurationError("consecutive duplicate waypoints")
-        segments.append((a, b, length))
-
-    total_length = sum(length for *_, length in segments)
-    total_time = total_length / speed_mps
-    samples = []
-    t = 0.0
-    while t <= total_time + 1e-9:
-        distance = t * speed_mps
-        remaining = distance
-        for a, b, length in segments:
-            if remaining <= length or (a is segments[-1][0] and b is segments[-1][1]):
-                fraction = min(remaining / length, 1.0)
-                position = a + fraction * (b - a)
-                samples.append(
-                    TrajectorySample(
-                        time_s=t, position=(float(position[0]), float(position[1])),
-                        speed_mps=speed_mps,
-                    )
-                )
-                break
-            remaining -= length
-        t += sample_interval_s
-    return samples
 
 
 def stationary_track(

@@ -36,11 +36,6 @@ class RoArrayConfig:
         ~5 dominant indoor paths).
     peak_floor:
         Minimum relative height for a spectrum peak to count as a path.
-    refine_off_grid:
-        Polish the recovered peaks on the continuous (θ, τ) manifold
-        (:mod:`repro.core.refinement`) before direct-path selection —
-        removes the grid-quantization floor at the cost of extra
-        least-squares solves per fix.
     warm_start:
         Seed each solve with the estimator's previous solution on the
         same grids (see :class:`~repro.core.pipeline.RoArrayEstimator`).
@@ -60,7 +55,6 @@ class RoArrayConfig:
     svd_rank: int = 6
     max_paths: int = 6
     peak_floor: float = 0.3
-    refine_off_grid: bool = False
     warm_start: bool = False
 
     def __post_init__(self) -> None:

@@ -106,6 +106,7 @@ def identify_direct_path(
     *,
     max_paths: int = 8,
     peak_floor: float = 0.1,
+    peaks: list[SpectrumPeak] | None = None,
 ) -> DirectPathEstimate:
     """Pick the smallest-ToA peak of a joint (AoA, ToA) spectrum.
 
@@ -116,8 +117,13 @@ def identify_direct_path(
     peak_floor:
         Minimum relative height for a local maximum to count as a path;
         keeps solver ripple from becoming phantom early arrivals.
+    peaks:
+        ``spectrum.peaks(max_peaks=max_paths,
+        min_relative_height=peak_floor)`` when the caller has already
+        searched for them; searched here otherwise.
     """
-    peaks = spectrum.peaks(max_peaks=max_paths, min_relative_height=peak_floor)
+    if peaks is None:
+        peaks = spectrum.peaks(max_peaks=max_paths, min_relative_height=peak_floor)
     if not peaks:
         best = spectrum.direct_path_peak(max_peaks=max_paths, min_relative_height=peak_floor)
         return DirectPathEstimate(best.aoa_deg, best.toa_s, best.power, n_paths=1)

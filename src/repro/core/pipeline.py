@@ -189,55 +189,31 @@ class RoArrayEstimator:
     # -- direct path -------------------------------------------------------
 
     def analyze(self, trace: CsiTrace) -> ApAnalysis:
-        """Full per-AP analysis: fused joint spectrum → paths → direct path.
+        """Full per-AP analysis: fused joint spectrum → paths → direct path."""
+        return self.analysis_from_spectrum(self.joint_spectrum(trace))
 
-        With ``config.refine_off_grid`` set, the spectrum peaks are
-        polished on the continuous (θ, τ) manifold before the
-        smallest-ToA selection, removing the grid-quantization floor.
-        """
-        return self.analysis_from_spectrum(self.joint_spectrum(trace), trace)
-
-    def analysis_from_spectrum(self, spectrum: JointSpectrum, trace: CsiTrace) -> ApAnalysis:
+    def analysis_from_spectrum(self, spectrum: JointSpectrum) -> ApAnalysis:
         """The peak-picking half of :meth:`analyze`.
 
         Split out so callers that already hold the fused spectrum (the
         batch runtime, which times the solve and peak stages separately)
         can finish the analysis without re-solving; ``analyze(trace)``
-        is exactly ``analysis_from_spectrum(joint_spectrum(trace), trace)``.
+        is exactly ``analysis_from_spectrum(joint_spectrum(trace))``.
+        One peak search yields both the candidate angles and the
+        smallest-ToA direct path.
         """
         with self.tracer.span("direct_path") as span:
             peaks = spectrum.peaks(
                 max_peaks=self.config.max_paths, min_relative_height=self.config.peak_floor
             )
             direct = identify_direct_path(
-                spectrum, max_paths=self.config.max_paths, peak_floor=self.config.peak_floor
+                spectrum,
+                max_paths=self.config.max_paths,
+                peak_floor=self.config.peak_floor,
+                peaks=peaks,
             )
-            candidate_aoas = tuple(peak.aoa_deg for peak in peaks)
-
-            if self.config.refine_off_grid and peaks:
-                from repro.core.refinement import refine_spectrum_peaks
-                from repro.core.steering import vectorize_csi_matrix
-
-                y = vectorize_csi_matrix(trace.packet(0))
-                refined = refine_spectrum_peaks(
-                    y,
-                    spectrum,
-                    self.array,
-                    self.layout,
-                    max_paths=self.config.max_paths,
-                    peak_floor=self.config.peak_floor,
-                )
-                earliest = min(refined, key=lambda p: p.toa_s)
-                direct = DirectPathEstimate(
-                    aoa_deg=earliest.aoa_deg,
-                    toa_s=earliest.toa_s,
-                    power=abs(earliest.gain),
-                    n_paths=len(refined),
-                )
-                candidate_aoas = tuple(p.aoa_deg for p in refined)
             span.annotate(n_paths=direct.n_paths, aoa_deg=direct.aoa_deg)
-
-        return ApAnalysis(direct=direct, candidate_aoas_deg=candidate_aoas)
+        return ApAnalysis(direct=direct, candidate_aoas_deg=tuple(peak.aoa_deg for peak in peaks))
 
     def estimate_direct_path(self, trace: CsiTrace) -> DirectPathEstimate:
         """Full chain: fused joint spectrum → smallest-ToA peak."""

@@ -19,11 +19,6 @@ from repro.experiments.nlos import (
     format_sweep_table,
     run_nlos_sweep,
 )
-from repro.experiments.real import (
-    RealTraceOutcome,
-    RealTraceResult,
-    run_real_trace_experiment,
-)
 from repro.experiments.reporting import generate_report
 from repro.experiments.runner import (
     LocalizationOutcome,
@@ -50,8 +45,6 @@ __all__ = [
     "LocalizationOutcome",
     "NlosSweepPoint",
     "NlosSweepResult",
-    "RealTraceOutcome",
-    "RealTraceResult",
     "SnrBand",
     "SnrBandResult",
     "build_random_scene",
@@ -66,7 +59,6 @@ __all__ = [
     "run_music_snr_experiment",
     "run_nlos_sweep",
     "run_polarization_experiment",
-    "run_real_trace_experiment",
     "run_snr_band_experiment",
     "summarize_systems",
 ]

@@ -62,7 +62,6 @@ from repro.optim.robust import (
     robust_objective,
     robust_penalty_weights,
     solve_robust_lasso,
-    solve_robust_mmv,
 )
 from repro.optim.tuning import mmv_residual_kappa, residual_kappa
 from repro.optim.warm import WarmStartState
@@ -91,5 +90,4 @@ __all__ = [
     "solve_mmv_fista",
     "solve_omp",
     "solve_robust_lasso",
-    "solve_robust_mmv",
 ]

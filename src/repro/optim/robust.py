@@ -21,9 +21,8 @@ variable ``z = [x; e]``:
 so the one FISTA loop (:func:`~repro.optim.mmv.mmv_lockstep`, reached
 through :func:`~repro.optim.mmv.solve_mmv_fista` or
 :func:`~repro.optim.batch.solve_batch`) applies unchanged through its
-``penalty_weights`` hook.  :func:`solve_robust_lasso` is the one-column
-call of :func:`solve_robust_mmv`'s body, as the LASSO is the one-column
-ℓ2,1 program.  (The textbook
+``penalty_weights`` hook; :func:`solve_robust_lasso` is its one-column
+call, as the LASSO is the one-column ℓ2,1 program.  (The textbook
 alternative — folding λ into a column scaling ``[Ã | (κ/λ)·I]`` with a
 uniform κ — is mathematically identical but numerically poor: for
 ``κ ≪ λ`` the shrunken identity columns make FISTA crawl on the error
@@ -116,11 +115,10 @@ class RobustSolverResult:
     Attributes
     ----------
     x:
-        The recovered spectrum coefficients — 1-D, or 2-D (one column
-        per snapshot) for the MMV variant.
+        The recovered spectrum coefficients.
     e:
-        The recovered measurement corruption, same leading dimension as
-        the measurement; ``Ãx + e`` approximates ``y``.
+        The recovered measurement corruption, same length as the
+        measurement; ``Ãx + e`` approximates ``y``.
     outlier_fraction:
         ``‖e‖² / ‖y‖²`` — the fraction of measurement energy the solver
         attributed to corruption.  Near zero on clean links; the
@@ -200,9 +198,8 @@ def solve_robust_lasso(
 ) -> RobustSolverResult:
     """Solve ``min ‖y − Ãx − e‖₂² + κ‖x‖₁ + λ‖e‖₁`` by FISTA.
 
-    The one-column case of :func:`solve_robust_mmv`: ``y`` is solved as
-    one ``(m, 1)`` snapshot column and ``x``, ``e`` come back as
-    vectors.
+    ``y`` is solved as one ``(m, 1)`` snapshot column of the ℓ2,1 loop
+    and ``x``, ``e`` come back as vectors.
 
     Parameters
     ----------
@@ -229,53 +226,6 @@ def solve_robust_lasso(
     rhs = np.asarray(rhs)
     if rhs.ndim != 1:
         raise SolverError(f"solve_robust_lasso expects a 1-D measurement, got ndim={rhs.ndim}")
-    result = _solve_augmented(
-        matrix, rhs, kappa, lambda_outlier, max_iterations, tolerance, x0, e0, lipschitz, telemetry
-    )
-    result.x, result.e = result.x[:, 0], result.e[:, 0]
-    return result
-
-
-def solve_robust_mmv(
-    matrix,
-    rhs: np.ndarray,
-    kappa: float,
-    lambda_outlier: float | None = None,
-    *,
-    max_iterations: int = 200,
-    tolerance: float = 1e-6,
-    x0: np.ndarray | None = None,
-    e0: np.ndarray | None = None,
-    lipschitz: float | None = None,
-    telemetry: ConvergenceTrace | None = None,
-) -> RobustSolverResult:
-    """MMV (ℓ2,1) variant: joint-sparse spectrum, row-sparse corruption.
-
-    The corruption rows are shared across snapshots — the model for a
-    persistently bad antenna/subcarrier rather than one glitched packet
-    (per-packet glitches are the validation gate's job upstream).
-    ``λ`` defaults to ``2κ`` as in :func:`solve_robust_lasso` (the
-    row-sparse critical value — ``e`` row ``i`` zero iff
-    ``λ ≥ 2‖Y_{i,:}‖₂`` — sits far above the regime where ``e``
-    outcompetes the dictionary atoms); ``x0`` / ``e0`` have shapes
-    ``(n, p)`` and ``(m, p)``.
-    """
-    rhs = np.asarray(rhs)
-    if rhs.ndim != 2:
-        raise SolverError(f"solve_robust_mmv expects 2-D snapshots, got ndim={rhs.ndim}")
-    return _solve_augmented(
-        matrix, rhs, kappa, lambda_outlier, max_iterations, tolerance, x0, e0, lipschitz, telemetry
-    )
-
-
-def _solve_augmented(
-    matrix, rhs, kappa, lambda_outlier, max_iterations, tolerance, x0, e0, lipschitz, telemetry
-) -> RobustSolverResult:
-    """Both robust solvers: ``[Ã | I]`` by ℓ2,1 FISTA on ``rhs`` as ``(m, p)`` columns.
-
-    ``x0`` and ``e0`` are checked against ``rhs``'s own shape, ``(n[, p])``
-    and ``(m[, p])``, each before they are joined into one warm start.
-    """
     if kappa <= 0:
         raise SolverError(f"robust recovery needs kappa > 0, got {kappa}")
     if lambda_outlier is None:
@@ -284,20 +234,18 @@ def _solve_augmented(
         raise SolverError(f"lambda_outlier must be positive, got {lambda_outlier}")
     augmented = OutlierAugmentedOperator(matrix)
     m, n = augmented.base.shape
-    columns = rhs.reshape(len(rhs), -1)
     z0 = None
     if x0 is not None or e0 is not None:
         blocks = []
         for name, block, rows in (("x0", x0, n), ("e0", e0, m)):
-            shape = (rows, *rhs.shape[1:])
-            block = np.zeros(shape, dtype=complex) if block is None else np.asarray(block, dtype=complex)
-            if block.shape != shape:
-                raise SolverError(f"{name} has shape {block.shape}, expected {shape}")
-            blocks.append(block.reshape(rows, -1))
-        z0 = np.concatenate(blocks, axis=0)
+            block = np.zeros(rows, dtype=complex) if block is None else np.asarray(block, dtype=complex)
+            if block.shape != (rows,):
+                raise SolverError(f"{name} has shape {block.shape}, expected {(rows,)}")
+            blocks.append(block)
+        z0 = np.concatenate(blocks).reshape(-1, 1)
     result = solve_mmv_fista(
         augmented,
-        columns,
+        rhs.reshape(-1, 1),
         kappa,
         max_iterations=max_iterations,
         tolerance=tolerance,
@@ -306,7 +254,7 @@ def _solve_augmented(
         penalty_weights=robust_penalty_weights(n, m, kappa, lambda_outlier),
         telemetry=telemetry,
     )
-    x, e = augmented.split(result.x)
+    x, e = augmented.split(result.x[:, 0])
     rhs_energy = float(np.sum(np.abs(rhs) ** 2))
     e_energy = float(np.sum(np.abs(e) ** 2))
     return RobustSolverResult(

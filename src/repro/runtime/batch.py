@@ -346,7 +346,7 @@ def _timed_analysis(system, trace: CsiTrace, stage_seconds: dict[str, float]) ->
         spectrum = system.joint_spectrum(trace)
         stage_seconds["solve"] = time.perf_counter() - tick
         tick = time.perf_counter()
-        analysis = system.analysis_from_spectrum(spectrum, trace)
+        analysis = system.analysis_from_spectrum(spectrum)
         stage_seconds["peaks"] = time.perf_counter() - tick
         return analysis
     tick = time.perf_counter()

@@ -4,48 +4,8 @@ import numpy as np
 import pytest
 
 from repro.channel.geometry import Room
-from repro.channel.mobility import RandomWaypointModel, stationary_track, waypoint_walk
+from repro.channel.mobility import RandomWaypointModel, stationary_track
 from repro.exceptions import ConfigurationError
-
-
-class TestWaypointWalk:
-    def test_starts_at_first_waypoint(self):
-        samples = waypoint_walk([(0.0, 0.0), (4.0, 0.0)], speed_mps=1.0)
-        assert samples[0].position == (0.0, 0.0)
-        assert samples[0].time_s == 0.0
-
-    def test_constant_speed_spacing(self):
-        samples = waypoint_walk(
-            [(0.0, 0.0), (10.0, 0.0)], speed_mps=2.0, sample_interval_s=0.5
-        )
-        positions = np.array([s.position for s in samples])
-        steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-        np.testing.assert_allclose(steps[:-1], 1.0, atol=1e-9)  # 2 m/s × 0.5 s
-
-    def test_reaches_final_waypoint(self):
-        samples = waypoint_walk([(0.0, 0.0), (3.0, 4.0)], speed_mps=1.0, sample_interval_s=0.5)
-        end = np.array(samples[-1].position)
-        assert np.linalg.norm(end - [3.0, 4.0]) < 0.51
-
-    def test_corner_turning(self):
-        samples = waypoint_walk(
-            [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0)], speed_mps=1.0, sample_interval_s=1.0
-        )
-        positions = [s.position for s in samples]
-        assert (2.0, 0.0) in positions
-        assert any(p[1] > 0 for p in positions)
-
-    def test_rejects_single_waypoint(self):
-        with pytest.raises(ConfigurationError):
-            waypoint_walk([(0.0, 0.0)])
-
-    def test_rejects_duplicate_waypoints(self):
-        with pytest.raises(ConfigurationError):
-            waypoint_walk([(0.0, 0.0), (0.0, 0.0)])
-
-    def test_rejects_bad_speed(self):
-        with pytest.raises(ConfigurationError):
-            waypoint_walk([(0.0, 0.0), (1.0, 0.0)], speed_mps=0.0)
 
 
 class TestRandomWaypoint:
@@ -135,21 +95,6 @@ class TestSampleRateBoundaries:
         samples = stationary_track((2.0, 2.0), duration_s=1.0, sample_interval_s=0.1)
         assert len(samples) == 11
         assert samples[-1].time_s == pytest.approx(1.0)
-
-    def test_waypoint_walk_divisible_travel_time_reaches_endpoint(self):
-        # 4 m at 1 m/s sampled every 0.5 s: 9 samples, last at the goal.
-        samples = waypoint_walk(
-            [(0.0, 0.0), (4.0, 0.0)], speed_mps=1.0, sample_interval_s=0.5
-        )
-        assert len(samples) == 9
-        assert samples[-1].position == (4.0, 0.0)
-
-    def test_waypoint_walk_interval_longer_than_travel_time(self):
-        samples = waypoint_walk(
-            [(0.0, 0.0), (1.0, 0.0)], speed_mps=2.0, sample_interval_s=5.0
-        )
-        assert [s.time_s for s in samples] == [0.0]
-        assert samples[0].position == (0.0, 0.0)
 
     def test_random_waypoint_interval_longer_than_duration(self, rng):
         model = RandomWaypointModel(room=Room())

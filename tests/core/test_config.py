@@ -14,9 +14,6 @@ class TestDefaults:
         assert config.delay_grid.n_points == 50
         assert config.delay_grid.stop_s == pytest.approx(800e-9)
 
-    def test_refinement_off_by_default(self):
-        assert RoArrayConfig().refine_off_grid is False
-
 
 class TestValidation:
     def test_rejects_bad_kappa_fraction(self):

@@ -74,41 +74,6 @@ class TestSpectra:
         assert not np.allclose(s0.power, s2.power)
 
 
-class TestOffGridRefinement:
-    def test_refined_estimate_beats_grid_on_offgrid_target(self, rng, small_config):
-        from dataclasses import replace
-
-        coarse = RoArrayEstimator(config=small_config)  # 3° angle cells
-        refined = RoArrayEstimator(config=replace(small_config, refine_off_grid=True))
-        errors = {"coarse": [], "refined": []}
-        for seed in range(4):
-            local = np.random.default_rng(seed)
-            true_aoa = 97.3  # generically off-grid
-            profile = random_profile(local, n_paths=1, direct_aoa_deg=true_aoa)
-            synthesizer = CsiSynthesizer(
-                coarse.array, coarse.layout,
-                ImpairmentModel(detection_delay_range_s=0.0, sfo_std_s=0.0,
-                                cfo_residual_rad=0.0),
-                seed=seed,
-            )
-            trace = synthesizer.packets(profile, n_packets=1, snr_db=25.0, rng=local)
-            errors["coarse"].append(abs(coarse.estimate_direct_path(trace).aoa_deg - true_aoa))
-            errors["refined"].append(abs(refined.estimate_direct_path(trace).aoa_deg - true_aoa))
-        assert np.mean(errors["refined"]) <= np.mean(errors["coarse"])
-        assert np.mean(errors["refined"]) < 1.5
-
-    def test_refined_candidates_are_continuous(self, rng, small_config):
-        from dataclasses import replace
-
-        estimator = RoArrayEstimator(config=replace(small_config, refine_off_grid=True))
-        trace = trace_for(estimator, rng, n_packets=1)
-        analysis = estimator.analyze(trace)
-        grid = set(np.round(estimator.config.angle_grid.angles_deg, 6))
-        # Refined angles generally leave the grid lattice.
-        off_lattice = [a for a in analysis.candidate_aoas_deg if round(a, 6) not in grid]
-        assert off_lattice or len(analysis.candidate_aoas_deg) == 0
-
-
 class TestConfiguration:
     def test_default_construction(self):
         estimator = RoArrayEstimator()

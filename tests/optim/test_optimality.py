@@ -23,8 +23,8 @@ The outlier-augmented program behind the NLOS drills' evidence probes,
 the λ-conditions on ``e``.
 
 Every instance is solved to ``tolerance=1e-10`` at ``B = 1`` and
-``B = 5`` — through ``solve_batch``, and for the robust program also
-through ``solve_robust_lasso`` / ``solve_robust_mmv`` — so the oracle
+``B = 5`` — through ``solve_batch``, and for the one-column robust
+program also through ``solve_robust_lasso`` — so the oracle
 covers the lockstep kernels both alone and in a batch.
 """
 
@@ -38,7 +38,6 @@ from repro.optim import (
     robust_penalty_weights,
     solve_batch,
     solve_robust_lasso,
-    solve_robust_mmv,
 )
 
 M, N, P = 20, 50, 3
@@ -160,10 +159,11 @@ def test_robust_solves_split_program(n_problems, snapshots):
         penalty_weights=weights, tolerance=1e-10, max_iterations=20_000,
     )
     assert all(batch.converged)
-    solve = solve_robust_lasso if snapshots is None else solve_robust_mmv
     for y, z, kappa in zip(ys, batch.to_numpy(), kappas):
         _assert_robust_kkt(matrix, y, *augmented.split(z), kappa)
-        alone = solve(
+        if snapshots is not None:
+            continue
+        alone = solve_robust_lasso(
             matrix, y, kappa, OUTLIER_RATIO * kappa, tolerance=1e-10, max_iterations=20_000
         )
         assert alone.converged

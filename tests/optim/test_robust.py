@@ -16,7 +16,6 @@ from repro.optim import (
     solve_lasso_fista,
     solve_mmv_fista,
     solve_robust_lasso,
-    solve_robust_mmv,
 )
 
 
@@ -192,8 +191,6 @@ class TestRobustLasso:
             solve_robust_lasso(a, y, 0.1, x0=np.zeros(29), e0=np.zeros(13))
         with pytest.raises(SolverError, match="e0 has shape"):
             solve_robust_lasso(a, y, 0.1, e0=np.zeros(13))
-        with pytest.raises(SolverError, match="e0 has shape"):
-            solve_robust_mmv(a, np.stack([y, y], axis=1), 0.1, e0=np.zeros((12, 3)))
 
     def test_objective_matches_split_form(self, rng):
         a, _, y_corr, *_ = make_corrupted_system(rng)
@@ -219,6 +216,7 @@ class TestRobustLasso:
 
 class TestRobustMmv:
     def test_absorbs_row_corruption(self, rng):
+        """The augmented ℓ2,1 program puts shared-row corruption into ``e``."""
         a, *_ = make_corrupted_system(rng)
         n = a.shape[1]
         support = rng.choice(n, size=4, replace=False)
@@ -228,17 +226,21 @@ class TestRobustMmv:
         e_true = np.zeros((60, 3), dtype=complex)
         bad = rng.choice(60, size=6, replace=False)
         e_true[bad, :] = 3.0 * (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
-        plain = solve_mmv_fista(a, y + e_true, kappa=0.05, max_iterations=800)
-        robust = solve_robust_mmv(a, y + e_true, kappa=0.05, max_iterations=800)
-        assert np.linalg.norm(robust.x - x_true) < 0.2 * np.linalg.norm(plain.x - x_true)
-        assert robust.outlier_fraction > 0.3
-        clean = solve_robust_mmv(a, y, kappa=0.05, max_iterations=800)
-        assert clean.outlier_fraction < 0.01
+        augmented = OutlierAugmentedOperator(a)
+        weights = robust_penalty_weights(n, 60, kappa=0.05, lambda_outlier=0.1)
 
-    def test_rejects_vector_rhs(self, rng):
-        a, _, y_corr, *_ = make_corrupted_system(rng)
-        with pytest.raises(SolverError):
-            solve_robust_mmv(a, y_corr, kappa=0.05)
+        def robust(rhs):
+            z = solve_mmv_fista(
+                augmented, rhs, kappa=0.05, penalty_weights=weights, max_iterations=800
+            ).x
+            x, e = augmented.split(z)
+            return x, float(np.sum(np.abs(e) ** 2) / np.sum(np.abs(rhs) ** 2))
+
+        plain = solve_mmv_fista(a, y + e_true, kappa=0.05, max_iterations=800)
+        x, outlier_fraction = robust(y + e_true)
+        assert np.linalg.norm(x - x_true) < 0.2 * np.linalg.norm(plain.x - x_true)
+        assert outlier_fraction > 0.3
+        assert robust(y)[1] < 0.01
 
 
 class TestBatchedRobust:

@@ -172,6 +172,6 @@ class TestTracePickling:
         trace = workload[0]
         spectrum = small_estimator.joint_spectrum(trace)
         assert (
-            small_estimator.analysis_from_spectrum(spectrum, trace)
+            small_estimator.analysis_from_spectrum(spectrum)
             == small_estimator.analyze(trace)
         )

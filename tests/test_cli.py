@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -79,6 +81,73 @@ class TestLocalize:
         output = capsys.readouterr().out
         assert "fix (" in output
         assert "error" in output
+
+
+LAB_BATCH = [
+    "batch",
+    "dataset://lab/ap-west",
+    "dataset://lab/ap-east",
+    "dataset://lab/ap-south-1",
+    "--registry",
+    "tests/fixtures/real_captures",
+    "--preprocess",
+    "--localize",
+    "--json",
+]
+
+
+def run_json(argv):
+    """``main(argv)``'s exit code and parsed ``--json`` output."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def without_report(payload):
+    """Everything but the wall-clock batch report."""
+    return {key: value for key, value in payload.items() if key != "report"}
+
+
+@pytest.fixture(scope="module")
+def lab_fix():
+    """The committed lab captures, localized once for the whole module."""
+    return run_json(LAB_BATCH + ["--workers", "0"])
+
+
+class TestBatchLocalize:
+    """``batch --localize`` on the lab datasets: real captures to one fix."""
+
+    def test_fix_lands_thirty_centimetres_from_truth(self, lab_fix):
+        code, payload = lab_fix
+        assert code == 0
+        assert payload["fix"]["n_aps"] == 3
+        assert payload["fix"]["error_m"] == pytest.approx(0.30, abs=0.05)
+
+    def test_every_ap_analyzes_within_ten_degrees(self, lab_fix):
+        _, payload = lab_fix
+        assert [row["ok"] for row in payload["outcomes"]] == [True, True, True]
+        assert all(row["aoa_error_deg"] < 10.0 for row in payload["outcomes"])
+
+    def test_worker_count_does_not_change_the_result(self, lab_fix):
+        _, serial = lab_fix
+        _, parallel = run_json(LAB_BATCH + ["--workers", "2"])
+        assert parallel["outcomes"] == serial["outcomes"]
+        assert parallel["fix"] == serial["fix"]
+
+    def test_resumed_checkpoint_gives_the_same_json(self, tmp_path, lab_fix):
+        code, first = run_json(LAB_BATCH + ["--checkpoint", str(tmp_path)])
+        assert code == 0
+        resumed_code, resumed = run_json(["resume", str(tmp_path)])
+        assert resumed_code == 0
+        assert without_report(resumed) == without_report(first) == without_report(lab_fix[1])
+
+    def test_non_dataset_source_cannot_localize(self, capsys):
+        code = main(
+            ["batch", "synthetic://random?n=2&packets=3", "--localize", "--json"]
+        )
+        assert code == 2
+        assert "dataset:// reference with AP geometry" in capsys.readouterr().err
 
 
 class TestReport:
