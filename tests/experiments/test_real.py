@@ -1,78 +1,37 @@
-"""run_real_trace_experiment: real captures through the batch runtime."""
+"""Real and synthetic sources through ``roarray batch``, the one trace driver."""
 
-import pytest
+import contextlib
+import io
+import json
 
-from repro.exceptions import ConfigurationError
-from repro.experiments import run_real_trace_experiment
+from repro.cli import main
 
 FIXTURES = "tests/fixtures/real_captures"
-LAB_SOURCES = [
-    "dataset://lab/ap-west",
-    "dataset://lab/ap-east",
-    "dataset://lab/ap-south-1",
-]
 
 
-def drop_timings(payload):
-    """Everything but the (wall-clock, nondeterministic) batch report."""
-    return {k: v for k, v in payload.items() if k != "report"}
+def run_batch(argv):
+    """Run ``roarray batch ... --json`` and return (exit code, payload)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["batch", *argv, "--json"])
+    return code, json.loads(out.getvalue())
 
 
 class TestEndToEnd:
-    def test_localizes_from_committed_captures(self):
-        result = run_real_trace_experiment(
-            LAB_SOURCES, registry=FIXTURES, localize=True
-        )
-        assert result.ok
-        assert len(result.outcomes) == 3
-        assert result.fix is not None
-        assert result.fix["error_m"] == pytest.approx(0.30, abs=0.05)
-        for outcome in result.outcomes:
-            assert outcome.ok
-            assert outcome.aoa_error_deg < 10.0
-
-    def test_worker_parity(self):
-        serial = run_real_trace_experiment(
-            LAB_SOURCES, registry=FIXTURES, localize=True, workers=0
-        )
-        parallel = run_real_trace_experiment(
-            LAB_SOURCES, registry=FIXTURES, localize=True, workers=2
-        )
-        assert drop_timings(serial.to_dict()) == drop_timings(parallel.to_dict())
-
-    def test_checkpoint_resume_is_identical(self, tmp_path):
-        first = run_real_trace_experiment(
-            LAB_SOURCES, registry=FIXTURES, localize=True,
-            checkpoint_dir=tmp_path,
-        )
-        resumed = run_real_trace_experiment(
-            LAB_SOURCES, registry=FIXTURES, localize=True,
-            checkpoint_dir=tmp_path,
-        )
-        assert drop_timings(resumed.to_dict()) == drop_timings(first.to_dict())
-
     def test_raw_stages_none(self):
-        result = run_real_trace_experiment(
-            ["dataset://lab/ap-west"], registry=FIXTURES, stages=None
-        )
-        assert len(result.outcomes) == 1
+        code, payload = run_batch(["dataset://lab/ap-west", "--registry", FIXTURES])
+        assert code == 0
+        assert len(payload["outcomes"]) == 1
 
     def test_synthetic_sources_flow_through(self):
-        result = run_real_trace_experiment(
-            ["synthetic://random?n=2&packets=4&seed=1"], stages=None
-        )
-        assert [o.label for o in result.outcomes] == ["synthetic[0]", "synthetic[1]"]
-
-    def test_localize_requires_dataset_geometry(self):
-        with pytest.raises(ConfigurationError, match="dataset"):
-            run_real_trace_experiment(
-                ["synthetic://random?n=2&packets=3"], localize=True
-            )
+        code, payload = run_batch(["synthetic://random?n=2&packets=4&seed=1"])
+        assert code == 0
+        labels = [row["label"] for row in payload["outcomes"]]
+        assert labels == ["synthetic[0]", "synthetic[1]"]
 
     def test_result_serializes(self):
-        result = run_real_trace_experiment(
-            ["dataset://lab/ap-west"], registry=FIXTURES
-        )
-        payload = result.to_dict()
+        code, payload = run_batch(["dataset://lab/ap-west", "--registry", FIXTURES])
+        assert code == 0
         assert payload["outcomes"][0]["label"] == "dataset://lab/ap-west"
-        assert payload["fix"] is None
+        assert payload.get("fix") is None
+        assert payload["report"]["n_jobs"] == 1
