@@ -39,9 +39,10 @@ The subcommands cover the workflows a user has before writing code:
     classroom, one CSI packet per AP per trajectory sample — and save
     it as one replayable ``.npz``.
 ``roarray serve``
-    Replay a saved workload through the streaming localization service
-    (:mod:`repro.serve`): micro-batched solves, warm starts, per-AP
-    health, Kalman tracks.  Prints fix throughput, latency quantiles
+    Replay a saved workload through the crash-supervised streaming
+    localization service (:mod:`repro.serve`): micro-batched solves,
+    warm starts, per-AP health, Kalman tracks, and an fsync'd journal
+    of every delivered fix.  Prints fix throughput, latency quantiles
     and the reject/drop taxonomies.
 ``roarray figures``
     List the paper's figures and the benchmark that regenerates each.
@@ -788,94 +789,38 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_supervised(args: argparse.Namespace, workload, config, tracer) -> int:
-    """``roarray serve --snapshot-dir``: the crash-supervised drive.
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Drive a workload through the crash-supervised service.
 
-    Runs the synchronous supervised core instead of the asyncio host:
-    packets feed through a :class:`~repro.serve.ServiceSupervisor`
-    that snapshots periodically and journals every delivered fix to
-    ``<snapshot-dir>/fixes.jsonl``.  SIGTERM / SIGINT request a
-    graceful stop — the in-flight step finishes, a final snapshot is
+    Packets feed through a :class:`~repro.serve.ServiceSupervisor` on
+    packet time, and every delivered fix is fsync'd into the
+    supervisor's ack journal.  With ``--snapshot-dir`` the journal is
+    ``<snapshot-dir>/fixes.jsonl``, snapshots land every
+    ``--snapshot-every`` packets, and SIGTERM / SIGINT request a
+    graceful stop: the in-flight step finishes, a final snapshot is
     written and the process exits 75 (resumable); ``roarray resume
     <snapshot-dir>`` (or re-running the same command) resumes the stream
-    and produces a byte-identical journal.
+    and produces a byte-identical journal.  Without it the run journals
+    into a temporary directory, writes only the final snapshot, and
+    leaves nothing behind.
     """
+    import contextlib
+    import math
     import signal
-
-    from repro.experiments.reporting.console import emit, emit_json
-    from repro.runtime.checkpoint import EXIT_RESUMABLE, write_manifest
-    from repro.serve import LocalizationService, ServiceSupervisor, SnapshotPolicy
-
-    stop_requested = False
-
-    def _request_stop(signum, frame):
-        nonlocal stop_requested
-        stop_requested = True
-
-    def factory(clock):
-        return LocalizationService(
-            workload.room,
-            workload.access_points,
-            array=workload.array,
-            layout=workload.layout,
-            config=config,
-            tracer=tracer,
-            clock=clock,
-        )
-
-    policy = SnapshotPolicy(
-        directory=args.snapshot_dir,
-        every_packets=args.snapshot_every,
-        max_duty=args.snapshot_duty,
-    )
-    write_manifest(args.snapshot_dir, getattr(args, "argv", []))
-    previous_term = signal.signal(signal.SIGTERM, _request_stop)
-    previous_int = signal.signal(signal.SIGINT, _request_stop)
-    try:
-        with ServiceSupervisor(factory, policy) as supervisor:
-            if args.warm_in and not supervisor.resumed:
-                slots = supervisor.service.load_warm_state(args.warm_in)
-                emit(
-                    f"loaded {slots} warm-start slot(s) from {args.warm_in}",
-                    stream=sys.stderr,
-                )
-            result = supervisor.run(workload.packets, stop=lambda: stop_requested)
-            service = supervisor.service
-    finally:
-        signal.signal(signal.SIGTERM, previous_term)
-        signal.signal(signal.SIGINT, previous_int)
-    if args.warm_out:
-        service.save_warm_state(args.warm_out)
-    summary = {
-        "workload": args.workload,
-        "snapshot_dir": str(args.snapshot_dir),
-        "fixes_journal": str(policy.fixes_path),
-        **result.to_dict(),
-    }
-    if args.json:
-        emit_json(summary)
-    else:
-        state = "interrupted (resumable)" if result.interrupted else "complete"
-        emit(
-            f"supervised serve {state}: {result.n_consumed}/"
-            f"{len(workload.packets)} packets, {len(result.fixes)} fix(es) "
-            f"delivered this run ({result.n_delivered} total in "
-            f"{policy.fixes_path})"
-        )
-        emit(
-            f"snapshots: {result.n_snapshots} | restarts: {result.n_restarts} | "
-            f"replay-suppressed fixes: {result.n_suppressed}"
-            + (" | resumed from snapshot" if result.resumed else "")
-        )
-    return EXIT_RESUMABLE if result.interrupted else 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+    import tempfile
+    import time
+    from collections import Counter
 
     from repro.core.grids import AngleGrid, DelayGrid
     from repro.experiments.reporting.console import emit, emit_json
-    from repro.serve import LocalizationService, ServeConfig, Workload, replay
+    from repro.runtime.checkpoint import EXIT_RESUMABLE, JsonlLog, write_manifest
+    from repro.serve import (
+        LocalizationService,
+        ServeConfig,
+        ServiceSupervisor,
+        SnapshotPolicy,
+        Workload,
+    )
 
     tracer = _tracer_of(args)
     workload = Workload.load(args.workload)
@@ -893,80 +838,140 @@ def cmd_serve(args: argparse.Namespace) -> int:
         delay_grid=DelayGrid(n_points=args.delay_points),
         max_iterations=args.iterations,
     )
-    if args.snapshot_dir:
-        return _serve_supervised(args, workload, config, tracer)
-    service = LocalizationService(
-        workload.room,
-        workload.access_points,
-        array=workload.array,
-        layout=workload.layout,
-        config=config,
-        tracer=tracer,
-    )
-    if args.warm_in:
-        slots = service.load_warm_state(args.warm_in)
-        emit(f"loaded {slots} warm-start slot(s) from {args.warm_in}", stream=sys.stderr)
-    result = asyncio.run(service.run(replay(workload)))
-    if args.warm_out:
-        service.save_warm_state(args.warm_out)
 
-    fixed_clients = set(result.fix_counts)
-    missing = sorted(set(workload.clients) - fixed_clients)
+    def factory(clock):
+        return LocalizationService(
+            workload.room,
+            workload.access_points,
+            array=workload.array,
+            layout=workload.layout,
+            config=config,
+            tracer=tracer,
+            clock=clock,
+        )
+
+    stop_requested = False
+
+    def _request_stop(signum, frame):
+        nonlocal stop_requested
+        stop_requested = True
+
+    with contextlib.ExitStack() as stack:
+        if args.snapshot_dir:
+            policy = SnapshotPolicy(
+                directory=args.snapshot_dir,
+                every_packets=args.snapshot_every,
+                max_duty=args.snapshot_duty,
+            )
+            write_manifest(args.snapshot_dir, getattr(args, "argv", []))
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                stack.callback(signal.signal, signum, signal.signal(signum, _request_stop))
+        else:
+            scratch = stack.enter_context(tempfile.TemporaryDirectory(prefix="roarray-serve-"))
+            policy = SnapshotPolicy(directory=scratch, every_packets=0)
+        with ServiceSupervisor(factory, policy) as supervisor:
+            started = time.perf_counter()
+            with tracer.span("serve.run"):
+                result = supervisor.run(workload.packets, stop=lambda: stop_requested)
+            wall = time.perf_counter() - started
+        # Every fix delivered so far, including a resumed run's earlier ones.
+        with JsonlLog(policy.fixes_path) as journal:
+            delivered = journal.records
+    service = supervisor.service
+
+    metrics = service.metrics.to_dict()
+    reject_counts = {
+        name.removeprefix("serve.rejected."): int(item["value"])
+        for name, item in sorted(metrics.items())
+        if name.startswith("serve.rejected.")
+    }
+    n_accepted = int(metrics.get("serve.packets_accepted", {}).get("value", 0))
+    fix_counts = Counter(record["client"] for record in delivered)
+    missing = sorted(set(workload.clients) - set(fix_counts))
     errors = [
-        fix.error_to(workload.truth_position(fix.client, fix.time_s))
-        for fix in result.fixes
+        math.dist(record["position"], workload.truth_position(record["client"], record["time_s"]))
+        for record in delivered
     ]
     median_error = float(np.median(errors)) if errors else None
-    latency = result.metrics.get("serve.fix_latency_s", {})
+    warm = service.warm_state
+    summary = {
+        "n_packets": n_accepted + sum(reject_counts.values()),
+        "n_accepted": n_accepted,
+        "n_fixes": len(delivered),
+        "fixes_per_second": len(result.fixes) / wall if wall > 0 else 0.0,
+        "wall_seconds": wall,
+        "max_batch_observed": service.max_batch_observed,
+        "batch_triggers": dict(service.batch_triggers),
+        "fix_counts": dict(sorted(fix_counts.items())),
+        "reject_counts": reject_counts,
+        "warm": {
+            "enabled": config.warm_start,
+            "hits": warm.hits,
+            "misses": warm.misses,
+            "slots": len(warm),
+            "nbytes": warm.nbytes,
+        },
+        "metrics": metrics,
+        "health": service.health.to_dict(service.latest_packet_time_s),
+        "breakers": service.breakers.to_dict(),
+        "backpressure": service.backpressure.to_dict(),
+    }
     if args.json:
         emit_json(
             {
                 "workload": args.workload,
-                "summary": result.to_dict(),
+                "snapshot_dir": args.snapshot_dir,
+                "fixes_journal": str(policy.fixes_path) if args.snapshot_dir else None,
+                **result.to_dict(),
+                "summary": summary,
                 "median_error_m": median_error,
                 "clients_total": len(workload.clients),
-                "clients_fixed": len(fixed_clients),
+                "clients_fixed": len(fix_counts),
                 "clients_missing": missing,
             }
         )
     else:
+        state = " (interrupted, resumable)" if result.interrupted else ""
         emit(
-            f"served {result.n_packets} packets ({result.n_accepted} accepted, "
-            f"{len(result.rejected)} rejected) in {result.wall_seconds:.2f} s"
+            f"served {summary['n_packets']} packets ({n_accepted} accepted, "
+            f"{sum(reject_counts.values())} rejected) in {wall:.2f} s{state}"
         )
         emit(
-            f"fixes: {result.n_fixes} ({result.fixes_per_second:.1f}/s) for "
-            f"{len(fixed_clients)}/{len(workload.clients)} clients"
+            f"fixes: {len(delivered)} ({summary['fixes_per_second']:.1f}/s) for "
+            f"{len(fix_counts)}/{len(workload.clients)} clients"
             + (f" | median error {median_error:.2f} m" if median_error is not None else "")
         )
+        latency = metrics.get("serve.fix_latency_s", {})
         if latency.get("count"):
             emit(
-                f"fix latency: p50 {latency['p50'] * 1e3:.1f} ms | "
+                f"fix latency (packet time): p50 {latency['p50'] * 1e3:.1f} ms | "
                 f"p90 {latency['p90'] * 1e3:.1f} ms | p99 {latency['p99'] * 1e3:.1f} ms"
             )
         emit(
-            f"batches: max {result.max_batch_observed} | triggers "
-            + ", ".join(f"{k}={v}" for k, v in sorted(result.batch_triggers.items()))
+            f"batches: max {service.max_batch_observed} | triggers "
+            + ", ".join(f"{k}={v}" for k, v in sorted(service.batch_triggers.items()))
         )
-        warm = result.warm
         emit(
-            f"warm starts: {'on' if warm['enabled'] else 'off'} | "
-            f"{warm['hits']} hits, {warm['misses']} misses, "
-            f"{warm['slots']} slots ({warm['nbytes'] / 1024:.0f} KiB)"
+            f"warm starts: {'on' if config.warm_start else 'off'} | "
+            f"{warm.hits} hits, {warm.misses} misses, "
+            f"{len(warm)} slots ({warm.nbytes / 1024:.0f} KiB)"
         )
-        if result.reject_counts:
-            emit(
-                "rejects: "
-                + ", ".join(f"{k}={v}" for k, v in sorted(result.reject_counts.items()))
-            )
-        for name, health in result.health.items():
+        if reject_counts:
+            emit("rejects: " + ", ".join(f"{k}={v}" for k, v in reject_counts.items()))
+        for name, health in summary["health"].items():
             if health["status"] != "healthy":
                 emit(f"AP {name}: {health['status']} ({health['failures']})")
         if missing:
             emit(f"no fix for {len(missing)} client(s): {', '.join(missing[:5])}...")
-    if args.require_all_clients and missing:
-        return 1
-    return 0
+        if args.snapshot_dir:
+            emit(
+                f"snapshots: {result.n_snapshots} | restarts: {result.n_restarts} | "
+                f"replay-suppressed fixes: {result.n_suppressed} | journal "
+                f"{policy.fixes_path}" + (" | resumed from snapshot" if result.resumed else "")
+            )
+    if result.interrupted:
+        return EXIT_RESUMABLE
+    return 1 if args.require_all_clients and missing else 0
 
 
 def cmd_figures(_args: argparse.Namespace) -> int:
@@ -1303,16 +1308,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-warm", action="store_true", help="disable cross-batch warm starts"
     )
     serve.add_argument(
-        "--warm-in", default=None, metavar="PATH", help="load warm-start state from PATH"
-    )
-    serve.add_argument(
-        "--warm-out", default=None, metavar="PATH", help="save warm-start state to PATH"
-    )
-    serve.add_argument(
         "--snapshot-dir", default=None, metavar="DIR",
-        help="run crash-supervised: snapshot service state to DIR, journal "
+        help="make the run resumable: snapshot service state to DIR, journal "
         "fixes to DIR/fixes.jsonl, resume from DIR if a snapshot exists; "
-        "SIGTERM drains gracefully and exits 75 (resumable)",
+        "SIGTERM drains gracefully and exits 75 (resumable).  Without it "
+        "the journal lives in a temporary directory",
     )
     serve.add_argument(
         "--snapshot-every", type=int, default=64, metavar="N",

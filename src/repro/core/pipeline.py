@@ -77,7 +77,7 @@ class RoArrayEstimator:
         self.warm_start = self.config.warm_start
         # Single-packet (Nθ·Nτ,) and fused (Nθ·Nτ, r) solutions are
         # shaped differently, so they warm independent slots of one
-        # first-class, serializable WarmStartState.
+        # first-class WarmStartState.
         self.warm_state = WarmStartState()
         #: Frozen state reset_warm_state() restores to.  The batch
         #: runtime resets before every job, so with a seed installed

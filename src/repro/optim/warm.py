@@ -15,10 +15,9 @@ result to whatever the estimator solved before it.
 * **Shape-checked reads** — :meth:`get` returns ``None`` (a cold start)
   when the stored solution does not match the requested shape, so a
   changed grid or snapshot width can never poison a solve.
-* **Serializable** — :meth:`to_dict` / :meth:`from_dict` round-trip the
-  state byte-exactly through JSON, which is what lets the batch runtime
-  ship a warm seed to worker processes and lets the streaming service
-  snapshot per-client state.
+* **Plain data** — the slots are ndarrays, so the state pickles to
+  the batch runtime's worker processes, and the streaming service's
+  snapshots encode each slot with :mod:`repro.serve.codec`.
 * **Accounted** — ``hits`` / ``misses`` count how often a solve actually
   warmed, feeding the service metrics.
 
@@ -35,12 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
-
 
 @dataclass
 class WarmStartState:
-    """Keyed, serializable store of prior solutions for warm starts."""
+    """Keyed store of prior solutions for warm starts."""
 
     slots: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -106,32 +103,3 @@ class WarmStartState:
     @property
     def nbytes(self) -> int:
         return sum(value.nbytes for value in self.slots.values())
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready view; floats survive byte-exactly via ``repr``."""
-        return {
-            "slots": {
-                key: {
-                    "shape": list(value.shape),
-                    "real": np.asarray(value, dtype=complex).real.ravel().tolist(),
-                    "imag": np.asarray(value, dtype=complex).imag.ravel().tolist(),
-                }
-                for key, value in self.slots.items()
-            }
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WarmStartState":
-        slots: dict[str, np.ndarray] = {}
-        for key, record in payload.get("slots", {}).items():
-            shape = tuple(int(s) for s in record["shape"])
-            real = np.asarray(record["real"], dtype=float)
-            imag = np.asarray(record["imag"], dtype=float)
-            if real.shape != imag.shape:
-                raise ConfigurationError(
-                    f"warm slot {key!r} has mismatched real/imag lengths"
-                )
-            slots[key] = (real + 1j * imag).reshape(shape)
-        return cls(slots=slots)

@@ -8,31 +8,25 @@ warm-start state, and turned into robust position fixes with
 confidence, degraded-mode AP accounting and Kalman tracks.
 
 Entry points: :class:`LocalizationService` (the service itself),
-:class:`LoadGenerator`/:func:`replay` (synthetic workloads to drive
-it), and :func:`offline_reference` (the cold, unbatched accuracy
-baseline).  The ``roarray serve`` / ``roarray loadgen`` CLI pair wraps
-them.
+:class:`ServiceSupervisor` (the crash-safe loop that feeds it a packet
+stream), :class:`LoadGenerator` (synthetic workloads to drive it), and
+:func:`offline_reference` (the cold, unbatched accuracy baseline).  The
+``roarray serve`` / ``roarray loadgen`` CLI pair wraps them.
 """
 
 from repro.serve.backpressure import BackpressureController, BackpressurePolicy
 from repro.serve.batcher import MicroBatch, MicroBatcher, SolveRequest
 from repro.serve.breaker import BREAKER_STATES, BreakerBoard, CircuitBreaker
 from repro.serve.health import HEALTH_FAILURE_KINDS, ApHealth, ApHealthMonitor
-from repro.serve.loadgen import (
-    LoadGenerator,
-    Workload,
-    median_fix_error_m,
-    offline_reference,
-    replay,
-)
-from repro.serve.packets import REJECT_REASONS, CsiPacket, PositionFix, RejectedPacket
+from repro.serve.loadgen import LoadGenerator, Workload, median_fix_error_m, offline_reference
+from repro.serve.packets import REJECT_REASONS, CsiPacket, PositionFix
 from repro.serve.resilience import (
     ManualClock,
     ServiceSupervisor,
     SnapshotPolicy,
     SupervisorResult,
 )
-from repro.serve.service import LocalizationService, ServeConfig, ServeResult
+from repro.serve.service import LocalizationService, ServeConfig
 from repro.serve.session import ApEstimate, ClientSession
 
 __all__ = [
@@ -54,9 +48,7 @@ __all__ = [
     "MicroBatcher",
     "PositionFix",
     "REJECT_REASONS",
-    "RejectedPacket",
     "ServeConfig",
-    "ServeResult",
     "ServiceSupervisor",
     "SnapshotPolicy",
     "SolveRequest",
@@ -64,5 +56,4 @@ __all__ = [
     "Workload",
     "median_fix_error_m",
     "offline_reference",
-    "replay",
 ]

@@ -12,7 +12,7 @@ when idle.
 
 The batcher is deliberately synchronous and clockless: callers pass
 ``now`` explicitly, which makes the trigger logic deterministic under
-test and lets the asyncio service drive it from its own clock.
+test and lets the service drive it from its injected clock.
 """
 
 from __future__ import annotations

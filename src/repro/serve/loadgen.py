@@ -9,15 +9,14 @@ synthesizer, so every packet carries a ground-truth position and the
 service's fixes can be scored exactly.
 
 A :class:`Workload` is replayable and portable (``save``/``load`` to
-one ``.npz``), :func:`replay` turns it into the async packet stream
-:meth:`~repro.serve.service.LocalizationService.run` consumes, and
+one ``.npz``); its time-ordered ``packets`` are the stream
+:meth:`~repro.serve.resilience.ServiceSupervisor.run` consumes, and
 :func:`offline_reference` replays it through the cold, unbatched solve
-path — the accuracy baseline the benchmark holds the service to.
+path — the accuracy baseline the serve gates hold the service to.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field, replace
 
@@ -296,28 +295,6 @@ class LoadGenerator:
         )
 
 
-async def replay(workload: Workload, *, realtime: bool = False, speed: float = 1.0):
-    """Async packet stream over a workload.
-
-    ``realtime=True`` paces packets on their timestamps (divided by
-    ``speed``); the default streams as fast as the event loop accepts,
-    yielding control periodically so the service's solve loop runs
-    concurrently.
-    """
-    if speed <= 0:
-        raise ConfigurationError(f"speed must be positive, got {speed}")
-    previous = 0.0
-    for index, packet in enumerate(workload.packets):
-        if realtime:
-            gap = (packet.time_s - previous) / speed
-            if gap > 0:
-                await asyncio.sleep(gap)
-            previous = packet.time_s
-        elif index % 64 == 0:
-            await asyncio.sleep(0)
-        yield packet
-
-
 def offline_reference(workload: Workload, *, config=None) -> list[PositionFix]:
     """The workload's fixes through the cold, unbatched solve path.
 
@@ -325,7 +302,7 @@ def offline_reference(workload: Workload, *, config=None) -> list[PositionFix]:
     ``batch_size=1`` (a singleton :func:`~repro.optim.solve_batch` is
     the sequential solver's own one-problem kernel call) and warm starts off, so
     every solve is exactly the offline pipeline's cold MMV solve.  The
-    benchmark holds the streaming path's accuracy to this baseline.
+    serve gates hold the streaming path's accuracy to this baseline.
     """
     from repro.serve.service import LocalizationService, ServeConfig
 

@@ -2,11 +2,11 @@
 
 A deployment feeds the service one :class:`CsiPacket` per received
 frame, tagged with the client and AP it belongs to; the service answers
-with :class:`PositionFix` records.  Packets that fail admission control
-become :class:`RejectedPacket` records carrying one of the
-:data:`REJECT_REASONS` — backpressure and malformed input are data,
-not exceptions, so a misbehaving client can never take the service
-down.
+with :class:`PositionFix` records.  A packet that fails admission
+control gets one of the :data:`REJECT_REASONS` back from
+:meth:`~repro.serve.service.LocalizationService.submit` — backpressure
+and malformed input are data, not exceptions, so a misbehaving client
+can never take the service down.
 """
 
 from __future__ import annotations
@@ -73,30 +73,6 @@ class CsiPacket:
 
 
 @dataclass(frozen=True)
-class RejectedPacket:
-    """A packet admission control turned away, with the reason."""
-
-    client: str
-    ap: str
-    time_s: float
-    reason: str
-
-    def __post_init__(self) -> None:
-        if self.reason not in REJECT_REASONS:
-            raise ConfigurationError(
-                f"unknown reject reason {self.reason!r}; taxonomy: {REJECT_REASONS}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "client": self.client,
-            "ap": self.ap,
-            "time_s": self.time_s,
-            "reason": self.reason,
-        }
-
-
-@dataclass(frozen=True)
 class PositionFix:
     """One client's localization output, raw and tracked.
 
@@ -106,7 +82,8 @@ class PositionFix:
     ``tracked_position`` / ``velocity`` / ``accepted`` are the
     per-client Kalman tracker's posterior (``accepted=False`` means the
     innovation gate rejected the raw fix and the track coasted).
-    ``latency_s`` measures ingest → fix on the service clock.
+    ``latency_s`` runs from the admission of the newest packet behind
+    the fix to the fix, on the service clock.
     ``trust`` / ``contaminated`` are populated only when the service
     runs with ``ServeConfig.robust``: per-AP consensus trust in [0, 1]
     and whether the fix was computed after excluding measurement-domain

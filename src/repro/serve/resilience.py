@@ -199,8 +199,7 @@ class SupervisorResult:
     #: shutdown); the snapshot on disk resumes the stream exactly.
     interrupted: bool = False
     #: Wall seconds this run spent writing snapshots / fsyncing the ack
-    #: journal — the resilience machinery's clean-path bill, measured so
-    #: the serve benchmark can hold it to its overhead budget.
+    #: journal — the resilience machinery's clean-path bill.
     snapshot_seconds: float = 0.0
     journal_seconds: float = 0.0
 

@@ -1,8 +1,8 @@
 """The streaming localization service (``repro.serve``).
 
-:class:`LocalizationService` is the long-lived, asyncio-hosted
-deployment shape of the paper's pipeline: per-AP CSI packet streams in,
-per-client :class:`~repro.serve.packets.PositionFix` streams out.
+:class:`LocalizationService` is the long-lived deployment shape of the
+paper's pipeline: per-AP CSI packet streams in, per-client
+:class:`~repro.serve.packets.PositionFix` streams out.
 
 Dataflow::
 
@@ -16,25 +16,21 @@ Dataflow::
                           ▼
         direct-path AoA → localize_robust → KalmanTracker → PositionFix
 
-The synchronous core (:meth:`~LocalizationService.submit`,
+The service is synchronous (:meth:`~LocalizationService.submit`,
 :meth:`~LocalizationService.process_due`, :meth:`~LocalizationService.drain`)
-takes all times explicitly from the injected clock, so tests drive it
-deterministically; :meth:`~LocalizationService.run` is the asyncio host
-loop that pumps an async packet source through it.
+and takes all times explicitly from the injected clock, so tests drive
+it deterministically.  :class:`~repro.serve.resilience.ServiceSupervisor`
+is the loop that feeds a packet stream through it.
 
 Warm starts are first-class state here: one service-level
 :class:`~repro.optim.warm.WarmStartState` keyed ``"<client>:<ap>"``
 carries each pair's previous solution into its next micro-batch via
-``solve_batch(warm_state=, warm_keys=)``, and
-:meth:`~LocalizationService.save_warm_state` /
-:meth:`~LocalizationService.load_warm_state` snapshot it across
-restarts.
+``solve_batch(warm_state=, warm_keys=)``; :meth:`~LocalizationService.snapshot_state`
+carries it across restarts.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -63,7 +59,7 @@ from repro.serve.batcher import MicroBatch, MicroBatcher, SolveRequest
 from repro.serve.breaker import BreakerBoard
 from repro.serve.codec import decode_array, encode_array
 from repro.serve.health import ApHealthMonitor
-from repro.serve.packets import CsiPacket, PositionFix, RejectedPacket
+from repro.serve.packets import CsiPacket, PositionFix
 from repro.serve.session import ClientSession
 from repro.spectral.spectrum import JointSpectrum
 
@@ -139,66 +135,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"trust_threshold must be in (0, 1], got {self.trust_threshold}"
             )
-
-
-@dataclass(frozen=True)
-class ServeResult:
-    """Summary of one service run."""
-
-    fixes: tuple[PositionFix, ...]
-    rejected: tuple[RejectedPacket, ...]
-    n_packets: int
-    n_accepted: int
-    wall_seconds: float
-    max_batch_observed: int
-    batch_triggers: dict[str, int]
-    warm: dict
-    metrics: dict
-    health: dict
-    breakers: dict = field(default_factory=dict)
-    backpressure: dict = field(default_factory=dict)
-
-    @property
-    def n_fixes(self) -> int:
-        return len(self.fixes)
-
-    @property
-    def fixes_per_second(self) -> float:
-        return self.n_fixes / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def fix_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for fix in self.fixes:
-            counts[fix.client] = counts.get(fix.client, 0) + 1
-        return counts
-
-    @property
-    def reject_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for packet in self.rejected:
-            counts[packet.reason] = counts.get(packet.reason, 0) + 1
-        return counts
-
-    def to_dict(self) -> dict:
-        return {
-            "n_packets": self.n_packets,
-            "n_accepted": self.n_accepted,
-            "n_fixes": self.n_fixes,
-            "fixes_per_second": self.fixes_per_second,
-            "wall_seconds": self.wall_seconds,
-            "max_batch_observed": self.max_batch_observed,
-            "batch_triggers": dict(self.batch_triggers),
-            "fix_counts": dict(sorted(self.fix_counts.items())),
-            "reject_counts": dict(sorted(self.reject_counts.items())),
-            "warm": self.warm,
-            "fixes": [fix.to_dict() for fix in self.fixes],
-            "rejected": [packet.to_dict() for packet in self.rejected],
-            "metrics": self.metrics,
-            "health": self.health,
-            "breakers": self.breakers,
-            "backpressure": self.backpressure,
-        }
 
 
 class LocalizationService:
@@ -287,7 +223,6 @@ class LocalizationService:
         # (warm seeds are copied into the stacked x0).
         self._warm_encode_cache: dict[str, tuple] = {}
         self._draining = False
-        self._running = False
         self.max_batch_observed = 0
         self.batch_triggers: dict[str, int] = {}
         #: Newest packet time seen — the service's view of "now" on the
@@ -400,7 +335,7 @@ class LocalizationService:
         for request in batch.requests:
             by_width.setdefault(request.width, []).append(request)
         # Ladder step 2: cap the solve-group width under load so one
-        # giant matmul cannot hold the event loop for a full batch.
+        # giant matmul cannot hold up ingest for a full batch.
         group_cap = self.backpressure.batch_cap(self.config.batch_size)
         with self.tracer.span(
             "serve.micro_batch", size=len(batch), trigger=batch.trigger
@@ -531,11 +466,13 @@ class LocalizationService:
 
         state = session.tracker.update(session.latest_time_s, located.position)
         session.last_fix_time_s = session.latest_time_s
-        latency = max(
-            0.0, now - min(estimate.enqueued_at for estimate in fresh.values())
-        )
+        # Latency runs from the newest contributing packet's admission;
+        # the oldest one's admission dates the estimate the fix rests on.
+        admitted = [estimate.enqueued_at for estimate in fresh.values()]
+        latency = max(0.0, now - max(admitted))
         self.metrics.counter("serve.fixes").inc()
         self.metrics.histogram("serve.fix_latency_s").observe(latency)
+        self.metrics.histogram("serve.estimate_age_s").observe(max(0.0, now - min(admitted)))
         self.metrics.histogram("serve.confidence").observe(located.confidence)
         if located.degraded:
             self.metrics.counter("serve.degraded_fixes").inc()
@@ -557,82 +494,6 @@ class LocalizationService:
             contaminated=contaminated,
         )
 
-    # -- asyncio host --------------------------------------------------------
-
-    async def run(self, source, *, poll_interval_s: float = 0.002) -> ServeResult:
-        """Pump an async packet source through the service to completion.
-
-        ``source`` is any async iterable of
-        :class:`~repro.serve.packets.CsiPacket` (e.g.
-        :func:`repro.serve.loadgen.replay`).  Ingest and solving share
-        the event loop: full batches are solved inline with ingest
-        (size trigger), and a poll task sweeps deadline batches while
-        the stream idles.  When the source ends, the service drains —
-        remaining windows are flushed through final micro-batches and
-        last fixes emitted — and the run summary is returned.
-        """
-        if self._running:
-            raise ServiceError("service is already running")
-        self._running = True
-        started = self.clock()
-        fixes: list[PositionFix] = []
-        rejected: list[RejectedPacket] = []
-        n_packets = 0
-        try:
-            with self.tracer.span("serve.run"):
-                ingest_done = False
-
-                async def _ingest():
-                    nonlocal n_packets, ingest_done
-                    async for packet in source:
-                        n_packets += 1
-                        reason = self.submit(packet)
-                        if reason is not None:
-                            rejected.append(
-                                RejectedPacket(
-                                    packet.client, packet.ap, packet.time_s, reason
-                                )
-                            )
-                        # Solve full batches inline so a fast producer
-                        # cannot grow the backlog unboundedly.
-                        if self._batcher.pending >= self.config.batch_size:
-                            fixes.extend(self.process_due())
-                    ingest_done = True
-
-                ingest = asyncio.ensure_future(_ingest())
-                try:
-                    while not ingest_done:
-                        fixes.extend(self.process_due())
-                        await asyncio.sleep(poll_interval_s)
-                    await ingest
-                finally:
-                    if not ingest.done():
-                        ingest.cancel()
-                fixes.extend(self.drain())
-        finally:
-            self._running = False
-        wall = self.clock() - started
-        return ServeResult(
-            fixes=tuple(fixes),
-            rejected=tuple(rejected),
-            n_packets=n_packets,
-            n_accepted=n_packets - len(rejected),
-            wall_seconds=wall,
-            max_batch_observed=self.max_batch_observed,
-            batch_triggers=dict(self.batch_triggers),
-            warm={
-                "enabled": self.config.warm_start,
-                "hits": self.warm_state.hits,
-                "misses": self.warm_state.misses,
-                "slots": len(self.warm_state),
-                "nbytes": self.warm_state.nbytes,
-            },
-            metrics=self.metrics.to_dict(),
-            health=self.health.to_dict(self.latest_packet_time_s),
-            breakers=self.breakers.to_dict(),
-            backpressure=self.backpressure.to_dict(),
-        )
-
     # -- snapshot / restore --------------------------------------------------
 
     #: Bump when the snapshot layout changes incompatibly.
@@ -650,9 +511,7 @@ class LocalizationService:
         """
         return {
             "version": self.SNAPSHOT_VERSION,
-            # Warm slots go through the fast binary-exact codec, not
-            # WarmStartState.to_dict — at thousands of slots the
-            # repr-per-float path would dominate snapshot cost.  An
+            # Warm slots go through the binary-exact codec.  An
             # identity-keyed cache skips re-encoding slots untouched
             # since the previous snapshot.
             "warm": {"slots": self._encode_warm_slots()},
@@ -715,18 +574,3 @@ class LocalizationService:
             str(k): int(v) for k, v in payload["batch_triggers"].items()
         }
         self.latest_packet_time_s = float(payload["latest_packet_time_s"])
-
-    # -- warm-start persistence ----------------------------------------------
-
-    def save_warm_state(self, path) -> None:
-        """Snapshot the service's warm-start state to JSON (atomic)."""
-        from repro.runtime.checkpoint import atomic_write
-
-        atomic_write(path, self.warm_state.to_dict())
-
-    def load_warm_state(self, path) -> int:
-        """Restore a snapshot; returns the number of slots loaded."""
-        with open(path) as handle:
-            self.warm_state = WarmStartState.from_dict(json.load(handle))
-        self._warm_encode_cache.clear()
-        return len(self.warm_state)

@@ -7,11 +7,6 @@ import pytest
 from repro.cli import main
 
 REGISTRY = "tests/fixtures/real_captures"
-LAB_SOURCES = [
-    "dataset://lab/ap-west",
-    "dataset://lab/ap-east",
-    "dataset://lab/ap-south-1",
-]
 
 
 def run_json(capsys, argv):
@@ -72,25 +67,6 @@ class TestIngest:
 
 
 class TestBatchSources:
-    def test_dataset_sources_localize(self, capsys):
-        code, payload, _ = run_json(
-            capsys,
-            ["batch", *LAB_SOURCES, "--registry", REGISTRY, "--preprocess",
-             "--localize", "--json"],
-        )
-        assert code == 0
-        fix = payload["fix"]
-        assert fix["n_aps"] == 3
-        assert fix["error_m"] == pytest.approx(0.30, abs=0.05)
-
-    def test_worker_parity(self, capsys):
-        argv = ["batch", *LAB_SOURCES, "--registry", REGISTRY, "--preprocess",
-                "--localize", "--json"]
-        _, serial, _ = run_json(capsys, argv)
-        _, parallel, _ = run_json(capsys, argv + ["--workers", "2"])
-        assert serial["outcomes"] == parallel["outcomes"]
-        assert serial["fix"] == parallel["fix"]
-
     def test_synthetic_flag_still_works(self, capsys):
         code, payload, _ = run_json(
             capsys, ["batch", "--synthetic", "2", "--packets", "3", "--json"]

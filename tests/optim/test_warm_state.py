@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, SolverError
+from repro.exceptions import SolverError
 from repro.optim import WarmStartState, solve_batch
 
 
@@ -48,26 +48,6 @@ class TestSlots:
         assert (clone.hits, clone.misses) == (0, 0)
         clone.slots["k"][0] = 7.0
         assert state.slots["k"][0] == 1.0
-
-
-class TestSerialization:
-    def test_json_round_trip_is_byte_exact(self):
-        state = WarmStartState()
-        rng = np.random.default_rng(0)
-        state.put("c0:ap-west", rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
-        state.put("single", rng.normal(size=7) + 1j * rng.normal(size=7))
-        import json
-
-        restored = WarmStartState.from_dict(json.loads(json.dumps(state.to_dict())))
-        assert set(restored.slots) == set(state.slots)
-        for key in state.slots:
-            np.testing.assert_array_equal(restored.slots[key], state.slots[key])
-
-    def test_from_dict_rejects_mismatched_parts(self):
-        with pytest.raises(ConfigurationError):
-            WarmStartState.from_dict(
-                {"slots": {"k": {"shape": [2], "real": [1.0, 2.0], "imag": [1.0]}}}
-            )
 
 
 class TestSolveBatchCarryOver:

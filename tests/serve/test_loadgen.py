@@ -1,18 +1,10 @@
-"""Tests for the streaming workload generator and replayer."""
-
-import asyncio
+"""Tests for the streaming workload generator and its offline baseline."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.serve import (
-    LoadGenerator,
-    Workload,
-    median_fix_error_m,
-    offline_reference,
-    replay,
-)
+from repro.serve import LoadGenerator, Workload, median_fix_error_m, offline_reference
 
 from tests.serve.conftest import small_serve_config
 
@@ -114,23 +106,6 @@ class TestPersistence:
             np.testing.assert_array_equal(pa.csi, pb.csi)
         assert loaded.truth == original.truth
         assert loaded.meta["seed"] == 9
-
-
-class TestReplay:
-    def test_replay_preserves_order_and_count(self, workload):
-        async def collect():
-            return [packet async for packet in replay(workload)]
-
-        packets = asyncio.run(collect())
-        assert len(packets) == len(workload.packets)
-        assert [p.time_s for p in packets] == [p.time_s for p in workload.packets]
-
-    def test_replay_rejects_bad_speed(self, workload):
-        async def collect():
-            return [packet async for packet in replay(workload, realtime=True, speed=0)]
-
-        with pytest.raises(ConfigurationError):
-            asyncio.run(collect())
 
 
 class TestOfflineReference:

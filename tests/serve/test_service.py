@@ -1,13 +1,17 @@
 """End-to-end tests for the streaming localization service."""
 
-import asyncio
-
 import numpy as np
 import pytest
 
-from repro.exceptions import ServiceError, SolverError
-from repro.optim.warm import WarmStartState
-from repro.serve import CsiPacket, LoadGenerator, LocalizationService, replay
+from repro.exceptions import SolverError
+from repro.serve import (
+    CsiPacket,
+    LoadGenerator,
+    LocalizationService,
+    ManualClock,
+    ServiceSupervisor,
+    SnapshotPolicy,
+)
 
 from tests.serve.conftest import small_serve_config
 
@@ -47,18 +51,46 @@ class TestEndToEnd:
         # Solves actually batched (not per-packet).
         assert service.max_batch_observed >= serve_config.batch_size
 
-    def test_async_run_matches_sync_summary(self, workload, serve_config):
-        service = make_service(workload, serve_config)
-        result = asyncio.run(service.run(replay(workload)))
-        assert result.n_packets == len(workload.packets)
-        assert result.n_accepted == len(workload.packets)
-        assert set(result.fix_counts) == set(workload.clients)
-        assert result.metrics["serve.fixes"]["value"] == result.n_fixes
-        assert result.metrics["serve.fix_latency_s"]["count"] == result.n_fixes
+    def test_supervised_run_summary(self, workload, serve_config, tmp_path):
+        def factory(clock):
+            return make_service(workload, serve_config, clock=clock)
+
+        policy = SnapshotPolicy(directory=tmp_path, every_packets=0)
+        with ServiceSupervisor(factory, policy) as supervisor:
+            result = supervisor.run(workload.packets)
+        service = supervisor.service
+        metrics = service.metrics.to_dict()
+        assert result.n_consumed == len(workload.packets)
+        assert metrics["serve.packets_accepted"]["value"] == len(workload.packets)
+        assert {fix.client for fix in result.fixes} == set(workload.clients)
+        assert metrics["serve.fixes"]["value"] == len(result.fixes)
+        assert metrics["serve.fix_latency_s"]["count"] == len(result.fixes)
+        assert metrics["serve.estimate_age_s"]["count"] == len(result.fixes)
         assert all(fix.latency_s >= 0.0 for fix in result.fixes)
-        assert sum(result.batch_triggers.values()) >= 1
-        for health in result.health.values():
+        assert sum(service.batch_triggers.values()) >= 1
+        for health in service.health.to_dict(service.latest_packet_time_s).values():
             assert health["status"] == "healthy"
+
+    def test_fix_latency_runs_from_the_newest_packet(self, workload):
+        # Three APs' packets for one client, admitted at service-clock
+        # 0.0, 0.1 and 0.2 and solved together at 0.5: the fix is 0.3 s
+        # behind its newest packet and rests on a 0.5 s old estimate.
+        clock = ManualClock()
+        config = small_serve_config(batch_size=16, max_delay_s=10.0)
+        service = make_service(workload, config, clock=clock)
+        client = workload.packets[0].client
+        first = [p for p in workload.packets if p.client == client][:3]
+        assert len({packet.ap for packet in first}) == 3
+        for admitted, packet in zip((0.0, 0.1, 0.2), first):
+            clock.advance_to(admitted)
+            assert service.submit(packet) is None
+        assert service.process_due() == []
+        clock.advance_to(0.5)
+        (fix,) = service.drain()
+        assert fix.latency_s == pytest.approx(0.3)
+        metrics = service.metrics.to_dict()
+        assert metrics["serve.fix_latency_s"]["max"] == pytest.approx(0.3)
+        assert metrics["serve.estimate_age_s"]["max"] == pytest.approx(0.5)
 
     def test_warm_starts_hit_in_steady_state(self, workload, serve_config):
         # window_packets=1 pins every solve to width 1, so the second
@@ -217,38 +249,6 @@ class TestFailureHandling:
         health = service.health.to_dict(service.latest_packet_time_s)
         assert all(record["failures"].get("solver", 0) > 0 for record in health.values())
         assert all(record["status"] == "outage" for record in health.values())
-
-    def test_concurrent_run_raises_service_error(self, workload, serve_config):
-        service = make_service(workload, serve_config)
-
-        async def slow_source():
-            for packet in workload.packets[:2]:
-                yield packet
-                await asyncio.sleep(0.05)
-
-        async def scenario():
-            first = asyncio.ensure_future(service.run(slow_source()))
-            await asyncio.sleep(0.01)
-            with pytest.raises(ServiceError):
-                await service.run(replay(workload))
-            await first
-
-        asyncio.run(scenario())
-
-
-class TestWarmStatePersistence:
-    def test_save_load_round_trip(self, workload, serve_config, tmp_path):
-        service = make_service(workload, serve_config)
-        run_sync(service, workload.packets)
-        assert len(service.warm_state) > 0
-        path = tmp_path / "warm.json"
-        service.save_warm_state(path)
-
-        restored = make_service(workload, serve_config)
-        assert restored.load_warm_state(path) == len(service.warm_state)
-        assert isinstance(restored.warm_state, WarmStartState)
-        for key, value in service.warm_state.slots.items():
-            np.testing.assert_array_equal(restored.warm_state.slots[key], value)
 
 
 class TestRobustMode:
