@@ -19,6 +19,7 @@ problems, and the package's one FISTA loop: the LASSO of
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Callable
 
@@ -139,6 +140,15 @@ def solve_mmv_fista(
     ).single(telemetry)
 
 
+#: Stacked iterate size ``B·p·n`` from which :func:`mmv_lockstep` runs
+#: its tail on the gathered support rows.  Below it the tail's index
+#: bookkeeping (about twenty more numpy calls per iteration) costs more
+#: than the dense passes it saves: on the 61×21 serve grid the dense
+#: tail is faster at B·p·n = 5,124 and 7,686, the gathered one from
+#: 8,967 (one BLAS thread, 2-vCPU host).
+GATHER_MIN_SIZE = 8192
+
+
 def mmv_lockstep(
     operator,
     Ys: np.ndarray,
@@ -155,15 +165,30 @@ def mmv_lockstep(
 
     ``Ys`` stacks the snapshot matrices, ``(B, m, p)``; ``kappas`` holds
     one weight per problem and ``warm`` an optional ``(B, n, p)`` start.
-    The iterate lives as one ``(B, p, n)`` array, grid axis innermost, so
-    the row prox reduces and broadcasts along the long axis and each
-    problem's stop norm is one BLAS dot over its contiguous ``p·n``
-    slice.  Its ``(B·p, n)`` row stack goes to the operator as the
-    transposed ``(n, B·p)`` view, and the residual comes back as a
-    ``(B·p, m)`` row stack: one pair of factor GEMMs for the whole stack
-    with no copy either way, and at ``B = 1`` exactly the products of a
-    lone ``(n, p)`` solve.  Converged problems are frozen while the rest
-    iterate on.
+    The iterate, the momentum and the gradient point live in buffers
+    reused across iterations, each one ``(B, p, n)`` array with the grid
+    axis innermost.  Their ``(B·p, n)`` row stacks go to the operator as
+    transposed ``(n, B·p)`` views: the momentum into ``matvec``, and the
+    point as ``rmatvec``'s ``out=`` where the operator takes one (others
+    return the adjoint, which is copied in).  That is one pair of factor
+    GEMMs for the whole stack with no copy either way, and at ``B = 1``
+    exactly the products of a lone ``(n, p)`` solve.
+
+    The iterate is row-sparse, so from a stacked size ``B·p·n`` of
+    :data:`GATHER_MIN_SIZE` only the adjoint product and the row norms
+    of the point touch every grid row.  The rest — momentum added into
+    the point, the shrunk candidate, the change, the per-problem stop
+    norms and the next momentum — runs on the gathered rows of the
+    candidate's and the iterate's supports (flat ``take``/``put``); the
+    iterate and the momentum are zero off those rows, and the old
+    momentum rows are cleared before the new ones are scattered.  Below
+    that size the tail runs on the whole stack and rotates the buffers
+    instead.  Both tails give the same nonzero entries.
+
+    Converged problems are frozen while the rest iterate on: their rows
+    leave the gather (or the dense tail masks them), so their iterate no
+    longer moves.  ``observe`` receives a copy of the iterate, which it
+    may keep.
     """
     m, n = operator.shape
     n_problems, _, n_snapshots = Ys.shape
@@ -193,6 +218,34 @@ def mmv_lockstep(
         else np.asarray(warm, dtype=complex).transpose(0, 2, 1).copy()
     )
     momentum = X.copy()
+    point = np.empty_like(X)
+    squares = np.empty(X.shape)
+    imag_squares = np.empty(X.shape)
+    # Row norms, then shrink factors, per (problem, grid row); with one
+    # column the squares already are the row norms.
+    factors = squares[:, 0, :] if n_snapshots == 1 else np.empty((n_problems, n))
+    takes_out = "out" in inspect.signature(operator.rmatvec).parameters
+
+    gather = X.size >= GATHER_MIN_SIZE
+    if gather:
+        x_flat, momentum_flat, point_flat = X.reshape(-1), momentum.reshape(-1), point.reshape(-1)
+        gathered = np.empty((n_problems, n), dtype=bool)
+        # Grid row r = b·n + j of the (B, n) row grid is the flat elements
+        # b·p·n + k·n + j, k < p, of a (B, p, n) buffer.
+        column_offsets = np.arange(n_snapshots) * n
+        problem_starts = np.arange(1, n_problems) * n
+
+        def elements(rows):
+            if n_snapshots > 1:
+                rows = (rows + rows // n * ((n_snapshots - 1) * n))[:, None] + column_offsets
+            return rows.reshape(-1, n_snapshots)
+
+        support = np.flatnonzero(np.any(X != 0, axis=1))
+        momentum_index = elements(support)
+        momentum_values = x_flat.take(momentum_index)
+    else:
+        change = np.empty_like(X)
+        edges = range(n_problems + 1)
     t = 1.0
 
     active = progress.active
@@ -204,40 +257,76 @@ def mmv_lockstep(
             # point = momentum − step·2Aᴴr: the factor −2·step scales the
             # short residual rows before the adjoint, not the gradient.
             residual *= -2.0 * step
-            point = operator.rmatvec(residual.T).T.reshape(X.shape)
-            point += momentum
+            if takes_out:
+                operator.rmatvec(residual.T, out=point.reshape(folded, n).T)
+            else:
+                point.reshape(folded, n)[...] = operator.rmatvec(residual.T).T
+            if gather:
+                # The momentum is zero off its gathered rows.
+                momentum_values += point_flat.take(momentum_index)
+                point_flat.put(momentum_index, momentum_values)
+            else:
+                point += momentum
+
             # Row prox: fmax(1 − t/‖row‖, 0) scales each row; the clamp
             # also zeroes ‖row‖ = 0 (−inf, or NaN when t = 0).
-            factors = squared_norms(point, axis=1)
+            np.square(point.real, out=squares)
+            np.square(point.imag, out=imag_squares)
+            squares += imag_squares
+            if n_snapshots > 1:
+                squares.sum(axis=1, out=factors)
             np.sqrt(factors, out=factors)
             np.divide(thresholds, factors, out=factors)
             np.subtract(1.0, factors, out=factors)
             np.fmax(factors, 0.0, out=factors)
-            point *= factors[:, None, :]
-            candidate = point
+
+            if gather:
+                # The candidate's and the iterate's rows of the active
+                # problems: off them the candidate, the iterate, the change
+                # and so the next momentum are all zero.
+                np.greater(factors, 0.0, out=gathered)
+                gathered.reshape(-1)[support] = True
+                if not progress.all_active:
+                    gathered &= active.reshape(n_problems, 1)
+                rows = np.flatnonzero(gathered)
+                index = elements(rows)
+                row_factors = factors.reshape(-1).take(rows)
+                candidate = point_flat.take(index)
+                candidate *= row_factors[:, None]
+                current = x_flat.take(index)
+                change = candidate - current
+                if check:
+                    edges = [0, *np.searchsorted(rows, problem_starts), len(rows)]
+            else:
+                candidate, current = point, X
+                candidate *= factors[:, None, :]
+                np.subtract(candidate, current, out=change)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            change = candidate - X
 
             if check:
                 # ‖ΔX‖ ≤ tol·max(1, ‖X‖) per problem, compared as squares.
-                delta = _problem_squared_norms(change)
-                scale = np.maximum(1.0, _problem_squared_norms(X))
+                delta = _problem_squared_norms(change, edges)
+                scale = np.maximum(1.0, _problem_squared_norms(current, edges))
 
             # candidate + ((t − 1)/t_next)·(candidate − X), in place on the change.
-            momentum_next = change
-            momentum_next *= (t - 1.0) / t_next
-            momentum_next += candidate
-
-            if progress.all_active:
-                X, momentum = candidate, momentum_next
+            change *= (t - 1.0) / t_next
+            change += candidate
+            if gather:
+                momentum_flat.put(momentum_index, 0.0)
+                momentum_flat.put(index, change)
+                momentum_index, momentum_values = index, change
+                x_flat.put(index, candidate)
+                support = rows[row_factors > 0.0]
+            elif progress.all_active:
+                X, point = point, X
+                momentum, change = change, momentum
             else:
-                mask = active.reshape(n_problems, 1, 1)
-                X = np.where(mask, candidate, X)
-                momentum = np.where(mask, momentum_next, momentum)
+                X[active] = candidate[active]
+                momentum[active] = change[active]
             t = t_next
 
             if observe is not None:
-                observe(it, X.transpose(0, 2, 1))
+                observe(it, X.transpose(0, 2, 1).copy())
             if check and progress.settle(it, delta <= tolerance**2 * scale):
                 break
 
@@ -246,9 +335,13 @@ def mmv_lockstep(
     return progress.result(X, objectives, "mmv", kappas)
 
 
-def _problem_squared_norms(stack: np.ndarray) -> np.ndarray:
-    """``‖stack[b]‖_F²`` per problem, one BLAS dot per contiguous slice."""
-    return np.array([np.vdot(block, block).real for block in stack.reshape(len(stack), -1)])
+def _problem_squared_norms(values: np.ndarray, edges) -> np.ndarray:
+    """``Σ|values|²`` per problem, one BLAS dot per problem's slice.
+
+    Problem ``b`` owns ``values[edges[b]:edges[b + 1]]``: one ``(p, n)``
+    block of a whole stack, or its gathered ``(rows, p)`` entries.
+    """
+    return np.array([np.vdot(values[a:b], values[a:b]).real for a, b in zip(edges, edges[1:])])
 
 
 def mmv_batch_objectives(operator, X, Ys, kap, penalty_weights=None):

@@ -166,7 +166,18 @@ class KroneckerJointOperator(DictionaryOperator):
     its ``(p, m)`` row-stack result.  A caller that keeps its iterate as
     rows (the MMV kernel) hands over ``rows.T`` and reads back
     ``product.T``, so neither side copies; any other ``(n, p)`` operand
-    pays one contiguous copy of its row stack.
+    pays one contiguous copy of its row stack.  The 2-D :meth:`rmatvec`
+    also writes into a caller's ``out=`` buffer, so the kernel's adjoint
+    lands in the same ``(p, n)`` row stack every iteration.
+
+    The two spatial GEMMs of the 2-D path, ``(p·Nτ, Nθ) @ S̃ᵀ`` and
+    ``(p·Nτ, M) @ conj(S̃)``, run in real arithmetic: a complex row
+    stack viewed as float64 interleaves real and imaginary parts, and
+    right-multiplying it by the ``(2K, 2N)`` real form of a complex
+    ``(K, N)`` factor (each entry ``c + id`` a 2×2 block
+    ``[[c, d], [−d, c]]``, built once here) is the complex product —
+    one float64 GEMM, about twice as fast as the complex one at these
+    skinny shapes, equal to it up to rounding.
     """
 
     def __init__(self, temporal, spatial) -> None:
@@ -178,11 +189,12 @@ class KroneckerJointOperator(DictionaryOperator):
             raise SolverError("KroneckerJointOperator factors contain non-finite entries")
         self.temporal = temporal
         self.spatial = spatial
-        # Factors of the 2-D adjoint, materialized once (the 1-D paths
+        # Factors of the 2-D paths, materialized once (the 1-D paths
         # conjugate per call, matching the reference expressions bit for
-        # bit).
+        # bit); the spatial ones in real 2×2-block form.
         self._temporal_adjoint = temporal.conj().T
-        self._spatial_conj = spatial.conj()
+        self._spatial_forward = _real_block_form(spatial.T)
+        self._spatial_adjoint = _real_block_form(spatial.conj())
         self.n_subcarriers, self.n_delays = tuple(temporal.shape)
         self.n_antennas, self.n_angles = tuple(spatial.shape)
         self.shape = (
@@ -205,14 +217,22 @@ class KroneckerJointOperator(DictionaryOperator):
             # shrinks ~30×, Nτ → L only ~2×) as one GEMM over every grid
             # X_k, then G (X_k S̃ᵀ) per grid — the (L, M) CSI matrix of
             # column k, whose C-order flattening is antenna-fastest.
-            rows = np.ascontiguousarray(x.T)
+            rows = np.ascontiguousarray(x.T, dtype=complex)
             p = rows.shape[0]
-            angles = rows.reshape(p * self.n_delays, self.n_angles) @ self.spatial.T
-            csi = self.temporal @ angles.reshape(p, self.n_delays, self.n_antennas)
+            angles = _real_view(rows, p * self.n_delays) @ self._spatial_forward
+            csi = self.temporal @ angles.view(complex).reshape(
+                p, self.n_delays, self.n_antennas
+            )
             return csi.reshape(p, self.shape[0]).T
         raise SolverError(f"matvec operand must be 1-D or 2-D, got ndim={x.ndim}")
 
-    def rmatvec(self, r):
+    def rmatvec(self, r, *, out=None):
+        """``Aᴴ @ r``; a 2-D ``r`` may write into ``out``.
+
+        ``out`` is an ``(n, p)`` complex array whose transpose is a
+        C-contiguous ``(p, n)`` row stack — the view a row-stack caller
+        hands over — and is returned filled.
+        """
         r = np.asarray(r)
         if r.ndim == 1:
             csi = r.reshape(self.n_subcarriers, self.n_antennas).T  # (M, L)
@@ -221,13 +241,26 @@ class KroneckerJointOperator(DictionaryOperator):
         if r.ndim == 2:
             # Adjoint of the 2-D matvec on the row stack: Gᴴ R_k per CSI
             # matrix, then one GEMM with conj(S̃) for every grid at once.
-            rows = np.ascontiguousarray(r.T)
+            rows = np.ascontiguousarray(r.T, dtype=complex)
             p = rows.shape[0]
             delays = self._temporal_adjoint @ rows.reshape(
                 p, self.n_subcarriers, self.n_antennas
             )
-            grid = delays.reshape(p * self.n_delays, self.n_antennas) @ self._spatial_conj
-            return grid.reshape(p, self.shape[1]).T
+            if out is None:
+                out = np.empty((p, self.shape[1]), dtype=complex).T
+            elif out.shape != (self.shape[1], p) or not (
+                out.dtype == complex and out.T.flags.c_contiguous
+            ):
+                raise SolverError(
+                    f"rmatvec out must be a complex ({self.shape[1]}, {p}) array "
+                    "whose transpose is C-contiguous"
+                )
+            np.matmul(
+                _real_view(delays, p * self.n_delays),
+                self._spatial_adjoint,
+                out=_real_view(out.T, p * self.n_delays),
+            )
+            return out
         raise SolverError(f"rmatvec operand must be 1-D or 2-D, got ndim={r.ndim}")
 
     def to_dense(self):
@@ -259,6 +292,27 @@ class KroneckerJointOperator(DictionaryOperator):
                 ).reshape(-1)
             )
         return np.stack(cols, axis=1)
+
+
+def _real_block_form(factor: np.ndarray) -> np.ndarray:
+    """The ``(2K, 2N)`` float64 matrix that right-multiplies like ``factor``.
+
+    For a complex ``(K, N)`` factor, a row ``x`` viewed as interleaved
+    ``[Re x₀, Im x₀, Re x₁, …]`` times this matrix is ``x @ factor``
+    viewed the same way: entry ``c + id`` becomes ``[[c, d], [−d, c]]``.
+    """
+    k, n = factor.shape
+    block = np.empty((k, 2, n, 2))
+    block[:, 0, :, 0] = factor.real
+    block[:, 0, :, 1] = factor.imag
+    block[:, 1, :, 0] = -factor.imag
+    block[:, 1, :, 1] = factor.real
+    return block.reshape(2 * k, 2 * n)
+
+
+def _real_view(stack: np.ndarray, rows: int) -> np.ndarray:
+    """A C-contiguous complex stack as ``rows`` interleaved float64 rows."""
+    return stack.reshape(rows, -1).view(np.float64)
 
 
 def as_operator(matrix) -> DictionaryOperator:

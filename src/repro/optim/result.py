@@ -185,7 +185,8 @@ class LockstepProgress:
 
 
 #: A kernel's per-iteration hook: ``observe(iteration, x)`` with ``x``
-#: the current ``(B, n[, p])`` iterate stack (a view — do not keep it).
+#: the current ``(B, n[, p])`` iterate stack, a fresh array the hook may
+#: keep (the kernels update their own buffers in place).
 Observer = Callable[[int, np.ndarray], None]
 
 
@@ -221,7 +222,6 @@ def observation_hook(
                 support_size=support_size(x),
             )
         if callback is not None:
-            # The kernel reuses its buffers in place; the caller keeps a copy.
-            callback(iteration, x.copy(), objective)
+            callback(iteration, x, objective)
 
     return observe

@@ -3,13 +3,23 @@
 import numpy as np
 import pytest
 
+import repro.optim.mmv as mmv_kernel
 from repro.exceptions import SolverError
 from repro.obs import ConvergenceTrace
-from repro.optim import KroneckerJointOperator
+from repro.optim import (
+    KroneckerJointOperator,
+    OutlierAugmentedOperator,
+    robust_penalty_weights,
+    solve_robust_lasso,
+)
 from repro.optim.linalg import squared_norms
-from repro.optim.mmv import mmv_objective, solve_mmv_fista
+from repro.optim.mmv import mmv_lockstep, mmv_objective, solve_mmv_fista
+from repro.optim.operators import as_operator
+from repro.optim.reference import reference_lasso_fista
+from repro.optim.tuning import mmv_residual_kappa
 
 from tests.optim.test_fista import make_sparse_system
+from tests.optim.test_solve_batch import make_batch, plain_mmv_fista
 
 
 def make_mmv_system(rng, m=30, n=120, k=3, p=5, noise=0.0):
@@ -107,6 +117,130 @@ class TestStoppingRule:
         )
         assert result.converged
         assert result.iterations == first == len(iterates) < 2000
+
+
+def make_kronecker_system(rng, p):
+    """A 117-atom Kronecker dictionary and a three-row truth with p columns."""
+
+    def noise(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    operator = KroneckerJointOperator(noise(6, 9), noise(3, 13))
+    x_true = np.zeros((operator.shape[1], p), dtype=complex)
+    x_true[[5, 40, 90]] = rng.standard_normal((3, p)) + 1.5
+    return operator, x_true, noise
+
+
+class TestSupportTail:
+    """From ``GATHER_MIN_SIZE`` on, the kernel's tail runs on the gathered
+    support rows only; these pin what must still hold off them, and run
+    the small problems below through both tails."""
+
+    @pytest.fixture(autouse=True, params=("dense", "gathered"))
+    def tail(self, request, monkeypatch):
+        monkeypatch.setattr(mmv_kernel, "GATHER_MIN_SIZE", 0 if request.param == "gathered" else 10**12)
+        return request.param
+
+    def test_frozen_problem_keeps_its_iterate_and_the_rest_match_solo_solves(self, rng):
+        operator, x_true, noise = make_kronecker_system(rng, p=2)
+        m = operator.shape[0]
+        ys = np.stack([operator.matvec(x_true) + 0.1 * noise(m, 2) for _ in range(3)])
+        kappas = (40.0, 1.0, 2.0)
+        stacks = []
+        batch = mmv_lockstep(
+            operator, ys, kappas, max_iterations=400, tolerance=1e-3,
+            observe=lambda it, x: stacks.append(x),
+        )
+        frozen_at = batch.iterations[0]
+        assert batch.converged[0] and frozen_at < min(batch.iterations[1:])
+        for x in stacks[frozen_at:]:
+            np.testing.assert_array_equal(x[0], stacks[frozen_at - 1][0])
+        for b in range(3):
+            solo = mmv_lockstep(
+                operator, ys[b : b + 1], kappas[b : b + 1], max_iterations=400, tolerance=1e-3
+            )
+            np.testing.assert_array_equal(batch.x[b], solo.x[0])
+            assert batch.iterations[b] == solo.iterations[0]
+
+    @pytest.mark.parametrize("n_snapshots", (1, 2))
+    def test_warm_rows_outside_the_first_candidate_support(self, rng, n_snapshots):
+        """Warm rows the first prox zeroes must leave the iterate, and the
+        momentum rows they leave behind must clear, as in the plain loop."""
+        operator, x_true, noise = make_kronecker_system(rng, p=n_snapshots)
+        y = operator.matvec(x_true) + 0.05 * noise(operator.shape[0], n_snapshots)
+        warm = x_true + 0.01 * noise(*x_true.shape)
+        kappa = mmv_residual_kappa(operator, y, fraction=0.1)
+        first = solve_mmv_fista(operator, y, kappa, max_iterations=1, x0=warm).x
+        assert np.any(np.all(first == 0, axis=1) & np.all(warm != 0, axis=1))
+        for iterations in (1, 2, 5, 300):
+            x = solve_mmv_fista(operator, y, kappa, max_iterations=iterations, x0=warm).x
+            reference = plain_mmv_fista(
+                operator, y, kappa, max_iterations=iterations, x0=warm
+            )
+            scale = max(1.0, float(np.abs(reference).max()))
+            assert float(np.abs(x - reference).max()) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("base", ("dense", "kronecker"))
+    def test_weighted_robust_rows_at_one_column(self, rng, base):
+        """The outlier block's λ/κ-weighted rows through solve_robust_lasso
+        (p = 1, an operator whose rmatvec takes no out=) follow the plain
+        weighted ℓ1 loop."""
+        if base == "dense":
+            a, y, *_ = make_sparse_system(rng, noise=0.02)
+        else:
+            a, x_true, noise = make_kronecker_system(rng, p=1)
+            y = a.matvec(x_true)[:, 0] + 0.02 * noise(a.shape[0])
+        y[[1, 7]] += 3.0 * np.abs(y).max()
+        kappa = mmv_residual_kappa(a, y[:, None], fraction=0.05)
+        result = solve_robust_lasso(a, y, kappa, 0.5 * kappa, max_iterations=300)
+        augmented = OutlierAugmentedOperator(a)
+        reference = reference_lasso_fista(
+            augmented, y, kappa, max_iterations=300,
+            penalty_weights=robust_penalty_weights(a.shape[1], a.shape[0], kappa, 0.5 * kappa),
+        )
+        solution = np.concatenate([result.x, result.e])
+        scale = max(1.0, float(np.abs(reference).max()))
+        assert float(np.abs(solution - reference).max()) <= 1e-12 * scale
+        assert 0 < np.count_nonzero(result.e) < len(y)
+
+    def test_zero_thresholds_and_zero_atoms_follow_the_plain_loop(self, rng):
+        """A κ = 0 problem (every nonzero row in the support) and a zero
+        atom under a zero weight (0/0 in the shrink factor) in a warm
+        B = 3 batch."""
+        a, ys = make_batch(rng, 3)
+        a[:, 0] = 0.0
+        n = a.shape[1]
+        weights = 0.5 + rng.random(n)
+        weights[::7] = 0.0
+        stacks = np.stack([np.stack([y, 0.9 * y + 0.1j * ys[0]], axis=1) for y in ys])
+        kappas = (0.1, 0.0, 0.2)
+        warm = 0.05 * (rng.standard_normal((3, n, 2)) + 1j * rng.standard_normal((3, n, 2)))
+        batch = mmv_lockstep(
+            as_operator(a), stacks, kappas, warm, max_iterations=300, penalty_weights=weights
+        )
+        for b in range(3):
+            reference = plain_mmv_fista(
+                a, stacks[b], kappas[b], max_iterations=300, x0=warm[b], penalty_weights=weights
+            )
+            assert np.all(np.isfinite(batch.x[b]))
+            scale = max(1.0, float(np.abs(reference).max()))
+            assert float(np.abs(batch.x[b] - reference).max()) <= 1e-12 * scale
+
+    def test_kept_callback_iterates_stay_distinct(self, rng):
+        a, y, *_ = make_mmv_system(rng)
+        kept = []
+        result = solve_mmv_fista(
+            a, y, kappa=0.1, max_iterations=30, tolerance=0.0,
+            callback=lambda it, x, objective: kept.append(x),
+        )
+        assert len(kept) == 30
+        for before, after in zip(kept, kept[1:]):
+            assert not np.shares_memory(before, after)
+        for iterations in (1, 2, 10):
+            truncated = solve_mmv_fista(a, y, kappa=0.1, max_iterations=iterations, tolerance=0.0)
+            np.testing.assert_array_equal(kept[iterations - 1], truncated.x)
+        np.testing.assert_array_equal(kept[-1], result.x)
+        assert not np.shares_memory(kept[-1], result.x)
 
 
 class TestValidation:

@@ -136,6 +136,45 @@ class TestOperatorInterface:
         matrix = rng.normal(size=(10, 30)) + 1j * rng.normal(size=(10, 30))
         assert estimate_lipschitz(DenseOperator(matrix)) == estimate_lipschitz(matrix)
 
+    @pytest.mark.parametrize("p", [1, 2, 6])
+    def test_adjoint_writes_into_a_row_stack_out(self, p):
+        """``rmatvec(r, out=)`` fills the ``.T`` of a ``(p, n)`` row stack
+        with exactly the product it would return, and refuses any other
+        buffer."""
+        operator, rng = random_kronecker(p)
+        m, n = operator.shape
+        r = rng.normal(size=(m, p)) + 1j * rng.normal(size=(m, p))
+        out = np.empty((p, n), dtype=complex).T
+        assert operator.rmatvec(r, out=out) is out
+        np.testing.assert_array_equal(out, operator.rmatvec(r))
+        for bad in (
+            np.empty((n, p), dtype=np.complex64),
+            np.empty((p, n + 1), dtype=complex).T,
+            np.empty((p, 2 * n), dtype=complex)[:, ::2].T,
+        ):
+            with pytest.raises(SolverError, match="out"):
+                operator.rmatvec(r, out=bad)
+
+    @pytest.mark.parametrize("real_factor", ["temporal", "spatial"])
+    def test_real_factors_match_dense(self, rng, real_factor):
+        """The real 2×2-block GEMMs hold for a real factor too."""
+        temporal = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+        spatial = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
+        if real_factor == "temporal":
+            temporal = temporal.real.copy()
+        else:
+            spatial = spatial.real.copy()
+        operator = KroneckerJointOperator(temporal, spatial)
+        dense = operator.to_dense()
+        x = rng.normal(size=(77, 3)) + 1j * rng.normal(size=(77, 3))
+        r = rng.normal(size=(15, 3)) + 1j * rng.normal(size=(15, 3))
+        for product, reference in (
+            (operator.matvec(x), dense @ x),
+            (operator.rmatvec(r), dense.conj().T @ r),
+        ):
+            scale = np.abs(reference).max()
+            np.testing.assert_allclose(product, reference, rtol=0, atol=1e-12 * scale)
+
     def test_rejects_bad_operands(self):
         operator, _ = random_kronecker(0)
         with pytest.raises(SolverError):
