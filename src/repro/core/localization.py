@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -83,6 +84,37 @@ def predicted_aoa_grid(
     return np.rad2deg(np.arccos(cosine))
 
 
+def candidate_axes(room: Room, resolution_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y coordinates of the room's candidate grid."""
+    xs = np.arange(0.0, room.width + resolution_m / 2, resolution_m)
+    ys = np.arange(0.0, room.depth + resolution_m / 2, resolution_m)
+    return xs, ys
+
+
+def room_aoa_grid(access_point: AccessPoint, room: Room, resolution_m: float) -> np.ndarray:
+    """:func:`predicted_aoa_grid` over the room's candidate grid, read-only.
+
+    The grid depends only on the AP's position and axis, the room size
+    and the resolution, so it is built once per combination and shared
+    by every fix.
+    """
+    return _room_aoa_grid(
+        tuple(float(v) for v in access_point.position),
+        float(access_point.axis_direction_deg),
+        float(room.width),
+        float(room.depth),
+        float(resolution_m),
+    )
+
+
+@lru_cache(maxsize=16)
+def _room_aoa_grid(position, axis_direction_deg, width, depth, resolution_m) -> np.ndarray:
+    xs, ys = candidate_axes(Room(width, depth), resolution_m)
+    grid = predicted_aoa_grid(AccessPoint(position, axis_direction_deg), xs, ys)
+    grid.flags.writeable = False
+    return grid
+
+
 def localize_weighted_aoa(
     observations: list[ApObservation],
     room: Room,
@@ -110,8 +142,7 @@ def localize_weighted_aoa(
     if resolution_m <= 0:
         raise ConfigurationError(f"resolution must be positive, got {resolution_m}")
 
-    xs = np.arange(0.0, room.width + resolution_m / 2, resolution_m)
-    ys = np.arange(0.0, room.depth + resolution_m / 2, resolution_m)
+    xs, ys = candidate_axes(room, resolution_m)
 
     if weights is None:
         weights = rssi_weights(np.array([obs.rssi_dbm for obs in observations]))
@@ -129,7 +160,7 @@ def localize_weighted_aoa(
         weights = weights / total
     cost = np.zeros((xs.size, ys.size))
     for weight, obs in zip(weights, observations):
-        predicted = predicted_aoa_grid(obs.access_point, xs, ys)
+        predicted = room_aoa_grid(obs.access_point, room, resolution_m)
         cost += weight * (predicted - obs.aoa_deg) ** 2
 
     best = int(np.argmin(cost))
@@ -546,12 +577,11 @@ def localize_consensus(
         )
     evidence = dict(evidence or {})
 
-    xs = np.arange(0.0, room.width + resolution_m / 2, resolution_m)
-    ys = np.arange(0.0, room.depth + resolution_m / 2, resolution_m)
+    xs, ys = candidate_axes(room, resolution_m)
     # Each AP's squared AoA deviation over the whole candidate grid,
     # computed once; every subset cost is then a cheap weighted sum.
     squared_dev = [
-        (predicted_aoa_grid(obs.access_point, xs, ys) - obs.aoa_deg) ** 2
+        (room_aoa_grid(obs.access_point, room, resolution_m) - obs.aoa_deg) ** 2
         for obs in observations
     ]
     base_weights = rssi_weights(np.array([obs.rssi_dbm for obs in observations]))

@@ -165,30 +165,41 @@ def mmv_lockstep(
 
     ``Ys`` stacks the snapshot matrices, ``(B, m, p)``; ``kappas`` holds
     one weight per problem and ``warm`` an optional ``(B, n, p)`` start.
-    The iterate, the momentum and the gradient point live in buffers
-    reused across iterations, each one ``(B, p, n)`` array with the grid
-    axis innermost.  Their ``(B·p, n)`` row stacks go to the operator as
-    transposed ``(n, B·p)`` views: the momentum into ``matvec``, and the
-    point as ``rmatvec``'s ``out=`` where the operator takes one (others
-    return the adjoint, which is copied in).  That is one pair of factor
-    GEMMs for the whole stack with no copy either way, and at ``B = 1``
-    exactly the products of a lone ``(n, p)`` solve.
+    The iterate and the momentum live in buffers reused across
+    iterations, each one ``(B, p, n)`` array with the grid axis
+    innermost.  Their ``(B·p, n)`` row stacks go to the operator as
+    transposed ``(n, B·p)`` views, so one pair of factor GEMMs covers
+    the whole stack with no copy, and at ``B = 1`` the products are
+    exactly those of a lone ``(n, p)`` solve.
 
     The iterate is row-sparse, so from a stacked size ``B·p·n`` of
-    :data:`GATHER_MIN_SIZE` only the adjoint product and the row norms
-    of the point touch every grid row.  The rest — momentum added into
-    the point, the shrunk candidate, the change, the per-problem stop
-    norms and the next momentum — runs on the gathered rows of the
-    candidate's and the iterate's supports (flat ``take``/``put``); the
-    iterate and the momentum are zero off those rows, and the old
-    momentum rows are cleared before the new ones are scattered.  Below
-    that size the tail runs on the whole stack and rotates the buffers
-    instead.  Both tails give the same nonzero entries.
+    :data:`GATHER_MIN_SIZE` the tail — the shrunk candidate, the change,
+    the per-problem stop norms and the next momentum — runs on the
+    gathered rows of the candidate's and the iterate's supports (flat
+    ``take``/``put``); the iterate and the momentum are zero off those
+    rows, and the old momentum rows are cleared before the new ones are
+    scattered.  Below that size the tail runs on the whole stack and
+    rotates the buffers instead.
+
+    The gradient point comes one of two ways.  By default the full
+    adjoint lands in a ``(B, p, n)`` point buffer (``rmatvec``'s
+    ``out=`` where the operator takes one) and the row norms span the
+    grid.  Where the operator says its row energies are the cheaper
+    product (``p ≥ operator.screen_snapshots``, and only in the gathered
+    tail), no step touches a full-grid ``(B, p, n)`` array: the forward
+    product runs on the momentum's rows (``matvec_rows``);
+    ``rmatvec_energies`` bounds every row's adjoint energy; the rows
+    whose bound reaches the squared threshold (lowered by the rounding
+    of the prox's square root and division), plus the momentum's rows,
+    are the candidates; and ``rmatvec_rows`` evaluates the adjoint
+    exactly on them.  A row the prox keeps is always a candidate, and
+    every value it sees is the one the full products give, so all three
+    combinations give the same nonzero entries.
 
     Converged problems are frozen while the rest iterate on: their rows
-    leave the gather (or the dense tail masks them), so their iterate no
-    longer moves.  ``observe`` receives a copy of the iterate, which it
-    may keep.
+    leave the gather and the screen (or the dense tail masks them), so
+    their iterate no longer moves.  ``observe`` receives a copy of the
+    iterate, which it may keep.
     """
     m, n = operator.shape
     n_problems, _, n_snapshots = Ys.shape
@@ -218,85 +229,147 @@ def mmv_lockstep(
         else np.asarray(warm, dtype=complex).transpose(0, 2, 1).copy()
     )
     momentum = X.copy()
-    point = np.empty_like(X)
-    squares = np.empty(X.shape)
-    imag_squares = np.empty(X.shape)
-    # Row norms, then shrink factors, per (problem, grid row); with one
-    # column the squares already are the row norms.
-    factors = squares[:, 0, :] if n_snapshots == 1 else np.empty((n_problems, n))
-    takes_out = "out" in inspect.signature(operator.rmatvec).parameters
 
     gather = X.size >= GATHER_MIN_SIZE
+    screen = gather and n_snapshots >= operator.screen_snapshots
     if gather:
-        x_flat, momentum_flat, point_flat = X.reshape(-1), momentum.reshape(-1), point.reshape(-1)
-        gathered = np.empty((n_problems, n), dtype=bool)
+        x_flat, momentum_flat = X.reshape(-1), momentum.reshape(-1)
         # Grid row r = b·n + j of the (B, n) row grid is the flat elements
         # b·p·n + k·n + j, k < p, of a (B, p, n) buffer.
         column_offsets = np.arange(n_snapshots) * n
         problem_starts = np.arange(1, n_problems) * n
 
         def elements(rows):
-            if n_snapshots > 1:
-                rows = (rows + rows // n * ((n_snapshots - 1) * n))[:, None] + column_offsets
-            return rows.reshape(-1, n_snapshots)
+            if n_snapshots == 1:
+                return rows.reshape(-1, 1)
+            if n_problems > 1:
+                rows = rows + rows // n * ((n_snapshots - 1) * n)
+            return rows[:, None] + column_offsets
 
-        support = np.flatnonzero(np.any(X != 0, axis=1))
-        momentum_index = elements(support)
+        # The momentum's rows, its values there, and which of them the
+        # iterate's support holds.
+        rows = np.flatnonzero(np.any(X != 0, axis=1))
+        momentum_index = elements(rows)
         momentum_values = x_flat.take(momentum_index)
+        supported = np.ones(len(rows), dtype=bool)
+    if screen:
+        # One threshold for every row, or one per flat grid row.
+        threshold_rows = (
+            thresholds.reshape(1)
+            if thresholds.size == 1
+            else np.broadcast_to(thresholds, (n_problems, n)).reshape(-1)
+        )
+        # A kept row has fl(√energy) > threshold, so its rounded energy
+        # exceeds threshold²·(1 − 2u); the limit sits below that after
+        # its own two roundings (u = ε/2).
+        limits = np.square(thresholds) * (1.0 - 4.0 * np.finfo(float).eps)
+        screened = np.empty((n_problems, n), dtype=bool)
     else:
-        change = np.empty_like(X)
-        edges = range(n_problems + 1)
+        point = np.empty_like(X)
+        squares = np.empty(X.shape)
+        imag_squares = np.empty(X.shape)
+        # Row norms, then shrink factors, per (problem, grid row); with one
+        # column the squares already are the row norms.
+        factors = squares[:, 0, :] if n_snapshots == 1 else np.empty((n_problems, n))
+        takes_out = "out" in inspect.signature(operator.rmatvec).parameters
+        if gather:
+            point_flat = point.reshape(-1)
+            gathered = np.empty((n_problems, n), dtype=bool)
+        else:
+            change = np.empty_like(X)
+            edges = range(n_problems + 1)
     t = 1.0
 
     active = progress.active
     check = tolerance > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         for it in range(1, max_iterations + 1):
-            residual = operator.matvec(momentum.reshape(folded, n).T).T
+            stack = momentum.reshape(folded, n).T
+            if screen:
+                residual = operator.matvec_rows(stack, rows, n_snapshots).T
+            else:
+                residual = operator.matvec(stack).T
             residual -= Y
             # point = momentum − step·2Aᴴr: the factor −2·step scales the
             # short residual rows before the adjoint, not the gradient.
             residual *= -2.0 * step
-            if takes_out:
-                operator.rmatvec(residual.T, out=point.reshape(folded, n).T)
+            if screen:
+                if not progress.all_active:
+                    live = active.take(rows // n)
+                    rows, supported = rows[live], supported[live]
+                    momentum_values = momentum_values[live]
+                # Only rows whose adjoint energy can clear the threshold,
+                # and the momentum's rows, can be nonzero after the prox;
+                # the point (p, candidates) is formed on those alone.
+                energies, stage = operator.rmatvec_energies(residual.T, n_snapshots)
+                np.greater_equal(energies, limits, out=screened)
+                screened.reshape(-1)[rows] = True
+                if not progress.all_active:
+                    screened &= active.reshape(n_problems, 1)
+                candidates = np.flatnonzero(screened)
+                point = operator.rmatvec_rows(stage, screened)
+                slots = np.searchsorted(candidates, rows)
+                point[:, slots] += momentum_values.T
+                parts = point.view(np.float64).reshape(n_snapshots, -1, 2)
+                factors = np.square(parts[..., 0])
+                factors += np.square(parts[..., 1])
+                factors = factors.sum(axis=0) if n_snapshots > 1 else factors[0]
+                row_thresholds = (
+                    threshold_rows if len(threshold_rows) == 1 else threshold_rows.take(candidates)
+                )
             else:
-                point.reshape(folded, n)[...] = operator.rmatvec(residual.T).T
-            if gather:
-                # The momentum is zero off its gathered rows.
-                momentum_values += point_flat.take(momentum_index)
-                point_flat.put(momentum_index, momentum_values)
-            else:
-                point += momentum
+                if takes_out:
+                    operator.rmatvec(residual.T, out=point.reshape(folded, n).T)
+                else:
+                    point.reshape(folded, n)[...] = operator.rmatvec(residual.T).T
+                if gather:
+                    # The momentum is zero off its gathered rows.
+                    momentum_values += point_flat.take(momentum_index)
+                    point_flat.put(momentum_index, momentum_values)
+                else:
+                    point += momentum
+                np.square(point.real, out=squares)
+                np.square(point.imag, out=imag_squares)
+                squares += imag_squares
+                if n_snapshots > 1:
+                    squares.sum(axis=1, out=factors)
+                row_thresholds = thresholds
 
             # Row prox: fmax(1 − t/‖row‖, 0) scales each row; the clamp
             # also zeroes ‖row‖ = 0 (−inf, or NaN when t = 0).
-            np.square(point.real, out=squares)
-            np.square(point.imag, out=imag_squares)
-            squares += imag_squares
-            if n_snapshots > 1:
-                squares.sum(axis=1, out=factors)
             np.sqrt(factors, out=factors)
-            np.divide(thresholds, factors, out=factors)
+            np.divide(row_thresholds, factors, out=factors)
             np.subtract(1.0, factors, out=factors)
             np.fmax(factors, 0.0, out=factors)
 
-            if gather:
-                # The candidate's and the iterate's rows of the active
-                # problems: off them the candidate, the iterate, the change
-                # and so the next momentum are all zero.
+            # Gathered: the candidate's and the iterate's rows of the
+            # active problems; off them the candidate, the iterate, the
+            # change and so the next momentum are all zero.
+            if screen:
+                kept = factors > 0.0
+                kept[slots[supported]] = True
+                rows = candidates[kept]
+                row_factors = factors[kept]
+                candidate = point.T[kept]
+                del point  # before the next iteration's point is allocated
+            elif gather:
                 np.greater(factors, 0.0, out=gathered)
-                gathered.reshape(-1)[support] = True
+                gathered.reshape(-1)[rows[supported]] = True
                 if not progress.all_active:
                     gathered &= active.reshape(n_problems, 1)
                 rows = np.flatnonzero(gathered)
-                index = elements(rows)
                 row_factors = factors.reshape(-1).take(rows)
-                candidate = point_flat.take(index)
+            if gather:
+                index = elements(rows)
+                if not screen:
+                    candidate = point_flat.take(index)
                 candidate *= row_factors[:, None]
                 current = x_flat.take(index)
                 change = candidate - current
-                if check:
+                if check and n_problems > 1:
                     edges = [0, *np.searchsorted(rows, problem_starts), len(rows)]
+                elif check:
+                    edges = (0, len(rows))
             else:
                 candidate, current = point, X
                 candidate *= factors[:, None, :]
@@ -316,7 +389,7 @@ def mmv_lockstep(
                 momentum_flat.put(index, change)
                 momentum_index, momentum_values = index, change
                 x_flat.put(index, candidate)
-                support = rows[row_factors > 0.0]
+                supported = row_factors > 0.0
             elif progress.all_active:
                 X, point = point, X
                 momentum, change = change, momentum
@@ -339,8 +412,11 @@ def _problem_squared_norms(values: np.ndarray, edges) -> np.ndarray:
     """``Σ|values|²`` per problem, one BLAS dot per problem's slice.
 
     Problem ``b`` owns ``values[edges[b]:edges[b + 1]]``: one ``(p, n)``
-    block of a whole stack, or its gathered ``(rows, p)`` entries.
+    block of a whole stack, or its gathered ``(rows, p)`` entries; a lone
+    problem owns all of ``values``.
     """
+    if len(edges) == 2:
+        return np.array([np.vdot(values, values).real])
     return np.array([np.vdot(values[a:b], values[a:b]).real for a, b in zip(edges, edges[1:])])
 
 

@@ -32,6 +32,7 @@ once against the operator interface and accept either form.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -51,6 +52,10 @@ class DictionaryOperator(ABC):
     """
 
     shape: tuple[int, int]
+    #: Smallest snapshot count ``p`` from which the MMV kernel screens
+    #: rows with :meth:`rmatvec_energies` instead of forming the full
+    #: adjoint: where the energy form is the cheaper product.  Never here.
+    screen_snapshots: float = math.inf
 
     @abstractmethod
     def matvec(self, x):
@@ -104,6 +109,50 @@ class DictionaryOperator(ABC):
             return np.moveaxis(product.reshape(self.shape[1], batch, p), 0, 1)
         raise SolverError(f"rmatmul_batch operand must be 2-D or 3-D, got ndim={r.ndim}")
 
+    # Row-screened products of the MMV kernel's gathered tail.  A 2-D
+    # operand of shape (·, B·p) stacks B problems of p consecutive
+    # columns; a "row" is a flat index b·n + j into the (B, n) grid.
+
+    def matvec_rows(self, x, rows, n_snapshots: int):
+        """``A @ x`` for a 2-D ``(n, B·p)`` ``x`` that is zero off ``rows``.
+
+        ``rows`` lists the flat grid rows ``b·n + j`` where problem ``b``
+        may be nonzero; an operator may skip the others.  This one
+        computes the full :meth:`matvec`.
+        """
+        return self.matvec(x)
+
+    def rmatvec_energies(self, r, n_snapshots: int):
+        """Upper bounds on the row energies of ``Aᴴ r``, and a stage.
+
+        ``r`` is ``(m, B·p)`` with ``p = n_snapshots``.  Returns a
+        ``(B, n)`` array ``bound`` with ``bound[b, j] ≥ Σ_k |(Aᴴr)_{j,b·p+k}|²``,
+        the sum evaluated in floating point, in ``k`` order and as
+        ``Re² + Im²`` per term, from the values :meth:`rmatvec_rows`
+        returns; and the stage those values are picked from.  Here the
+        bound is that sum itself, from the full :meth:`rmatvec`, and the
+        stage is the ``(B, p, n)`` adjoint.
+        """
+        stage = np.ascontiguousarray(self.rmatvec(r).T, dtype=complex)
+        stage = stage.reshape(-1, n_snapshots, self.shape[1])
+        squares = np.square(stage.view(np.float64))
+        energies = squares[..., 0::2] + squares[..., 1::2]
+        return energies.sum(axis=1), stage
+
+    def rmatvec_rows(self, stage, mask):
+        """``Aᴴ r`` on the rows of the ``(B, n)`` boolean ``mask``.
+
+        Returns ``(p, count)`` values, one column per ``True`` row in
+        C order: entry ``[k, c]`` is column ``b·p + k`` of the adjoint at
+        grid row ``j`` for the ``c``-th row ``b·n + j``, bit-equal to the
+        full :meth:`rmatvec`'s.  ``stage`` comes from
+        :meth:`rmatvec_energies`.
+        """
+        n_snapshots, n = stage.shape[1], self.shape[1]
+        rows = np.flatnonzero(mask)
+        offsets = rows + rows // n * ((n_snapshots - 1) * n)
+        return stage.reshape(-1).take(offsets + (np.arange(n_snapshots) * n)[:, None])
+
     def __matmul__(self, x):
         return self.matvec(x)
 
@@ -138,6 +187,12 @@ class DenseOperator(DictionaryOperator):
 
     def columns(self, indices: Sequence[int]):
         return self.matrix[:, list(indices)]
+
+
+#: Grid size ``Nθ·Nτ`` from which :class:`KroneckerJointOperator` screens
+#: rows (see :attr:`KroneckerJointOperator.screen_snapshots`): the
+#: screened route loses on 3,050 rows and wins on 4,550.
+SCREEN_MIN_ROWS = 4096
 
 
 class KroneckerJointOperator(DictionaryOperator):
@@ -202,6 +257,7 @@ class KroneckerJointOperator(DictionaryOperator):
             self.n_angles * self.n_delays,
         )
         self._lipschitz: float | None = None
+        self._energy_features: dict[int, np.ndarray] = {}
 
     def matvec(self, x):
         x = np.asarray(x)
@@ -262,6 +318,116 @@ class KroneckerJointOperator(DictionaryOperator):
             )
             return out
         raise SolverError(f"rmatvec operand must be 1-D or 2-D, got ndim={r.ndim}")
+
+    @property
+    def screen_snapshots(self) -> float:
+        """``2M`` on grids of :data:`SCREEN_MIN_ROWS` rows or more, else never.
+
+        The energy GEMM has ``2M²`` terms per grid row against the full
+        adjoint's ``2M·p`` and its ``p`` squares, but forming ``Q_d`` and
+        the screen's bookkeeping cost a few dozen numpy calls per
+        iteration.  Measured on one BLAS thread, kernel time of the
+        screened route over the full one: ``p = 1, 2`` lose 15–45 %
+        (61×21 and 91×50 grids, B = 4–64), ``p = 3–5`` lose 6–15 %;
+        ``p = 6`` wins 0.80–0.84 on the Fig. 6 fusion solves (91×50)
+        and 0.74 on 181×50, ``p = 8, 12`` win 0.76–0.79 (91×50); at
+        ``p = 6–12`` the 61×21, 91×21 and 61×50 grids lose 9–28 %.
+        """
+        return 2 * self.n_antennas if self.shape[1] >= SCREEN_MIN_ROWS else math.inf
+
+    def matvec_rows(self, x, rows, n_snapshots: int):
+        """The 2-D :meth:`matvec` with only the (column, delay) grid rows
+        that ``rows`` touch in the spatial GEMM; the other ``(Nτ, M)``
+        stage rows are zero, and the temporal GEMM keeps its full ``Nτ``
+        contraction, so the product equals :meth:`matvec`'s bit for bit."""
+        stack = np.ascontiguousarray(x.T, dtype=complex)
+        columns = stack.shape[0]
+        touched = np.zeros(columns // n_snapshots * self.n_delays, dtype=bool)
+        touched[rows // self.n_angles] = True
+        pairs = np.flatnonzero(touched)
+        if 2 * len(pairs) > len(touched):
+            # Gathering most of the grid costs more than it skips.
+            return self.matvec(x)
+        # Pair b·Nτ + d owns lines (b·p + k)·Nτ + d, k < p, of the stack's
+        # (B·p·Nτ, ·) delay-line views.
+        if columns > n_snapshots:
+            pairs = pairs + pairs // self.n_delays * ((n_snapshots - 1) * self.n_delays)
+        lines = (pairs[:, None] + np.arange(n_snapshots) * self.n_delays).reshape(-1)
+        angles = np.zeros((columns * self.n_delays, self.n_antennas), dtype=complex)
+        if len(lines):
+            grid = stack.reshape(-1, self.n_angles).take(lines, axis=0)
+            product = _real_view(grid, len(lines)) @ self._spatial_forward
+            angles[lines] = product.view(complex)
+        csi = self.temporal @ angles.reshape(columns, self.n_delays, self.n_antennas)
+        return csi.reshape(columns, self.shape[0]).T
+
+    def rmatvec_energies(self, r, n_snapshots: int):
+        """Row-energy bounds from per-delay Gram forms, without ``Aᴴr``.
+
+        With ``D = Gᴴ R`` (the ``(B·p, Nτ, M)`` stage of :meth:`rmatvec`)
+        the adjoint at angle ``i``, delay ``d`` of column ``k`` is
+        ``D[k, d] · conj(s̃ᵢ)``, so its energy over a problem's columns is
+        the ``M × M`` quadratic form
+        ``Σ_{a,c} conj(s̃ᵢ[a]) s̃ᵢ[c] Q_d[a, c]``, with
+        ``Q_d[a, c] = Σ_k D[k, d, a] conj(D[k, d, c])``.  For the whole
+        grid that is one real GEMM, ``(B·Nτ, 2M²) @ (2M², Nθ)``, against
+        a feature matrix built on first use per ``p``.
+
+        The bound adds a per-delay slack ``2(M² + 3M + p + 3)·ε·T_d``,
+        ``T_d = tr(Q_d)·maxᵢ‖s̃ᵢ‖²``, folded into the GEMM through the
+        features of ``Q_d``'s diagonal.  This energy and the rounded sum
+        of :meth:`rmatvec_rows`' squares each lie within a few rounding
+        errors of the exact one, each error at most ``T_d`` times
+        ``u = ε/2``: the 2M-term dot products of the adjoint and the
+        squaring and p-sum give ``(4√2M + p + 1)u``; ``Q_d``, the
+        features and the 2M²-term GEMM give ``(2M² + p + 5)u``.  Their sum
+        is at most ``(M² + 3M + p + 3)ε``; the factor 2 covers the
+        second-order terms and the rounding of the slack.
+        """
+        features = self._energy_features.get(n_snapshots)
+        if features is None:
+            features = self._energy_features[n_snapshots] = self._gram_features(n_snapshots)
+        rows = np.ascontiguousarray(r.T, dtype=complex)
+        problems = rows.shape[0] // n_snapshots
+        stage = (
+            self._temporal_adjoint @ rows.reshape(-1, self.n_subcarriers, self.n_antennas)
+        ).reshape(problems, n_snapshots, self.n_delays, self.n_antennas)
+        # Q per (problem, delay), formed with the delay axis innermost
+        # so that the products run over long rows.
+        columns = np.ascontiguousarray(stage.transpose(0, 1, 3, 2))
+        gram = (columns[:, :, :, None, :] * columns.conj()[:, :, None, :, :]).sum(axis=1)
+        gram = np.ascontiguousarray(gram.transpose(0, 3, 1, 2))
+        energies = _real_view(gram, problems * self.n_delays) @ features
+        return energies.reshape(problems, self.shape[1]), stage
+
+    def _gram_features(self, n_snapshots: int) -> np.ndarray:
+        """``(2M², Nθ)`` real weights of the interleaved ``(Re Q, Im Q)``
+        entries: ``Re(w·Q) = Re w·Re Q − Im w·Im Q`` with
+        ``w = conj(s̃[a])·s̃[c]``, plus the slack on the diagonal."""
+        m = self.n_antennas
+        weights = np.conj(self.spatial)[:, None, :] * self.spatial[None, :, :]
+        features = np.stack([weights.real, -weights.imag], axis=2)
+        steering = float(np.max(np.sum(np.abs(self.spatial) ** 2, axis=0)))
+        slack = 2.0 * (m * m + 3 * m + n_snapshots + 3) * np.finfo(float).eps * steering
+        features[np.arange(m), np.arange(m), 0] += slack
+        return features.reshape(-1, self.n_angles)
+
+    def rmatvec_rows(self, stage, mask):
+        """:meth:`rmatvec`'s values on ``mask``'s rows: the spatial GEMM runs
+        on the (problem, delay) pairs they touch, each output the same
+        2M-term dot product as in the full GEMM."""
+        problems, n_snapshots = stage.shape[:2]
+        grid = mask.reshape(-1, self.n_angles)
+        pairs = np.flatnonzero(grid.any(axis=1))
+        picks = np.flatnonzero(grid[pairs])
+        if not len(pairs):
+            return np.empty((n_snapshots, 0), dtype=complex)
+        delays = stage[0] if problems == 1 else stage.transpose(1, 0, 2, 3).reshape(
+            n_snapshots, -1, self.n_antennas
+        )
+        picked = delays[:, pairs]
+        adjoint = _real_view(picked, n_snapshots * len(pairs)) @ self._spatial_adjoint
+        return adjoint.view(complex).reshape(n_snapshots, -1).take(picks, axis=1)
 
     def to_dense(self):
         return np.kron(self.temporal, self.spatial)

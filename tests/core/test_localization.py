@@ -7,9 +7,11 @@ from repro.channel.geometry import AccessPoint, Room
 from repro.core.localization import (
     ApObservation,
     DroppedAp,
+    candidate_axes,
     localize_robust,
     localize_weighted_aoa,
     predicted_aoa_grid,
+    room_aoa_grid,
     rssi_weights,
 )
 from repro.exceptions import ConfigurationError, QuorumError
@@ -56,6 +58,17 @@ class TestPredictedAoaGrid:
     def test_ap_cell_is_finite(self):
         grid = predicted_aoa_grid(AP_WEST, np.array([0.0]), np.array([4.0]))
         assert np.isfinite(grid).all()
+
+    def test_room_grid_is_the_formula_built_once_and_read_only(self):
+        xs, ys = candidate_axes(ROOM, 0.1)
+        grid = room_aoa_grid(AP_SOUTH, ROOM, 0.1)
+        np.testing.assert_array_equal(grid, predicted_aoa_grid(AP_SOUTH, xs, ys))
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        same_ap = AccessPoint(position=[5, 0], axis_direction_deg=0, name="other")
+        assert room_aoa_grid(same_ap, Room(width=10, depth=8), 0.1) is grid
+        assert room_aoa_grid(AP_WEST, ROOM, 0.1) is not grid
 
 
 class TestLocalization:

@@ -7,6 +7,7 @@ import repro.optim.mmv as mmv_kernel
 from repro.exceptions import SolverError
 from repro.obs import ConvergenceTrace
 from repro.optim import (
+    DictionaryOperator,
     KroneckerJointOperator,
     OutlierAugmentedOperator,
     robust_penalty_weights,
@@ -19,6 +20,7 @@ from repro.optim.reference import reference_lasso_fista
 from repro.optim.tuning import mmv_residual_kappa
 
 from tests.optim.test_fista import make_sparse_system
+from tests.optim.test_operators import steering_operator
 from tests.optim.test_solve_batch import make_batch, plain_mmv_fista
 
 
@@ -241,6 +243,127 @@ class TestSupportTail:
             np.testing.assert_array_equal(kept[iterations - 1], truncated.x)
         np.testing.assert_array_equal(kept[-1], result.x)
         assert not np.shares_memory(kept[-1], result.x)
+
+
+class ScreenedKronecker(KroneckerJointOperator):
+    """Screens rows at every snapshot count and grid size."""
+
+    screen_snapshots = 1
+
+
+def both_tails(monkeypatch, solve):
+    """``solve()`` under the gathered tail, then under the dense one."""
+    results = []
+    for size in (0, 10**12):
+        monkeypatch.setattr(mmv_kernel, "GATHER_MIN_SIZE", size)
+        results.append(solve())
+    return results
+
+
+class TestScreenedTail:
+    """The gathered tail with screened rows (``p ≥ screen_snapshots``) must
+    give the dense tail's iterate bit for bit, as in TestSupportTail."""
+
+    def test_screened_fig6_shape_matches_the_dense_tail(self, rng, monkeypatch):
+        """p = 6 on the 91×50 grid, cold and warm: the screened gathered
+        tail and the dense tail give the same iterate bit for bit."""
+        operator = steering_operator(91, 50)
+        assert operator.screen_snapshots <= 6
+        n, m = operator.shape[1], operator.shape[0]
+        x_true = np.zeros((n, 6), dtype=complex)
+        x_true[[700, 1650, 1700, 3000]] = rng.standard_normal((4, 6)) + 1.5
+        noise = rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6))
+        y = operator.matvec(x_true) + 0.3 * noise
+        kappa = mmv_residual_kappa(operator, y, fraction=0.05)
+        for warm in (None, x_true + 0.01 * rng.standard_normal(x_true.shape)):
+            gathered, dense = both_tails(monkeypatch, lambda: solve_mmv_fista(
+                operator, y, kappa, max_iterations=250, x0=warm
+            ).x)
+            np.testing.assert_array_equal(gathered, dense)
+            assert np.count_nonzero(np.any(gathered != 0, axis=1)) > 0
+
+    def test_screened_tail_with_no_candidates(self, rng, monkeypatch):
+        """A κ above critical leaves the screen empty from the first step."""
+        operator = steering_operator(91, 50)
+        m = operator.shape[0]
+        y = rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6))
+        kappa = 10 * mmv_residual_kappa(operator, y, fraction=0.5)
+        gathered, dense = both_tails(monkeypatch, lambda: solve_mmv_fista(
+            operator, y, kappa, max_iterations=20
+        ).x)
+        assert np.all(gathered == 0) and np.all(dense == 0)
+
+    def test_screened_batch_freezes_like_the_dense_tail(self, rng, monkeypatch):
+        """B = 3 at p = 3, screened, with an early freeze under tol 1e-3."""
+        operator, x_true, noise = make_kronecker_system(rng, p=3)
+        operator = ScreenedKronecker(operator.temporal, operator.spatial)
+        m = operator.shape[0]
+        ys = np.stack([operator.matvec(x_true) + 0.1 * noise(m, 3) for _ in range(3)])
+        kappas = (40.0, 1.0, 2.0)
+
+        def solve():
+            stacks = []
+            batch = mmv_lockstep(
+                operator, ys, kappas, max_iterations=400, tolerance=1e-3,
+                observe=lambda it, x: stacks.append(x),
+            )
+            return batch, stacks
+
+        (gathered, stacks), (dense, _) = both_tails(monkeypatch, solve)
+        frozen_at = gathered.iterations[0]
+        assert gathered.converged[0] and frozen_at < min(gathered.iterations[1:])
+        for x in stacks[frozen_at:]:
+            np.testing.assert_array_equal(x[0], stacks[frozen_at - 1][0])
+        np.testing.assert_array_equal(gathered.x, dense.x)
+        np.testing.assert_array_equal(gathered.iterations, dense.iterations)
+
+    def test_screened_weighted_rows_match_the_dense_tail(self, rng, monkeypatch):
+        """Per-row thresholds (zero weights included) in a warm B = 2
+        batch at p = 3: each row is screened against its own threshold."""
+        operator, x_true, noise = make_kronecker_system(rng, p=3)
+        operator = ScreenedKronecker(operator.temporal, operator.spatial)
+        n, m = operator.shape[1], operator.shape[0]
+        weights = 0.5 + rng.random(n)
+        weights[::9] = 0.0
+        ys = np.stack([operator.matvec(x_true) + 0.1 * noise(m, 3) for _ in range(2)])
+        warm = np.stack([x_true + 0.05 * noise(n, 3) for _ in range(2)])
+        gathered, dense = both_tails(monkeypatch, lambda: mmv_lockstep(
+            operator, ys, (1.0, 3.0), warm, max_iterations=200, penalty_weights=weights
+        ).x)
+        np.testing.assert_array_equal(gathered, dense)
+
+    def test_row_a_few_ulps_above_its_threshold_is_gathered(self, rng, monkeypatch):
+        """Plant the threshold just under one row's explicit first-step norm,
+        at a row whose Gram energy (without slack) reads lower than that
+        norm: the screen's slack must still admit it."""
+        operator = steering_operator(91, 50)
+        n, m, p = operator.shape[1], operator.shape[0], 6
+        # One strong atom: rows at its steering nulls carry energies far
+        # below their delay's, where the Gram form's rounding is largest.
+        x_true = np.zeros((n, p), dtype=complex)
+        x_true[25 * 91 + 40] = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        y = operator.matvec(x_true) + 1e-6 * (rng.standard_normal((m, p)) + 1j)
+        lipschitz = operator.lipschitz()
+        step = 1.0 / (2.0 * lipschitz)
+        residual = y * (2.0 * step)
+        explicit = DictionaryOperator.rmatvec_energies(operator, residual, p)[0][0]
+        bounds = operator.rmatvec_energies(residual, p)[0][0]
+        delays = operator._temporal_adjoint @ np.ascontiguousarray(residual.T).reshape(
+            p, operator.n_subcarriers, operator.n_antennas
+        )
+        trace = np.sum(np.abs(delays) ** 2, axis=(0, 2))
+        slack = (2.0 * (9 + 9 + p + 3) * np.finfo(float).eps * 3.0) * trace
+        gram = bounds - np.repeat(slack, operator.n_angles)
+        ratio = np.where(explicit > 0, gram / explicit, np.inf)
+        row = int(np.argmin(ratio))
+        assert ratio[row] < 1.0 - 16 * np.finfo(float).eps
+        threshold = np.sqrt(explicit[row]) * (1.0 - 2 * np.finfo(float).eps)
+        kappa = threshold / step
+        gathered, dense = both_tails(monkeypatch, lambda: solve_mmv_fista(
+            operator, y, kappa, max_iterations=1, lipschitz=lipschitz
+        ).x)
+        np.testing.assert_array_equal(gathered, dense)
+        assert np.any(dense[row] != 0)
 
 
 class TestValidation:

@@ -15,6 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel.array import UniformLinearArray
+from repro.channel.ofdm import SubcarrierLayout
+from repro.core.grids import AngleGrid, DelayGrid
+from repro.core.steering import SteeringCache
 from repro.exceptions import SolverError
 from repro.optim import (
     DenseOperator,
@@ -286,3 +290,85 @@ class TestWarmStart:
             solve_lasso_fista(a, y, 0.1, x0=np.zeros(3))
         with pytest.raises(SolverError, match="x0"):
             solve_mmv_fista(a, np.stack([y, y], axis=1), 0.1, x0=np.zeros((3, 1)))
+
+
+def steering_operator(n_angles: int, n_delays: int) -> KroneckerJointOperator:
+    """The pipeline's joint operator on an ``n_angles × n_delays`` grid."""
+    return SteeringCache(
+        UniformLinearArray(), SubcarrierLayout(), AngleGrid(n_points=n_angles),
+        DelayGrid(n_points=n_delays),
+    ).joint_operator
+
+
+def residual_stack(rng, operator, columns):
+    m = operator.shape[0]
+    return (rng.normal(size=(columns, m)) + 1j * rng.normal(size=(columns, m))).T
+
+
+class TestRowScreen:
+    """The MMV kernel's screened products: Gram-form row energies, the
+    adjoint on chosen rows and the forward on the support rows."""
+
+    @pytest.mark.parametrize("grid", ((61, 21), (91, 50)))
+    @pytest.mark.parametrize("n_problems", (1, 3))
+    @pytest.mark.parametrize("n_snapshots", (1, 2, 6))
+    def test_energies_match_the_explicit_adjoint(self, rng, grid, n_problems, n_snapshots):
+        operator = steering_operator(*grid)
+        r = residual_stack(rng, operator, n_problems * n_snapshots)
+        bounds, _ = operator.rmatvec_energies(r, n_snapshots)
+        explicit, _ = DictionaryOperator.rmatvec_energies(operator, r, n_snapshots)
+        adjoint = operator.rmatvec(r).T.reshape(n_problems, n_snapshots, -1)
+        np.testing.assert_allclose(explicit, np.sum(np.abs(adjoint) ** 2, axis=1), rtol=1e-13)
+        assert bounds.shape == (n_problems, operator.shape[1])
+        assert np.max(np.abs(bounds - explicit)) <= 1e-12 * explicit.max()
+
+    def test_slack_covers_rounding_of_rows_near_zero(self, rng):
+        """Rows far below their delay's energy, where rounding dominates:
+        the bound still sits at or above the explicit sum."""
+        operator = steering_operator(91, 50)
+        for _ in range(5):
+            r = residual_stack(rng, operator, 6)
+            bounds, _ = operator.rmatvec_energies(r, 6)
+            explicit, _ = DictionaryOperator.rmatvec_energies(operator, r, 6)
+            assert np.all(bounds >= explicit)
+
+    @pytest.mark.parametrize("n_problems", (1, 3))
+    def test_rows_and_forward_are_bit_equal_to_the_full_products(self, rng, n_problems):
+        operator = steering_operator(91, 50)
+        n, p = operator.shape[1], 6
+        r = residual_stack(rng, operator, n_problems * p)
+        _, stage = operator.rmatvec_energies(r, p)
+        # A few delays per problem, so the forward stays on its restricted lines.
+        mask = np.zeros((n_problems, operator.n_delays, operator.n_angles), dtype=bool)
+        for b in range(n_problems):
+            delays = rng.choice(operator.n_delays, size=4, replace=False)
+            mask[b, delays] = rng.random((4, operator.n_angles)) < 0.3
+        mask = mask.reshape(n_problems, n)
+        rows = np.flatnonzero(mask)
+        full = operator.rmatvec(r).T.reshape(n_problems, p, n)
+        expected = full.transpose(1, 0, 2).reshape(p, -1)[:, rows]
+        np.testing.assert_array_equal(operator.rmatvec_rows(stage, mask), expected)
+        base_stage = DictionaryOperator.rmatvec_energies(operator, r, p)[1]
+        np.testing.assert_array_equal(
+            DictionaryOperator.rmatvec_rows(operator, base_stage, mask), expected
+        )
+        x = np.zeros((n_problems, p, n), dtype=complex)
+        problem, column = np.divmod(rows, n)
+        x[problem, :, column] = rng.normal(size=(len(rows), p)) + 1j
+        stack = x.reshape(-1, n).T
+        np.testing.assert_array_equal(
+            operator.matvec_rows(stack, rows, p), operator.matvec(stack)
+        )
+        zeros = np.zeros_like(stack)
+        np.testing.assert_array_equal(operator.matvec_rows(zeros, rows[:0], p), operator.matvec(zeros))
+
+    def test_features_are_built_lazily_per_snapshot_count(self, rng):
+        operator = steering_operator(61, 21)
+        assert operator._energy_features == {}
+        operator.rmatvec_energies(residual_stack(rng, operator, 6), 6)
+        assert sorted(operator._energy_features) == [6]
+
+    def test_screen_rule(self):
+        assert steering_operator(91, 50).screen_snapshots == 6
+        assert steering_operator(61, 21).screen_snapshots == np.inf
+        assert DenseOperator(np.eye(3)).screen_snapshots == np.inf
