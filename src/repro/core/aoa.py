@@ -36,7 +36,6 @@ def estimate_aoa_spectrum(
     max_iterations: int = 300,
     dictionary=None,
     lipschitz: float | None = None,
-    x0: np.ndarray | None = None,
     tracer=NULL_TRACER,
     telemetry: ConvergenceTrace | None = None,
 ) -> tuple[AngleSpectrum, SolverResult]:
@@ -57,9 +56,6 @@ def estimate_aoa_spectrum(
         Optional precomputed Eq. 6 dictionary (dense ndarray or
         :class:`~repro.optim.operators.DictionaryOperator`) and its
         ‖S̃ᴴS̃‖₂ — pass both when solving repeatedly on the same grid.
-    x0:
-        Optional warm start forwarded to the FISTA solve (shape
-        matching the coefficient vector/matrix).
     tracer / telemetry:
         As in :func:`~repro.core.joint.estimate_joint_spectrum` — the
         solve runs inside a ``"solver"`` span and records a
@@ -106,7 +102,6 @@ def estimate_aoa_spectrum(
             kappa,
             max_iterations=max_iterations,
             lipschitz=lipschitz,
-            x0=None if x0 is None else np.asarray(x0).reshape(len(x0), -1),
             telemetry=telemetry,
         )
         power = np.linalg.norm(result.x, axis=1)

@@ -36,13 +36,6 @@ class RoArrayConfig:
         ~5 dominant indoor paths).
     peak_floor:
         Minimum relative height for a spectrum peak to count as a path.
-    warm_start:
-        Seed each solve with the estimator's previous solution on the
-        same grids (see :class:`~repro.core.pipeline.RoArrayEstimator`).
-        Off by default: warm chaining makes results depend on call
-        order, so the batch runtime resets it per job to preserve
-        worker-count-independent determinism; sequential sweeps opt in
-        for the iteration savings.
 
     Every sparse solve the estimator makes is checked for divergence
     (:func:`~repro.optim.result.check_divergence`) under any config.
@@ -55,7 +48,6 @@ class RoArrayConfig:
     svd_rank: int = 6
     max_paths: int = 6
     peak_floor: float = 0.3
-    warm_start: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.kappa_fraction < 1:

@@ -144,7 +144,6 @@ def fuse_packets(
     max_iterations: int = 300,
     svd_rank: int = 6,
     align_delays: bool = True,
-    x0: np.ndarray | None = None,
     tracer=NULL_TRACER,
     telemetry: ConvergenceTrace | None = None,
 ) -> tuple[JointSpectrum, SolverResult]:
@@ -160,10 +159,6 @@ def fuse_packets(
     align_delays:
         Compensate per-packet detection delay first (on by default; the
         ablation benchmark turns it off to show why it matters).
-    x0:
-        Optional ``(Nθ·Nτ, r)`` warm start — a previous fusion's
-        coefficient matrix on the same grids with the same retained
-        rank; ignored if the snapshot width differs.
     tracer / telemetry:
         As in :func:`~repro.core.joint.estimate_joint_spectrum` — the
         delay alignment, SVD reduction and ℓ2,1 solve each get a span,
@@ -207,8 +202,6 @@ def fuse_packets(
             kappa = mmv_residual_kappa(dictionary, snapshots, fraction=kappa_fraction)
         except SolverError:
             raise SolverError("packets are orthogonal to every steering vector") from None
-    if x0 is not None and x0.shape != (dictionary.shape[1], snapshots.shape[1]):
-        x0 = None
     if telemetry is None and tracer.enabled:
         telemetry = ConvergenceTrace(solver="mmv_fista")
     with tracer.span("solver", solver="mmv_fista", stage="fusion") as span:
@@ -218,7 +211,6 @@ def fuse_packets(
             kappa,
             max_iterations=max_iterations,
             lipschitz=cache.joint_lipschitz,
-            x0=x0,
             telemetry=telemetry,
         )
         span.annotate(iterations=result.iterations, converged=result.converged)

@@ -49,7 +49,6 @@ def estimate_joint_spectrum(
     kappa: float | None = None,
     kappa_fraction: float = 0.05,
     max_iterations: int = 300,
-    x0: np.ndarray | None = None,
     tracer=NULL_TRACER,
     telemetry: ConvergenceTrace | None = None,
 ) -> tuple[JointSpectrum, SolverResult]:
@@ -67,9 +66,6 @@ def estimate_joint_spectrum(
     cache:
         The steering cache providing the Eq. 16 dictionary; its grids
         define the spectrum axes.
-    x0:
-        Optional warm start (a previous packet's coefficient vector on
-        the same grids).
     tracer:
         Optional :class:`~repro.obs.Tracer`; when enabled the solve runs
         inside a ``"solver"`` span carrying iteration counts and (unless
@@ -109,7 +105,6 @@ def estimate_joint_spectrum(
             kappa,
             max_iterations=max_iterations,
             lipschitz=cache.joint_lipschitz,
-            x0=x0,
             telemetry=telemetry,
         )
         span.annotate(iterations=result.iterations, converged=result.converged)

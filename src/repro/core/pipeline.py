@@ -21,7 +21,6 @@ from repro.core.fusion import fuse_packets
 from repro.core.joint import estimate_joint_spectrum
 from repro.core.steering import SteeringCache
 from repro.obs import NULL_TRACER
-from repro.optim.warm import WarmStartState
 from repro.spectral.spectrum import AngleSpectrum, JointSpectrum
 
 
@@ -73,36 +72,6 @@ class RoArrayEstimator:
         self.cache = SteeringCache(
             self.array, self.layout, self.config.angle_grid, self.config.delay_grid
         )
-        #: Chain solutions across consecutive calls (see RoArrayConfig).
-        self.warm_start = self.config.warm_start
-        # Single-packet (Nθ·Nτ,) and fused (Nθ·Nτ, r) solutions are
-        # shaped differently, so they warm independent slots of one
-        # first-class WarmStartState.
-        self.warm_state = WarmStartState()
-        #: Frozen state reset_warm_state() restores to.  The batch
-        #: runtime resets before every job, so with a seed installed
-        #: every job warms from the same state — a pure function of
-        #: (trace, seed) at any worker count.
-        self.warm_seed: WarmStartState | None = None
-
-    def reset_warm_state(self) -> None:
-        """Restore the warm state to its seed (or drop it entirely).
-
-        The batch runtime calls this before every job so warm chaining
-        can never leak state across jobs — results stay byte-identical
-        for any worker count regardless of ``warm_start``.  With a
-        :attr:`warm_seed` installed the reset restores that frozen
-        state instead of clearing, which is what makes warm-started
-        sweeps parallel- and checkpoint-safe.
-        """
-        self.warm_state = (
-            self.warm_seed.copy() if self.warm_seed is not None else WarmStartState()
-        )
-
-    def seed_warm_state(self, seed: WarmStartState | None) -> None:
-        """Install (or remove) the frozen seed and reset to it."""
-        self.warm_seed = seed.copy() if seed is not None else None
-        self.reset_warm_state()
 
     def warm_cache(self) -> None:
         """Build the steering-cache artifacts inside a traced span.
@@ -161,29 +130,23 @@ class RoArrayEstimator:
         """
         if packet is not None:
             with self.tracer.span("joint_spectrum", packet=packet):
-                spectrum, result = estimate_joint_spectrum(
+                spectrum, _ = estimate_joint_spectrum(
                     trace.packet(packet),
                     self.cache,
                     kappa_fraction=self.config.kappa_fraction,
                     max_iterations=self.config.max_iterations,
-                    x0=self.warm_state.get("single") if self.warm_start else None,
                     tracer=self.tracer,
                 )
-            if self.warm_start:
-                self.warm_state.put("single", result.x)
             return spectrum
         with self.tracer.span("fusion", n_packets=trace.n_packets):
-            spectrum, result = fuse_packets(
+            spectrum, _ = fuse_packets(
                 trace.csi,
                 self.cache,
                 kappa_fraction=self.config.kappa_fraction,
                 max_iterations=self.config.max_iterations,
                 svd_rank=self.config.svd_rank,
-                x0=self.warm_state.get("fused") if self.warm_start else None,
                 tracer=self.tracer,
             )
-        if self.warm_start:
-            self.warm_state.put("fused", result.x)
         return spectrum
 
     # -- direct path -------------------------------------------------------

@@ -207,14 +207,6 @@ def _batch_analyses(
     (matching the old inline-loop semantics, where a solver error
     propagated out of the driver).
 
-    A warm-started estimator (``system.warm_start``) is seeded first:
-    the parent cold-solves the first trace once and freezes the
-    resulting :class:`~repro.optim.warm.WarmStartState` as the sweep's
-    shared seed (:func:`_seed_warm_state`).  The batch runtime resets
-    every job to that seed, so each job is a pure function of
-    (trace, seed) — warm sweeps run at any worker count and can be
-    checkpointed, with results byte-identical across both.
-
     ``checkpoint`` is a :class:`repro.runtime.CheckpointPolicy`; with
     it, completed analyses are journaled as they finish and a rerun of
     the same driver resumes instead of recomputing (see
@@ -225,30 +217,11 @@ def _batch_analyses(
     """
     from repro.runtime.batch import BatchEvaluator
 
-    if getattr(system, "warm_start", False) and traces:
-        _seed_warm_state(system, traces[0])
     evaluator = BatchEvaluator(system, workers=workers, base_seed=base_seed, tracer=tracer)
     result = evaluator.evaluate(traces, checkpoint=checkpoint)
     if report_sink is not None:
         report_sink.append(result.report)
     return result.strict_analyses()
-
-
-def _seed_warm_state(system, trace: CsiTrace) -> None:
-    """Freeze a deterministic warm seed onto a warm-started estimator.
-
-    The parent cold-solves ``trace`` once and installs the solution as
-    the estimator's :attr:`~repro.core.pipeline.RoArrayEstimator.warm_seed`.
-    Every subsequent job — sequential or pooled — resets to this seed
-    before solving, which keeps warm-started sweeps deterministic at
-    any worker count and sound to checkpoint (the seed rides the
-    estimator spec and participates in the journal's config digest).
-    """
-    if not hasattr(system, "warm_state") or not hasattr(system, "seed_warm_state"):
-        return
-    system.seed_warm_state(None)
-    system.analyze(trace)
-    system.seed_warm_state(system.warm_state)
 
 
 def _journal_policy(checkpoint_dir, name: str, experiment: str, metrics=None):
@@ -302,7 +275,6 @@ def run_snr_band_experiment(
     impairments: ImpairmentModel | None = None,
     resolution_m: float = 0.1,
     workers: int = 0,
-    warm_start: bool = False,
     tracer=NULL_TRACER,
     checkpoint_dir=None,
 ) -> SnrBandResult:
@@ -312,15 +284,6 @@ def run_snr_band_experiment(
     *same* traces (15 packets per AP by default, as in §IV-B).  With
     ``workers > 0`` the per-trace analyses fan out over that many
     processes; the result is identical for any worker count.
-
-    With ``warm_start``, estimators that support it seed every trace's
-    solve from a shared :class:`~repro.optim.warm.WarmStartState` (the
-    first trace's cold solution, frozen by the driver) — the traces
-    share grids and statistics, so the solver converges in fewer
-    iterations while landing on the same minimizer (results match
-    cold-start within solver tolerance).  Because each job warms from
-    the same frozen seed, warm sweeps run at any worker count and
-    compose with ``checkpoint_dir``, byte-identically.
 
     ``checkpoint_dir`` makes the sweep durable: each system's batch
     journals its per-trace analyses to
@@ -334,10 +297,6 @@ def run_snr_band_experiment(
     if n_locations < 1:
         raise ConfigurationError(f"n_locations must be >= 1, got {n_locations}")
     systems = systems if systems is not None else default_systems()
-    if warm_start:
-        for system in systems:
-            if hasattr(system, "warm_start"):
-                system.warm_start = True
     impairments = impairments or ImpairmentModel()
     rng = np.random.default_rng(seed)
 

@@ -23,8 +23,9 @@ Correctness contract:
   accumulates batched GEMM columns in a different order, so each
   problem agrees with its ``B = 1`` solve to rounding, not bits.  The
   budget is :data:`FLOAT64_PARITY_TOLERANCE` (1e-12 relative).
-* Warm starts carry across consecutive batches: pass the previous
-  :class:`BatchSolverResult` (or a ``(B, n)`` array) as ``x0``.
+* Warm starts carry across consecutive batches through a keyed
+  :class:`~repro.optim.warm.WarmStartState` (``warm_state=`` /
+  ``warm_keys=``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ def solve_batch(
     *,
     kappa=None,
     kappa_fraction: float = 0.05,
-    x0=None,
     warm_state=None,
     warm_keys: Sequence[str] | None = None,
     **options,
@@ -84,10 +84,6 @@ def solve_batch(
         :func:`~repro.optim.tuning.mmv_residual_kappa` (of which
         :func:`~repro.optim.tuning.residual_kappa` is the one-column
         call) exactly as the sequential loop would.
-    x0:
-        Warm start carried over from a previous batch: a
-        :class:`BatchSolverResult` or an array of shape ``(B, n)``
-        (``(B, n, p)`` for MMV).
     warm_state / warm_keys:
         Keyed cross-batch carry-over: a
         :class:`~repro.optim.warm.WarmStartState` plus one key per
@@ -96,7 +92,7 @@ def solve_batch(
         changed) and writes its solution back after the solve, so
         consecutive batches over an evolving problem population (the
         streaming service's micro-batches) chain warm starts without
-        the caller stacking arrays.  Mutually exclusive with ``x0``.
+        the caller stacking arrays.
     **options:
         Kernel options: ``max_iterations``, ``tolerance``, ``lipschitz``
         and ``penalty_weights``.
@@ -141,11 +137,11 @@ def solve_batch(
     solution_shape = (n, *problem_shape[1:])
     ys = [np.reshape(y, (m, -1)) for y in ys]
     kappas = _resolve_kappas(operator, ys, kappa, kappa_fraction, n_problems)
+    warm = None
     if warm_state is not None:
-        x0 = _warm_starts_from_state(warm_state, warm_keys, x0, n_problems, solution_shape)
+        warm = _keyed_starts(warm_state, warm_keys, n_problems, solution_shape)
     elif warm_keys is not None:
         raise SolverError("warm_keys requires warm_state")
-    warm = _resolve_warm_start(x0, n_problems, solution_shape)
 
     blocks = []
     for start in range(0, n_problems, _BLOCK_COLUMNS):
@@ -189,16 +185,14 @@ def _resolve_kappas(operator, ys, kappa, kappa_fraction, n_problems):
     return kappas
 
 
-def _warm_starts_from_state(warm_state, warm_keys, x0, n_problems, shape):
-    """Stack per-key warm starts out of a WarmStartState into an x0 array.
+def _keyed_starts(warm_state, warm_keys, n_problems, shape):
+    """Per-key warm starts out of a WarmStartState, stacked ``(B, n, p)``.
 
     Missing keys (and shape-mismatched slots — e.g. a client's snapshot
     window grew since the last batch) contribute a zero column, which is
     exactly the solvers' cold-start iterate, so warm and cold problems
     mix freely inside one batch.
     """
-    if x0 is not None:
-        raise SolverError("pass either x0 or warm_state, not both")
     if warm_keys is None or len(warm_keys) != n_problems:
         n_keys = 0 if warm_keys is None else len(warm_keys)
         raise SolverError(
@@ -210,20 +204,7 @@ def _warm_starts_from_state(warm_state, warm_keys, x0, n_problems, shape):
         stored = warm_state.get(str(key), shape)
         if stored is not None:
             starts[index] = stored
-    return starts
-
-
-def _resolve_warm_start(x0, n_problems, shape):
-    """``x0`` checked against ``(B, n[, p])`` and stacked as ``(B, n, p)``."""
-    if x0 is None:
-        return None
-    if isinstance(x0, BatchSolverResult):
-        x0 = x0.x
-    expected = (n_problems, *shape)
-    x0 = np.asarray(x0)
-    if x0.shape != expected:
-        raise SolverError(f"x0 has shape {x0.shape}, expected {expected}")
-    return x0.reshape(n_problems, shape[0], -1)
+    return starts.reshape(n_problems, shape[0], -1)
 
 
 def _solve_stacked(operator, ys, kappas, warm, options):

@@ -108,8 +108,7 @@ class BatchSolverResult:
 
     ``x`` has shape ``(B, n)`` (``(B, n, p)`` for MMV);
     :meth:`problem` slices one problem out as a standard
-    :class:`SolverResult` (handy for feeding the next batch's warm start
-    or the spectrum pipeline).
+    :class:`SolverResult` (handy for the spectrum pipeline).
     """
 
     x: np.ndarray

@@ -1,31 +1,20 @@
-"""First-class warm-start state for the sparse solvers.
+"""Keyed warm-start state for the sparse solvers.
 
-Warm starting — seeding a solve with a previous solution — used to live
-as private ndarray slots inside :class:`~repro.core.pipeline.RoArrayEstimator`,
-which made it a ``workers=0``-only hack: the state could not cross a
-process boundary, could not be journaled, and silently coupled each
-result to whatever the estimator solved before it.
-
-:class:`WarmStartState` promotes that state to a real object:
+:class:`WarmStartState` stores prior solutions to seed later solves:
 
 * **Keyed slots** — each slot holds one prior solution under a caller
-  chosen key (``"single"`` / ``"fused"`` for the estimator pipeline,
-  ``"<client>:<ap>"`` for the streaming service), so independent
-  problem streams warm independently.
+  chosen key (``"<client>:<ap>"`` for the streaming service), so
+  independent problem streams warm independently.
 * **Shape-checked reads** — :meth:`get` returns ``None`` (a cold start)
   when the stored solution does not match the requested shape, so a
   changed grid or snapshot width can never poison a solve.
-* **Plain data** — the slots are ndarrays, so the state pickles to
-  the batch runtime's worker processes, and the streaming service's
+* **Plain data** — the slots are ndarrays, so the streaming service's
   snapshots encode each slot with :mod:`repro.serve.codec`.
 * **Accounted** — ``hits`` / ``misses`` count how often a solve actually
   warmed, feeding the service metrics.
 
 :func:`repro.optim.batch.solve_batch` accepts a state plus per-problem
-keys (``warm_state=`` / ``warm_keys=``) for cross-batch carry-over, and
-the estimator carries one as ``.warm_state`` with an optional frozen
-``.warm_seed`` it resets to (see
-:meth:`repro.core.pipeline.RoArrayEstimator.reset_warm_state`).
+keys (``warm_state=`` / ``warm_keys=``) for cross-batch carry-over.
 """
 
 from __future__ import annotations
@@ -43,8 +32,7 @@ class WarmStartState:
 
     def __post_init__(self) -> None:
         # Counters are bookkeeping, not identity: they stay out of the
-        # dataclass fields so equality, pickling for the worker pool and
-        # the checkpoint config digest all see only the solutions.
+        # dataclass fields so equality sees only the solutions.
         self.hits = 0
         self.misses = 0
 
@@ -85,12 +73,6 @@ class WarmStartState:
 
     def clear(self) -> None:
         self.slots.clear()
-
-    def copy(self) -> "WarmStartState":
-        """An independent deep copy (counters reset — it is new state)."""
-        return WarmStartState(
-            slots={key: np.array(value, copy=True) for key, value in self.slots.items()}
-        )
 
     # -- introspection -----------------------------------------------------
 

@@ -264,14 +264,6 @@ def _attempt_job(
     here with the same flag, so the two span trees are structurally
     identical job for job.
     """
-    # Warm-started estimators chain solutions across calls, which would
-    # make a job's result depend on which jobs its worker ran before it.
-    # Dropping the carried state here keeps every job a pure function of
-    # (trace, seed) — the batch parity guarantee — at the cost of the
-    # warm-start benefit, which only sequential sweeps opt into.
-    reset = getattr(system, "reset_warm_state", None)
-    if reset is not None:
-        reset()
     job_tracer = Tracer() if capture_spans else NULL_TRACER
     previous_tracer = getattr(system, "tracer", None)
     if capture_spans and previous_tracer is not None:

@@ -45,25 +45,13 @@ class EstimatorSpec:
     array: UniformLinearArray | None = None
     layout: SubcarrierLayout | None = None
     system: object | None = None
-    #: Warm-start intent carried across the process boundary: the flag
-    #: (which may be set on the instance, not the config) and the frozen
-    #: :class:`~repro.optim.warm.WarmStartState` seed every job resets
-    #: to.  Both participate in the checkpoint config digest, so a warm
-    #: journal can never be replayed into a cold run (or vice versa).
-    warm_start: bool | None = None
-    warm_seed: object | None = None
 
     def build(self):
         """Construct the system this spec describes."""
         if self.kind == "roarray":
             from repro.core.pipeline import RoArrayEstimator
 
-            system = RoArrayEstimator(array=self.array, layout=self.layout, config=self.config)
-            if self.warm_start is not None:
-                system.warm_start = self.warm_start
-            if self.warm_seed is not None:
-                system.seed_warm_state(self.warm_seed)
-            return system
+            return RoArrayEstimator(array=self.array, layout=self.layout, config=self.config)
         if self.kind == "instance":
             if self.system is None:
                 raise ConfigurationError("EstimatorSpec(kind='instance') requires a system")
@@ -99,8 +87,6 @@ class EstimatorSpec:
                 config=system.config,
                 array=system.array,
                 layout=system.layout,
-                warm_start=bool(system.warm_start),
-                warm_seed=system.warm_seed.copy() if system.warm_seed is not None else None,
             )
         if not hasattr(system, "analyze"):
             raise ConfigurationError(

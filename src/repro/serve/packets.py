@@ -83,7 +83,11 @@ class PositionFix:
     per-client Kalman tracker's posterior (``accepted=False`` means the
     innovation gate rejected the raw fix and the track coasted).
     ``latency_s`` runs from the admission of the newest packet behind
-    the fix to the fix, on the service clock.
+    the fix to the fix, on the service clock.  Under
+    :class:`~repro.serve.resilience.ServiceSupervisor`, which drives
+    every ``roarray serve`` run, that clock is packet time: the value
+    includes stream time spent waiting for the micro-batch deadline
+    and is not a wall-clock packet → fix latency.
     ``trust`` / ``contaminated`` are populated only when the service
     runs with ``ServeConfig.robust``: per-AP consensus trust in [0, 1]
     and whether the fix was computed after excluding measurement-domain

@@ -468,6 +468,9 @@ class LocalizationService:
         session.last_fix_time_s = session.latest_time_s
         # Latency runs from the newest contributing packet's admission;
         # the oldest one's admission dates the estimate the fix rests on.
+        # On the supervisor's packet-time clock both include stream time
+        # spent waiting for the micro-batch deadline: neither is a
+        # wall-clock packet -> fix latency.
         admitted = [estimate.enqueued_at for estimate in fresh.values()]
         latency = max(0.0, now - max(admitted))
         self.metrics.counter("serve.fixes").inc()

@@ -84,78 +84,6 @@ class TestSnrBandExperiment:
                 "high", n_locations=0, systems=small_systems(small_config)
             )
 
-    def test_warm_start_matches_cold_within_tolerance(self, small_config):
-        """ISSUE 2 acceptance: warm chaining lands on the cold-start answer.
-
-        The warm-started sweep seeds every solve with the previous
-        trace's solution; the program is convex, so the minimizer is
-        unchanged and all derived quantities must agree to within the
-        solver tolerance's effect on peak positions.
-        """
-        kwargs = dict(
-            n_locations=2, n_packets=2, n_aps=3, seed=7, resolution_m=0.25,
-        )
-        cold = run_snr_band_experiment(
-            "high", systems=small_systems(small_config), **kwargs
-        )
-        warm = run_snr_band_experiment(
-            "high", systems=small_systems(small_config), warm_start=True, **kwargs
-        )
-        for cold_outcome, warm_outcome in zip(
-            cold.outcomes["ROArray"], warm.outcomes["ROArray"]
-        ):
-            assert warm_outcome.location_error_m == pytest.approx(
-                cold_outcome.location_error_m, abs=1e-6
-            )
-            np.testing.assert_allclose(
-                warm_outcome.direct_aoa_errors_deg,
-                cold_outcome.direct_aoa_errors_deg,
-                atol=1e-6,
-            )
-
-    def test_warm_start_worker_parity(self, small_config):
-        """ISSUE 7: warm sweeps run at any worker count, byte-identically.
-
-        Every job warms from the same frozen WarmStartState seed (shipped
-        to workers on the estimator spec), so the sequential and pooled
-        paths compute exactly the same thing.
-        """
-        kwargs = dict(
-            n_locations=1, n_packets=2, n_aps=3, seed=3, resolution_m=0.25,
-            warm_start=True,
-        )
-        sequential = run_snr_band_experiment(
-            "high", systems=small_systems(small_config), **kwargs
-        )
-        pooled = run_snr_band_experiment(
-            "high", systems=small_systems(small_config), workers=2, **kwargs
-        )
-        for seq, par in zip(sequential.outcomes["ROArray"], pooled.outcomes["ROArray"]):
-            assert par.location_error_m == seq.location_error_m
-            assert par.direct_aoa_errors_deg == seq.direct_aoa_errors_deg
-
-    def test_warm_start_checkpoint_resume_parity(self, small_config, tmp_path):
-        """ISSUE 7: the warm_start × checkpoint refusal is gone.
-
-        A warm sweep journals per-job analyses like any other; rerunning
-        against the same checkpoint dir replays them byte-identically.
-        """
-        kwargs = dict(
-            n_locations=1, n_packets=2, n_aps=3, seed=3, resolution_m=0.25,
-            warm_start=True,
-        )
-        first = run_snr_band_experiment(
-            "high", systems=small_systems(small_config),
-            checkpoint_dir=tmp_path, **kwargs
-        )
-        assert (tmp_path / "snr_band_high_ROArray.jsonl").exists()
-        replayed = run_snr_band_experiment(
-            "high", systems=small_systems(small_config),
-            checkpoint_dir=tmp_path, **kwargs
-        )
-        for a, b in zip(first.outcomes["ROArray"], replayed.outcomes["ROArray"]):
-            assert a.location_error_m == b.location_error_m
-
 
 class TestMusicSnrExperiment:
     def test_degradation_trend(self):

@@ -26,6 +26,7 @@ import pytest
 from repro.exceptions import SolverError
 from repro.optim import (
     BatchSolverResult,
+    WarmStartState,
     solve_batch,
     solve_lasso_fista,
     solve_mmv_fista,
@@ -146,32 +147,27 @@ class TestBatchedMatchesSequentialLoop:
 class TestWarmStart:
     def test_warm_start_matches_sequential_warm_loop(self, rng):
         a, ys = make_batch(rng, 7)
-        first = solve_batch(a, ys, method="fista", kappa=0.1, max_iterations=300)
+        state = WarmStartState()
+        keys = [f"p{index}" for index in range(len(ys))]
+        first = solve_batch(
+            a, ys, method="fista", kappa=0.1, max_iterations=300,
+            warm_state=state, warm_keys=keys,
+        )
         nudged = [
             y + 0.01 * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
             for y in ys
         ]
         warm = solve_batch(
-            a, nudged, method="fista", kappa=0.1, max_iterations=300, x0=first
+            a, nudged, method="fista", kappa=0.1, max_iterations=300,
+            warm_state=state, warm_keys=keys,
         )
+        assert state.hits == len(ys)
         for index, y in enumerate(nudged):
             solo = solve_lasso_fista(
                 a, y, 0.1, max_iterations=300, x0=first.to_numpy()[index]
             )
             scale = max(1.0, float(np.abs(solo.x).max()))
             assert float(np.abs(warm.to_numpy()[index] - solo.x).max()) <= 1e-12 * scale
-
-    def test_warm_start_accepts_plain_array(self, rng):
-        a, ys = make_batch(rng, 3)
-        x0 = np.zeros((3, a.shape[1]), dtype=complex)
-        cold = solve_batch(a, ys, method="fista", kappa=0.1, max_iterations=100)
-        warmed = solve_batch(a, ys, method="fista", kappa=0.1, max_iterations=100, x0=x0)
-        np.testing.assert_array_equal(cold.to_numpy(), warmed.to_numpy())
-
-    def test_warm_start_shape_is_validated(self, rng):
-        a, ys = make_batch(rng, 3)
-        with pytest.raises(SolverError, match="x0 has shape"):
-            solve_batch(a, ys, method="fista", kappa=0.1, x0=np.zeros((2, a.shape[1])))
 
 
 class TestValidation:
@@ -251,11 +247,13 @@ class TestValidation:
         a, ys = make_batch(rng, 2)
         if method == "mmv":
             ys = [np.stack([y, y], axis=1) for y in ys]
-        bad_x0 = np.zeros((2, a.shape[1], *np.shape(ys[0])[1:]), dtype=complex)
-        bad_x0[1, 0] = np.inf
+        bad_start = np.zeros((a.shape[1], *np.shape(ys[0])[1:]), dtype=complex)
+        bad_start[0] = np.inf
+        bad_state = WarmStartState()
+        bad_state.put("b", bad_start)
         cases = [({"kappa": k}, "kappa") for k in (np.nan, np.inf, [0.1, np.nan])]
         cases += [({"lipschitz": v}, "lipschitz") for v in (-1.0, 0.0, np.nan, np.inf)]
-        cases += [({"x0": bad_x0}, "x0")]
+        cases += [({"warm_state": bad_state, "warm_keys": ["a", "b"]}, "x0")]
         for bad, match in cases:
             inputs = {"kappa": 0.1, "max_iterations": 10, **bad}
             with pytest.raises(SolverError, match=match):
@@ -381,9 +379,11 @@ class TestFusedKernels:
             a, stacks[0], kappas[0], max_iterations=300,
             x0=np.zeros((n, 2), dtype=complex), penalty_weights=weights,
         ))
+        keys = [str(index) for index in range(5)]
         batch = solve_batch(
             a, stacks, method="mmv", kappa=kappas, max_iterations=300,
-            x0=warm, penalty_weights=weights,
+            penalty_weights=weights,
+            warm_state=WarmStartState(dict(zip(keys, warm))), warm_keys=keys,
         )
         for index, (snapshots, kappa) in enumerate(zip(stacks, kappas)):
             check(batch.to_numpy()[index], plain_mmv_fista(
@@ -393,7 +393,8 @@ class TestFusedKernels:
 
         step = 1.0 / (2.0 * as_operator(a).lipschitz())
         one = solve_batch(
-            a, stacks[2:3], method="mmv", kappa=0.0, max_iterations=1, x0=warm[2:3]
+            a, stacks[2:3], method="mmv", kappa=0.0, max_iterations=1,
+            warm_state=WarmStartState({"2": warm[2]}), warm_keys=["2"],
         )
         gradient = 2.0 * a.conj().T @ (a @ warm[2] - stacks[2])
         np.testing.assert_allclose(one.to_numpy()[0], warm[2] - step * gradient, atol=1e-13)

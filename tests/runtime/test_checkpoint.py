@@ -145,6 +145,25 @@ class TestJournal:
             with pytest.raises(CheckpointError, match="different experiment"):
                 journal.open(config_digest="OTHER", n_jobs=1)
 
+    def test_evaluate_resume_with_another_config_refuses(self, small_estimator, tmp_path):
+        """A journal resumed under another RoArrayConfig is refused, and
+        the refusal leaves every journaled byte as it was."""
+        from repro.core.pipeline import RoArrayEstimator
+        from repro.runtime.batch import BatchEvaluator
+
+        traces = make_traces(small_estimator, 2)
+        policy = CheckpointPolicy(path=tmp_path / "j.jsonl", experiment="t")
+        BatchEvaluator(small_estimator).evaluate(traces, checkpoint=policy)
+        journaled = policy.path.read_bytes()
+        other = RoArrayEstimator(
+            array=small_estimator.array,
+            layout=small_estimator.layout,
+            config=dataclasses.replace(small_estimator.config, kappa_fraction=0.25),
+        )
+        with pytest.raises(CheckpointError, match="different experiment"):
+            BatchEvaluator(other).evaluate(traces, checkpoint=policy)
+        assert policy.path.read_bytes() == journaled
+
     def test_version_mismatch_refuses(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text(

@@ -25,9 +25,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.pipeline import RoArrayEstimator
 from repro.exceptions import ResumableInterrupt
 from repro.runtime import BatchEvaluator, CheckpointPolicy
-from repro.runtime.checkpoint import CheckpointJournal
+from repro.runtime.checkpoint import CheckpointJournal, trace_fingerprint
+from repro.runtime.jobs import EstimatorSpec
 from tests.runtime.conftest import make_traces
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -133,10 +135,32 @@ def test_journal_resumes_across_worker_counts(small_estimator, tmp_path):
     ]
 
 
+class _GatedEstimator(RoArrayEstimator):
+    """ROArray whose jobs, except the ``free`` traces, wait for a gate file.
+
+    Shipped to the pool whole (an ``instance`` spec), so pooled jobs
+    wait on the same file.  The wait is bounded: a gate that never
+    opens fails the test instead of hanging it.
+    """
+
+    GATE_TIMEOUT_S = 60.0
+
+    def __init__(self, estimator: RoArrayEstimator, gate: Path, free: set[str]) -> None:
+        super().__init__(array=estimator.array, layout=estimator.layout, config=estimator.config)
+        self.gate = gate
+        self.free = free
+
+    def joint_spectrum(self, trace, *, packet=None):
+        if trace_fingerprint(trace) not in self.free:
+            deadline = time.monotonic() + self.GATE_TIMEOUT_S
+            while not self.gate.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+        return super().joint_spectrum(trace, packet=packet)
+
+
 class TestGracefulInterrupt:
-    # Big enough that the batch spans several 0.2 s drain polls at two
-    # workers — a batch that fits in one poll window finishes before the
-    # parallel loop ever sees the signal (~35 ms/job on the small grids).
+    # Several times the pool's in-flight window (workers + 1 queued
+    # calls at chunk_size=1), so the drain has queued work to cancel.
     N_GRACEFUL = 24
 
     def _evaluate_with_sigint(self, estimator, tmp_path, monkeypatch, *, workers: int):
@@ -146,6 +170,17 @@ class TestGracefulInterrupt:
             estimator, self.N_GRACEFUL // 2, seed=5
         )
         journal = tmp_path / "batch.jsonl"
+        # Every job but the first two waits for the gate, which opens
+        # only after the SIGINT below: on a fast host the whole batch
+        # could otherwise finish within one drain poll of the parallel
+        # loop, before it ever looks at the signal.
+        gate = tmp_path / "gate"
+        spec = EstimatorSpec(
+            kind="instance",
+            system=_GatedEstimator(
+                estimator, gate, {trace_fingerprint(trace) for trace in traces[:2]}
+            ),
+        )
 
         # SIGINT arrives right after the 2nd job record is appended, in
         # the thread that appends it, so the drain check that follows the
@@ -161,23 +196,24 @@ class TestGracefulInterrupt:
             appended += 1
             if appended == 2:
                 os.kill(os.getpid(), signal.SIGINT)
+                gate.touch()
 
         monkeypatch.setattr(CheckpointJournal, "append", append_then_interrupt)
         # chunk_size=1 keeps most futures out of the pool's pre-buffered
         # call queue, so the drain can actually cancel pending work — with
         # big chunks a small batch may finish entirely despite the signal.
         with pytest.raises(ResumableInterrupt) as exc_info:
-            BatchEvaluator(estimator, workers=workers, chunk_size=1).evaluate(
+            BatchEvaluator(spec, workers=workers, chunk_size=1).evaluate(
                 traces, checkpoint=CheckpointPolicy(path=journal, experiment="t")
             )
         monkeypatch.setattr(CheckpointJournal, "append", append)
-        return traces, journal, exc_info.value
+        return traces, journal, spec, exc_info.value
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_sigint_drains_and_raises_resumable(
         self, small_estimator, tmp_path, monkeypatch, workers
     ):
-        traces, journal, interrupt = self._evaluate_with_sigint(
+        traces, journal, spec, interrupt = self._evaluate_with_sigint(
             small_estimator, tmp_path, monkeypatch, workers=workers
         )
         assert 0 < interrupt.completed < interrupt.total == self.N_GRACEFUL
@@ -191,7 +227,7 @@ class TestGracefulInterrupt:
         assert len(job_lines) == interrupt.completed
 
         # Rerunning the same evaluation resumes and matches a fresh run.
-        resumed = BatchEvaluator(small_estimator, workers=workers).evaluate(
+        resumed = BatchEvaluator(spec, workers=workers).evaluate(
             traces, checkpoint=CheckpointPolicy(path=journal, experiment="t")
         )
         assert resumed.report.n_replayed == interrupt.completed
