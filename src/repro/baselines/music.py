@@ -39,13 +39,15 @@ def forward_backward_average(covariance: np.ndarray) -> np.ndarray:
     """Forward–backward averaging: ``(R + J R* J) / 2``.
 
     ``J`` is the exchange (flip) matrix.  Decorrelates pairs of coherent
-    sources on a ULA at no aperture cost.
+    sources on a ULA at no aperture cost.  A stack of covariances
+    (``(..., M, M)``) is averaged matrix by matrix.
     """
     covariance = np.asarray(covariance)
-    if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1]:
+    if covariance.ndim < 2 or covariance.shape[-1] != covariance.shape[-2]:
         raise SolverError(f"covariance must be square, got shape {covariance.shape}")
-    flipped = covariance[::-1, ::-1].conj()
-    return 0.5 * (covariance + flipped)
+    averaged = covariance + covariance[..., ::-1, ::-1].conj()
+    averaged *= 0.5
+    return averaged
 
 
 def noise_subspace(covariance: np.ndarray, n_sources: int) -> np.ndarray:
@@ -53,35 +55,43 @@ def noise_subspace(covariance: np.ndarray, n_sources: int) -> np.ndarray:
 
     ``n_sources`` is the assumed model order ``K``; MUSIC's accuracy
     hinges on it (paper §III-B notes SpotFi fixes K = 5 and suffers
-    when the true K differs).
+    when the true K differs).  A stack of covariances (``(..., M, M)``)
+    is decomposed in one stacked ``eigh``.
     """
     covariance = np.asarray(covariance)
-    m = covariance.shape[0]
+    m = covariance.shape[-1]
     if not 1 <= n_sources < m:
         raise SolverError(f"n_sources must be in [1, {m - 1}], got {n_sources}")
     eigenvalues, eigenvectors = np.linalg.eigh(covariance)
     # eigh returns ascending order: the smallest M−K eigenpairs are noise.
-    return eigenvectors[:, : m - n_sources]
+    return eigenvectors[..., : m - n_sources]
 
 
 def music_pseudospectrum(noise_basis: np.ndarray, dictionary) -> np.ndarray:
     """``P = 1/‖E_nᴴ s‖²`` for each dictionary column ``s``.
 
-    ``dictionary`` is a dense ``(M, n)`` steering array or any
-    :class:`~repro.optim.DictionaryOperator` whose rows follow the
-    basis rows; the denominators are the row norms of the adjoint
-    product ``Aᴴ E_n``, so a structured dictionary (SpotFi's
-    :class:`~repro.optim.KroneckerJointOperator`) is never materialized.
+    ``noise_basis`` is one ``(M, M−K)`` basis, or a ``(B, M, M−K)`` stack
+    scored in one pass (``(B, n)`` out), each basis floored at ``1e-12``
+    of its own largest denominator.  ``dictionary`` is a dense ``(M, n)``
+    steering array or any :class:`~repro.optim.DictionaryOperator` whose
+    rows follow the basis rows.  The denominators are the operator's
+    :meth:`~repro.optim.DictionaryOperator.row_energies` of ``E_n``: the
+    squared adjoint for dense steering, the per-delay Gram forms for
+    SpotFi's :class:`~repro.optim.KroneckerJointOperator`, which is never
+    materialized and never forms ``Aᴴ E_n``.
     """
-    projections = as_operator(dictionary).rmatvec(noise_basis)
-    # Σ|p|² per row, squared in place in the product (ours to clobber): a
-    # temporary the size of the product would cost page faults per call.
-    energies, imaginary = projections.real, projections.imag
-    np.square(energies, out=energies)
-    energies += np.square(imaginary, out=imaginary)
-    denominator = energies.sum(axis=1)
-    floor = 1e-12 * max(float(denominator.max(initial=0.0)), 1e-300)
-    return 1.0 / np.maximum(denominator, floor)
+    operator = as_operator(dictionary)
+    bases = np.asarray(noise_basis)
+    stack = bases if bases.ndim == 3 else bases[None]
+    rows = stack.transpose(0, 2, 1)
+    if operator.line_order is not None:
+        rows = rows.take(operator.line_order, axis=2)
+    denominator = operator.row_energies(rows.reshape(-1, stack.shape[1]).T, stack.shape[2])
+    peak = denominator.max(axis=1, initial=0.0, keepdims=True)
+    floor = 1e-12 * np.maximum(peak, 1e-300)
+    # In place: the energies are a fresh array, as large as the spectra.
+    power = np.divide(1.0, np.maximum(denominator, floor, out=denominator), out=denominator)
+    return power if bases.ndim == 3 else power[0]
 
 
 def music_angle_spectrum(

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.baselines.music import forward_backward_average, music_pseudospectrum, noise_subspace
 from repro.channel.array import UniformLinearArray
@@ -49,21 +50,22 @@ def sanitize_csi_phase(csi_matrix: np.ndarray) -> np.ndarray:
     to the RF chains) to the unwrapped per-antenna phases and subtracts
     it.  This removes the packet detection delay *and* part of the true
     ToA — which is why SpotFi's ToAs are only useful relatively, and why
-    its direct-path logic leans on clustering rather than raw delay.
+    its direct-path logic leans on clustering rather than raw delay.  A
+    ``(packets, antennas, subcarriers)`` stack gets one slope per packet.
     """
     csi_matrix = np.asarray(csi_matrix, dtype=complex)
-    if csi_matrix.ndim != 2:
+    if csi_matrix.ndim < 2:
         raise SolverError(f"csi must be 2-D (antennas × subcarriers), got {csi_matrix.shape}")
-    n_subcarriers = csi_matrix.shape[1]
+    n_subcarriers = csi_matrix.shape[-1]
     index = np.arange(n_subcarriers, dtype=float)
 
-    phases = np.unwrap(np.angle(csi_matrix), axis=1)
+    phases = np.unwrap(np.angle(csi_matrix), axis=-1)
     # Least-squares common slope: average the per-antenna slopes.
     centered_index = index - index.mean()
     denom = float(np.sum(centered_index**2))
-    slopes = (phases - phases.mean(axis=1, keepdims=True)) @ centered_index / denom
-    common_slope = float(slopes.mean())
-    return csi_matrix * np.exp(-1j * common_slope * index)[None, :]
+    slopes = (phases - phases.mean(axis=-1, keepdims=True)) @ centered_index / denom
+    common_slope = slopes.mean(axis=-1)[..., None, None]
+    return csi_matrix * np.exp(-1j * common_slope * index)
 
 
 def smoothed_csi_matrix(
@@ -74,29 +76,22 @@ def smoothed_csi_matrix(
     Rows enumerate the (antenna, subcarrier) cells of one subarray
     window, antenna-major (subcarrier fastest); columns enumerate all
     window placements.  For the paper's 3×30 CSI with the default 2×15
-    window this yields the classic 30 × 32 matrix.
+    window this yields the classic 30 × 32 matrix; a stack of CSI
+    matrices gives a stack of smoothed ones.
     """
     csi_matrix = np.asarray(csi_matrix, dtype=complex)
-    m, length = csi_matrix.shape
+    m, length = csi_matrix.shape[-2:]
     if not 1 <= antenna_window <= m:
         raise ConfigurationError(f"antenna_window must be in [1, {m}], got {antenna_window}")
     if not 1 <= subcarrier_window <= length:
         raise ConfigurationError(
             f"subcarrier_window must be in [1, {length}], got {subcarrier_window}"
         )
-    antenna_starts = m - antenna_window + 1
-    subcarrier_starts = length - subcarrier_window + 1
-
-    rows = antenna_window * subcarrier_window
-    columns = antenna_starts * subcarrier_starts
-    smoothed = np.empty((rows, columns), dtype=complex)
-    column = 0
-    for a in range(antenna_starts):
-        for b in range(subcarrier_starts):
-            window = csi_matrix[a : a + antenna_window, b : b + subcarrier_window]
-            smoothed[:, column] = window.reshape(-1)
-            column += 1
-    return smoothed
+    windows = sliding_window_view(csi_matrix, (antenna_window, subcarrier_window), axis=(-2, -1))
+    # (..., antenna starts, subcarrier starts, window): one row per placement.
+    placements = (m - antenna_window + 1) * (length - subcarrier_window + 1)
+    columns = windows.reshape(*csi_matrix.shape[:-2], placements, antenna_window * subcarrier_window)
+    return np.swapaxes(columns, -1, -2)
 
 
 def subarray_joint_operator(
@@ -235,36 +230,56 @@ class SpotFiEstimator:
 
     # -- spectra -----------------------------------------------------------
 
-    def packet_spectrum(self, csi_matrix: np.ndarray) -> JointSpectrum:
-        """Sanitize → smooth → joint 2-D MUSIC for one packet."""
-        sanitized = sanitize_csi_phase(csi_matrix)
+    def packet_spectra(self, csi: np.ndarray) -> list[JointSpectrum]:
+        """Sanitize → smooth → joint 2-D MUSIC for a whole trace at once.
+
+        ``csi`` is a ``(packets, antennas, subcarriers)`` stack; each
+        stage runs once over it (see :meth:`smoothed_spectra`), and the
+        result holds one spectrum per packet.
+        """
         smoothed = smoothed_csi_matrix(
-            sanitized,
+            sanitize_csi_phase(csi),
             antenna_window=self.config.antenna_window,
             subcarrier_window=self.config.subcarrier_window,
         )
-        return self.smoothed_spectrum(smoothed)
+        return self.smoothed_spectra(smoothed)
+
+    def packet_spectrum(self, csi_matrix: np.ndarray) -> JointSpectrum:
+        """:meth:`packet_spectra` of one ``(antennas, subcarriers)`` packet."""
+        csi_matrix = np.asarray(csi_matrix)
+        if csi_matrix.ndim != 2:
+            raise SolverError(f"csi must be 2-D (antennas × subcarriers), got {csi_matrix.shape}")
+        return self.packet_spectra(csi_matrix[None])[0]
+
+    def smoothed_spectra(self, smoothed: np.ndarray) -> list[JointSpectrum]:
+        """Joint 2-D MUSIC of a stack of :func:`smoothed_csi_matrix` (``K = model_order``).
+
+        The forward–backward averaged covariances go through one stacked
+        ``eigh``, and one Gram pass of the operator scores every noise
+        basis (:func:`~repro.baselines.music.music_pseudospectrum`, each
+        packet with its own floor).  Averaging and eigendecomposition run
+        in the smoothed matrices' antenna-major row order; only the noise
+        bases are reordered into the operator's rows, which is exact.
+        """
+        covariance = smoothed @ np.swapaxes(smoothed.conj(), -1, -2)
+        covariance /= smoothed.shape[-1]
+        covariance = forward_backward_average(covariance)
+        bases = noise_subspace(covariance, self.config.model_order)[:, self._operator_rows]
+        del covariance  # freed, like the eigenvectors, before the Gram pass
+        power = music_pseudospectrum(bases, self._operator)
+        grids = power.reshape(-1, self.config.delay_grid.n_points, self.config.angle_grid.n_points)
+        angles, toas = self.config.angle_grid.angles_deg, self.config.delay_grid.toas_s
+        return [JointSpectrum(angles, toas, grid.T) for grid in grids]
 
     def smoothed_spectrum(self, smoothed: np.ndarray) -> JointSpectrum:
-        """Joint 2-D MUSIC of a :func:`smoothed_csi_matrix` (``K = model_order``).
-
-        Forward–backward averaging and the eigendecomposition run in the
-        smoothed matrix's antenna-major row order; only the noise basis
-        is reordered into the operator's rows, which is exact.
-        """
-        covariance = forward_backward_average(smoothed @ smoothed.conj().T / smoothed.shape[1])
-        basis = noise_subspace(covariance, self.config.model_order)[self._operator_rows]
-        power = music_pseudospectrum(basis, self._operator)
-        grid = power.reshape(self.config.delay_grid.n_points, self.config.angle_grid.n_points)
-        return JointSpectrum(
-            self.config.angle_grid.angles_deg, self.config.delay_grid.toas_s, grid.T
-        )
+        """:meth:`smoothed_spectra` of one smoothed matrix."""
+        return self.smoothed_spectra(np.asarray(smoothed)[None])[0]
 
     def aoa_spectrum(self, trace: CsiTrace) -> AngleSpectrum:
         """Average angle marginal across packets (paper Fig. 2 plots)."""
         accumulated = None
-        for p in range(trace.n_packets):
-            marginal = self.packet_spectrum(trace.packet(p)).angle_marginal().normalized()
+        for spectrum in self.packet_spectra(trace.csi):
+            marginal = spectrum.angle_marginal().normalized()
             accumulated = marginal.power if accumulated is None else accumulated + marginal.power
         assert accumulated is not None
         return AngleSpectrum(self.config.angle_grid.angles_deg, accumulated / trace.n_packets)
@@ -272,16 +287,14 @@ class SpotFiEstimator:
     # -- clustering / direct path -------------------------------------------
 
     def collect_peaks(self, trace: CsiTrace) -> list[SpectrumPeak]:
-        peaks: list[SpectrumPeak] = []
-        for p in range(trace.n_packets):
-            spectrum = self.packet_spectrum(trace.packet(p))
-            peaks.extend(
-                spectrum.peaks(
-                    max_peaks=self.config.peaks_per_packet,
-                    min_relative_height=self.config.peak_floor,
-                )
+        return [
+            peak
+            for spectrum in self.packet_spectra(trace.csi)
+            for peak in spectrum.peaks(
+                max_peaks=self.config.peaks_per_packet,
+                min_relative_height=self.config.peak_floor,
             )
-        return peaks
+        ]
 
     def cluster_peaks(self, peaks: list[SpectrumPeak]) -> list[PathCluster]:
         """Greedy leader clustering in (AoA, ToA), strongest peaks first."""

@@ -19,7 +19,6 @@ problems, and the package's one FISTA loop: the LASSO of
 
 from __future__ import annotations
 
-import inspect
 import math
 from typing import Callable
 
@@ -170,7 +169,10 @@ def mmv_lockstep(
     innermost.  Their ``(B·p, n)`` row stacks go to the operator as
     transposed ``(n, B·p)`` views, so one pair of factor GEMMs covers
     the whole stack with no copy, and at ``B = 1`` the products are
-    exactly those of a lone ``(n, p)`` solve.
+    exactly those of a lone ``(n, p)`` solve.  The snapshot rows and the
+    residual stay in the operator's line layout (``line_order``, set
+    once here), which its ``matvec_lines`` returns and its
+    ``rmatvec_lines`` reads, so no iteration permutes them.
 
     The iterate is row-sparse, so from a stacked size ``B·p·n`` of
     :data:`GATHER_MIN_SIZE` the tail — the shrunk candidate, the change,
@@ -182,11 +184,11 @@ def mmv_lockstep(
     rotates the buffers instead.
 
     The gradient point comes one of two ways.  By default the full
-    adjoint lands in a ``(B, p, n)`` point buffer (``rmatvec``'s
-    ``out=`` where the operator takes one) and the row norms span the
-    grid.  Where the operator says its row energies are the cheaper
-    product (``p ≥ operator.screen_snapshots``, and only in the gathered
-    tail), no step touches a full-grid ``(B, p, n)`` array: the forward
+    adjoint lands in a ``(B, p, n)`` point buffer (``rmatvec_lines``'
+    ``out=``) and the row norms span the grid.  Where the operator says
+    its row energies are the cheaper product
+    (``p ≥ operator.screen_snapshots``, and only in the gathered tail),
+    no step touches a full-grid ``(B, p, n)`` array: the forward
     product runs on the momentum's rows (``matvec_rows``);
     ``rmatvec_energies`` bounds every row's adjoint energy; the rows
     whose bound reaches the squared threshold (lowered by the rounding
@@ -222,7 +224,10 @@ def mmv_lockstep(
         thresholds = thresholds * weights.reshape(1, n)
 
     folded = n_problems * n_snapshots
-    Y = np.ascontiguousarray(Ys.transpose(0, 2, 1)).reshape(folded, m)
+    # Snapshot rows in the operator's line layout, as its products return them.
+    Y = Ys.transpose(0, 2, 1)
+    order = operator.line_order
+    Y = np.ascontiguousarray(Y if order is None else Y.take(order, axis=2)).reshape(folded, m)
     X = (
         np.zeros((n_problems, n_snapshots, n), dtype=complex)
         if warm is None
@@ -271,7 +276,6 @@ def mmv_lockstep(
         # Row norms, then shrink factors, per (problem, grid row); with one
         # column the squares already are the row norms.
         factors = squares[:, 0, :] if n_snapshots == 1 else np.empty((n_problems, n))
-        takes_out = "out" in inspect.signature(operator.rmatvec).parameters
         if gather:
             point_flat = point.reshape(-1)
             gathered = np.empty((n_problems, n), dtype=bool)
@@ -288,7 +292,7 @@ def mmv_lockstep(
             if screen:
                 residual = operator.matvec_rows(stack, rows, n_snapshots).T
             else:
-                residual = operator.matvec(stack).T
+                residual = operator.matvec_lines(stack).T
             residual -= Y
             # point = momentum − step·2Aᴴr: the factor −2·step scales the
             # short residual rows before the adjoint, not the gradient.
@@ -318,10 +322,7 @@ def mmv_lockstep(
                     threshold_rows if len(threshold_rows) == 1 else threshold_rows.take(candidates)
                 )
             else:
-                if takes_out:
-                    operator.rmatvec(residual.T, out=point.reshape(folded, n).T)
-                else:
-                    point.reshape(folded, n)[...] = operator.rmatvec(residual.T).T
+                operator.rmatvec_lines(residual.T, out=point.reshape(folded, n).T)
                 if gather:
                     # The momentum is zero off its gathered rows.
                     momentum_values += point_flat.take(momentum_index)

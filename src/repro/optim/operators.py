@@ -13,14 +13,16 @@ ramps ``G ∈ ℂ^{L×Nτ}`` and the angle steering matrix ``S̃ ∈ ℂ^{M×Nθ
 applies it as two small matmuls over the ``Nθ × Nτ`` grid instead of one
 dense ``(M·L) × (Nθ·Nτ)`` GEMM — the separable-dictionary trick of
 multidimensional OMP (Palacios et al.) applied to the ℓ1/ℓ2,1 path —
-and its Lipschitz constant factorizes exactly as
-``λmax(S̃ᴴS̃)·λmax(GᴴG)``.  It serves two estimators: ROArray's ℓ1 and
-ℓ2,1 solves (:attr:`repro.core.steering.SteeringCache.joint_operator`)
-and SpotFi's 2-D MUSIC, whose smoothing-window steering is the same
-Kronecker structure on a 2-antenna × 15-subcarrier window
+each factor one real GEMM over a stack of lines, and its Lipschitz
+constant factorizes exactly as ``λmax(S̃ᴴS̃)·λmax(GᴴG)``.  It serves two
+estimators: ROArray's ℓ1 and ℓ2,1 solves
+(:attr:`repro.core.steering.SteeringCache.joint_operator`) and SpotFi's
+2-D MUSIC, whose smoothing-window steering is the same Kronecker
+structure on a 2-antenna × 15-subcarrier window
 (:func:`repro.baselines.spotfi.subarray_joint_operator`) and whose
-pseudospectrum needs only ``rmatvec``
-(:func:`repro.baselines.music.music_pseudospectrum`).
+pseudospectrum reads only the adjoint's row energies
+(:meth:`DictionaryOperator.row_energies`, per-delay Gram forms here),
+never ``Aᴴ E_n`` itself (:func:`repro.baselines.music.music_pseudospectrum`).
 
 Operators also expose batched products ``matmul_batch``/``rmatmul_batch``
 that apply the dictionary to a whole stack of problems in one GEMM — the
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -109,31 +112,67 @@ class DictionaryOperator(ABC):
             return np.moveaxis(product.reshape(self.shape[1], batch, p), 0, 1)
         raise SolverError(f"rmatmul_batch operand must be 2-D or 3-D, got ndim={r.ndim}")
 
-    # Row-screened products of the MMV kernel's gathered tail.  A 2-D
-    # operand of shape (·, B·p) stacks B problems of p consecutive
-    # columns; a "row" is a flat index b·n + j into the (B, n) grid.
+    # The MMV kernel's products.  Its residual and snapshot matrices live
+    # in the operator's line layout: measurement row ``line_order[i]`` at
+    # position ``i`` (``None``: the row order itself).  A 2-D operand of
+    # shape (·, B·p) stacks B problems of p consecutive columns; a "row"
+    # is a flat index b·n + j into the (B, n) grid.
+
+    #: Measurement rows in the order of the line-layout products, or
+    #: ``None`` where that is the row order itself.
+    line_order: np.ndarray | None = None
+
+    def matvec_lines(self, x):
+        """The 2-D :meth:`matvec`, its rows in :attr:`line_order`."""
+        return self.matvec(x)
+
+    def rmatvec_lines(self, r, *, out=None):
+        """The 2-D :meth:`rmatvec` of an ``r`` whose rows are in
+        :attr:`line_order`, written into ``out`` when given (an
+        ``(n, B·p)`` complex array, returned filled)."""
+        product = self.rmatvec(r)
+        if out is None:
+            return product
+        out[...] = product
+        return out
 
     def matvec_rows(self, x, rows, n_snapshots: int):
-        """``A @ x`` for a 2-D ``(n, B·p)`` ``x`` that is zero off ``rows``.
+        """:meth:`matvec_lines` for a 2-D ``(n, B·p)`` ``x`` that is zero off ``rows``.
 
         ``rows`` lists the flat grid rows ``b·n + j`` where problem ``b``
         may be nonzero; an operator may skip the others.  This one
-        computes the full :meth:`matvec`.
+        computes the full product.
         """
-        return self.matvec(x)
+        return self.matvec_lines(x)
+
+    def row_energies(self, r, n_snapshots: int):
+        """The ``(B, n)`` row energies ``Σ_k |(Aᴴr)_{j,b·p+k}|²`` of the adjoint.
+
+        ``r`` is ``(m, B·p)`` in the line layout, ``p = n_snapshots``;
+        the result is a new array the caller may overwrite.  Here the
+        energies are the squares of the explicit adjoint, summed per row
+        in ``k`` order (MUSIC's denominators for dense steering).
+        """
+        projections = self.rmatvec_lines(r)
+        # Squared in place in the product (ours to clobber): a temporary
+        # the size of the product would cost page faults per call.
+        energies, imaginary = projections.real, projections.imag
+        np.square(energies, out=energies)
+        energies += np.square(imaginary, out=imaginary)
+        return energies.reshape(self.shape[1], -1, n_snapshots).sum(axis=2).T
 
     def rmatvec_energies(self, r, n_snapshots: int):
         """Upper bounds on the row energies of ``Aᴴ r``, and a stage.
 
-        ``r`` is ``(m, B·p)`` with ``p = n_snapshots``.  Returns a
-        ``(B, n)`` array ``bound`` with ``bound[b, j] ≥ Σ_k |(Aᴴr)_{j,b·p+k}|²``,
-        the sum evaluated in floating point, in ``k`` order and as
-        ``Re² + Im²`` per term, from the values :meth:`rmatvec_rows`
-        returns; and the stage those values are picked from.  Here the
-        bound is that sum itself, from the full :meth:`rmatvec`, and the
-        stage is the ``(B, p, n)`` adjoint.
+        ``r`` is ``(m, B·p)`` in the line layout, ``p = n_snapshots``.
+        Returns a ``(B, n)`` array ``bound`` with
+        ``bound[b, j] ≥ Σ_k |(Aᴴr)_{j,b·p+k}|²``, the sum evaluated in
+        floating point, in ``k`` order and as ``Re² + Im²`` per term,
+        from the values :meth:`rmatvec_rows` returns; and the stage those
+        values are picked from.  Here the bound is that sum itself, from
+        the full adjoint, and the stage is the ``(B, p, n)`` adjoint.
         """
-        stage = np.ascontiguousarray(self.rmatvec(r).T, dtype=complex)
+        stage = np.ascontiguousarray(self.rmatvec_lines(r).T, dtype=complex)
         stage = stage.reshape(-1, n_snapshots, self.shape[1])
         squares = np.square(stage.view(np.float64))
         energies = squares[..., 0::2] + squares[..., 1::2]
@@ -144,8 +183,8 @@ class DictionaryOperator(ABC):
 
         Returns ``(p, count)`` values, one column per ``True`` row in
         C order: entry ``[k, c]`` is column ``b·p + k`` of the adjoint at
-        grid row ``j`` for the ``c``-th row ``b·n + j``, bit-equal to the
-        full :meth:`rmatvec`'s.  ``stage`` comes from
+        grid row ``j`` for the ``c``-th row ``b·n + j``, bit-equal to
+        :meth:`rmatvec_lines`'.  ``stage`` comes from
         :meth:`rmatvec_energies`.
         """
         n_snapshots, n = stage.shape[1], self.shape[1]
@@ -216,23 +255,30 @@ class KroneckerJointOperator(DictionaryOperator):
     engine: :meth:`matmul_batch` folds a whole stack of problems into
     the same two factor GEMMs.
 
-    The 2-D path works on the operand's row stack ``xᵀ``, one
-    ``(Nτ, Nθ)`` coefficient grid per column, and returns the ``.T`` of
-    its ``(p, m)`` row-stack result.  A caller that keeps its iterate as
-    rows (the MMV kernel) hands over ``rows.T`` and reads back
-    ``product.T``, so neither side copies; any other ``(n, p)`` operand
-    pays one contiguous copy of its row stack.  The 2-D :meth:`rmatvec`
-    also writes into a caller's ``out=`` buffer, so the kernel's adjoint
-    lands in the same ``(p, n)`` row stack every iteration.
+    The 2-D products apply each factor as one GEMM over a stack of
+    lines.  The spatial GEMM maps the operand's row stack ``xᵀ`` — one
+    ``(Nτ, Nθ)`` coefficient grid per column, ``(p·Nτ, Nθ)`` lines —
+    to the ``(p·Nτ, M)`` stage; each column's small ``(Nτ, M)`` stage
+    is then transposed into antenna-major lines, and the temporal GEMM
+    maps ``(p·M, Nτ) ↔ (p·M, L)``.  Its output is the measurement with
+    rows antenna-major, the *line layout* (:attr:`line_order`), which
+    the MMV kernel keeps its residual in (:meth:`matvec_lines`,
+    :meth:`rmatvec_lines` and the screened products);
+    :meth:`matvec` and :meth:`rmatvec` permute to and from the
+    antenna-fastest rows, one copy of the ``(p, m)`` stack each.  A
+    caller that keeps its iterate as rows (the MMV kernel) hands over
+    ``rows.T`` and reads back ``product.T``, so neither side copies; the
+    2-D adjoints also write into a caller's ``out=`` buffer, so the
+    kernel's adjoint lands in the same ``(p, n)`` row stack every
+    iteration.
 
-    The two spatial GEMMs of the 2-D path, ``(p·Nτ, Nθ) @ S̃ᵀ`` and
-    ``(p·Nτ, M) @ conj(S̃)``, run in real arithmetic: a complex row
-    stack viewed as float64 interleaves real and imaginary parts, and
-    right-multiplying it by the ``(2K, 2N)`` real form of a complex
-    ``(K, N)`` factor (each entry ``c + id`` a 2×2 block
-    ``[[c, d], [−d, c]]``, built once here) is the complex product —
-    one float64 GEMM, about twice as fast as the complex one at these
-    skinny shapes, equal to it up to rounding.
+    All four GEMMs run in real arithmetic: a complex row stack viewed as
+    float64 interleaves real and imaginary parts, and right-multiplying
+    it by the ``(2K, 2N)`` real form of a complex ``(K, N)`` factor (each
+    entry ``c + id`` a 2×2 block ``[[c, d], [−d, c]]``) is the complex
+    product — one float64 GEMM, about twice as fast as the complex one
+    at these skinny shapes, equal to it up to rounding.  The real forms
+    are built on first use.
     """
 
     def __init__(self, temporal, spatial) -> None:
@@ -244,12 +290,6 @@ class KroneckerJointOperator(DictionaryOperator):
             raise SolverError("KroneckerJointOperator factors contain non-finite entries")
         self.temporal = temporal
         self.spatial = spatial
-        # Factors of the 2-D paths, materialized once (the 1-D paths
-        # conjugate per call, matching the reference expressions bit for
-        # bit); the spatial ones in real 2×2-block form.
-        self._temporal_adjoint = temporal.conj().T
-        self._spatial_forward = _real_block_form(spatial.T)
-        self._spatial_adjoint = _real_block_form(spatial.conj())
         self.n_subcarriers, self.n_delays = tuple(temporal.shape)
         self.n_antennas, self.n_angles = tuple(spatial.shape)
         self.shape = (
@@ -258,6 +298,36 @@ class KroneckerJointOperator(DictionaryOperator):
         )
         self._lipschitz: float | None = None
         self._energy_features: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def line_order(self) -> np.ndarray:
+        """Antenna-major lines: line-layout row ``a·L + l`` is row ``l·M + a``."""
+        rows = np.arange(self.shape[0]).reshape(self.n_subcarriers, self.n_antennas)
+        return rows.T.reshape(-1)
+
+    # The factors of the 2-D paths in real 2×2-block form, built on first
+    # use (the 1-D paths conjugate per call, matching the reference
+    # expressions bit for bit).
+
+    @cached_property
+    def _spatial_forward(self) -> np.ndarray:
+        """``S̃ᵀ``: grid lines ``(·, Nθ)`` → stage rows ``(·, M)``."""
+        return _real_block_form(self.spatial.T)
+
+    @cached_property
+    def _spatial_adjoint(self) -> np.ndarray:
+        """``conj(S̃)``: stage rows → grid lines."""
+        return _real_block_form(self.spatial.conj())
+
+    @cached_property
+    def _temporal_forward(self) -> np.ndarray:
+        """``Gᵀ`` in real block form: stage lines → measurement lines."""
+        return _real_block_form(self.temporal.T)
+
+    @cached_property
+    def _temporal_adjoint(self) -> np.ndarray:
+        """``conj(G)`` in real block form: measurement lines → stage lines."""
+        return _real_block_form(self.temporal.conj())
 
     def matvec(self, x):
         x = np.asarray(x)
@@ -269,55 +339,74 @@ class KroneckerJointOperator(DictionaryOperator):
             csi = self.spatial @ grid.T @ self.temporal.T
             return csi.T.reshape(-1)
         if x.ndim == 2:
-            # Row stack: contract the wide angle axis first (Nθ → M
-            # shrinks ~30×, Nτ → L only ~2×) as one GEMM over every grid
-            # X_k, then G (X_k S̃ᵀ) per grid — the (L, M) CSI matrix of
-            # column k, whose C-order flattening is antenna-fastest.
-            rows = np.ascontiguousarray(x.T, dtype=complex)
-            p = rows.shape[0]
-            angles = _real_view(rows, p * self.n_delays) @ self._spatial_forward
-            csi = self.temporal @ angles.view(complex).reshape(
-                p, self.n_delays, self.n_antennas
-            )
-            return csi.reshape(p, self.shape[0]).T
+            lines = self.matvec_lines(x).T
+            rows = lines.reshape(-1, self.n_antennas, self.n_subcarriers).transpose(0, 2, 1)
+            return rows.reshape(len(lines), self.shape[0]).T
         raise SolverError(f"matvec operand must be 1-D or 2-D, got ndim={x.ndim}")
 
-    def rmatvec(self, r, *, out=None):
-        """``Aᴴ @ r``; a 2-D ``r`` may write into ``out``.
+    def matvec_lines(self, x):
+        # Contract the wide angle axis first (Nθ → M shrinks ~30×, Nτ → L
+        # only ~2×) as one GEMM over every grid X_k, then Gᵀ on the lines.
+        rows = np.ascontiguousarray(x.T, dtype=complex)
+        columns = rows.shape[0]
+        angles = _real_view(rows, columns * self.n_delays) @ self._spatial_forward
+        return self._measurement_lines(angles.view(complex), columns)
 
-        ``out`` is an ``(n, p)`` complex array whose transpose is a
-        C-contiguous ``(p, n)`` row stack — the view a row-stack caller
-        hands over — and is returned filled.
-        """
+    def _measurement_lines(self, angles, columns: int):
+        """The temporal GEMM of the ``(columns·Nτ, M)`` spatial stage, on its
+        antenna-major lines: the ``(m, columns)`` product in the line layout."""
+        stage = angles.reshape(columns, self.n_delays, self.n_antennas).transpose(0, 2, 1)
+        stage = np.ascontiguousarray(stage)
+        lines = _real_view(stage, columns * self.n_antennas) @ self._temporal_forward
+        return lines.view(complex).reshape(columns, self.shape[0]).T
+
+    def rmatvec(self, r, *, out=None):
+        """``Aᴴ @ r``; a 2-D ``r`` may write into ``out`` (see :meth:`rmatvec_lines`)."""
         r = np.asarray(r)
         if r.ndim == 1:
             csi = r.reshape(self.n_subcarriers, self.n_antennas).T  # (M, L)
             grid = self.spatial.conj().T @ csi @ np.conj(self.temporal)  # (Nθ, Nτ)
             return grid.T.reshape(-1)
         if r.ndim == 2:
-            # Adjoint of the 2-D matvec on the row stack: Gᴴ R_k per CSI
-            # matrix, then one GEMM with conj(S̃) for every grid at once.
-            rows = np.ascontiguousarray(r.T, dtype=complex)
-            p = rows.shape[0]
-            delays = self._temporal_adjoint @ rows.reshape(
-                p, self.n_subcarriers, self.n_antennas
-            )
-            if out is None:
-                out = np.empty((p, self.shape[1]), dtype=complex).T
-            elif out.shape != (self.shape[1], p) or not (
-                out.dtype == complex and out.T.flags.c_contiguous
-            ):
-                raise SolverError(
-                    f"rmatvec out must be a complex ({self.shape[1]}, {p}) array "
-                    "whose transpose is C-contiguous"
-                )
-            np.matmul(
-                _real_view(delays, p * self.n_delays),
-                self._spatial_adjoint,
-                out=_real_view(out.T, p * self.n_delays),
-            )
-            return out
+            lines = r.reshape(self.n_subcarriers, self.n_antennas, -1).transpose(2, 1, 0)
+            lines = np.ascontiguousarray(lines, dtype=complex).reshape(-1, self.shape[0])
+            return self.rmatvec_lines(lines.T, out=out)
         raise SolverError(f"rmatvec operand must be 1-D or 2-D, got ndim={r.ndim}")
+
+    def rmatvec_lines(self, r, *, out=None):
+        """The 2-D adjoint of a line-layout ``r``, ``Gᴴ`` on the lines and
+        then one GEMM with ``conj(S̃)`` for every grid at once.
+
+        ``out`` is an ``(n, p)`` complex array whose transpose is a
+        C-contiguous ``(p, n)`` row stack — the view a row-stack caller
+        hands over — and is returned filled.
+        """
+        stage = self._stage_lines(r)
+        columns = stage.shape[0]
+        if out is None:
+            out = np.empty((columns, self.shape[1]), dtype=complex).T
+        elif out.shape != (self.shape[1], columns) or not (
+            out.dtype == complex and out.T.flags.c_contiguous
+        ):
+            raise SolverError(
+                f"rmatvec out must be a complex ({self.shape[1]}, {columns}) array "
+                "whose transpose is C-contiguous"
+            )
+        delays = np.ascontiguousarray(stage.transpose(0, 2, 1))
+        np.matmul(
+            _real_view(delays, columns * self.n_delays),
+            self._spatial_adjoint,
+            out=_real_view(out.T, columns * self.n_delays),
+        )
+        return out
+
+    def _stage_lines(self, r):
+        """``Gᴴ`` on every measurement line of a line-layout ``(m, columns)``
+        ``r``: the ``(columns, M, Nτ)`` stage ``D`` of the adjoint."""
+        rows = np.ascontiguousarray(r.T, dtype=complex)
+        columns = rows.shape[0]
+        stage = _real_view(rows, columns * self.n_antennas) @ self._temporal_adjoint
+        return stage.view(complex).reshape(columns, self.n_antennas, self.n_delays)
 
     @property
     def screen_snapshots(self) -> float:
@@ -336,10 +425,11 @@ class KroneckerJointOperator(DictionaryOperator):
         return 2 * self.n_antennas if self.shape[1] >= SCREEN_MIN_ROWS else math.inf
 
     def matvec_rows(self, x, rows, n_snapshots: int):
-        """The 2-D :meth:`matvec` with only the (column, delay) grid rows
-        that ``rows`` touch in the spatial GEMM; the other ``(Nτ, M)``
-        stage rows are zero, and the temporal GEMM keeps its full ``Nτ``
-        contraction, so the product equals :meth:`matvec`'s bit for bit."""
+        """:meth:`matvec_lines` with only the (column, delay) grid rows
+        that ``rows`` touch in the spatial GEMM; the other stage rows
+        are zero, and the temporal GEMM keeps its full ``Nτ``
+        contraction, so the product equals :meth:`matvec_lines`' bit for
+        bit."""
         stack = np.ascontiguousarray(x.T, dtype=complex)
         columns = stack.shape[0]
         touched = np.zeros(columns // n_snapshots * self.n_delays, dtype=bool)
@@ -347,9 +437,9 @@ class KroneckerJointOperator(DictionaryOperator):
         pairs = np.flatnonzero(touched)
         if 2 * len(pairs) > len(touched):
             # Gathering most of the grid costs more than it skips.
-            return self.matvec(x)
-        # Pair b·Nτ + d owns lines (b·p + k)·Nτ + d, k < p, of the stack's
-        # (B·p·Nτ, ·) delay-line views.
+            return self.matvec_lines(x)
+        # Pair b·Nτ + d owns grid lines (b·p + k)·Nτ + d, k < p, of the
+        # stack's (B·p·Nτ, Nθ) view.
         if columns > n_snapshots:
             pairs = pairs + pairs // self.n_delays * ((n_snapshots - 1) * self.n_delays)
         lines = (pairs[:, None] + np.arange(n_snapshots) * self.n_delays).reshape(-1)
@@ -358,18 +448,23 @@ class KroneckerJointOperator(DictionaryOperator):
             grid = stack.reshape(-1, self.n_angles).take(lines, axis=0)
             product = _real_view(grid, len(lines)) @ self._spatial_forward
             angles[lines] = product.view(complex)
-        csi = self.temporal @ angles.reshape(columns, self.n_delays, self.n_antennas)
-        return csi.reshape(columns, self.shape[0]).T
+        return self._measurement_lines(angles, columns)
+
+    def row_energies(self, r, n_snapshots: int):
+        """The adjoint's row energies from per-delay Gram forms (see
+        :meth:`rmatvec_energies`), without the screen's slack."""
+        gram = self._gram(self._stage_lines(r), n_snapshots)  # the stage is freed here
+        return self._energies(gram, self._gram_weights)
 
     def rmatvec_energies(self, r, n_snapshots: int):
         """Row-energy bounds from per-delay Gram forms, without ``Aᴴr``.
 
-        With ``D = Gᴴ R`` (the ``(B·p, Nτ, M)`` stage of :meth:`rmatvec`)
-        the adjoint at angle ``i``, delay ``d`` of column ``k`` is
-        ``D[k, d] · conj(s̃ᵢ)``, so its energy over a problem's columns is
-        the ``M × M`` quadratic form
+        With ``D = Gᴴ R`` (the ``(B·p, M, Nτ)`` stage of
+        :meth:`rmatvec_lines`) the adjoint at angle ``i``, delay ``d`` of
+        column ``k`` is ``D[k, :, d] · conj(s̃ᵢ)``, so its energy over a
+        problem's columns is the ``M × M`` quadratic form
         ``Σ_{a,c} conj(s̃ᵢ[a]) s̃ᵢ[c] Q_d[a, c]``, with
-        ``Q_d[a, c] = Σ_k D[k, d, a] conj(D[k, d, c])``.  For the whole
+        ``Q_d[a, c] = Σ_k D[k, a, d] conj(D[k, c, d])``.  For the whole
         grid that is one real GEMM, ``(B·Nτ, 2M²) @ (2M², Nθ)``, against
         a feature matrix built on first use per ``p``.
 
@@ -382,50 +477,69 @@ class KroneckerJointOperator(DictionaryOperator):
         squaring and p-sum give ``(4√2M + p + 1)u``; ``Q_d``, the
         features and the 2M²-term GEMM give ``(2M² + p + 5)u``.  Their sum
         is at most ``(M² + 3M + p + 3)ε``; the factor 2 covers the
-        second-order terms and the rounding of the slack.
+        second-order terms and the rounding of the slack.  The stage
+        returned is ``D`` as ``(B, p, M, Nτ)``.
         """
         features = self._energy_features.get(n_snapshots)
         if features is None:
-            features = self._energy_features[n_snapshots] = self._gram_features(n_snapshots)
-        rows = np.ascontiguousarray(r.T, dtype=complex)
-        problems = rows.shape[0] // n_snapshots
-        stage = (
-            self._temporal_adjoint @ rows.reshape(-1, self.n_subcarriers, self.n_antennas)
-        ).reshape(problems, n_snapshots, self.n_delays, self.n_antennas)
-        # Q per (problem, delay), formed with the delay axis innermost
-        # so that the products run over long rows.
-        columns = np.ascontiguousarray(stage.transpose(0, 1, 3, 2))
-        gram = (columns[:, :, :, None, :] * columns.conj()[:, :, None, :, :]).sum(axis=1)
-        gram = np.ascontiguousarray(gram.transpose(0, 3, 1, 2))
-        energies = _real_view(gram, problems * self.n_delays) @ features
-        return energies.reshape(problems, self.shape[1]), stage
+            features = self._energy_features[n_snapshots] = self._screen_features(n_snapshots)
+        stage = self._stage_lines(r)
+        energies = self._energies(self._gram(stage, n_snapshots), features)
+        return energies, stage.reshape(len(energies), n_snapshots, *stage.shape[1:])
 
-    def _gram_features(self, n_snapshots: int) -> np.ndarray:
+    def _gram(self, stage, n_snapshots: int):
+        """The ``(B, Nτ, M, M)`` Gram forms ``Q`` of a ``(B·p, M, Nτ)`` stage.
+
+        Every ``Q_d[a, c]`` of every problem is one conjugating dot over
+        the ``p`` columns (``np.vecdot``, broadcast over the antenna
+        pairs), written straight into the ``(B, Nτ, M, M)`` layout the
+        feature GEMM reads: no conjugate copy of the stage and no
+        ``(B, p, M, M, Nτ)`` product temporary."""
+        problems = len(stage) // n_snapshots
+        m = self.n_antennas
+        lines = stage.reshape(problems, n_snapshots, m, self.n_delays)
+        gram = np.empty((problems, self.n_delays, m, m), dtype=complex)
+        np.vecdot(
+            lines[:, :, None], lines[:, :, :, None], axis=1, out=gram.transpose(0, 2, 3, 1)
+        )
+        return gram
+
+    def _energies(self, gram, features):
+        """``(B, n)`` energies: the Gram forms against ``features``, one GEMM."""
+        problems = len(gram)
+        energies = _real_view(gram, problems * self.n_delays) @ features
+        return energies.reshape(problems, self.shape[1])
+
+    @cached_property
+    def _gram_weights(self) -> np.ndarray:
         """``(2M², Nθ)`` real weights of the interleaved ``(Re Q, Im Q)``
         entries: ``Re(w·Q) = Re w·Re Q − Im w·Im Q`` with
-        ``w = conj(s̃[a])·s̃[c]``, plus the slack on the diagonal."""
-        m = self.n_antennas
+        ``w = conj(s̃[a])·s̃[c]``."""
         weights = np.conj(self.spatial)[:, None, :] * self.spatial[None, :, :]
-        features = np.stack([weights.real, -weights.imag], axis=2)
+        return np.stack([weights.real, -weights.imag], axis=2).reshape(-1, self.n_angles)
+
+    def _screen_features(self, n_snapshots: int) -> np.ndarray:
+        """:attr:`_gram_weights` plus the screen's slack on ``Q``'s diagonal."""
+        m = self.n_antennas
         steering = float(np.max(np.sum(np.abs(self.spatial) ** 2, axis=0)))
         slack = 2.0 * (m * m + 3 * m + n_snapshots + 3) * np.finfo(float).eps * steering
-        features[np.arange(m), np.arange(m), 0] += slack
-        return features.reshape(-1, self.n_angles)
+        features = self._gram_weights.copy()
+        features.reshape(m, m, 2, self.n_angles)[np.arange(m), np.arange(m), 0] += slack
+        return features
 
     def rmatvec_rows(self, stage, mask):
-        """:meth:`rmatvec`'s values on ``mask``'s rows: the spatial GEMM runs
-        on the (problem, delay) pairs they touch, each output the same
-        2M-term dot product as in the full GEMM."""
-        problems, n_snapshots = stage.shape[:2]
+        """:meth:`rmatvec_lines`' values on ``mask``'s rows: the spatial GEMM
+        runs on the (problem, delay) pairs they touch, each output the
+        same 2M-term dot product as in the full GEMM."""
+        n_snapshots = stage.shape[1]
         grid = mask.reshape(-1, self.n_angles)
         pairs = np.flatnonzero(grid.any(axis=1))
-        picks = np.flatnonzero(grid[pairs])
         if not len(pairs):
             return np.empty((n_snapshots, 0), dtype=complex)
-        delays = stage[0] if problems == 1 else stage.transpose(1, 0, 2, 3).reshape(
-            n_snapshots, -1, self.n_antennas
-        )
-        picked = delays[:, pairs]
+        picks = np.flatnonzero(grid[pairs])
+        # (p, B·Nτ, M): pair b·Nτ + d's M values for every column.
+        delays = stage.transpose(1, 0, 3, 2).reshape(n_snapshots, -1, self.n_antennas)
+        picked = np.ascontiguousarray(delays[:, pairs])
         adjoint = _real_view(picked, n_snapshots * len(pairs)) @ self._spatial_adjoint
         return adjoint.view(complex).reshape(n_snapshots, -1).take(picks, axis=1)
 

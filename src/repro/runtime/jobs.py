@@ -72,16 +72,17 @@ class EstimatorSpec:
     def for_system(cls, system) -> "EstimatorSpec":
         """Derive a spec from an already-built system.
 
-        A :class:`~repro.core.pipeline.RoArrayEstimator` collapses to
-        its configuration (workers rebuild the cache rather than
-        unpickling megabytes of dictionary); anything else is wrapped
-        as-is.
+        A plain :class:`~repro.core.pipeline.RoArrayEstimator` collapses
+        to its configuration (workers rebuild the cache rather than
+        unpickling megabytes of dictionary); anything else, a subclass
+        included, is wrapped as-is, so the system that runs is the one
+        passed in.
         """
         from repro.core.pipeline import RoArrayEstimator
 
         if isinstance(system, EstimatorSpec):
             return system
-        if isinstance(system, RoArrayEstimator):
+        if type(system) is RoArrayEstimator:
             return cls(
                 kind="roarray",
                 config=system.config,

@@ -138,6 +138,63 @@ class TestOperatorMusic:
             np.testing.assert_allclose(operator_power, dense, rtol=1e-12, atol=0)
 
 
+    def test_trace_spectra_match_dense_formula_per_packet(self, rng):
+        """The trace path (one stacked eigh, one Gram pass) gives every
+        packet the dense ``1/‖E_nᴴ s‖²`` of its own forward–backward
+        averaged covariance, floored at 1e-12 of its own largest
+        denominator: noisy packets through sanitize and smoothing, and a
+        noiseless rank-5 smoothed matrix on grid columns, whose nulls the
+        floor catches."""
+        array = UniformLinearArray()
+        layout = intel5300_layout()
+        config = SpotFiConfig(angle_grid=AngleGrid(n_points=31), delay_grid=DelayGrid(n_points=17))
+        estimator = SpotFiEstimator(array, layout, config)
+        steering = antenna_major_steering(
+            subarray_joint_operator(array, layout, config.angle_grid, config.delay_grid)
+        )
+
+        def dense_power(smoothed):
+            covariance = forward_backward_average(smoothed @ smoothed.conj().T / smoothed.shape[1])
+            basis = noise_subspace(covariance, config.model_order)
+            denominator = np.sum(np.abs(basis.conj().T @ steering) ** 2, axis=0)
+            floor = 1e-12 * denominator.max()
+            return 1.0 / np.maximum(denominator, floor), np.count_nonzero(denominator < floor)
+
+        def check(spectra, smoothed_stack):
+            floored = 0
+            for spectrum, smoothed in zip(spectra, smoothed_stack):
+                dense, below = dense_power(smoothed)
+                floored += below
+                np.testing.assert_allclose(spectrum.power.T.reshape(-1), dense, rtol=1e-12, atol=0)
+            return floored
+
+        csi = rng.standard_normal((4, 3, 30)) + 1j * rng.standard_normal((4, 3, 30))
+        smoothed = np.stack([smoothed_csi_matrix(sanitize_csi_phase(packet)) for packet in csi])
+        check(estimator.packet_spectra(csi), smoothed)
+
+        on_grid = steering[:, [40, 101, 230, 377, 500]]
+        clean = on_grid @ (rng.standard_normal((5, 32)) + 1j * rng.standard_normal((5, 32)))
+        stack = np.concatenate([smoothed[:2], clean[None], smoothed[2:]])
+        assert check(estimator.smoothed_spectra(stack), stack) >= 5
+
+    def test_packet_spectrum_is_the_trace_path_on_one_packet(self, rng):
+        profile = random_profile(rng, n_paths=3, direct_aoa_deg=80.0)
+        synthesizer = CsiSynthesizer(UniformLinearArray(), intel5300_layout(), ImpairmentModel(), seed=1)
+        trace = synthesizer.packets(profile, n_packets=5, snr_db=10.0, rng=rng)
+        estimator = SpotFiEstimator()
+        spectra = estimator.packet_spectra(trace.csi)
+        assert len(spectra) == trace.n_packets
+        for index, spectrum in enumerate(spectra):
+            packet = trace.packet(index)
+            single = estimator.packet_spectrum(packet)
+            np.testing.assert_array_equal(single.power, estimator.packet_spectra(packet[None])[0].power)
+            np.testing.assert_allclose(single.power, spectrum.power, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(single.angles_deg, spectrum.angles_deg)
+            np.testing.assert_array_equal(single.toas_s, spectrum.toas_s)
+        with pytest.raises(SolverError):
+            estimator.packet_spectrum(trace.csi)
+
+
 class TestEstimator:
     def test_finds_direct_path_clean_scene(self, rng):
         array = UniformLinearArray()

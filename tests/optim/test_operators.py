@@ -104,6 +104,43 @@ class TestKroneckerParity:
             if layout == "row_stack":
                 assert product.T.flags.c_contiguous
 
+    @pytest.mark.parametrize("p", [1, 2, 6])
+    def test_line_layout_products_match_kron_on_both_routes(self, p):
+        """The MMV kernel's products read and return measurement rows in
+        ``line_order``; on that layout they match dense ``kron``: the full
+        pair of the dense route, and the restricted forward, the row
+        energies and the picked adjoint of the screened route."""
+        operator, rng = random_kronecker(p, n_delays=9)
+        dense = operator.to_dense()
+        m, n = operator.shape
+        order = operator.line_order
+        assert sorted(order) == list(range(m))
+        # Line a·L + l is antenna a, subcarrier l: row l·M + a.
+        assert order[operator.n_subcarriers] == 1
+
+        def close(product, reference):
+            scale = np.abs(reference).max()
+            np.testing.assert_allclose(product, reference, rtol=0, atol=1e-12 * scale)
+
+        x = rng.normal(size=(n, p)) + 1j * rng.normal(size=(n, p))
+        r = rng.normal(size=(m, p)) + 1j * rng.normal(size=(m, p))
+        adjoint = dense.conj().T @ r
+        lines = np.ascontiguousarray(r[order].T).T  # the kernel's row-stack view
+        close(operator.matvec_lines(x), (dense @ x)[order])
+        close(operator.rmatvec_lines(lines), adjoint)
+        # Rows on two of the nine delays, so the forward stays restricted.
+        rows = np.flatnonzero(np.isin(np.arange(n) // operator.n_angles, (2, 6)))
+        restricted = np.zeros_like(x)
+        restricted[rows] = x[rows]
+        close(operator.matvec_rows(restricted, rows, p), (dense @ restricted)[order])
+        bounds, stage = operator.rmatvec_energies(lines, p)
+        energies = np.sum(np.abs(adjoint) ** 2, axis=1)
+        assert np.all(bounds[0] >= energies)
+        close(operator.row_energies(lines, p)[0], energies)
+        mask = np.zeros((1, n), dtype=bool)
+        mask[0, rows[::3]] = True
+        close(operator.rmatvec_rows(stage, mask), adjoint[rows[::3]].T)
+
     @given(seeds)
     @settings(max_examples=15, deadline=None)
     def test_column_helpers_match_dense(self, seed):
@@ -317,10 +354,33 @@ class TestRowScreen:
         r = residual_stack(rng, operator, n_problems * n_snapshots)
         bounds, _ = operator.rmatvec_energies(r, n_snapshots)
         explicit, _ = DictionaryOperator.rmatvec_energies(operator, r, n_snapshots)
-        adjoint = operator.rmatvec(r).T.reshape(n_problems, n_snapshots, -1)
+        adjoint = operator.rmatvec_lines(r).T.reshape(n_problems, n_snapshots, -1)
         np.testing.assert_allclose(explicit, np.sum(np.abs(adjoint) ** 2, axis=1), rtol=1e-13)
         assert bounds.shape == (n_problems, operator.shape[1])
         assert np.max(np.abs(bounds - explicit)) <= 1e-12 * explicit.max()
+
+    @pytest.mark.parametrize("n_problems", (1, 3, 15))
+    @pytest.mark.parametrize("n_snapshots", (1, 2, 6, 25))
+    def test_gram_energies_without_slack_match_the_explicit_adjoint(
+        self, rng, n_problems, n_snapshots
+    ):
+        """``row_energies`` (MUSIC's denominators) is the Gram form with no
+        slack: within a few rounding errors of each delay's scale
+        ``T_d = tr(Q_d)·maxᵢ‖s̃ᵢ‖²``, where the screen's slack alone is
+        ``2(M² + 3M + p + 3)·ε·T_d``."""
+        operator = steering_operator(91, 50)
+        r = residual_stack(rng, operator, n_problems * n_snapshots)
+        energies = operator.row_energies(r, n_snapshots)
+        explicit = DictionaryOperator.row_energies(operator, r, n_snapshots)
+        adjoint = operator.rmatvec_lines(r).T.reshape(n_problems, n_snapshots, -1)
+        np.testing.assert_allclose(explicit, np.sum(np.abs(adjoint) ** 2, axis=1), rtol=1e-13)
+        stage = np.ascontiguousarray(r.T).reshape(
+            n_problems, n_snapshots, operator.n_antennas, operator.n_subcarriers
+        ) @ np.conj(operator.temporal)
+        steering = np.max(np.sum(np.abs(operator.spatial) ** 2, axis=0))
+        scale = np.repeat(np.sum(np.abs(stage) ** 2, axis=(1, 2)) * steering, operator.n_angles, axis=1)
+        assert energies.shape == (n_problems, operator.shape[1])
+        assert np.all(np.abs(energies - explicit) <= 8 * np.finfo(float).eps * scale)
 
     def test_slack_covers_rounding_of_rows_near_zero(self, rng):
         """Rows far below their delay's energy, where rounding dominates:
@@ -345,7 +405,7 @@ class TestRowScreen:
             mask[b, delays] = rng.random((4, operator.n_angles)) < 0.3
         mask = mask.reshape(n_problems, n)
         rows = np.flatnonzero(mask)
-        full = operator.rmatvec(r).T.reshape(n_problems, p, n)
+        full = operator.rmatvec_lines(r).T.reshape(n_problems, p, n)
         expected = full.transpose(1, 0, 2).reshape(p, -1)[:, rows]
         np.testing.assert_array_equal(operator.rmatvec_rows(stage, mask), expected)
         base_stage = DictionaryOperator.rmatvec_energies(operator, r, p)[1]
@@ -357,10 +417,12 @@ class TestRowScreen:
         x[problem, :, column] = rng.normal(size=(len(rows), p)) + 1j
         stack = x.reshape(-1, n).T
         np.testing.assert_array_equal(
-            operator.matvec_rows(stack, rows, p), operator.matvec(stack)
+            operator.matvec_rows(stack, rows, p), operator.matvec_lines(stack)
         )
         zeros = np.zeros_like(stack)
-        np.testing.assert_array_equal(operator.matvec_rows(zeros, rows[:0], p), operator.matvec(zeros))
+        np.testing.assert_array_equal(
+            operator.matvec_rows(zeros, rows[:0], p), operator.matvec_lines(zeros)
+        )
 
     def test_features_are_built_lazily_per_snapshot_count(self, rng):
         operator = steering_operator(61, 21)

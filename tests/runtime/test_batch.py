@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -10,7 +11,7 @@ from repro.baselines.arraytrack import ArrayTrackEstimator
 from repro.baselines.spotfi import SpotFiEstimator
 from repro.core.pipeline import RoArrayEstimator
 from repro.exceptions import ConfigurationError, SolverError
-from repro.runtime import BatchEvaluator, EstimatorSpec
+from repro.runtime import BatchEvaluator, CheckpointPolicy, EstimatorSpec
 from tests.runtime.conftest import make_traces, poison_trace
 
 
@@ -45,6 +46,37 @@ class TestEstimatorSpec:
     def test_spec_passthrough(self, small_estimator):
         spec = EstimatorSpec.for_system(small_estimator)
         assert EstimatorSpec.for_system(spec) is spec
+
+    def test_subclass_runs_itself_and_digests_apart(self, small_estimator, tmp_path):
+        """A RoArrayEstimator subclass ships whole: its override runs once
+        per trace, and its checkpoint digest is not the plain estimator's."""
+        sub = _CountingEstimator(
+            array=small_estimator.array, layout=small_estimator.layout, config=small_estimator.config
+        )
+        traces = make_traces(small_estimator, 2)
+        assert EstimatorSpec.for_system(sub).kind == "instance"
+        BatchEvaluator(sub, workers=0).evaluate(
+            traces, checkpoint=CheckpointPolicy(path=tmp_path / "sub.jsonl")
+        )
+        assert sub.calls == len(traces)
+        BatchEvaluator(small_estimator, workers=0).evaluate(
+            traces, checkpoint=CheckpointPolicy(path=tmp_path / "plain.jsonl")
+        )
+        digests = [
+            json.loads((tmp_path / name).read_text().splitlines()[0])["config_digest"]
+            for name in ("sub.jsonl", "plain.jsonl")
+        ]
+        assert digests[0] != digests[1]
+
+
+class _CountingEstimator(RoArrayEstimator):
+    """Counts :meth:`joint_spectrum` calls."""
+
+    calls = 0
+
+    def joint_spectrum(self, trace, *, packet=None):
+        self.calls += 1
+        return super().joint_spectrum(trace, packet=packet)
 
 
 class TestBatchEvaluatorSequential:
