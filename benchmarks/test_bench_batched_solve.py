@@ -4,7 +4,9 @@ Runs :func:`repro.runtime.bench.batched_solve_benchmark` — the same
 measurement ``roarray bench --batched`` prints — asserts the acceptance
 criteria (batched numpy ≥ 2× the sequential loop at batch 64, float64
 deviation within the 1e-12 parity budget, also for the ``mmv`` block's
-ℓ2,1 kernel rows against their ``B = 1`` solves), and writes the numbers to
+ℓ2,1 kernel rows against their ``B = 1`` solves; the ``fig6_location`` row's
+six Fig. 6 fusion solves in lockstep blocks must equal their lone solves
+exactly), and writes the numbers to
 ``BENCH_batched_solve.json`` (repo root, or ``REPRO_BENCH_OUTPUT_DIR``)
 so CI can upload the perf trajectory next to ``BENCH_joint_solve.json``.
 
@@ -72,6 +74,14 @@ def test_batched_solve_speedup():
             f"{row['seconds_per_problem_iteration'] * 1e6:7.1f} us/problem-iteration | "
             f"dev {row['max_relative_deviation']:.2e}"
         )
+    location = result["fig6_location"]
+    print(
+        f"fig6 location ({location['grid']}, {location['problems']} x p={location['snapshots']}, "
+        f"blocks of {location['block_problems']}): lone "
+        f"{location['lone_us_per_problem_iteration']:.1f} us | batched "
+        f"{location['batched_us_per_problem_iteration']:.1f} us per problem-iteration | "
+        f"traced peak {location['lone_peak_mb']:.2f} -> {location['batched_peak_mb']:.2f} MB"
+    )
     print(f"-> {path.name}")
 
     worst_deviation = max(
@@ -80,6 +90,10 @@ def test_batched_solve_speedup():
     assert worst_deviation <= PARITY_LIMIT, (
         "batched solutions drift beyond the parity budget: "
         f"{worst_deviation:.2e} > {PARITY_LIMIT:.0e}"
+    )
+    assert location["max_relative_deviation"] == 0.0, (
+        "fig6 lockstep blocks drift from their lone solves: "
+        f"{location['max_relative_deviation']:.2e}"
     )
     largest = result["batches"][-1]
     assert largest["batch_size"] >= 64

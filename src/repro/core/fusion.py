@@ -16,12 +16,17 @@ Two obstacles keep packets from being averaged naively:
    the MMV problem to at most ``rank`` columns.
 
 :func:`fuse_packets` chains align → vectorize → SVD-reduce → ℓ2,1 solve
-and returns the fused 2-D spectrum of paper Fig. 4c.
+and returns the fused 2-D spectrum of paper Fig. 4c for each of several
+packet batches — one per access point of a location, which all share
+the cache's dictionary — solving their ℓ2,1 programs as lockstep
+blocks (:func:`~repro.optim.batch.solve_batch`).
 """
 
 from __future__ import annotations
 
+import time
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +35,9 @@ from repro.core.joint import coefficients_to_joint_power
 from repro.core.steering import SteeringCache, vectorize_csi_matrix
 from repro.exceptions import SolverError
 from repro.obs import NULL_TRACER, ConvergenceTrace
-from repro.optim import solve_mmv_fista
+# perfbench's Fig. 6 ledger looks solve_mmv_fista up on this module, so
+# the name stays importable here although fuse_packets calls solve_batch.
+from repro.optim import solve_batch, solve_mmv_fista  # noqa: F401
 from repro.optim.result import SolverResult, check_divergence
 from repro.optim.tuning import mmv_residual_kappa
 from repro.spectral.spectrum import JointSpectrum
@@ -136,48 +143,119 @@ def svd_reduce_snapshots(snapshots: np.ndarray, rank: int) -> np.ndarray:
 
 
 def fuse_packets(
-    csi: np.ndarray,
+    batches: Sequence[np.ndarray],
     cache: SteeringCache,
     *,
-    kappa: float | None = None,
     kappa_fraction: float = 0.05,
     max_iterations: int = 300,
     svd_rank: int = 6,
     align_delays: bool = True,
-    tracer=NULL_TRACER,
-    telemetry: ConvergenceTrace | None = None,
-) -> tuple[JointSpectrum, SolverResult]:
-    """Coherent multi-packet joint (AoA, ToA) spectrum (paper Fig. 4c).
+    tracers: Sequence | None = None,
+) -> list[tuple[JointSpectrum, SolverResult]]:
+    """Coherent multi-packet joint (AoA, ToA) spectra (paper Fig. 4c).
 
-    The ℓ2,1 solve runs on the cache's structured
-    :attr:`~repro.core.steering.SteeringCache.joint_operator`.
+    Each packet batch is delay-aligned, SVD-reduced and given its own κ
+    as a lone batch would be; then the ℓ2,1 programs of one snapshot
+    width are solved together, one
+    :func:`~repro.optim.batch.solve_batch` call on the cache's
+    structured :attr:`~repro.core.steering.SteeringCache.joint_operator`,
+    whose lockstep blocks give every problem the solution of its own
+    ``B = 1`` solve bit for bit.
 
     Parameters
     ----------
-    csi:
-        Packet batch ``(P, M, L)``.
+    batches:
+        A sequence of packet batches ``(P, M, L)`` (a 2-D CSI matrix is
+        one packet), e.g. one per access point.  A bare 3-D array is
+        refused, since it would read as one batch per packet.
     align_delays:
         Compensate per-packet detection delay first (on by default; the
         ablation benchmark turns it off to show why it matters).
-    tracer / telemetry:
-        As in :func:`~repro.core.joint.estimate_joint_spectrum` — the
-        delay alignment, SVD reduction and ℓ2,1 solve each get a span,
-        and the solve records a per-iteration
-        :class:`~repro.obs.ConvergenceTrace` when tracing is enabled.
+    tracers:
+        Optional tracer per batch (the no-op tracer by default): the
+        batch's delay alignment and SVD reduction each get a span on
+        it, and its solve a ``solver`` span carrying a per-iteration
+        :class:`~repro.obs.ConvergenceTrace` and an equal share of its
+        solve call's wall and CPU time.
 
     Returns
     -------
-    (JointSpectrum, SolverResult)
-        The fused spectrum on the cache's grids.  Its ToA axis carries
-        the first packet's (unknown, common) detection delay — harmless
-        for direct-path identification, which only ranks delays.
+    list of (JointSpectrum, SolverResult)
+        One per batch, in order: the fused spectrum on the cache's
+        grids, whose ToA axis carries the batch's first packet's
+        (unknown, common) detection delay — harmless for direct-path
+        identification, which only ranks delays — and its solve.
 
     Raises
     ------
+    SolverError
+        When a batch is malformed or non-finite.
     SolverDivergenceError
-        When the ℓ2,1 solve's objective is non-finite or worse than the
-        zero solution's (:func:`~repro.optim.result.check_divergence`).
+        When a solve's objective is non-finite or worse than the zero
+        solution's (:func:`~repro.optim.result.check_divergence`).
     """
+    if isinstance(batches, np.ndarray):
+        raise SolverError(
+            "fuse_packets takes a sequence of packet batches, not one array; "
+            "pass [csi] for a single batch"
+        )
+    batches = list(batches)
+    tracers = [NULL_TRACER] * len(batches) if tracers is None else list(tracers)
+    if len(tracers) != len(batches):
+        raise SolverError(f"{len(tracers)} tracers for {len(batches)} packet batches")
+    dictionary = cache.joint_operator
+    snapshots, kappas = [], []
+    for csi, tracer in zip(batches, tracers):
+        reduced = _reduced_snapshots(csi, cache, svd_rank, align_delays, tracer)
+        try:
+            kappas.append(mmv_residual_kappa(dictionary, reduced, fraction=kappa_fraction))
+        except SolverError:
+            raise SolverError("packets are orthogonal to every steering vector") from None
+        snapshots.append(reduced)
+
+    fused = [None] * len(batches)
+    for width in dict.fromkeys(y.shape[1] for y in snapshots):
+        members = [i for i, y in enumerate(snapshots) if y.shape[1] == width]
+        telemetry = [
+            ConvergenceTrace(solver="mmv_fista") if tracers[i].enabled else None for i in members
+        ]
+        wall, cpu = time.perf_counter(), time.process_time()
+        solved = solve_batch(
+            dictionary,
+            [snapshots[i] for i in members],
+            "mmv",
+            kappa=[kappas[i] for i in members],
+            max_iterations=max_iterations,
+            lipschitz=cache.joint_lipschitz,
+            telemetry=telemetry,
+        )
+        wall = (time.perf_counter() - wall) / len(members)
+        cpu = (time.process_time() - cpu) / len(members)
+        for slot, i in enumerate(members):
+            result = SolverResult(
+                x=solved.x[slot],
+                objective=solved.objectives[slot],
+                iterations=solved.iterations[slot],
+                converged=solved.converged[slot],
+                convergence=telemetry[slot],
+            )
+            attributes = {"iterations": result.iterations, "converged": result.converged}
+            if result.convergence is not None:
+                attributes["convergence"] = result.convergence.to_dict()
+            tracers[i].record(
+                "solver", wall_s=wall, cpu_s=cpu, solver="mmv_fista", stage="fusion", **attributes
+            )
+            check_divergence(result, snapshots[i])
+            power = coefficients_to_joint_power(
+                result.x, cache.angle_grid.n_points, cache.delay_grid.n_points
+            )
+            spectrum = JointSpectrum(cache.angle_grid.angles_deg, cache.delay_grid.toas_s, power)
+            fused[i] = (spectrum, result)
+    return fused
+
+
+def _reduced_snapshots(csi, cache, svd_rank, align_delays, tracer) -> np.ndarray:
+    """One batch's checked, delay-aligned, SVD-reduced ``(m, r)`` snapshots."""
     csi = np.asarray(csi, dtype=complex)
     if csi.ndim == 2:
         csi = csi[None]
@@ -194,32 +272,4 @@ def fuse_packets(
 
     with tracer.span("svd_reduction", rank=svd_rank):
         snapshots = np.stack([vectorize_csi_matrix(packet) for packet in csi], axis=1)
-        snapshots = svd_reduce_snapshots(snapshots, svd_rank)
-
-    dictionary = cache.joint_operator
-    if kappa is None:
-        try:
-            kappa = mmv_residual_kappa(dictionary, snapshots, fraction=kappa_fraction)
-        except SolverError:
-            raise SolverError("packets are orthogonal to every steering vector") from None
-    if telemetry is None and tracer.enabled:
-        telemetry = ConvergenceTrace(solver="mmv_fista")
-    with tracer.span("solver", solver="mmv_fista", stage="fusion") as span:
-        result = solve_mmv_fista(
-            dictionary,
-            snapshots,
-            kappa,
-            max_iterations=max_iterations,
-            lipschitz=cache.joint_lipschitz,
-            telemetry=telemetry,
-        )
-        span.annotate(iterations=result.iterations, converged=result.converged)
-        if telemetry is not None:
-            span.annotate(convergence=telemetry.to_dict())
-        check_divergence(result, snapshots)
-
-    power = coefficients_to_joint_power(
-        result.x, cache.angle_grid.n_points, cache.delay_grid.n_points
-    )
-    spectrum = JointSpectrum(cache.angle_grid.angles_deg, cache.delay_grid.toas_s, power)
-    return spectrum, result
+        return svd_reduce_snapshots(snapshots, svd_rank)

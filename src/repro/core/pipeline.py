@@ -9,6 +9,9 @@ the evaluation harness treats all three systems uniformly.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+from typing import Sequence
+
 import numpy as np
 
 from repro.channel.array import UniformLinearArray
@@ -138,16 +141,35 @@ class RoArrayEstimator:
                     tracer=self.tracer,
                 )
             return spectrum
-        with self.tracer.span("fusion", n_packets=trace.n_packets):
-            spectrum, _ = fuse_packets(
-                trace.csi,
+        return self.joint_spectra([trace])[0]
+
+    def joint_spectra(
+        self, traces: Sequence[CsiTrace], *, tracers: Sequence | None = None
+    ) -> list[JointSpectrum]:
+        """The fused joint spectra of several traces, e.g. a location's APs.
+
+        Each spectrum is the one :meth:`joint_spectrum` gives its trace
+        alone, bit for bit: :func:`~repro.core.fusion.fuse_packets`
+        solves the traces' ℓ2,1 programs as lockstep blocks.  ``tracers``
+        gives one tracer per trace (the estimator's own by default); each
+        distinct tracer gets one ``fusion`` span around the call, with
+        its traces' alignment, SVD and solver spans inside.
+        """
+        traces = list(traces)
+        tracers = [self.tracer] * len(traces) if tracers is None else list(tracers)
+        with ExitStack() as spans:
+            for tracer in {id(tracer): tracer for tracer in tracers}.values():
+                n_packets = sum(t.n_packets for t, owner in zip(traces, tracers) if owner is tracer)
+                spans.enter_context(tracer.span("fusion", n_packets=n_packets))
+            fused = fuse_packets(
+                [trace.csi for trace in traces],
                 self.cache,
                 kappa_fraction=self.config.kappa_fraction,
                 max_iterations=self.config.max_iterations,
                 svd_rank=self.config.svd_rank,
-                tracer=self.tracer,
+                tracers=tracers,
             )
-        return spectrum
+        return [spectrum for spectrum, _ in fused]
 
     # -- direct path -------------------------------------------------------
 

@@ -125,6 +125,9 @@ class NullTracer:
     def annotate(self, **attributes: Any) -> None:
         pass
 
+    def record(self, name: str, /, *, wall_s: float, cpu_s: float, **attributes: Any) -> None:
+        pass
+
     def adopt(self, spans: Iterable[dict[str, Any]]) -> None:
         pass
 
@@ -200,6 +203,23 @@ class Tracer:
         """Attach attributes to the innermost open span (no-op outside one)."""
         if self._stack:
             self._stack[-1].annotate(**attributes)
+
+    def record(self, name: str, /, *, wall_s: float, cpu_s: float, **attributes: Any) -> Span:
+        """Add a closed child span of the innermost open span, timed by
+        the caller: a region run once for several tracers (the batched
+        fusion solve) bills each its share this way."""
+        record = Span(
+            name=name,
+            span_id=self._next_id,
+            parent_id=self._stack[-1].span_id if self._stack else None,
+            start_s=time.perf_counter() - self._epoch - wall_s,
+            wall_s=wall_s,
+            cpu_s=cpu_s,
+            attributes=dict(attributes),
+        )
+        self._next_id += 1
+        self.spans.append(record)
+        return record
 
     def adopt(self, spans: Iterable[dict[str, Any]]) -> list[Span]:
         """Graft serialized spans (from another tracer/process) into this tree.

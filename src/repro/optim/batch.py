@@ -1,17 +1,17 @@
 """Batched sparse recovery: many problems, one stack of factor GEMMs.
 
 The evaluation harness solves the *same* joint dictionary against many
-measurements — one per (packet × client) — and the per-problem Python
-loop, not the arithmetic, dominates at scale.  :func:`solve_batch`
-stacks ``B`` problems and hands them to the one FISTA loop,
-:func:`~repro.optim.mmv.mmv_lockstep`; a ``"fista"`` (ℓ1) measurement
-goes in as one ``(m, 1)`` snapshot column, because the ℓ1 program is
-the ℓ2,1 program with ``p = 1``, and its solution comes out as a
-vector.  Every dictionary product is a single batched matmul (two
-factor GEMMs for the Kronecker operator), the row prox broadcasts one
-threshold per problem, and per-problem convergence is tracked with
-freeze masks so a problem that has converged stops moving while its
-neighbours iterate on.
+measurements — one per (packet × client), or one per access point of a
+location — and the per-problem Python loop, not the arithmetic,
+dominates at scale.  :func:`solve_batch` stacks ``B`` problems and
+hands them to the one FISTA loop, :func:`~repro.optim.mmv.mmv_lockstep`;
+a ``"fista"`` (ℓ1) measurement goes in as one ``(m, 1)`` snapshot
+column, because the ℓ1 program is the ℓ2,1 program with ``p = 1``, and
+its solution comes out as a vector.  Every dictionary product is a
+single batched matmul (two factor GEMMs for the Kronecker operator),
+the row prox broadcasts one threshold per problem, and per-problem
+convergence is tracked with freeze masks so a problem that has
+converged stops moving while its neighbours iterate on.
 
 Correctness contract:
 
@@ -19,10 +19,14 @@ Correctness contract:
   (``solve_lasso_fista``, ``solve_mmv_fista``) are ``B = 1`` calls of
   the same code, so a one-problem batch equals the sequential solve
   exactly.
-* Larger batches run the same per-problem iteration, but BLAS
-  accumulates batched GEMM columns in a different order, so each
-  problem agrees with its ``B = 1`` solve to rounding, not bits.  The
-  budget is :data:`FLOAT64_PARITY_TOLERANCE` (1e-12 relative).
+* Larger batches run the same per-problem iteration on the same
+  values: every GEMM output is one problem's own dot product and every
+  per-problem sum runs over that problem's entries in the same order,
+  so each problem's solution, iteration count and objective equal its
+  ``B = 1`` solve's bit for bit, up to the sign of a zero
+  (``tests/optim/test_batch_identity.py``).
+  :data:`FLOAT64_PARITY_TOLERANCE` (1e-12 relative) is the looser
+  budget the benchmarks assert.
 * Warm starts carry across consecutive batches through a keyed
   :class:`~repro.optim.warm.WarmStartState` (``warm_state=`` /
   ``warm_keys=``).
@@ -37,7 +41,8 @@ import numpy as np
 from repro.exceptions import SolverError
 from repro.optim.mmv import mmv_lockstep
 from repro.optim.operators import as_operator
-from repro.optim.result import BatchSolverResult
+from repro.optim.linalg import squared_norms, validate_penalty_weights
+from repro.optim.result import BatchSolverResult, observation_hook, stacked_observer
 from repro.optim.tuning import mmv_residual_kappa
 
 #: Parity budget: a problem solved inside a batch must match its
@@ -47,12 +52,24 @@ FLOAT64_PARITY_TOLERANCE = 1e-12
 #: The kernel options solve_batch forwards; both methods take them all.
 _BATCH_OPTIONS = {"max_iterations", "tolerance", "lipschitz", "penalty_weights"}
 
-#: Problems per lockstep block.  Problems are independent, so a big
-#: batch is solved block-by-block with identical per-problem results;
-#: the block keeps the (block × n) iterate and its temporaries
-#: L2-resident on CPU, which measures ~1.5× faster than one monolithic
-#: (B × n) sweep at B = 64 on the evaluation grid.
-_BLOCK_COLUMNS = 16
+#: Stacked size ``B·p·n`` of one lockstep block.  Problems are
+#: independent, so a big batch is solved block by block with identical
+#: per-problem results.  The budget bounds what a block keeps live — its
+#: iterate and candidate rows, which early on cover about a third of the
+#: grid — and so the resident memory a batched solve adds over ``B = 1``
+#: solves.  It holds three Fig. 6 fusion problems (91×50 grid, p = 6),
+#: which run a third faster per problem-iteration than alone (the
+#: ``fig6_location`` row of ``BENCH_batched_solve.json``); a block of six
+#: gained no more in a location's solves and peaked higher.  On the same
+#: grid it holds 18 one-column problems (blocks measured ~1.5× faster
+#: than one monolithic sweep at B = 64), and every serve batch whole.
+BLOCK_SIZE = 3 * 6 * 4550
+
+
+def block_problems(n_snapshots: int, n: int) -> int:
+    """Problems per lockstep block for ``(n, p)`` solutions: :data:`BLOCK_SIZE`
+    stacked entries, and at least one problem."""
+    return max(1, BLOCK_SIZE // (n_snapshots * n))
 
 
 def solve_batch(
@@ -64,6 +81,7 @@ def solve_batch(
     kappa_fraction: float = 0.05,
     warm_state=None,
     warm_keys: Sequence[str] | None = None,
+    telemetry: Sequence | None = None,
     **options,
 ) -> BatchSolverResult:
     """Solve ``B`` sparse-recovery problems against one dictionary.
@@ -93,6 +111,12 @@ def solve_batch(
         consecutive batches over an evolving problem population (the
         streaming service's micro-batches) chain warm starts without
         the caller stacking arrays.
+    telemetry:
+        Optional sequence of ``B`` entries, each a
+        :class:`~repro.obs.ConvergenceTrace` that records its problem's
+        per-iteration objective, residual norm and support size (one
+        extra dictionary multiply per traced problem and iteration), or
+        ``None``.  Tracing never changes the solve.
     **options:
         Kernel options: ``max_iterations``, ``tolerance``, ``lipschitz``
         and ``penalty_weights``.
@@ -143,15 +167,29 @@ def solve_batch(
     elif warm_keys is not None:
         raise SolverError("warm_keys requires warm_state")
 
+    observers = [None] * n_problems
+    if telemetry is not None:
+        if len(telemetry) != n_problems:
+            raise SolverError(
+                f"telemetry has {len(telemetry)} entries, expected {n_problems}"
+            )
+        weights = validate_penalty_weights(options.get("penalty_weights"), n)
+        observers = [
+            _telemetry_hook(operator, y, kappa, weights, trace)
+            for y, kappa, trace in zip(ys, kappas, telemetry)
+        ]
+
     blocks = []
-    for start in range(0, n_problems, _BLOCK_COLUMNS):
-        stop = min(start + _BLOCK_COLUMNS, n_problems)
+    size = block_problems(ys[0].shape[1], n)
+    for start in range(0, n_problems, size):
+        stop = min(start + size, n_problems)
         blocks.append(
             _solve_stacked(
                 operator,
                 ys[start:stop],
                 kappas[start:stop],
                 warm[start:stop] if warm is not None else None,
+                stacked_observer(observers[start:stop]),
                 options,
             )
         )
@@ -207,8 +245,20 @@ def _keyed_starts(warm_state, warm_keys, n_problems, shape):
     return starts.reshape(n_problems, shape[0], -1)
 
 
-def _solve_stacked(operator, ys, kappas, warm, options):
+def _telemetry_hook(operator, y, kappa, weights, trace):
+    """One problem's ℓ2,1 telemetry hook (``None`` without a trace)."""
+
+    def penalty(x):
+        row_norms = np.sqrt(squared_norms(x, axis=1))
+        if weights is not None:
+            row_norms = weights * row_norms
+        return kappa * float(row_norms.sum())
+
+    return observation_hook(operator, y, penalty, trace)
+
+
+def _solve_stacked(operator, ys, kappas, warm, observe, options):
     stacked = np.stack([np.asarray(y, dtype=complex) for y in ys])
     if not np.all(np.isfinite(stacked)):
         raise SolverError("batch contains non-finite measurements")
-    return mmv_lockstep(operator, stacked, kappas, warm, **options)
+    return mmv_lockstep(operator, stacked, kappas, warm, observe=observe, **options)

@@ -164,44 +164,49 @@ def mmv_lockstep(
 
     ``Ys`` stacks the snapshot matrices, ``(B, m, p)``; ``kappas`` holds
     one weight per problem and ``warm`` an optional ``(B, n, p)`` start.
-    The iterate and the momentum live in buffers reused across
-    iterations, each one ``(B, p, n)`` array with the grid axis
-    innermost.  Their ``(B·p, n)`` row stacks go to the operator as
-    transposed ``(n, B·p)`` views, so one pair of factor GEMMs covers
-    the whole stack with no copy, and at ``B = 1`` the products are
-    exactly those of a lone ``(n, p)`` solve.  The snapshot rows and the
-    residual stay in the operator's line layout (``line_order``, set
-    once here), which its ``matvec_lines`` returns and its
-    ``rmatvec_lines`` reads, so no iteration permutes them.
+    Every problem gets the solution, iteration count and objective of
+    its own ``B = 1`` solve, bit for bit up to the sign of a zero: the
+    products hand the operator ``n_snapshots``, so its temporal factor
+    runs one GEMM per problem, and every per-problem sum runs over that
+    problem's entries alone.  The snapshot rows and the residual stay in
+    the operator's line layout (``line_order``, set once here), which its
+    ``matvec_lines`` returns and its ``rmatvec_lines`` reads, so no
+    iteration permutes them.
 
-    The iterate is row-sparse, so from a stacked size ``B·p·n`` of
-    :data:`GATHER_MIN_SIZE` the tail — the shrunk candidate, the change,
-    the per-problem stop norms and the next momentum — runs on the
-    gathered rows of the candidate's and the iterate's supports (flat
-    ``take``/``put``); the iterate and the momentum are zero off those
-    rows, and the old momentum rows are cleared before the new ones are
-    scattered.  Below that size the tail runs on the whole stack and
-    rotates the buffers instead.
+    Below a stacked size ``B·p·n`` of :data:`GATHER_MIN_SIZE` the
+    iterate and the momentum live in ``(B, p, n)`` buffers reused across
+    iterations and rotated, and the tail runs on the whole stack; their
+    ``(B·p, n)`` row stacks go to the operator as transposed ``(n, B·p)``
+    views, so one pair of factor GEMMs covers the stack with no copy.
+    From that size the iterate is row-sparse enough that the tail — the
+    shrunk candidate, the change, the per-problem stop norms and the next
+    momentum — runs on the gathered rows of the candidate's and the
+    iterate's supports (flat ``take``/``put``); the buffers are zero off
+    those rows, and the old momentum rows are cleared before the new ones
+    are scattered.
 
     The gradient point comes one of two ways.  By default the full
     adjoint lands in a ``(B, p, n)`` point buffer (``rmatvec_lines``'
     ``out=``) and the row norms span the grid.  Where the operator says
     its row energies are the cheaper product
-    (``p ≥ operator.screen_snapshots``, and only in the gathered tail),
-    no step touches a full-grid ``(B, p, n)`` array: the forward
-    product runs on the momentum's rows (``matvec_rows``);
+    (``p ≥ operator.screen_snapshots``, and only from the gathering
+    size), no step touches a full-grid ``(B, p, n)`` array: the iterate
+    and the momentum are kept as compact rows — the ascending flat grid
+    rows ``b·n + j`` off which both are zero, and their ``(rows, p)``
+    values — and the forward product runs on them (``matvec_rows``);
     ``rmatvec_energies`` bounds every row's adjoint energy; the rows
     whose bound reaches the squared threshold (lowered by the rounding
     of the prox's square root and division), plus the momentum's rows,
     are the candidates; and ``rmatvec_rows`` evaluates the adjoint
     exactly on them.  A row the prox keeps is always a candidate, and
     every value it sees is the one the full products give, so all three
-    combinations give the same nonzero entries.
+    routes give the same nonzero entries.  The final objectives come
+    from the compact rows too (:func:`_row_objectives`).
 
     Converged problems are frozen while the rest iterate on: their rows
     leave the gather and the screen (or the dense tail masks them), so
     their iterate no longer moves.  ``observe`` receives a copy of the
-    iterate, which it may keep.
+    ``(B, n, p)`` iterate stack, which it may keep.
     """
     m, n = operator.shape
     n_problems, _, n_snapshots = Ys.shape
@@ -228,36 +233,25 @@ def mmv_lockstep(
     Y = Ys.transpose(0, 2, 1)
     order = operator.line_order
     Y = np.ascontiguousarray(Y if order is None else Y.take(order, axis=2)).reshape(folded, m)
-    X = (
-        np.zeros((n_problems, n_snapshots, n), dtype=complex)
-        if warm is None
-        else np.asarray(warm, dtype=complex).transpose(0, 2, 1).copy()
-    )
-    momentum = X.copy()
 
-    gather = X.size >= GATHER_MIN_SIZE
+    gather = n_problems * n_snapshots * n >= GATHER_MIN_SIZE
     screen = gather and n_snapshots >= operator.screen_snapshots
-    if gather:
-        x_flat, momentum_flat = X.reshape(-1), momentum.reshape(-1)
-        # Grid row r = b·n + j of the (B, n) row grid is the flat elements
-        # b·p·n + k·n + j, k < p, of a (B, p, n) buffer.
-        column_offsets = np.arange(n_snapshots) * n
-        problem_starts = np.arange(1, n_problems) * n
-
-        def elements(rows):
-            if n_snapshots == 1:
-                return rows.reshape(-1, 1)
-            if n_problems > 1:
-                rows = rows + rows // n * ((n_snapshots - 1) * n)
-            return rows[:, None] + column_offsets
-
-        # The momentum's rows, its values there, and which of them the
-        # iterate's support holds.
-        rows = np.flatnonzero(np.any(X != 0, axis=1))
-        momentum_index = elements(rows)
-        momentum_values = x_flat.take(momentum_index)
-        supported = np.ones(len(rows), dtype=bool)
     if screen:
+        # The iterate and the momentum as compact rows: ``rows`` holds the
+        # ascending flat grid rows b·n + j off which both are zero,
+        # ``values`` and ``momentum_values`` their (rows, p) entries.
+        if warm is None:
+            rows = np.empty(0, dtype=np.intp)
+            values = np.empty((0, n_snapshots), dtype=complex)
+        else:
+            warm = np.asarray(warm, dtype=complex).reshape(-1, n_snapshots)
+            rows = np.flatnonzero(np.any(warm != 0, axis=1))
+            values = warm[rows]
+        momentum_values = values.copy()
+        supported = np.ones(len(rows), dtype=bool)
+        # The rows of problems frozen so far, taken out of the loop's rows.
+        frozen = []
+        problem_starts = np.arange(1, n_problems) * n
         # One threshold for every row, or one per flat grid row.
         threshold_rows = (
             thresholds.reshape(1)
@@ -270,6 +264,12 @@ def mmv_lockstep(
         limits = np.square(thresholds) * (1.0 - 4.0 * np.finfo(float).eps)
         screened = np.empty((n_problems, n), dtype=bool)
     else:
+        X = (
+            np.zeros((n_problems, n_snapshots, n), dtype=complex)
+            if warm is None
+            else np.asarray(warm, dtype=complex).transpose(0, 2, 1).copy()
+        )
+        momentum = X.copy()
         point = np.empty_like(X)
         squares = np.empty(X.shape)
         imag_squares = np.empty(X.shape)
@@ -277,8 +277,27 @@ def mmv_lockstep(
         # column the squares already are the row norms.
         factors = squares[:, 0, :] if n_snapshots == 1 else np.empty((n_problems, n))
         if gather:
+            x_flat, momentum_flat = X.reshape(-1), momentum.reshape(-1)
             point_flat = point.reshape(-1)
             gathered = np.empty((n_problems, n), dtype=bool)
+            # Grid row r = b·n + j of the (B, n) row grid is the flat elements
+            # b·p·n + k·n + j, k < p, of a (B, p, n) buffer.
+            column_offsets = np.arange(n_snapshots) * n
+            problem_starts = np.arange(1, n_problems) * n
+
+            def elements(rows):
+                if n_snapshots == 1:
+                    return rows.reshape(-1, 1)
+                if n_problems > 1:
+                    rows = rows + rows // n * ((n_snapshots - 1) * n)
+                return rows[:, None] + column_offsets
+
+            # The momentum's rows, its values there, and which of them the
+            # iterate's support holds.
+            rows = np.flatnonzero(np.any(X != 0, axis=1))
+            momentum_index = elements(rows)
+            momentum_values = x_flat.take(momentum_index)
+            supported = np.ones(len(rows), dtype=bool)
         else:
             change = np.empty_like(X)
             edges = range(n_problems + 1)
@@ -288,11 +307,11 @@ def mmv_lockstep(
     check = tolerance > 0
     with np.errstate(invalid="ignore", divide="ignore"):
         for it in range(1, max_iterations + 1):
-            stack = momentum.reshape(folded, n).T
             if screen:
-                residual = operator.matvec_rows(stack, rows, n_snapshots).T
+                residual = operator.matvec_rows(rows, momentum_values, n_problems).T
             else:
-                residual = operator.matvec_lines(stack).T
+                stack = momentum.reshape(folded, n).T
+                residual = operator.matvec_lines(stack, n_snapshots=n_snapshots).T
             residual -= Y
             # point = momentum − step·2Aᴴr: the factor −2·step scales the
             # short residual rows before the adjoint, not the gradient.
@@ -300,8 +319,10 @@ def mmv_lockstep(
             if screen:
                 if not progress.all_active:
                     live = active.take(rows // n)
-                    rows, supported = rows[live], supported[live]
-                    momentum_values = momentum_values[live]
+                    if not live.all():
+                        frozen.append((rows[~live], values[~live]))
+                        rows, supported = rows[live], supported[live]
+                        values, momentum_values = values[live], momentum_values[live]
                 # Only rows whose adjoint energy can clear the threshold,
                 # and the momentum's rows, can be nonzero after the prox;
                 # the point (p, candidates) is formed on those alone.
@@ -322,7 +343,9 @@ def mmv_lockstep(
                     threshold_rows if len(threshold_rows) == 1 else threshold_rows.take(candidates)
                 )
             else:
-                operator.rmatvec_lines(residual.T, out=point.reshape(folded, n).T)
+                operator.rmatvec_lines(
+                    residual.T, out=point.reshape(folded, n).T, n_snapshots=n_snapshots
+                )
                 if gather:
                     # The momentum is zero off its gathered rows.
                     momentum_values += point_flat.take(momentum_index)
@@ -343,16 +366,23 @@ def mmv_lockstep(
             np.subtract(1.0, factors, out=factors)
             np.fmax(factors, 0.0, out=factors)
 
-            # Gathered: the candidate's and the iterate's rows of the
-            # active problems; off them the candidate, the iterate, the
-            # change and so the next momentum are all zero.
+            # Screened and gathered: the candidate's and the iterate's rows
+            # of the active problems; off them the candidate, the iterate,
+            # the change and so the next momentum are all zero.
             if screen:
                 kept = factors > 0.0
                 kept[slots[supported]] = True
+                # The iterate's rows still kept, and where they land.
+                held = kept[slots]
+                landing = (np.cumsum(kept) - 1)[slots[held]]
                 rows = candidates[kept]
                 row_factors = factors[kept]
                 candidate = point.T[kept]
                 del point  # before the next iteration's point is allocated
+                candidate *= row_factors[:, None]
+                current = np.zeros_like(candidate)
+                current[landing] = values[held]
+                change = current  # formed in place below
             elif gather:
                 np.greater(factors, 0.0, out=gathered)
                 gathered.reshape(-1)[rows[supported]] = True
@@ -360,32 +390,36 @@ def mmv_lockstep(
                     gathered &= active.reshape(n_problems, 1)
                 rows = np.flatnonzero(gathered)
                 row_factors = factors.reshape(-1).take(rows)
-            if gather:
                 index = elements(rows)
-                if not screen:
-                    candidate = point_flat.take(index)
+                candidate = point_flat.take(index)
                 candidate *= row_factors[:, None]
                 current = x_flat.take(index)
-                change = candidate - current
-                if check and n_problems > 1:
-                    edges = [0, *np.searchsorted(rows, problem_starts), len(rows)]
-                elif check:
-                    edges = (0, len(rows))
+                change = None
             else:
                 candidate, current = point, X
                 candidate *= factors[:, None, :]
-                np.subtract(candidate, current, out=change)
+            if gather and check:
+                edges = (
+                    [0, *np.searchsorted(rows, problem_starts), len(rows)]
+                    if n_problems > 1
+                    else (0, len(rows))
+                )
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
             if check:
                 # ‖ΔX‖ ≤ tol·max(1, ‖X‖) per problem, compared as squares.
-                delta = _problem_squared_norms(change, edges)
                 scale = np.maximum(1.0, _problem_squared_norms(current, edges))
+            change = np.subtract(candidate, current, out=change)
+            if check:
+                delta = _problem_squared_norms(change, edges)
 
             # candidate + ((t − 1)/t_next)·(candidate − X), in place on the change.
             change *= (t - 1.0) / t_next
             change += candidate
-            if gather:
+            if screen:
+                values, momentum_values = candidate, change
+                supported = row_factors > 0.0
+            elif gather:
                 momentum_flat.put(momentum_index, 0.0)
                 momentum_flat.put(index, change)
                 momentum_index, momentum_values = index, change
@@ -400,13 +434,57 @@ def mmv_lockstep(
             t = t_next
 
             if observe is not None:
-                observe(it, X.transpose(0, 2, 1).copy())
+                observe(
+                    it,
+                    _scatter_rows(n_problems, n, rows, values, frozen)
+                    if screen
+                    else X.transpose(0, 2, 1).copy(),
+                )
             if check and progress.settle(it, delta <= tolerance**2 * scale):
                 break
 
-    X = np.ascontiguousarray(X.transpose(0, 2, 1))
-    objectives = mmv_batch_objectives(operator, X, Ys, kap, weights)
+    if screen:
+        if frozen:
+            rows = np.concatenate([r for r, _ in frozen] + [rows])
+            values = np.concatenate([v for _, v in frozen] + [values])
+            order = np.argsort(rows)
+            rows, values = rows[order], values[order]
+        X = _scatter_rows(n_problems, n, rows, values)
+        objectives = _row_objectives(operator, rows, values, Ys, kap, weights)
+    else:
+        X = np.ascontiguousarray(X.transpose(0, 2, 1))
+        objectives = mmv_batch_objectives(operator, X, Ys, kap, weights)
     return progress.result(X, objectives, "mmv", kappas)
+
+
+def _scatter_rows(n_problems: int, n: int, rows, values, frozen=()) -> np.ndarray:
+    """The ``(B, n, p)`` stack that is ``values`` on the flat grid ``rows``
+    (and on each frozen ``(rows, values)`` pair) and zero elsewhere."""
+    stack = np.zeros((n_problems * n, values.shape[1]), dtype=complex)
+    stack[rows] = values
+    for frozen_rows, frozen_values in frozen:
+        stack[frozen_rows] = frozen_values
+    return stack.reshape(n_problems, n, -1)
+
+
+def _row_objectives(operator, rows, values, Ys, kap, penalty_weights=None):
+    """:func:`mmv_batch_objectives` of the stack that is ``values`` on the
+    flat grid ``rows``, from the row-restricted forward product; every
+    sum runs in the same order on the same values, so the two agree bit
+    for bit."""
+    n_problems, m, n_snapshots = Ys.shape
+    n = operator.shape[1]
+    lines = operator.matvec_rows(rows, values, n_problems).T
+    if operator.line_order is not None:
+        lines = lines[:, np.argsort(operator.line_order)]
+    residual = np.moveaxis(lines.T.reshape(m, n_problems, n_snapshots), 0, 1) - Ys
+    data = squared_norms(residual, axis=(1, 2))
+    row_norms = np.zeros(n_problems * n)
+    row_norms[rows] = np.sqrt(squared_norms(values, axis=1))
+    row_norms = row_norms.reshape(n_problems, n)
+    if penalty_weights is not None:
+        row_norms = penalty_weights.reshape(1, n) * row_norms
+    return data + kap * row_norms.sum(axis=1)
 
 
 def _problem_squared_norms(values: np.ndarray, edges) -> np.ndarray:

@@ -122,28 +122,40 @@ class DictionaryOperator(ABC):
     #: ``None`` where that is the row order itself.
     line_order: np.ndarray | None = None
 
-    def matvec_lines(self, x):
-        """The 2-D :meth:`matvec`, its rows in :attr:`line_order`."""
+    def matvec_lines(self, x, *, n_snapshots: int | None = None):
+        """The 2-D :meth:`matvec`, its rows in :attr:`line_order`.
+
+        ``n_snapshots`` (``p``) marks ``x`` as a stack of problems of
+        ``p`` columns each, which an operator may use to give every
+        problem the bits of its lone product; ``None`` is one problem.
+        """
         return self.matvec(x)
 
-    def rmatvec_lines(self, r, *, out=None):
+    def rmatvec_lines(self, r, *, out=None, n_snapshots: int | None = None):
         """The 2-D :meth:`rmatvec` of an ``r`` whose rows are in
         :attr:`line_order`, written into ``out`` when given (an
-        ``(n, B·p)`` complex array, returned filled)."""
+        ``(n, B·p)`` complex array, returned filled); ``n_snapshots`` as
+        in :meth:`matvec_lines`."""
         product = self.rmatvec(r)
         if out is None:
             return product
         out[...] = product
         return out
 
-    def matvec_rows(self, x, rows, n_snapshots: int):
-        """:meth:`matvec_lines` for a 2-D ``(n, B·p)`` ``x`` that is zero off ``rows``.
+    def matvec_rows(self, rows, values, n_problems: int):
+        """:meth:`matvec_lines` of a row-sparse ``(n, B·p)`` stack given by its rows.
 
-        ``rows`` lists the flat grid rows ``b·n + j`` where problem ``b``
-        may be nonzero; an operator may skip the others.  This one
-        computes the full product.
+        ``rows`` lists, ascending, the flat grid rows ``b·n + j`` where
+        the stack may be nonzero, and ``values`` their ``(len(rows), p)``
+        entries: column ``b·p + k`` of the stack holds ``values[:, k]``
+        on problem ``b``'s rows and zeros elsewhere.  This one scatters
+        them into the full stack and computes the full product.
         """
-        return self.matvec_lines(x)
+        n_snapshots, n = values.shape[1], self.shape[1]
+        stack = np.zeros((n_problems, n_snapshots, n), dtype=complex)
+        problem, column = np.divmod(rows, n)
+        stack[problem, :, column] = values
+        return self.matvec_lines(stack.reshape(-1, n).T, n_snapshots=n_snapshots)
 
     def row_energies(self, r, n_snapshots: int):
         """The ``(B, n)`` row energies ``Σ_k |(Aᴴr)_{j,b·p+k}|²`` of the adjoint.
@@ -172,7 +184,8 @@ class DictionaryOperator(ABC):
         values are picked from.  Here the bound is that sum itself, from
         the full adjoint, and the stage is the ``(B, p, n)`` adjoint.
         """
-        stage = np.ascontiguousarray(self.rmatvec_lines(r).T, dtype=complex)
+        product = self.rmatvec_lines(r, n_snapshots=n_snapshots)
+        stage = np.ascontiguousarray(product.T, dtype=complex)
         stage = stage.reshape(-1, n_snapshots, self.shape[1])
         squares = np.square(stage.view(np.float64))
         energies = squares[..., 0::2] + squares[..., 1::2]
@@ -232,6 +245,12 @@ class DenseOperator(DictionaryOperator):
 #: rows (see :attr:`KroneckerJointOperator.screen_snapshots`): the
 #: screened route loses on 3,050 rows and wins on 4,550.
 SCREEN_MIN_ROWS = 4096
+
+#: (problem, delay) pairs per spatial GEMM of the screened products, so
+#: their transients stay the size of one problem's on the Fig. 6 grid
+#: (50 delays) however many problems are stacked: at p = 6 on 91 angles
+#: a slice's grid lines take 0.56 MB.
+PAIR_SLICE = 64
 
 
 class KroneckerJointOperator(DictionaryOperator):
@@ -344,20 +363,28 @@ class KroneckerJointOperator(DictionaryOperator):
             return rows.reshape(len(lines), self.shape[0]).T
         raise SolverError(f"matvec operand must be 1-D or 2-D, got ndim={x.ndim}")
 
-    def matvec_lines(self, x):
+    def matvec_lines(self, x, *, n_snapshots: int | None = None):
         # Contract the wide angle axis first (Nθ → M shrinks ~30×, Nτ → L
         # only ~2×) as one GEMM over every grid X_k, then Gᵀ on the lines.
         rows = np.ascontiguousarray(x.T, dtype=complex)
         columns = rows.shape[0]
         angles = _real_view(rows, columns * self.n_delays) @ self._spatial_forward
-        return self._measurement_lines(angles.view(complex), columns)
+        return self._measurement_lines(angles.view(complex), columns, n_snapshots)
 
-    def _measurement_lines(self, angles, columns: int):
+    def _measurement_lines(self, angles, columns: int, n_snapshots: int | None = None):
         """The temporal GEMM of the ``(columns·Nτ, M)`` spatial stage, on its
-        antenna-major lines: the ``(m, columns)`` product in the line layout."""
+        antenna-major lines: the ``(m, columns)`` product in the line layout.
+
+        With ``n_snapshots`` it is one GEMM per problem's ``p·M`` lines
+        (a stacked matmul), each of a lone problem's shape: BLAS may round
+        a row differently in a taller GEMM (OpenBLAS does for the 21-delay
+        grids), which would tie a problem's bits to its batch.
+        """
         stage = angles.reshape(columns, self.n_delays, self.n_antennas).transpose(0, 2, 1)
         stage = np.ascontiguousarray(stage)
-        lines = _real_view(stage, columns * self.n_antennas) @ self._temporal_forward
+        problems = 1 if n_snapshots is None else columns // n_snapshots
+        lines = _real_view(stage, columns * self.n_antennas)
+        lines = lines.reshape(problems, -1, 2 * self.n_delays) @ self._temporal_forward
         return lines.view(complex).reshape(columns, self.shape[0]).T
 
     def rmatvec(self, r, *, out=None):
@@ -373,15 +400,16 @@ class KroneckerJointOperator(DictionaryOperator):
             return self.rmatvec_lines(lines.T, out=out)
         raise SolverError(f"rmatvec operand must be 1-D or 2-D, got ndim={r.ndim}")
 
-    def rmatvec_lines(self, r, *, out=None):
-        """The 2-D adjoint of a line-layout ``r``, ``Gᴴ`` on the lines and
+    def rmatvec_lines(self, r, *, out=None, n_snapshots: int | None = None):
+        """The 2-D adjoint of a line-layout ``r``, ``Gᴴ`` on the lines (per
+        problem with ``n_snapshots``, see :meth:`_measurement_lines`) and
         then one GEMM with ``conj(S̃)`` for every grid at once.
 
         ``out`` is an ``(n, p)`` complex array whose transpose is a
         C-contiguous ``(p, n)`` row stack — the view a row-stack caller
         hands over — and is returned filled.
         """
-        stage = self._stage_lines(r)
+        stage = self._stage_lines(r, n_snapshots)
         columns = stage.shape[0]
         if out is None:
             out = np.empty((columns, self.shape[1]), dtype=complex).T
@@ -400,12 +428,15 @@ class KroneckerJointOperator(DictionaryOperator):
         )
         return out
 
-    def _stage_lines(self, r):
+    def _stage_lines(self, r, n_snapshots: int | None = None):
         """``Gᴴ`` on every measurement line of a line-layout ``(m, columns)``
-        ``r``: the ``(columns, M, Nτ)`` stage ``D`` of the adjoint."""
+        ``r``: the ``(columns, M, Nτ)`` stage ``D`` of the adjoint; one GEMM
+        per problem with ``n_snapshots`` (see :meth:`_measurement_lines`)."""
         rows = np.ascontiguousarray(r.T, dtype=complex)
         columns = rows.shape[0]
-        stage = _real_view(rows, columns * self.n_antennas) @ self._temporal_adjoint
+        problems = 1 if n_snapshots is None else columns // n_snapshots
+        stage = _real_view(rows, columns * self.n_antennas)
+        stage = stage.reshape(problems, -1, 2 * self.n_subcarriers) @ self._temporal_adjoint
         return stage.view(complex).reshape(columns, self.n_antennas, self.n_delays)
 
     @property
@@ -424,31 +455,40 @@ class KroneckerJointOperator(DictionaryOperator):
         """
         return 2 * self.n_antennas if self.shape[1] >= SCREEN_MIN_ROWS else math.inf
 
-    def matvec_rows(self, x, rows, n_snapshots: int):
-        """:meth:`matvec_lines` with only the (column, delay) grid rows
-        that ``rows`` touch in the spatial GEMM; the other stage rows
-        are zero, and the temporal GEMM keeps its full ``Nτ``
+    def matvec_rows(self, rows, values, n_problems: int):
+        """:meth:`matvec_lines` from the (problem, delay) pairs that
+        ``rows`` touch: the spatial GEMM runs on their grid lines, built
+        from ``values`` :data:`PAIR_SLICE` pairs at a time; the other
+        stage rows are zero, and the temporal GEMM keeps its full ``Nτ``
         contraction, so the product equals :meth:`matvec_lines`' bit for
         bit."""
-        stack = np.ascontiguousarray(x.T, dtype=complex)
-        columns = stack.shape[0]
-        touched = np.zeros(columns // n_snapshots * self.n_delays, dtype=bool)
-        touched[rows // self.n_angles] = True
+        n_snapshots = values.shape[1]
+        columns = n_problems * n_snapshots
+        angles = np.zeros((columns * self.n_delays, self.n_antennas), dtype=complex)
+        # Row b·n + d·Nθ + i belongs to pair b·Nτ + d, at angle i.
+        owners, angle = np.divmod(rows, self.n_angles)
+        touched = np.zeros(n_problems * self.n_delays, dtype=bool)
+        touched[owners] = True
         pairs = np.flatnonzero(touched)
-        if 2 * len(pairs) > len(touched):
-            # Gathering most of the grid costs more than it skips.
-            return self.matvec_lines(x)
+        slots = np.searchsorted(pairs, owners)
         # Pair b·Nτ + d owns grid lines (b·p + k)·Nτ + d, k < p, of the
         # stack's (B·p·Nτ, Nθ) view.
-        if columns > n_snapshots:
-            pairs = pairs + pairs // self.n_delays * ((n_snapshots - 1) * self.n_delays)
-        lines = (pairs[:, None] + np.arange(n_snapshots) * self.n_delays).reshape(-1)
-        angles = np.zeros((columns * self.n_delays, self.n_antennas), dtype=complex)
-        if len(lines):
-            grid = stack.reshape(-1, self.n_angles).take(lines, axis=0)
-            product = _real_view(grid, len(lines)) @ self._spatial_forward
-            angles[lines] = product.view(complex)
-        return self._measurement_lines(angles, columns)
+        firsts = pairs + pairs // self.n_delays * ((n_snapshots - 1) * self.n_delays)
+        lines = (firsts[:, None] + np.arange(n_snapshots) * self.n_delays).reshape(-1)
+        for start in range(0, len(pairs), PAIR_SLICE):
+            count = min(PAIR_SLICE, len(pairs) - start)
+            if count == len(pairs):
+                picks, slot = slice(None), slots
+            else:
+                first, last = np.searchsorted(slots, (start, start + count))
+                picks = slice(first, last)
+                slot = slots[picks] - start
+            grid = np.zeros((count, n_snapshots, self.n_angles), dtype=complex)
+            grid[slot, :, angle[picks]] = values[picks]
+            product = _real_view(grid, count * n_snapshots) @ self._spatial_forward
+            span = slice(start * n_snapshots, (start + count) * n_snapshots)
+            angles[lines[span]] = product.view(complex)
+        return self._measurement_lines(angles, columns, n_snapshots)
 
     def row_energies(self, r, n_snapshots: int):
         """The adjoint's row energies from per-delay Gram forms (see
@@ -483,7 +523,7 @@ class KroneckerJointOperator(DictionaryOperator):
         features = self._energy_features.get(n_snapshots)
         if features is None:
             features = self._energy_features[n_snapshots] = self._screen_features(n_snapshots)
-        stage = self._stage_lines(r)
+        stage = self._stage_lines(r, n_snapshots)
         energies = self._energies(self._gram(stage, n_snapshots), features)
         return energies, stage.reshape(len(energies), n_snapshots, *stage.shape[1:])
 
@@ -529,19 +569,24 @@ class KroneckerJointOperator(DictionaryOperator):
 
     def rmatvec_rows(self, stage, mask):
         """:meth:`rmatvec_lines`' values on ``mask``'s rows: the spatial GEMM
-        runs on the (problem, delay) pairs they touch, each output the
-        same 2M-term dot product as in the full GEMM."""
+        runs on the (problem, delay) pairs they touch, :data:`PAIR_SLICE`
+        pairs at a time, each output the same 2M-term dot product as in
+        the full GEMM."""
         n_snapshots = stage.shape[1]
         grid = mask.reshape(-1, self.n_angles)
         pairs = np.flatnonzero(grid.any(axis=1))
-        if not len(pairs):
-            return np.empty((n_snapshots, 0), dtype=complex)
-        picks = np.flatnonzero(grid[pairs])
         # (p, B·Nτ, M): pair b·Nτ + d's M values for every column.
         delays = stage.transpose(1, 0, 3, 2).reshape(n_snapshots, -1, self.n_antennas)
-        picked = np.ascontiguousarray(delays[:, pairs])
-        adjoint = _real_view(picked, n_snapshots * len(pairs)) @ self._spatial_adjoint
-        return adjoint.view(complex).reshape(n_snapshots, -1).take(picks, axis=1)
+        parts = []
+        for start in range(0, len(pairs), PAIR_SLICE):
+            chunk = pairs[start : start + PAIR_SLICE]
+            picked = np.ascontiguousarray(delays[:, chunk])
+            adjoint = _real_view(picked, n_snapshots * len(chunk)) @ self._spatial_adjoint
+            picks = np.flatnonzero(grid[chunk])
+            parts.append(adjoint.view(complex).reshape(n_snapshots, -1).take(picks, axis=1))
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts, axis=1) if parts else np.empty((n_snapshots, 0), complex)
 
     def to_dense(self):
         return np.kron(self.temporal, self.spatial)

@@ -194,18 +194,19 @@ def observation_hook(
     rhs: np.ndarray,
     penalty: Callable[[np.ndarray], float],
     telemetry: ConvergenceTrace | None,
-    callback: Callable[[int, np.ndarray, float], None] | None,
+    callback: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> Observer | None:
-    """A front door's ``telemetry=`` / ``callback=`` as one kernel hook.
+    """One problem's ``telemetry=`` / ``callback=`` as a kernel hook.
 
-    Per iteration it measures the ``B = 1`` iterate ``x``, shaped like
-    the front door's solution (``(n,)`` for a one-column ℓ1 solve of a
-    1-D ``rhs``, ``(n, p)`` otherwise): the residual
-    norm ``‖Ax − y‖``, the objective ``‖Ax − y‖² + penalty(x)`` and the
-    support size, then feeds ``telemetry.record`` and
+    Per iteration it measures the first problem ``x`` of the stack it
+    is handed, shaped like that problem's solution (``(n,)`` for a
+    one-column ℓ1 solve of a 1-D ``rhs``, ``(n, p)`` otherwise): the
+    residual norm ``‖Ax − y‖``, the objective ``‖Ax − y‖² + penalty(x)``
+    and the support size, then feeds ``telemetry.record`` and
     ``callback(iteration, x, objective)``.  That costs one dictionary
     multiply per iteration; with neither requested it returns ``None``
     and the kernel does no observation work at all.
+    :func:`stacked_observer` runs one such hook per problem of a stack.
     """
     if telemetry is None and callback is None:
         return None
@@ -222,5 +223,19 @@ def observation_hook(
             )
         if callback is not None:
             callback(iteration, x, objective)
+
+    return observe
+
+
+def stacked_observer(observers) -> Observer | None:
+    """One kernel hook for a stack: problem ``b``'s hook (``None`` for
+    none) sees ``stack[b : b + 1]``; ``None`` when no problem has one."""
+    hooks = [(b, hook) for b, hook in enumerate(observers) if hook is not None]
+    if not hooks:
+        return None
+
+    def observe(iteration: int, stack: np.ndarray) -> None:
+        for b, hook in hooks:
+            hook(iteration, stack[b : b + 1])
 
     return observe

@@ -24,6 +24,12 @@ jobs out over a ``concurrent.futures.ProcessPoolExecutor``:
   worker process (``BrokenProcessPool``) is recovered by respawning the
   pool and requeueing only the unfinished chunks — completed outcomes
   are never lost.
+* **Grouped fusion** — a plain ROArray estimator evaluates consecutive
+  jobs :data:`GROUP_JOBS` at a time, their fusion solves batched into
+  lockstep blocks (:meth:`~repro.core.pipeline.RoArrayEstimator.joint_spectra`),
+  which give each job the analysis it gets alone; a group that fails or
+  misses its deadline reruns job by job, so outcomes, retries and
+  journals are those of per-job evaluation.
 * **Instrumentation** — workers time the dictionary / solve / peak
   stages per job; the totals, plus the failure taxonomy and
   retry/timeout/quarantine counts, come back in a
@@ -39,7 +45,7 @@ import traceback as traceback_module
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -70,6 +76,11 @@ from repro.runtime.jobs import (
     JobOutcome,
 )
 from repro.runtime.report import RuntimeReport
+
+#: Consecutive jobs a plain ROArray estimator evaluates as one group.
+#: A drain request is honoured between groups, so the group also sets
+#: how much work still finishes after a SIGINT.
+GROUP_JOBS = 3
 
 #: How often the parallel drain loop wakes to check for completed chunks
 #: and shutdown requests (seconds).
@@ -347,6 +358,113 @@ def _timed_analysis(system, trace: CsiTrace, stage_seconds: dict[str, float]) ->
     return analysis
 
 
+def _job_groups(system, jobs: list[EvalJob]):
+    """Consecutive runs of ``jobs`` evaluated together: :data:`GROUP_JOBS`
+    for a plain :class:`~repro.core.pipeline.RoArrayEstimator` (the
+    test :meth:`EstimatorSpec.for_system` uses), one job otherwise."""
+    from repro.core.pipeline import RoArrayEstimator
+
+    size = GROUP_JOBS if type(system) is RoArrayEstimator else 1
+    for start in range(0, len(jobs), size):
+        yield jobs[start : start + size]
+
+
+def _evaluate_group(
+    system,
+    jobs: list[EvalJob],
+    *,
+    capture_spans: bool = False,
+    policy: ExecutionPolicy = DEFAULT_POLICY,
+) -> list[JobOutcome]:
+    """Outcomes of consecutive jobs, in job order, with their fusion
+    solves run together.
+
+    Each job is validated first; a job the gate rejects is evaluated
+    alone.  The rest go through one
+    :meth:`~repro.core.pipeline.RoArrayEstimator.joint_spectra` call
+    under a deadline of ``timeout_s`` per job; if that raises or times
+    out, every one of them is evaluated alone instead.  Either way each
+    outcome equals :func:`_evaluate_job`'s: the batched solve gives each
+    job its lone solve's spectrum.
+    """
+    if len(jobs) == 1:
+        return [_evaluate_job(system, jobs[0], capture_spans=capture_spans, policy=policy)]
+    ready = []
+    for job in jobs:
+        trace, quarantined = job.trace, 0
+        if policy.validate:
+            from repro.faults.validate import sanitize_trace
+
+            try:
+                trace, validation = sanitize_trace(trace, expected_shape=_expected_shape(system))
+            except Exception:
+                continue
+            quarantined = validation.n_quarantined
+        ready.append((job, trace, quarantined))
+    grouped = {}
+    if ready:
+        try:
+            grouped = _attempt_group(system, ready, capture_spans=capture_spans, policy=policy)
+        except Exception:
+            pass  # every job of the group reruns alone, which records the failure
+    return [
+        grouped[job.index]
+        if job.index in grouped
+        else _evaluate_job(system, job, capture_spans=capture_spans, policy=policy)
+        for job in jobs
+    ]
+
+
+def _attempt_group(system, ready, *, capture_spans: bool, policy: ExecutionPolicy) -> dict:
+    """One attempt at validated ``(job, trace, quarantined)`` triples:
+    :func:`_timed_analysis`'s stages with the solves batched, each job
+    under its own tracer, billed an equal share of the shared stages."""
+    tracers = [Tracer() if capture_spans else NULL_TRACER for _ in ready]
+    stages = [{} for _ in ready]
+    previous_tracer = system.tracer
+    start = time.perf_counter()
+    timeout_s = None if policy.timeout_s is None else policy.timeout_s * len(ready)
+    try:
+        with ExitStack() as spans, _job_deadline(timeout_s):
+            for (job, _, _), tracer in zip(ready, tracers):
+                spans.enter_context(tracer.span("job", index=job.index))
+            for tracer, stage_seconds in zip(tracers, stages):
+                if capture_spans:
+                    system.tracer = tracer
+                tick = time.perf_counter()
+                system.warm_cache()
+                stage_seconds["dictionary"] = time.perf_counter() - tick
+            tick = time.perf_counter()
+            spectra = system.joint_spectra(
+                [trace for _, trace, _ in ready], tracers=tracers if capture_spans else None
+            )
+            solve_s = (time.perf_counter() - tick) / len(ready)
+            analyses = []
+            for tracer, stage_seconds, spectrum in zip(tracers, stages, spectra):
+                if capture_spans:
+                    system.tracer = tracer
+                stage_seconds["solve"] = solve_s
+                tick = time.perf_counter()
+                analyses.append(system.analysis_from_spectrum(spectrum))
+                stage_seconds["peaks"] = time.perf_counter() - tick
+    finally:
+        system.tracer = previous_tracer
+    elapsed_s = (time.perf_counter() - start) / len(ready)
+    return {
+        job.index: JobOutcome(
+            index=job.index,
+            analysis=analysis,
+            elapsed_s=elapsed_s,
+            stage_seconds=stage_seconds,
+            spans=_drain_spans(tracer, stage_seconds, capture_spans),
+            quarantined_packets=quarantined,
+        )
+        for (job, _, quarantined), analysis, tracer, stage_seconds in zip(
+            ready, analyses, tracers, stages
+        )
+    }
+
+
 def _run_chunk(jobs: list[EvalJob]) -> tuple[list[JobOutcome], float]:
     """Worker entry point: evaluate one contiguous chunk of jobs.
 
@@ -359,10 +477,11 @@ def _run_chunk(jobs: list[EvalJob]) -> tuple[list[JobOutcome], float]:
         raise RuntimeError("worker used before initialization")
     warmup_s, _WORKER_WARMUP_PENDING_S = _WORKER_WARMUP_PENDING_S, 0.0
     outcomes = [
-        _evaluate_job(
-            _WORKER_SYSTEM, job, capture_spans=_WORKER_CAPTURE_SPANS, policy=_WORKER_POLICY
+        outcome
+        for group in _job_groups(_WORKER_SYSTEM, jobs)
+        for outcome in _evaluate_group(
+            _WORKER_SYSTEM, group, capture_spans=_WORKER_CAPTURE_SPANS, policy=_WORKER_POLICY
         )
-        for job in jobs
     ]
     return outcomes, warmup_s
 
@@ -542,7 +661,9 @@ class BatchEvaluator:
                     )
                 outcomes = replayed + outcomes
                 outcomes.sort(key=lambda outcome: outcome.index)
-                if shutdown.triggered and len(outcomes) < len(jobs):
+                # Without a journal nothing is kept, so the interrupt
+                # stands even if the last group finished the batch.
+                if shutdown.triggered and (journal is None or len(outcomes) < len(jobs)):
                     self._raise_interrupted(journal, completed=len(outcomes), total=len(jobs))
                 # Graft worker-side spans in job order (inside the
                 # batch_evaluate span so each job tree hangs under it).
@@ -598,15 +719,15 @@ class BatchEvaluator:
             warmup_s = _system_warmup_seconds(self._local_system)
         capture = bool(getattr(self.tracer, "enabled", False))
         outcomes: list[JobOutcome] = []
-        for job in jobs:
+        for group in _job_groups(self._local_system, jobs):
             if shutdown is not None and shutdown.triggered:
                 break
-            outcome = _evaluate_job(
-                self._local_system, job, capture_spans=capture, policy=self.policy
-            )
-            outcomes.append(outcome)
-            if journal is not None:
-                journal.append(keys[job.index], outcome.to_dict(), index=job.index)
+            for outcome in _evaluate_group(
+                self._local_system, group, capture_spans=capture, policy=self.policy
+            ):
+                outcomes.append(outcome)
+                if journal is not None:
+                    journal.append(keys[outcome.index], outcome.to_dict(), index=outcome.index)
         return outcomes, warmup_s
 
     def _evaluate_parallel(

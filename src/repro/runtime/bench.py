@@ -312,6 +312,7 @@ def batched_solve_benchmark(
         "batches": rows,
         "max_batch_speedup": rows[-1]["speedup"],
         "mmv": _mmv_kernel_rows(snr_db=snr_db, seed=seed, repeats=repeats),
+        "fig6_location": fig6_location_row(seed=seed, repeats=repeats),
     }
 
 
@@ -390,3 +391,107 @@ def _mmv_kernel_rows(*, snr_db: float, seed: int, repeats: int) -> list[dict]:
                 }
             )
     return rows
+
+
+def fig6_location_problems(seed: int = 2017):
+    """The six ℓ2,1 fusion problems of one low-band Fig. 6 location.
+
+    The scene, SNRs, blockages and 15-packet traces are drawn exactly as
+    :func:`~repro.experiments.runner.run_snr_band_experiment` draws its
+    first location for ``seed``; each AP's packets are delay-aligned and
+    SVD-reduced as :func:`~repro.core.fusion.fuse_packets` does, and κ
+    follows the evaluation config.  Returns ``(estimator, snapshots,
+    kappas)`` with ``(m, 6)`` snapshot matrices.
+    """
+    from repro.channel.impairments import ImpairmentModel
+    from repro.core.fusion import align_packet_delays, svd_reduce_snapshots
+    from repro.core.pipeline import RoArrayEstimator
+    from repro.core.steering import vectorize_csi_matrix
+    from repro.experiments.runner import _scene_traces, evaluation_roarray_config
+    from repro.experiments.scenarios import SNR_BANDS, build_random_scene
+    from repro.optim.tuning import mmv_residual_kappa
+
+    n_aps, band = 6, SNR_BANDS["low"]
+    rng = np.random.default_rng(seed)
+    scene = build_random_scene(rng, n_aps=n_aps)
+    snrs = [band.draw(rng) for _ in range(n_aps)]
+    blockages = [band.draw_blockage(rng) for _ in range(n_aps)]
+    traces = _scene_traces(
+        scene, snr_db_per_ap=snrs, n_packets=15, impairments=ImpairmentModel(), rng=rng,
+        boot_seed=seed * 10_000, blockage_db_per_ap=blockages,
+    )
+    estimator = RoArrayEstimator(config=evaluation_roarray_config())
+    config, cache = estimator.config, estimator.cache
+    snapshots = []
+    for trace in traces:
+        aligned, _ = align_packet_delays(trace.csi, cache.layout)
+        stacked = np.stack([vectorize_csi_matrix(packet) for packet in aligned], axis=1)
+        snapshots.append(svd_reduce_snapshots(stacked, config.svd_rank))
+    kappas = [
+        mmv_residual_kappa(cache.joint_operator, y, fraction=config.kappa_fraction)
+        for y in snapshots
+    ]
+    return estimator, snapshots, kappas
+
+
+def fig6_location_row(*, seed: int = 2017, repeats: int = 3) -> dict:
+    """One Fig. 6 location's six fusion solves: six ``B = 1``
+    :func:`~repro.optim.solve_mmv_fista` calls against one
+    :func:`~repro.optim.solve_batch` call (its lockstep blocks), each at
+    the evaluation config's iteration cap.  Records µs per
+    problem-iteration, the tracemalloc peak of one ``B = 1`` solve and of
+    the batched call, and the max deviation of the batched solutions
+    from the lone ones, which the lockstep blocks make exactly 0.
+    """
+    import tracemalloc
+
+    from repro.optim import solve_batch, solve_mmv_fista
+    from repro.optim.batch import block_problems
+
+    estimator, snapshots, kappas = fig6_location_problems(seed)
+    operator = estimator.cache.joint_operator
+    options = dict(
+        max_iterations=estimator.config.max_iterations,
+        lipschitz=estimator.cache.joint_lipschitz,
+    )
+
+    def lone():
+        return [solve_mmv_fista(operator, y, k, **options) for y, k in zip(snapshots, kappas)]
+
+    def batched():
+        return solve_batch(operator, snapshots, "mmv", kappa=kappas, **options)
+
+    lone_seconds, lone_results = _best_time(lone, repeats)
+    batched_seconds, batched_result = _best_time(batched, repeats)
+    iterations = sum(result.iterations for result in lone_results)
+    deviation = max(
+        float(np.abs(batched_result.x[index] - result.x).max())
+        / max(1.0, float(np.abs(result.x).max()))
+        for index, result in enumerate(lone_results)
+    )
+
+    def traced_peak_mb(run) -> float:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    lone_peak = max(
+        traced_peak_mb(lambda: solve_mmv_fista(operator, y, k, **options))
+        for y, k in zip(snapshots, kappas)
+    )
+    return {
+        "grid": f"{estimator.config.angle_grid.n_points}x{estimator.config.delay_grid.n_points}",
+        "problems": len(snapshots),
+        "snapshots": int(snapshots[0].shape[1]),
+        "block_problems": block_problems(snapshots[0].shape[1], operator.shape[1]),
+        "iterations": int(iterations),
+        "lone_us_per_problem_iteration": lone_seconds / iterations * 1e6,
+        "batched_us_per_problem_iteration": batched_seconds / iterations * 1e6,
+        "speedup": lone_seconds / batched_seconds,
+        "lone_peak_mb": lone_peak,
+        "batched_peak_mb": traced_peak_mb(batched),
+        "max_relative_deviation": deviation,
+    }

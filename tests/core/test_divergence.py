@@ -21,13 +21,14 @@ from tests.optim.test_fista import make_sparse_system
 
 @pytest.fixture
 def nan_objective_fusion(monkeypatch):
-    """Fusion's ℓ2,1 solve returns its real result with a NaN objective."""
-    real = fusion.solve_mmv_fista
+    """Fusion's ℓ2,1 solves return their real results with NaN objectives."""
+    real = fusion.solve_batch
 
     def poisoned(*args, **kwargs):
-        return replace(real(*args, **kwargs), objective=float("nan"))
+        result = real(*args, **kwargs)
+        return replace(result, objectives=(float("nan"),) * result.n_problems)
 
-    monkeypatch.setattr(fusion, "solve_mmv_fista", poisoned)
+    monkeypatch.setattr(fusion, "solve_batch", poisoned)
 
 
 def default_trace(estimator, rng):

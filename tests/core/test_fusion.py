@@ -139,14 +139,14 @@ class TestFusePackets:
         from repro.core.joint import estimate_joint_spectrum
 
         single, _ = estimate_joint_spectrum(trace.packet(0), cache)
-        fused, _ = fuse_packets(trace.csi, cache)
+        ((fused, _),) = fuse_packets([trace.csi], cache)
         single_error = single.angle_marginal().closest_peak_error(120.0, max_peaks=4)
         fused_error = fused.angle_marginal().closest_peak_error(120.0, max_peaks=4)
         assert fused_error <= single_error + 2.0
 
     def test_single_packet_input_accepted(self, array, layout, cache, two_path_profile, rng):
         csi = synthesize_csi_matrix(two_path_profile, array, layout)
-        spectrum, _ = fuse_packets(csi, cache)
+        ((spectrum, _),) = fuse_packets([csi], cache)
         assert spectrum.power.shape == (61, 21)
 
     def test_alignment_flag_matters_with_large_delays(self, array, layout, cache, rng):
@@ -158,8 +158,8 @@ class TestFusePackets:
         synthesizer = CsiSynthesizer(array, layout, impairments, seed=0)
         trace = synthesizer.packets(profile, n_packets=8, snr_db=15.0, rng=rng)
 
-        aligned, _ = fuse_packets(trace.csi, cache, align_delays=True)
-        unaligned, _ = fuse_packets(trace.csi, cache, align_delays=False)
+        ((aligned, _),) = fuse_packets([trace.csi], cache, align_delays=True)
+        ((unaligned, _),) = fuse_packets([trace.csi], cache, align_delays=False)
         # Aligned: a single dominant ToA ridge.  Unaligned: energy smeared
         # across many delays.
         def toa_spread(spectrum):
@@ -175,6 +175,30 @@ class TestFusePackets:
         synth2 = CsiSynthesizer(array, layout, ImpairmentModel(), seed=1)
         t1 = synth1.packets(two_path_profile, n_packets=3, snr_db=10.0, rng=rng1)
         t2 = synth2.packets(two_path_profile, n_packets=3, snr_db=10.0, rng=rng2)
-        s1, _ = fuse_packets(t1.csi, cache)
-        s2, _ = fuse_packets(t2.csi, cache)
+        ((s1, _),) = fuse_packets([t1.csi], cache)
+        ((s2, _),) = fuse_packets([t2.csi], cache)
         np.testing.assert_allclose(s1.power, s2.power)
+
+    def test_rejects_a_bare_packet_array(self, array, layout, cache, two_path_profile):
+        csi = synthesize_csi_matrix(two_path_profile, array, layout)
+        with pytest.raises(SolverError, match="sequence of packet batches"):
+            fuse_packets(np.stack([csi, csi]), cache)
+
+    def test_batches_fuse_as_they_do_alone(self, array, layout, cache, rng):
+        """Several batches, of two snapshot widths, give each batch's lone
+        solve: the same solution, objective and iterations."""
+        synthesizer = CsiSynthesizer(array, layout, ImpairmentModel(), seed=2)
+        batches = [
+            synthesizer.packets(
+                random_profile(rng, n_paths=3, direct_aoa_deg=40.0 + 25.0 * i),
+                n_packets=n_packets, snr_db=8.0, rng=rng,
+            ).csi
+            for i, n_packets in enumerate((8, 3, 8, 8, 3))
+        ]
+        together = fuse_packets(batches, cache, max_iterations=80)
+        for csi, (spectrum, result) in zip(batches, together):
+            ((alone_spectrum, alone),) = fuse_packets([csi], cache, max_iterations=80)
+            np.testing.assert_array_equal(result.x, alone.x)
+            assert result.objective == alone.objective
+            assert result.iterations == alone.iterations
+            np.testing.assert_array_equal(spectrum.power, alone_spectrum.power)

@@ -44,3 +44,14 @@ def test_fig6_outcomes_of_all_three_systems_are_unchanged(seed):
     )
     assert sorted(result.outcomes) == ["ArrayTrack", "ROArray", "SpotFi"]
     assert outcome_digest(result) == FIG6_DIGESTS[seed]
+
+
+def test_fig6_outcomes_are_unchanged_at_two_workers():
+    """Two workers split a location's six jobs into chunks of two, so the
+    fusion solves run in lockstep blocks of two instead of three; every
+    problem still gets its lone solve's bits, and the digest holds."""
+    seed = 2017
+    result = run_snr_band_experiment(
+        "low", n_locations=1, n_packets=15, n_aps=6, seed=seed, workers=2
+    )
+    assert outcome_digest(result) == FIG6_DIGESTS[seed]

@@ -132,7 +132,7 @@ class TestKroneckerParity:
         rows = np.flatnonzero(np.isin(np.arange(n) // operator.n_angles, (2, 6)))
         restricted = np.zeros_like(x)
         restricted[rows] = x[rows]
-        close(operator.matvec_rows(restricted, rows, p), (dense @ restricted)[order])
+        close(operator.matvec_rows(rows, x[rows], 1), (dense @ restricted)[order])
         bounds, stage = operator.rmatvec_energies(lines, p)
         energies = np.sum(np.abs(adjoint) ** 2, axis=1)
         assert np.all(bounds[0] >= energies)
@@ -416,12 +416,17 @@ class TestRowScreen:
         problem, column = np.divmod(rows, n)
         x[problem, :, column] = rng.normal(size=(len(rows), p)) + 1j
         stack = x.reshape(-1, n).T
+        values = x[problem, :, column]
         np.testing.assert_array_equal(
-            operator.matvec_rows(stack, rows, p), operator.matvec_lines(stack)
+            operator.matvec_rows(rows, values, n_problems), operator.matvec_lines(stack)
+        )
+        np.testing.assert_array_equal(
+            DictionaryOperator.matvec_rows(operator, rows, values, n_problems),
+            operator.matvec_lines(stack),
         )
         zeros = np.zeros_like(stack)
         np.testing.assert_array_equal(
-            operator.matvec_rows(zeros, rows[:0], p), operator.matvec_lines(zeros)
+            operator.matvec_rows(rows[:0], values[:0], n_problems), operator.matvec_lines(zeros)
         )
 
     def test_features_are_built_lazily_per_snapshot_count(self, rng):

@@ -19,12 +19,12 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro.runtime.batch as batch_module
 from repro.core.pipeline import RoArrayEstimator
 from repro.exceptions import ResumableInterrupt
 from repro.runtime import BatchEvaluator, CheckpointPolicy
@@ -237,15 +237,41 @@ class TestGracefulInterrupt:
         ] == [_deterministic(outcome.to_dict()) for outcome in fresh.outcomes]
 
     def test_sigint_without_checkpoint_stays_keyboard_interrupt(
-        self, small_estimator, tmp_path
+        self, small_estimator, monkeypatch
     ):
         traces = make_traces(small_estimator, 6)
+        # SIGINT right after the first job group, in the evaluating
+        # thread: a timer could fire after a fast batch has returned.
+        evaluate_group = batch_module._evaluate_group
+        calls = 0
 
-        def fire() -> None:
-            time.sleep(0.05)
+        def evaluate_then_interrupt(*args, **kwargs):
+            nonlocal calls
+            outcomes = evaluate_group(*args, **kwargs)
+            calls += 1
+            if calls == 1:
+                os.kill(os.getpid(), signal.SIGINT)
+            return outcomes
+
+        monkeypatch.setattr(batch_module, "_evaluate_group", evaluate_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            BatchEvaluator(small_estimator).evaluate(traces)
+        assert calls == 1
+
+    def test_sigint_on_the_last_group_without_checkpoint_still_interrupts(
+        self, small_estimator, monkeypatch
+    ):
+        """Nothing is journaled, so a SIGINT stands even when the group it
+        lands in finishes the batch."""
+        traces = make_traces(small_estimator, 2)
+        evaluate_group = batch_module._evaluate_group
+
+        def evaluate_then_interrupt(*args, **kwargs):
+            outcomes = evaluate_group(*args, **kwargs)
             os.kill(os.getpid(), signal.SIGINT)
+            return outcomes
 
-        threading.Thread(target=fire, daemon=True).start()
+        monkeypatch.setattr(batch_module, "_evaluate_group", evaluate_then_interrupt)
         with pytest.raises(KeyboardInterrupt):
             BatchEvaluator(small_estimator).evaluate(traces)
 
