@@ -375,9 +375,11 @@ def mmv_lockstep(
                 # The iterate's rows still kept, and where they land.
                 held = kept[slots]
                 landing = (np.cumsum(kept) - 1)[slots[held]]
-                rows = candidates[kept]
-                row_factors = factors[kept]
-                candidate = point.T[kept]
+                kept = np.flatnonzero(kept)
+                rows = candidates.take(kept)
+                row_factors = factors.take(kept)
+                # (rows, p), gathered along the point's contiguous axis.
+                candidate = np.ascontiguousarray(point.take(kept, axis=1).T)
                 del point  # before the next iteration's point is allocated
                 candidate *= row_factors[:, None]
                 current = np.zeros_like(candidate)

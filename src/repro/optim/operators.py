@@ -575,12 +575,12 @@ class KroneckerJointOperator(DictionaryOperator):
         n_snapshots = stage.shape[1]
         grid = mask.reshape(-1, self.n_angles)
         pairs = np.flatnonzero(grid.any(axis=1))
-        # (p, B·Nτ, M): pair b·Nτ + d's M values for every column.
-        delays = stage.transpose(1, 0, 3, 2).reshape(n_snapshots, -1, self.n_antennas)
+        # (p, B, Nτ, M): pair b·Nτ + d's M values for every column.
+        delays = stage.transpose(1, 0, 3, 2)
         parts = []
         for start in range(0, len(pairs), PAIR_SLICE):
             chunk = pairs[start : start + PAIR_SLICE]
-            picked = np.ascontiguousarray(delays[:, chunk])
+            picked = delays[:, chunk // self.n_delays, chunk % self.n_delays]
             adjoint = _real_view(picked, n_snapshots * len(chunk)) @ self._spatial_adjoint
             picks = np.flatnonzero(grid[chunk])
             parts.append(adjoint.view(complex).reshape(n_snapshots, -1).take(picks, axis=1))
