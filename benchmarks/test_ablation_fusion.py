@@ -42,8 +42,8 @@ def run_ablation():
         trace = synthesizer.packets(profile, n_packets=12, snr_db=SNR_DB, rng=rng)
 
         single, _ = estimate_joint_spectrum(trace.packet(0), cache)
-        unaligned, _ = fuse_packets(trace.csi, cache, align_delays=False)
-        full, _ = fuse_packets(trace.csi, cache, align_delays=True)
+        ((unaligned, _),) = fuse_packets([trace.csi], cache, align_delays=False)
+        ((full, _),) = fuse_packets([trace.csi], cache, align_delays=True)
         for label, spectrum in [
             ("single packet", single),
             ("fusion w/o alignment", unaligned),
