@@ -208,17 +208,10 @@ class Tracer:
         """Add a closed child span of the innermost open span, timed by
         the caller: a region run once for several tracers (the batched
         fusion solve) bills each its share this way."""
-        record = Span(
-            name=name,
-            span_id=self._next_id,
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            start_s=time.perf_counter() - self._epoch - wall_s,
-            wall_s=wall_s,
-            cpu_s=cpu_s,
-            attributes=dict(attributes),
-        )
-        self._next_id += 1
-        self.spans.append(record)
+        with self.span(name, **attributes) as record:
+            pass
+        record.start_s -= wall_s
+        record.wall_s, record.cpu_s = wall_s, cpu_s
         return record
 
     def adopt(self, spans: Iterable[dict[str, Any]]) -> list[Span]:
